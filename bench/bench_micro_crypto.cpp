@@ -1,5 +1,5 @@
 // Engineering micro-benchmarks: SHA-256 throughput, BigUint modexp, RSA
-// keygen/sign/verify across key sizes.
+// keygen/sign/verify/decrypt across key sizes.
 
 #include <benchmark/benchmark.h>
 
@@ -42,7 +42,7 @@ void BM_BigUintModPow(benchmark::State& state) {
         benchmark::DoNotOptimize(
             crypto::BigUint::mod_pow(base, exponent, modulus));
 }
-BENCHMARK(BM_BigUintModPow)->Arg(256)->Arg(512);
+BENCHMARK(BM_BigUintModPow)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_RsaKeygen(benchmark::State& state) {
     std::uint64_t seed = 0;
@@ -52,7 +52,11 @@ void BM_RsaKeygen(benchmark::State& state) {
             static_cast<std::size_t>(state.range(0)), rng));
     }
 }
-BENCHMARK(BM_RsaKeygen)->Arg(384)->Arg(512)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RsaKeygen)
+    ->Arg(384)
+    ->Arg(512)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RsaSign(benchmark::State& state) {
     support::Rng rng(3);
@@ -62,7 +66,7 @@ void BM_RsaSign(benchmark::State& state) {
     for (auto _ : state)
         benchmark::DoNotOptimize(crypto::sign_payload(keys.priv, payload));
 }
-BENCHMARK(BM_RsaSign)->Arg(384)->Arg(512)->Arg(1024);
+BENCHMARK(BM_RsaSign)->Arg(384)->Arg(512)->Arg(1024)->Arg(2048);
 
 void BM_RsaVerify(benchmark::State& state) {
     support::Rng rng(4);
@@ -74,6 +78,17 @@ void BM_RsaVerify(benchmark::State& state) {
         benchmark::DoNotOptimize(
             crypto::verify_payload(keys.pub, payload, signature));
 }
-BENCHMARK(BM_RsaVerify)->Arg(384)->Arg(512)->Arg(1024);
+BENCHMARK(BM_RsaVerify)->Arg(384)->Arg(512)->Arg(1024)->Arg(2048);
+
+void BM_RsaDecrypt(benchmark::State& state) {
+    support::Rng rng(5);
+    const auto keys = crypto::generate_keypair(
+        static_cast<std::size_t>(state.range(0)), rng);
+    const std::vector<std::uint8_t> session_key(24, 0x5A);  // hybrid key+nonce
+    const auto ciphertext = crypto::encrypt(keys.pub, session_key);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crypto::decrypt(keys.priv, ciphertext));
+}
+BENCHMARK(BM_RsaDecrypt)->Arg(512)->Arg(1024)->Arg(2048);
 
 }  // namespace

@@ -299,83 +299,188 @@ BigUintDivMod BigUint::divmod(const BigUint& divisor) const {
 }
 
 // ---------------------------------------------------------------------------
-// Montgomery arithmetic (odd modulus), used by mod_pow.
+// Montgomery arithmetic (odd modulus), used by mod_pow and Miller-Rabin.
 
-/// Montgomery context for a fixed odd modulus N with R = 2^(32*k).
+/// Montgomery context for a fixed odd modulus N with R = 2^(64*k).  The
+/// modulus, R^2 mod N and the product accumulator are k-limb buffers sized
+/// here once; every product of an exponentiation reuses them, so the
+/// kernel never allocates.  Operands are fully reduced (< N), which makes
+/// Montgomery representations unique and comparable limb by limb.  The
+/// scratch accumulator makes a context single-threaded.
 class Montgomery {
 public:
-    explicit Montgomery(const BigUint& modulus) : n_(modulus) {
-        k_ = n_.limbs_.size();
-        // n' = -N^{-1} mod 2^32 via Newton iteration on 32-bit words.
-        std::uint32_t inv = 1;
-        const std::uint32_t n0 = n_.limbs_[0];
-        for (int i = 0; i < 5; ++i) inv *= 2 - n0 * inv;  // inv = n0^{-1} mod 2^32
-        nprime_ = ~inv + 1;  // -inv mod 2^32
-        // R^2 mod N for conversions.
-        BigUint r2 = BigUint(1) << (64 * k_);
-        r2_ = r2 % n_;
+    using Limb = std::uint64_t;
+
+    explicit Montgomery(const BigUint& modulus)
+        : modulus_(modulus),
+          k_((modulus.limbs_.size() + 1) / 2),
+          n_(k_),
+          r2_(k_),
+          t_(k_ + 1) {
+        load(modulus, n_.data());
+        // -N^{-1} mod 2^64 by Newton iteration: an odd n0 is its own
+        // inverse mod 8, and each step doubles the correct low bits.
+        Limb inv = n_[0];
+        for (int i = 0; i < 5; ++i) inv *= 2 - n_[0] * inv;
+        ninv_ = ~inv + 1;
+        load((BigUint(1) << (128 * k_)) % modulus, r2_.data());
     }
 
-    /// Converts into Montgomery form: a * R mod N.
-    [[nodiscard]] BigUint to_mont(const BigUint& a) const {
-        return mul(a % n_, r2_);
-    }
-    /// Converts out of Montgomery form.
-    [[nodiscard]] BigUint from_mont(const BigUint& a) const {
-        return mul(a, BigUint(1));
-    }
+    [[nodiscard]] std::size_t limbs() const noexcept { return k_; }
 
-    /// Montgomery product: a * b * R^{-1} mod N (CIOS).
-    [[nodiscard]] BigUint mul(const BigUint& a, const BigUint& b) const {
-        std::vector<std::uint32_t> t(k_ + 2, 0);
+    /// out = a * b * R^{-1} mod N.  a, b < N; out may alias either.
+    void mul(const Limb* a, const Limb* b, Limb* out) noexcept {
+        const Limb* n = n_.data();
+        Limb* t = t_.data();
+        std::fill(t, t + k_ + 1, Limb{0});
+        // Row i: t = (t + a[i] * b + m * N) / 2^64, with m chosen so the low
+        // limb cancels.  The product and the reduction run in one pass on
+        // two independent carry chains; t < 2N stays within k + 1 limbs.
         for (std::size_t i = 0; i < k_; ++i) {
-            const std::uint64_t ai =
-                i < a.limbs_.size() ? a.limbs_[i] : 0;
-            // t += ai * b
-            std::uint64_t carry = 0;
-            for (std::size_t j = 0; j < k_; ++j) {
-                const std::uint64_t bj =
-                    j < b.limbs_.size() ? b.limbs_[j] : 0;
-                const std::uint64_t cur = t[j] + ai * bj + carry;
-                t[j] = static_cast<std::uint32_t>(cur);
-                carry = cur >> 32;
+            const Limb ai = a[i];
+            Limb carry = 0;
+            Limb red_carry = 0;
+            const Limb low = mac(ai, b[0], t[0], 0, carry);
+            const Limb m = low * ninv_;
+            (void)mac(m, n[0], low, 0, red_carry);
+            for (std::size_t j = 1; j < k_; ++j) {
+                const Limb x = mac(ai, b[j], t[j], carry, carry);
+                t[j - 1] = mac(m, n[j], x, red_carry, red_carry);
             }
-            std::uint64_t cur = t[k_] + carry;
-            t[k_] = static_cast<std::uint32_t>(cur);
-            t[k_ + 1] = static_cast<std::uint32_t>(cur >> 32);
-
-            // m = t[0] * n' mod 2^32; t += m * N; t >>= 32
-            const std::uint32_t m =
-                static_cast<std::uint32_t>(t[0]) * nprime_;
-            carry = 0;
-            for (std::size_t j = 0; j < k_; ++j) {
-                const std::uint64_t prod =
-                    t[j] + static_cast<std::uint64_t>(m) * n_.limbs_[j] + carry;
-                t[j] = static_cast<std::uint32_t>(prod);
-                carry = prod >> 32;
-            }
-            cur = t[k_] + carry;
-            t[k_] = static_cast<std::uint32_t>(cur);
-            t[k_ + 1] += static_cast<std::uint32_t>(cur >> 32);
-            // shift down one limb
-            for (std::size_t j = 0; j < k_ + 1; ++j) t[j] = t[j + 1];
-            t[k_ + 1] = 0;
+            const Wide top = static_cast<Wide>(t[k_]) + carry + red_carry;
+            t[k_ - 1] = static_cast<Limb>(top);
+            t[k_] = static_cast<Limb>(top >> 64);
         }
-        BigUint result;
-        result.limbs_.assign(t.begin(),
-                             t.begin() + static_cast<std::ptrdiff_t>(k_ + 1));
-        result.trim();
-        if (result >= n_) result = result - n_;
-        return result;
+        // t < 2N: one conditional subtraction reduces it fully.
+        bool ge = t[k_] != 0;
+        if (!ge) {
+            ge = true;
+            for (std::size_t j = k_; j-- > 0;) {
+                if (t[j] != n[j]) {
+                    ge = t[j] > n[j];
+                    break;
+                }
+            }
+        }
+        if (ge) {
+            Limb borrow = 0;
+            for (std::size_t j = 0; j < k_; ++j) {
+                const Wide diff = static_cast<Wide>(t[j]) - n[j] - borrow;
+                out[j] = static_cast<Limb>(diff);
+                borrow = static_cast<Limb>(diff >> 64) & 1U;
+            }
+        } else {
+            std::copy(t, t + k_, out);
+        }
     }
 
-    [[nodiscard]] const BigUint& modulus() const noexcept { return n_; }
+    /// out = (x mod N) * R mod N.
+    void to_mont(const BigUint& x, Limb* out) {
+        if (x >= modulus_)
+            load(x % modulus_, out);
+        else
+            load(x, out);
+        mul(out, r2_.data(), out);
+    }
+
+    /// a * R^{-1} mod N as a BigUint.
+    [[nodiscard]] BigUint from_mont(const Limb* a) {
+        std::vector<Limb> unit(k_, 0);
+        unit[0] = 1;
+        mul(a, unit.data(), unit.data());
+        return store(unit.data());
+    }
+
+    /// out = base^exponent in Montgomery form, by left-to-right sliding
+    /// windows over the odd powers base^1, base^3, .., base^(2^w - 1).
+    /// The exponent must be non-zero; `out` must not alias `base`.
+    void pow(const Limb* base, const BigUint& exponent, Limb* out) {
+        const std::size_t bits = exponent.bit_length();
+        const std::size_t w = window_bits(bits);
+        std::vector<Limb> table(k_ << (w - 1));
+        std::copy(base, base + k_, table.data());
+        if (w > 1) {
+            std::vector<Limb> square(k_);
+            mul(base, base, square.data());
+            for (std::size_t i = 1; i < (std::size_t{1} << (w - 1)); ++i)
+                mul(&table[(i - 1) * k_], square.data(), &table[i * k_]);
+        }
+
+        // Bits [low, high) form the next window: it starts at the top set
+        // bit, spans at most w bits and ends on a set bit, so its value is
+        // odd and indexes the table.  Zero bits between windows are plain
+        // squarings.
+        bool first = true;
+        std::size_t high = bits;
+        while (high > 0) {
+            if (!exponent.bit(high - 1)) {
+                mul(out, out, out);
+                --high;
+                continue;
+            }
+            std::size_t low = high > w ? high - w : 0;
+            while (!exponent.bit(low)) ++low;
+            std::size_t value = 0;
+            for (std::size_t b = high; b-- > low;)
+                value = (value << 1) | (exponent.bit(b) ? 1U : 0U);
+            const Limb* power = &table[(value >> 1) * k_];
+            if (first) {
+                std::copy(power, power + k_, out);
+                first = false;
+            } else {
+                for (std::size_t s = low; s < high; ++s) mul(out, out, out);
+                mul(out, power, out);
+            }
+            high = low;
+        }
+    }
 
 private:
-    BigUint n_;
-    BigUint r2_;
-    std::size_t k_ = 0;
-    std::uint32_t nprime_ = 0;
+    __extension__ typedef unsigned __int128 Wide;
+
+    /// Low limb of x * y + c + d (which cannot overflow 128 bits); the
+    /// high limb goes to `hi`, which may be c or d itself.
+    static Limb mac(Limb x, Limb y, Limb c, Limb d, Limb& hi) noexcept {
+        const Wide p = static_cast<Wide>(x) * y + c + d;
+        hi = static_cast<Limb>(p >> 64);
+        return static_cast<Limb>(p);
+    }
+
+    /// Window width from the exponent's bit length (the usual break-even
+    /// points between table cost and saved multiplications).  Exponents of
+    /// at most 23 bits -- e = 65537 among them -- use w = 1: no table.
+    static std::size_t window_bits(std::size_t bits) noexcept {
+        if (bits > 671) return 6;
+        if (bits > 239) return 5;
+        if (bits > 79) return 4;
+        if (bits > 23) return 3;
+        return 1;
+    }
+
+    /// Zero-padded k-limb copy of x (x must fit in k limbs).
+    void load(const BigUint& x, Limb* out) const noexcept {
+        std::fill(out, out + k_, Limb{0});
+        for (std::size_t i = 0; i < x.limbs_.size(); ++i)
+            out[i / 2] |= static_cast<Limb>(x.limbs_[i]) << (32 * (i % 2));
+    }
+
+    [[nodiscard]] BigUint store(const Limb* a) const {
+        BigUint out;
+        out.limbs_.resize(2 * k_);
+        for (std::size_t i = 0; i < k_; ++i) {
+            out.limbs_[2 * i] = static_cast<std::uint32_t>(a[i]);
+            out.limbs_[2 * i + 1] = static_cast<std::uint32_t>(a[i] >> 32);
+        }
+        out.trim();
+        return out;
+    }
+
+    BigUint modulus_;
+    std::size_t k_;
+    std::vector<Limb> n_;
+    std::vector<Limb> r2_;
+    std::vector<Limb> t_;  // k + 1 limbs of product accumulator
+    Limb ninv_ = 0;        // -N^{-1} mod 2^64
 };
 
 BigUint BigUint::mod_pow(const BigUint& base, const BigUint& exponent,
@@ -385,15 +490,12 @@ BigUint BigUint::mod_pow(const BigUint& base, const BigUint& exponent,
     if (exponent.is_zero()) return BigUint(1);
 
     if (modulus.is_odd()) {
-        const Montgomery mont(modulus);
-        BigUint result = mont.to_mont(BigUint(1));
-        BigUint acc = mont.to_mont(base);
-        const std::size_t bits = exponent.bit_length();
-        for (std::size_t i = 0; i < bits; ++i) {
-            if (exponent.bit(i)) result = mont.mul(result, acc);
-            if (i + 1 < bits) acc = mont.mul(acc, acc);
-        }
-        return mont.from_mont(result);
+        Montgomery mont(modulus);
+        std::vector<std::uint64_t> x(mont.limbs());
+        std::vector<std::uint64_t> y(mont.limbs());
+        mont.to_mont(base, x.data());
+        mont.pow(x.data(), exponent, y.data());
+        return mont.from_mont(y.data());
     }
 
     // Generic square-and-multiply with division-based reduction.
@@ -516,16 +618,28 @@ bool BigUint::is_probable_prime(const BigUint& n, int rounds,
         ++s;
     }
 
+    // Every round works in one Montgomery context, comparing against 1 and
+    // n-1 in Montgomery form.
+    Montgomery mont(n);
+    const std::size_t k = mont.limbs();
+    std::vector<std::uint64_t> one(k);
+    std::vector<std::uint64_t> minus_one(k);
+    std::vector<std::uint64_t> a_mont(k);
+    std::vector<std::uint64_t> x(k);
+    mont.to_mont(BigUint(1), one.data());
+    mont.to_mont(n_minus_1, minus_one.data());
+
     const BigUint two(2);
     const BigUint n_minus_3 = n - BigUint(3);
     for (int round = 0; round < rounds; ++round) {
         const BigUint a = random_below(n_minus_3, rng) + two;  // a in [2, n-2]
-        BigUint x = mod_pow(a, d, n);
-        if (x == BigUint(1) || x == n_minus_1) continue;
+        mont.to_mont(a, a_mont.data());
+        mont.pow(a_mont.data(), d, x.data());
+        if (x == one || x == minus_one) continue;
         bool witness = true;
         for (std::size_t i = 1; i < s; ++i) {
-            x = (x * x) % n;
-            if (x == n_minus_1) {
+            mont.mul(x.data(), x.data(), x.data());
+            if (x == minus_one) {
                 witness = false;
                 break;
             }

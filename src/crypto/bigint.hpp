@@ -3,9 +3,19 @@
 //
 // This is the arithmetic substrate for the RSA identity layer (paper §4.2,
 // Figure 2).  Limbs are little-endian uint32 so schoolbook multiplication
-// and Knuth Algorithm D division can use 64-bit intermediates; modular
-// exponentiation uses Montgomery multiplication for odd moduli (always the
-// case for RSA) with a square-and-multiply fallback otherwise.
+// and Knuth Algorithm D division can use 64-bit intermediates.
+//
+// Modular exponentiation with an odd modulus (always the case for RSA and
+// Miller-Rabin) runs on a fixed-width Montgomery kernel: the operands are
+// converted once into k-limb buffers of 64-bit limbs (products through
+// unsigned __int128), every Montgomery product reuses one accumulator sized
+// for the modulus, and nothing allocates between the conversion into and out
+// of Montgomery form.  The exponent is scanned left to right in sliding
+// windows over a table of odd powers base^1, base^3, .., base^(2^w - 1);
+// the width w follows the exponent's bit length: 1 (no table) up to 23
+// bits -- so e = 65537 builds none -- then 3, 4, 5 and 6 above 23, 79,
+// 239 and 671 bits.  An even modulus takes a division-based
+// square-and-multiply.
 
 #include <compare>
 #include <cstdint>
@@ -88,7 +98,7 @@ public:
                                               support::Rng& rng);
 
     /// Miller-Rabin with `rounds` random bases (deterministic trial division
-    /// by small primes first).
+    /// by small primes first).  All rounds share one Montgomery context.
     [[nodiscard]] static bool is_probable_prime(const BigUint& n, int rounds,
                                                 support::Rng& rng);
     /// Random odd prime with exactly `bits` bits.

@@ -22,6 +22,17 @@ BigUint emsa_encode(const Digest& digest, std::size_t width) {
     return BigUint::from_bytes_be(em);
 }
 
+/// The private-key operation x^d mod n by CRT: two half-width
+/// exponentiations, mod p and mod q, joined by Garner's recombination
+/// x^d = m_q + q * (qinv * (m_p - m_q) mod p).  x must be < n.
+BigUint private_op(const RsaPrivateKey& key, const BigUint& x) {
+    const BigUint mp = BigUint::mod_pow(x, key.dp, key.p);
+    const BigUint mq = BigUint::mod_pow(x, key.dq, key.q);
+    const BigUint mq_mod_p = mq % key.p;
+    const BigUint diff = mp >= mq_mod_p ? mp - mq_mod_p : mp + key.p - mq_mod_p;
+    return mq + ((diff * key.qinv) % key.p) * key.q;
+}
+
 }  // namespace
 
 RsaKeyPair generate_keypair(std::size_t bits, support::Rng& rng) {
@@ -39,15 +50,23 @@ RsaKeyPair generate_keypair(std::size_t bits, support::Rng& rng) {
         const BigUint phi = (p - BigUint(1)) * (q - BigUint(1));
         const auto d = BigUint::mod_inverse(e, phi);
         if (!d.has_value()) continue;  // gcd(e, phi) != 1; retry
-        return RsaKeyPair{RsaPublicKey{n, e}, RsaPrivateKey{n, *d}};
+        // p and q are distinct primes, so q is invertible mod p.
+        BigUint qinv = *BigUint::mod_inverse(q, p);
+        RsaPrivateKey priv{n,
+                           *d,
+                           p,
+                           q,
+                           *d % (p - BigUint(1)),
+                           *d % (q - BigUint(1)),
+                           std::move(qinv)};
+        return RsaKeyPair{RsaPublicKey{n, e}, std::move(priv)};
     }
 }
 
 RsaSignature sign_digest(const RsaPrivateKey& key, const Digest& digest) {
     const std::size_t width = key.modulus_bytes();
     const BigUint m = emsa_encode(digest, width);
-    const BigUint s = BigUint::mod_pow(m, key.d, key.n);
-    return s.to_bytes_be(width);
+    return private_op(key, m).to_bytes_be(width);
 }
 
 bool verify_digest(const RsaPublicKey& key, const Digest& digest,
@@ -96,7 +115,9 @@ std::vector<std::uint8_t> decrypt(const RsaPrivateKey& key,
     if (ciphertext.size() != key.modulus_bytes())
         throw std::length_error("RSA decrypt: bad ciphertext length");
     const BigUint c = BigUint::from_bytes_be(ciphertext);
-    const BigUint m = BigUint::mod_pow(c, key.d, key.n);
+    if (c >= key.n)
+        throw std::length_error("RSA decrypt: ciphertext >= modulus");
+    const BigUint m = private_op(key, c);
     std::vector<std::uint8_t> bytes =
         m.to_bytes_be((m.bit_length() + 7) / 8);
     if (bytes.empty() || bytes[0] != 0x01)

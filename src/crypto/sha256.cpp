@@ -34,6 +34,8 @@ void Sha256::reset() noexcept {
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) noexcept {
+    // An empty span may carry a null pointer, which memcpy must not see.
+    if (data.empty()) return;
     total_bits_ += static_cast<std::uint64_t>(data.size()) * 8;
     std::size_t offset = 0;
     if (buffer_len_ > 0) {

@@ -81,6 +81,20 @@ TEST_F(HybridFixture, WrongPrivateKeyRejected) {
                  std::runtime_error);
 }
 
+TEST_F(HybridFixture, OutOfRangeWrappedKeyRejected) {
+    // A wrapped key >= n is refused before unwrapping; it used to unwrap
+    // like its residue mod n (here n itself, i.e. 0).
+    const std::vector<std::uint8_t> msg{1, 2, 3, 4};
+    auto ct = cr::hybrid_encrypt(keys.pub, msg, msg_rng);
+    ct.wrapped_key = keys.pub.n.to_bytes_be(keys.pub.modulus_bytes());
+    try {
+        (void)cr::hybrid_decrypt(keys.priv, ct);
+        FAIL() << "out-of-range wrapped key accepted";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "hybrid_decrypt: key unwrap failed");
+    }
+}
+
 TEST_F(HybridFixture, TotalBytesAccounting) {
     const std::vector<std::uint8_t> msg(100, 7);
     const auto ct = cr::hybrid_encrypt(keys.pub, msg, msg_rng);

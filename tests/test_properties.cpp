@@ -156,6 +156,98 @@ TEST_P(SeededProperty, ModExpExponentAdditionLaw) {
     }
 }
 
+// Right-to-left square-and-multiply with division-based reduction: the
+// oracle for mod_pow, sharing no code with its Montgomery window scan.
+BigUint reference_mod_pow(const BigUint& base, const BigUint& exponent,
+                          const BigUint& modulus) {
+    BigUint result = BigUint(1) % modulus;
+    BigUint acc = base % modulus;
+    for (std::size_t i = 0; i < exponent.bit_length(); ++i) {
+        if (exponent.bit(i)) result = (result * acc) % modulus;
+        acc = (acc * acc) % modulus;
+    }
+    return result;
+}
+
+// A modulus of `limbs` 32-bit limbs (top limb partly filled), at least 2.
+BigUint random_modulus(std::int64_t limbs, bool odd, Rng& rng) {
+    const auto bits = static_cast<std::size_t>(
+        32 * (limbs - 1) + rng.uniform_int(2, 32));
+    BigUint modulus = BigUint::random_bits(bits, rng);
+    if (modulus.is_odd() != odd) modulus = modulus - BigUint(1);
+    return modulus;
+}
+
+// Exponents of 0, 1, 17 bits (65537 and a random one) and full width.
+std::vector<BigUint> exponents_for(const BigUint& modulus, Rng& rng) {
+    return {BigUint{}, BigUint(1), BigUint(65537),
+            BigUint::random_bits(17, rng),
+            BigUint::random_bits(modulus.bit_length(), rng)};
+}
+
+TEST_P(SeededProperty, MultiLimbModPowMatchesDivisionOracle) {
+    Rng rng(GetParam());
+    for (int i = 0; i < 6; ++i) {
+        // Always cover both ends of the 1..64-limb range.
+        const std::int64_t limbs =
+            i == 0 ? 64 : (i == 1 ? 1 : rng.uniform_int(1, 64));
+        const BigUint modulus = random_modulus(limbs, /*odd=*/true, rng);
+        const BigUint base =
+            modulus + BigUint::random_bits(
+                          static_cast<std::size_t>(rng.uniform_int(
+                              1, static_cast<std::int64_t>(
+                                     modulus.bit_length()) + 40)),
+                          rng);
+        for (const BigUint& exponent : exponents_for(modulus, rng))
+            EXPECT_EQ(BigUint::mod_pow(base, exponent, modulus),
+                      reference_mod_pow(base, exponent, modulus))
+                << limbs << " limbs, exponent " << exponent.to_hex();
+    }
+}
+
+TEST_P(SeededProperty, EvenModulusModPowMatchesDivisionOracle) {
+    Rng rng(GetParam());
+    for (int i = 0; i < 4; ++i) {
+        const BigUint modulus =
+            random_modulus(rng.uniform_int(1, 16), /*odd=*/false, rng);
+        const BigUint base =
+            modulus + BigUint::random_bits(
+                          static_cast<std::size_t>(rng.uniform_int(1, 80)), rng);
+        for (const BigUint& exponent : exponents_for(modulus, rng))
+            EXPECT_EQ(BigUint::mod_pow(base, exponent, modulus),
+                      reference_mod_pow(base, exponent, modulus))
+                << "modulus " << modulus.to_hex();
+    }
+}
+
+TEST(BigUintPrimality, AgreesOnKnownPrimesAndCarmichaelNumbers) {
+    Rng rng(2024);
+    const auto mersenne = [](std::size_t p) {
+        return (BigUint(1) << p) - BigUint(1);
+    };
+    // Chernick's (6k+1)(12k+1)(18k+1) is a Carmichael number whenever all
+    // three factors are prime: it fools every Fermat base coprime to it,
+    // but not Miller-Rabin.  The k values below make all three prime.
+    const auto chernick = [](const BigUint& k) {
+        return (BigUint(6) * k + BigUint(1)) *
+               (BigUint(12) * k + BigUint(1)) *
+               (BigUint(18) * k + BigUint(1));
+    };
+
+    for (const BigUint& p :
+         {BigUint(104729), mersenne(61), mersenne(89), mersenne(107),
+          mersenne(127), mersenne(521)})
+        EXPECT_TRUE(BigUint::is_probable_prime(p, 20, rng)) << p.to_hex();
+
+    for (const BigUint& c :
+         {BigUint(561), BigUint(1105), BigUint(1729), BigUint(8911),
+          BigUint(321197185), chernick(BigUint(1048665)),
+          chernick(BigUint(1099511628756ULL)),
+          chernick((BigUint(1) << 100) + BigUint(8580)),
+          mersenne(61) * mersenne(89), mersenne(127) * mersenne(127)})
+        EXPECT_FALSE(BigUint::is_probable_prime(c, 20, rng)) << c.to_hex();
+}
+
 // ---------------------------------------------------------------------------
 // GradientSet (Procedure III) semantics.
 
