@@ -1,5 +1,7 @@
 #include "chain/bytes.hpp"
 
+#include <bit>
+
 namespace fairbfl::chain {
 
 void ByteWriter::u32(std::uint32_t v) {
@@ -36,7 +38,14 @@ void ByteWriter::str(std::string_view text) {
 
 void ByteWriter::f32_vector(std::span<const float> values) {
     u32(static_cast<std::uint32_t>(values.size()));
-    for (const float v : values) f32(v);
+    if constexpr (std::endian::native == std::endian::little) {
+        // The in-memory image already is the little-endian encoding.
+        const auto* first =
+            reinterpret_cast<const std::uint8_t*>(values.data());
+        out_.insert(out_.end(), first, first + values.size_bytes());
+    } else {
+        for (const float v : values) f32(v);
+    }
 }
 
 void ByteWriter::raw(std::span<const std::uint8_t> data) {
@@ -44,7 +53,7 @@ void ByteWriter::raw(std::span<const std::uint8_t> data) {
 }
 
 void ByteReader::need(std::size_t n) const {
-    if (cursor_ + n > data_.size())
+    if (n > remaining())
         throw std::out_of_range("ByteReader: truncated input");
 }
 
@@ -98,9 +107,20 @@ std::string ByteReader::str() {
 
 std::vector<float> ByteReader::f32_vector() {
     const std::uint32_t n = u32();
-    std::vector<float> values;
-    values.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) values.push_back(f32());
+    // Check the claimed count against the input before allocating for it:
+    // a corrupt prefix would otherwise reserve up to 16 GiB.  n < 2^32, so
+    // 4n cannot wrap the 64-bit size_t.
+    const std::size_t bytes = std::size_t{n} * sizeof(float);
+    need(bytes);
+    std::vector<float> values(n);
+    if constexpr (std::endian::native == std::endian::little) {
+        // memcpy's pointers must be non-null even for zero bytes.
+        if (bytes > 0)
+            std::memcpy(values.data(), data_.data() + cursor_, bytes);
+        cursor_ += bytes;
+    } else {
+        for (float& v : values) v = f32();
+    }
     return values;
 }
 

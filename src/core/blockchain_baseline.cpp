@@ -1,6 +1,7 @@
 #include "core/blockchain_baseline.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace fairbfl::core {
 
@@ -11,8 +12,9 @@ BlockchainBaseline::BlockchainBaseline(BlockchainBaselineConfig config)
       chain_(config.chain_id, config.key_bits != 0 ? &keys_ : nullptr),
       mempool_(config.delay.max_block_bytes) {
     chain_.set_check_pow(false);
-    for (std::size_t w = 0; w < config_.workers; ++w)
-        keys_.register_node(static_cast<crypto::NodeId>(w));
+    std::vector<crypto::NodeId> nodes(config_.workers);
+    std::iota(nodes.begin(), nodes.end(), crypto::NodeId{0});
+    keys_.register_nodes(nodes);
 }
 
 BlockchainRoundRecord BlockchainBaseline::run_round() {

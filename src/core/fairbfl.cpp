@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "chain/mempool.hpp"
 #include "crypto/hybrid.hpp"
 #include "fl/sampling.hpp"
 #include "support/logging.hpp"
+#include "support/parallel.hpp"
 
 namespace fairbfl::core {
 
@@ -15,6 +17,62 @@ namespace {
 /// Seconds -> virtual-clock ns (the round engine's time unit).
 VirtualTime sim_ns(double seconds) noexcept {
     return static_cast<VirtualTime>(seconds * 1e9);
+}
+
+/// The pool every fan-out of a system runs on.
+support::ThreadPool& pool_of(const FairBflConfig& config) {
+    return config.pool != nullptr ? *config.pool
+                                  : support::ThreadPool::global();
+}
+
+/// What the miner concluded about one Procedure II upload.
+enum class UploadVerdict : std::uint8_t {
+    kDelivered,
+    kBadSignature,
+    kUndecryptable,
+    kAltered,  ///< decrypted to a different transaction
+};
+
+/// One update's Procedure II result, written by the pool task that made it.
+struct Upload {
+    chain::Transaction tx;
+    UploadVerdict verdict = UploadVerdict::kDelivered;
+    std::size_t ciphertext_bytes = 0;  ///< 0 unless encrypted
+};
+
+/// Procedure II for one update: the client signs its gradient transaction
+/// and the miner checks the signature; with `miner_node` set, the signed
+/// transaction is encrypted to that miner, which decrypts it before
+/// treating it as a gradient.  Reads only const key-store state and draws
+/// only from the client's own Rng fork, so uploads run concurrently.
+Upload make_upload(const fl::GradientUpdate& update, std::uint64_t round,
+                   const crypto::KeyStore& keys,
+                   std::optional<crypto::NodeId> miner_node,
+                   std::uint64_t seed) {
+    Upload upload;
+    upload.tx = chain::make_gradient_tx(chain::TxKind::kLocalGradient,
+                                        update.client, round, update.weights);
+    chain::sign_transaction(upload.tx, keys);
+    if (!chain::verify_transaction(upload.tx, keys)) {
+        upload.verdict = UploadVerdict::kBadSignature;
+        return upload;
+    }
+    if (!miner_node) return upload;
+    auto enc_rng =
+        support::Rng::fork(seed, 0xE2C00000ULL + update.client, round);
+    const crypto::HybridCiphertext ciphertext = crypto::hybrid_encrypt(
+        keys.public_key(*miner_node), upload.tx.encode(), enc_rng);
+    upload.ciphertext_bytes = ciphertext.total_bytes();
+    try {
+        const auto decrypted =
+            crypto::hybrid_decrypt(keys.private_key(*miner_node), ciphertext);
+        chain::ByteReader reader(decrypted);
+        if (!(chain::Transaction::decode(reader) == upload.tx))
+            upload.verdict = UploadVerdict::kAltered;
+    } catch (const std::exception&) {
+        upload.verdict = UploadVerdict::kUndecryptable;
+    }
+    return upload;
 }
 
 }  // namespace
@@ -46,13 +104,15 @@ FairBfl::FairBfl(const ml::Model& model, std::vector<fl::Client> clients,
     // The tightly coupled design models mining time stochastically; the
     // chain stores protocol-valid blocks without re-running the hash race.
     chain_.set_check_pow(false);
-    for (const auto& client : clients_) keys_.register_node(client.id());
     // Miners get ids above the client range.  At least one miner id is
     // always registered: the mining stage signs the winner's block with
     // proxy id clients_.size(), and the upload stage addresses a proxy
     // miner, even when config.miners == 0.
+    std::vector<crypto::NodeId> nodes;
+    for (const auto& client : clients_) nodes.push_back(client.id());
     for (std::size_t k = 0; k < std::max<std::size_t>(config_.miners, 1); ++k)
-        keys_.register_node(static_cast<crypto::NodeId>(clients_.size() + k));
+        nodes.push_back(static_cast<crypto::NodeId>(clients_.size() + k));
+    keys_.register_nodes(nodes, pool_of(config_));
 
     auto rng = support::Rng::fork(config_.fl.seed, /*stream=*/0x1417);
     model_->init_params(weights_, rng);
@@ -159,60 +219,63 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
         std::size_t wire_payload = payload;
 
         // --- Procedure II: sign and upload to a uniformly random miner,
-        // optionally under hybrid encryption to that miner.  Draw order
-        // (association before the signature check, one upload draw per
-        // update after the loop) matches the lockstep series exactly.
-        gradient_txs.reserve(updates.size());
+        // optionally under hybrid encryption to that miner.  Every ordering
+        // decision stays on this thread: the miner associations are drawn
+        // in update order (one draw per update, whatever its verdict, as
+        // in the lockstep series), the per-update crypto fans out across
+        // the pool into per-update slots, and the merge walks the slots in
+        // update order.  Logging happens only in the merge.
+        const telemetry::Span upload_span(telemetry::labels::round_upload());
         const std::size_t miner_count =
             std::max<std::size_t>(config_.miners, 1);
-        std::vector<bool> deliverable(updates.size(), false);
+        std::vector<crypto::NodeId> miners;
+        miners.reserve(updates.size());
         for (std::size_t i = 0; i < updates.size(); ++i) {
-            const auto& update = updates[i];
-            chain::Transaction tx = chain::make_gradient_tx(
-                chain::TxKind::kLocalGradient, update.client, round,
-                update.weights);
-            chain::sign_transaction(tx, keys_);
             // Miner association: uniform random (paper §4.2).
             const auto miner = static_cast<std::size_t>(assoc_rng.uniform_int(
                 0, static_cast<std::int64_t>(miner_count) - 1));
-            if (!chain::verify_transaction(tx, keys_)) {
+            miners.push_back(
+                static_cast<crypto::NodeId>(clients_.size() + miner));
+        }
+
+        std::vector<Upload> uploads(updates.size());
+        const telemetry::Context ctx = telemetry::current_context();
+        support::parallel_for(
+            0, updates.size(),
+            [&](std::size_t i) {
+                const telemetry::ContextScope scope(ctx);
+                uploads[i] = make_upload(
+                    updates[i], round, keys_,
+                    encrypting ? std::optional(miners[i]) : std::nullopt,
+                    config_.fl.seed);
+            },
+            pool_of(config_));
+
+        // An undecryptable or altered upload is dropped, like a bad
+        // signature.
+        gradient_txs.reserve(updates.size());
+        std::vector<bool> deliverable(updates.size(), false);
+        for (std::size_t i = 0; i < updates.size(); ++i) {
+            Upload& upload = uploads[i];
+            wire_payload = std::max(wire_payload, upload.ciphertext_bytes);
+            if (upload.verdict == UploadVerdict::kBadSignature) {
                 FAIRBFL_LOG_WARN(
                     "round %llu: dropping update with bad signature "
                     "from client %u",
-                    static_cast<unsigned long long>(round), update.client);
+                    static_cast<unsigned long long>(round),
+                    updates[i].client);
                 continue;
             }
-            if (encrypting) {
-                // Encrypt the signed transaction to the associated miner;
-                // the miner decrypts before treating it as a gradient.  An
-                // undecryptable or tampered upload is dropped, like a bad
-                // signature.
-                const auto miner_node =
-                    static_cast<crypto::NodeId>(clients_.size() + miner);
-                auto enc_rng = support::Rng::fork(
-                    config_.fl.seed, 0xE2C00000ULL + update.client, round);
-                const crypto::HybridCiphertext ciphertext =
-                    crypto::hybrid_encrypt(keys_.public_key(miner_node),
-                                           tx.encode(), enc_rng);
-                wire_payload =
-                    std::max(wire_payload, ciphertext.total_bytes());
-                try {
-                    const auto decrypted = crypto::hybrid_decrypt(
-                        keys_.private_key(miner_node), ciphertext);
-                    chain::ByteReader reader(decrypted);
-                    const chain::Transaction received =
-                        chain::Transaction::decode(reader);
-                    if (!(received == tx)) continue;
-                } catch (const std::exception&) {
-                    FAIRBFL_LOG_WARN(
-                        "round %llu: dropping undecryptable upload from %u",
-                        static_cast<unsigned long long>(round),
-                        update.client);
-                    continue;
-                }
+            if (upload.verdict == UploadVerdict::kUndecryptable) {
+                FAIRBFL_LOG_WARN(
+                    "round %llu: dropping undecryptable upload from %u",
+                    static_cast<unsigned long long>(round),
+                    updates[i].client);
+                continue;
             }
+            if (upload.verdict != UploadVerdict::kDelivered) continue;
             deliverable[i] = true;
-            gradient_txs.push_back(std::move(tx));
+            gradient_txs.push_back(std::move(upload.tx));
         }
         const std::vector<double> up_seconds =
             delays.t_up_each(updates.size(), wire_payload, up_rng);
@@ -361,17 +424,22 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
 
         const auto miner_id =
             static_cast<crypto::NodeId>(clients_.size());  // winner proxy id
-        chain::Transaction global_tx = chain::make_gradient_tx(
-            chain::TxKind::kGlobalUpdate, miner_id, round, weights_);
-        chain::sign_transaction(global_tx, keys_);
-        block.transactions.push_back(std::move(global_tx));
+        block.transactions.push_back(chain::make_gradient_tx(
+            chain::TxKind::kGlobalUpdate, miner_id, round, weights_));
         for (const auto& entry : ledger_.history()) {
             if (entry.round != round) continue;
-            chain::Transaction reward_tx = chain::make_reward_tx(
-                miner_id, round, entry.client, entry.amount);
-            chain::sign_transaction(reward_tx, keys_);
-            block.transactions.push_back(std::move(reward_tx));
+            block.transactions.push_back(chain::make_reward_tx(
+                miner_id, round, entry.client, entry.amount));
         }
+        // The order is fixed above; the signatures are independent.
+        const telemetry::Context ctx = telemetry::current_context();
+        support::parallel_for(
+            0, block.transactions.size(),
+            [&](std::size_t i) {
+                const telemetry::ContextScope scope(ctx);
+                chain::sign_transaction(block.transactions[i], keys_);
+            },
+            pool_of(config_));
         if (config_.record_local_gradients) {
             // Assumption 2 ablation: local gradients go on-chain too.
             for (auto& tx : gradient_txs)

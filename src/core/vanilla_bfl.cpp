@@ -20,7 +20,9 @@ VanillaBfl::VanillaBfl(const ml::Model& model, std::vector<fl::Client> clients,
       mempool_(config.delay.max_block_bytes),
       weights_(model.param_count(), 0.0F) {
     chain_.set_check_pow(false);
-    for (const auto& client : clients_) keys_.register_node(client.id());
+    std::vector<crypto::NodeId> nodes;
+    for (const auto& client : clients_) nodes.push_back(client.id());
+    keys_.register_nodes(nodes);
     auto rng = support::Rng::fork(config_.fl.seed, /*stream=*/0x1417);
     model_->init_params(weights_, rng);
 }

@@ -5,9 +5,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "crypto/rsa.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace fairbfl::crypto {
@@ -18,6 +20,12 @@ using NodeId = std::uint32_t;
 /// Holds every participant's key pair; miners query public keys, clients
 /// query their own private key.  Key generation is deterministic from the
 /// root seed so simulations are reproducible.
+///
+/// Thread safety: the const members (lookups, `sign`, `verify`) may be
+/// called concurrently from any number of threads -- nothing in the crypto
+/// layer caches into a key -- so per-node signing and hybrid encryption can
+/// fan out across a pool.  Registration mutates the map and must not
+/// overlap any other call.
 class KeyStore {
 public:
     /// `key_bits == 0` disables cryptography entirely: signing returns empty
@@ -26,7 +34,17 @@ public:
     /// deployments without touching call sites.
     explicit KeyStore(std::uint64_t root_seed, std::size_t key_bits = 512);
 
-    /// Creates (or returns the existing) key pair for `id`.
+    /// Creates the key pair of every id in `ids` not yet registered;
+    /// registered ids keep their key.  Each pair is generated from the
+    /// node's own Rng fork (stream 0x4B450000 + id), so the keys depend on
+    /// neither the pool size nor how ids are grouped into calls; the
+    /// generation fans out across `pool` and the pairs are inserted in id
+    /// order.  No-op when crypto is disabled.
+    void register_nodes(
+        std::span<const NodeId> ids,
+        support::ThreadPool& pool = support::ThreadPool::global());
+
+    /// The one-id case of register_nodes.
     void register_node(NodeId id);
 
     [[nodiscard]] bool has_node(NodeId id) const noexcept;

@@ -204,6 +204,13 @@ inline Label round_mine() {
     static const Label id = intern("round.mine");
     return id;
 }
+/// Procedure II: signing, verification, hybrid round trip and upload
+/// pricing of every update.  Trace only: no perf_round.json key is derived
+/// from it.
+inline Label round_upload() {
+    static const Label id = intern("round.upload");
+    return id;
+}
 inline Label index_build() {
     static const Label id = intern("cluster.index_build");
     return id;

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "core/fairbfl.hpp"
+#include "crypto/sha256.hpp"
 #include "ml/partition.hpp"
 #include "ml/synthetic_mnist.hpp"
+#include "support/parallel.hpp"
 
 namespace {
 
@@ -330,6 +334,42 @@ TEST(FairBfl, EncryptedGradientPathLearnsIdentically) {
     EXPECT_TRUE(std::equal(plain.weights().begin(), plain.weights().end(),
                            encrypted.weights().begin()));
     EXPECT_GT(rec_enc.delay.t_up, rec_plain.delay.t_up);  // bigger payload
+}
+
+TEST(FairBfl, SecureRoundsAreThreadCountIndependentAndPinned) {
+    // 512-bit keys, encrypted uploads to three miners: the per-client
+    // upload crypto, the block signatures and key generation all fan out
+    // across the pool.  Weights / ledger total / chain tip were captured
+    // from the single-threaded upload and signing loops.
+    static constexpr const char* kDigest =
+        "3bf12554a53ac285ebd46321a9642012e928ae2c3a5c9d2331c4968a06574214/4/"
+        "98a593cf26bb11e4e6117bca824432f377f9d0e80a07c5842a166047d0b9c67e";
+    for (const unsigned threads : {1U, 4U}) {
+        World world(8);
+        auto config = fast_config();
+        config.fl.client_ratio = 1.0;
+        config.key_bits = 512;
+        config.encrypt_gradients = true;
+        config.miners = 3;
+        fairbfl::support::ThreadPool pool(threads);
+        config.pool = &pool;
+        core::FairBfl system(*world.model, world.clients(), world.test,
+                             config);
+        for (const auto& record : system.run(4))
+            EXPECT_EQ(record.fl.participants, 8U) << threads << " threads";
+        const auto weights = system.weights();
+        char ledger_total[40];
+        std::snprintf(ledger_total, sizeof ledger_total, "%.17g",
+                      system.ledger().grand_total());
+        const std::string digest =
+            fairbfl::crypto::to_hex(fairbfl::crypto::Sha256::hash(std::span(
+                reinterpret_cast<const std::uint8_t*>(weights.data()),
+                weights.size_bytes()))) +
+            "/" + ledger_total + "/" +
+            fairbfl::crypto::to_hex(system.blockchain().tip().header.hash());
+        EXPECT_EQ(digest, kDigest) << threads << " threads";
+        EXPECT_TRUE(system.blockchain().validate_full_chain());
+    }
 }
 
 TEST(FairBfl, IncentiveDisabledStillAggregates) {

@@ -270,6 +270,8 @@ TEST(TelemetryPin, LiveWallMatchesDecodedDumpExactly) {
     EXPECT_GT(r0.sum_of("delay.bl_ns"), 0U);
     // Per-client training spans carry the client ordinal.
     EXPECT_EQ(r0.labels.at("local.client").spans, 32U);
+    // Procedure II is one span per round.
+    EXPECT_EQ(r0.labels.at("round.upload").spans, 1U);
 }
 
 // --- JSON schema pin --------------------------------------------------------
