@@ -8,6 +8,7 @@
 #include "core/strategies.hpp"
 #include "incentive/contribution.hpp"
 #include "support/rng.hpp"
+#include "support/vecmath.hpp"
 
 namespace {
 
@@ -66,17 +67,22 @@ void BM_IndexBuild(benchmark::State& state) {
     for (auto _ : state)
         benchmark::DoNotOptimize(Backend(points, params));
 }
+/// The exact build takes (points, dim): 193 x 7850 is the cluster_heavy
+/// round's shape (192 updates plus the provisional global, the logistic
+/// model's 7850 weights), where the four-pair kernel does the work.
 template <>
 void BM_IndexBuild<cluster::ExactIndex>(benchmark::State& state) {
     const auto points =
-        gradient_like_points(static_cast<std::size_t>(state.range(0)), 650);
+        gradient_like_points(static_cast<std::size_t>(state.range(0)),
+                             static_cast<std::size_t>(state.range(1)));
     for (auto _ : state)
         benchmark::DoNotOptimize(
             cluster::ExactIndex(cluster::Metric::kEuclidean, points));
 }
 BENCHMARK(BM_IndexBuild<cluster::ExactIndex>)
-    ->Arg(100)
-    ->Arg(250)
+    ->Args({100, 650})
+    ->Args({250, 650})
+    ->Args({193, 7850})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IndexBuild<cluster::RandomProjectionIndex>)
     ->Arg(100)
@@ -85,6 +91,24 @@ BENCHMARK(BM_IndexBuild<cluster::RandomProjectionIndex>)
 BENCHMARK(BM_IndexBuild<cluster::SampledIndex>)
     ->Arg(100)
     ->Arg(250)
+    ->Unit(benchmark::kMillisecond);
+
+/// Algorithm 2's theta scores: every update's cosine distance to the
+/// provisional global, (rows, dim) = the cluster_heavy shape.
+void BM_CosineDistancesTo(benchmark::State& state) {
+    const auto rows =
+        gradient_like_points(static_cast<std::size_t>(state.range(0)),
+                             static_cast<std::size_t>(state.range(1)));
+    const std::vector<float> query = rows.back();
+    std::vector<double> out(rows.size());
+    for (auto _ : state) {
+        support::cosine_distances_to(rows, query, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_CosineDistancesTo)
+    ->Args({192, 7850})
     ->Unit(benchmark::kMillisecond);
 
 void BM_Algorithm2EndToEnd(benchmark::State& state) {

@@ -51,18 +51,6 @@ public:
         return cluster(points);
     }
 
-    /// Deprecated pre-GradientIndex seam: wraps the matrix in an
-    /// ExactIndex (copying it) and forwards.  New code should build the
-    /// index once and call the GradientIndex overload.
-    [[nodiscard,
-      deprecated("wrap the matrix in cluster::ExactIndex and call "
-                 "cluster_with(const GradientIndex&, points)")]]
-    ClusterResult cluster_with(
-        const DistanceMatrix& dist,
-        std::span<const std::vector<float>> points) const {
-        return cluster_with(ExactIndex(dist), points);
-    }
-
     /// The metric this algorithm's configuration clusters under -- the
     /// geometry Algorithm 2 builds the shared index in.
     [[nodiscard]] virtual Metric preferred_metric() const noexcept {

@@ -70,31 +70,6 @@ ClusterResult Dbscan::cluster_index(const GradientIndex& index) const {
     return result;
 }
 
-namespace {
-
-/// Shared k-distance implementation: `fill_row` writes point i's n
-/// distances into its argument.  Callers guarantee n > min_pts.
-template <typename FillRow>
-double median_kth_distance(std::size_t n, std::size_t min_pts,
-                           FillRow&& fill_row) {
-    std::vector<double> kth;
-    kth.reserve(n);
-    std::vector<double> row(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        fill_row(i, row);
-        std::nth_element(row.begin(),
-                         row.begin() + static_cast<std::ptrdiff_t>(min_pts),
-                         row.end());
-        kth.push_back(row[min_pts]);
-    }
-    std::nth_element(kth.begin(),
-                     kth.begin() + static_cast<std::ptrdiff_t>(kth.size() / 2),
-                     kth.end());
-    return kth[kth.size() / 2];
-}
-
-}  // namespace
-
 double suggest_eps(std::span<const std::vector<float>> points,
                    std::size_t min_pts, Metric metric) {
     const std::size_t n = points.size();
@@ -118,17 +93,6 @@ double suggest_eps(const GradientIndex& index, std::size_t min_pts) {
                      kth.begin() + static_cast<std::ptrdiff_t>(kth.size() / 2),
                      kth.end());
     return kth[kth.size() / 2];
-}
-
-double suggest_eps(const DistanceMatrix& dist, std::size_t min_pts) {
-    const std::size_t n = dist.size();
-    if (n <= min_pts) return 0.0;
-    return median_kth_distance(n, min_pts,
-                               [&](std::size_t i, std::span<double> row) {
-                                   const auto src = dist.row(i);
-                                   std::copy(src.begin(), src.end(),
-                                             row.begin());
-                               });
 }
 
 }  // namespace fairbfl::cluster

@@ -44,7 +44,6 @@ public:
     [[nodiscard]] ClusterResult cluster_with(
         const GradientIndex& index,
         std::span<const std::vector<float>> points) const override;
-    using ClusteringAlgorithm::cluster_with;
     [[nodiscard]] Metric preferred_metric() const noexcept override {
         return params_.metric;
     }
@@ -78,10 +77,6 @@ private:
 /// the index's own geometry, so the suggested eps is always consistent
 /// with the distances the scan will threshold against.
 [[nodiscard]] double suggest_eps(const GradientIndex& index,
-                                 std::size_t min_pts);
-
-/// Same heuristic reading a prebuilt dense matrix.
-[[nodiscard]] double suggest_eps(const DistanceMatrix& dist,
                                  std::size_t min_pts);
 
 }  // namespace fairbfl::cluster

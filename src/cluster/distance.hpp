@@ -37,7 +37,12 @@ enum class Metric : std::uint8_t {
 /// metric the blocked kernel is used: entries may differ from the exact
 /// kernel in the last ulps, which is safe because every consumer compares
 /// distances (eps thresholds, nearest-neighbour argmins) rather than
-/// feeding them into reward or training arithmetic.
+/// feeding them into reward or training arithmetic.  Each Euclidean row
+/// task walks its pairs four at a time through
+/// support::squared_distance_blocked_x4 (one pass over point i feeds four
+/// independent accumulator chains) and finishes the remainder pair by
+/// pair; every entry is still bitwise
+/// sqrt(squared_distance_blocked(p_i, p_j)).
 class DistanceMatrix {
 public:
     /// Empty matrix (size() == 0).

@@ -43,7 +43,6 @@ public:
     [[nodiscard]] ClusterResult cluster_with(
         const GradientIndex& index,
         std::span<const std::vector<float>> points) const override;
-    using ClusteringAlgorithm::cluster_with;
     [[nodiscard]] Metric preferred_metric() const noexcept override {
         return params_.metric;
     }

@@ -73,6 +73,34 @@ double scalar_squared_distance_blocked(const float* x, const float* y,
     return acc;
 }
 
+void squared_distance_blocked_x4_portable(const float* x,
+                                          const float* const* ys,
+                                          std::size_t n, double* out) {
+    for (std::size_t p = 0; p < 4; ++p)
+        out[p] = scalar_squared_distance_blocked(x, ys[p], n);
+}
+
+SquaredDistanceX4 resolve_squared_distance_blocked_x4() noexcept {
+    // The same probe resolve() makes for the avx2 table: CPUID plus the
+    // TU's ISA guard (a null accessor).  Either body yields the scalar
+    // bits, so this is a speed choice, never a behaviour one.
+    if (cpu_supports_avx2_fma()) {
+        if (const SquaredDistanceX4 lane_exact =
+                detail::lane_exact_squared_distance_blocked_x4())
+            return lane_exact;
+    }
+    return squared_distance_blocked_x4_portable;
+}
+
+void scalar_squared_distance_blocked_x4(const float* x,
+                                        const float* const* ys,
+                                        std::size_t n, double* out) {
+    // Decided once per process, on first use.
+    static const SquaredDistanceX4 kernel =
+        resolve_squared_distance_blocked_x4();
+    kernel(x, ys, n, out);
+}
+
 void scalar_axpy(float alpha, const float* x, float* y, std::size_t n) {
     // Elementwise, so the 4-way unroll is bit-identical to the plain loop.
     std::size_t i = 0;
@@ -178,10 +206,18 @@ void scalar_outer_accumulate(const float* d, const float* x,
 
 void scalar_dot_and_norm(const float* x, const float* y, std::size_t n,
                          double* dot_out, double* x_norm2_out) {
-    // Two independent strict chains; identical to calling dot() twice, so
+    // Two independent strict chains carried through one traversal: each
+    // receives exactly scalar_dot's operations in scalar_dot's order, so
     // the scalar cosine batch kernel keeps its pinned bits.
-    *dot_out = scalar_dot(x, y, n);
-    *x_norm2_out = scalar_dot(x, x, n);
+    double dot = 0.0;
+    double norm2 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double xi = static_cast<double>(x[i]);
+        dot += xi * static_cast<double>(y[i]);
+        norm2 += xi * xi;
+    }
+    *dot_out = dot;
+    *x_norm2_out = norm2;
 }
 
 constexpr KernelTable kScalarTable = {
@@ -189,6 +225,7 @@ constexpr KernelTable kScalarTable = {
     scalar_dot_blocked,
     scalar_squared_distance,
     scalar_squared_distance_blocked,
+    scalar_squared_distance_blocked_x4,
     scalar_axpy,
     scalar_gemv,
     scalar_gemv_transpose_accumulate,
@@ -290,6 +327,9 @@ const char* active_name() noexcept { return active().name; }
 
 namespace detail {
 const KernelTable& scalar_table() noexcept { return kScalarTable; }
+SquaredDistanceX4 portable_squared_distance_blocked_x4() noexcept {
+    return squared_distance_blocked_x4_portable;
+}
 }  // namespace detail
 
 }  // namespace fairbfl::support::simd

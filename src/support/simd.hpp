@@ -21,6 +21,13 @@
 //     the tolerance-based parity harness (tests/test_kernel_parity.cpp),
 //     never by bit pins.
 //
+// One entry crosses the line the other way: the scalar table's four-pair
+// squared_distance_blocked_x4 runs a *lane-exact* AVX encoding (same IEEE
+// operations per lane as the scalar loop, no FMA) when CPUID reports
+// AVX2+FMA and simd_avx2.cpp was built with its ISA.  That choice is made
+// once per process, has no knob, and leaves the table's name "scalar",
+// because the bits are the scalar bits; test_kernel_parity pins them.
+//
 // Selection: FAIRBFL_KERNELS=scalar|simd|auto in the environment, or
 // set_mode()/set_mode_name() from a CLI flag (--kernels= on fairbfl_sim /
 // bench_perf_round).  "simd" and "auto" both probe CPUID at runtime and
@@ -45,6 +52,11 @@ enum class Mode {
     kAuto = 2,    ///< same probe as kSimd; the deploy-anywhere default knob
 };
 
+/// Four blocked squared distances sharing x: out[p] for ys[p], p in
+/// [0, 4).  The signature of KernelTable::squared_distance_blocked_x4.
+using SquaredDistanceX4 = void (*)(const float* x, const float* const* ys,
+                                   std::size_t n, double* out);
+
 /// One resolved kernel set.  Raw pointers + sizes (not spans) so the
 /// `-march`-gated TU needs nothing from the rest of the tree and the
 /// indirect call stays a plain function pointer.
@@ -60,6 +72,12 @@ struct KernelTable {
     /// Blocked squared distance (comparison-only consumers).
     double (*squared_distance_blocked)(const float* x, const float* y,
                                        std::size_t n);
+    /// Four blocked squared distances sharing x: out[p] is bitwise equal
+    /// to this table's squared_distance_blocked(x, ys[p], n) for p in
+    /// [0, 4).  The scalar table serves it with the lane-exact AVX
+    /// encoding when the CPU and the build allow (file comment above),
+    /// else with four scalar calls -- the same bits either way.
+    SquaredDistanceX4 squared_distance_blocked_x4;
     /// y += alpha * x (elementwise; exact in every table).
     void (*axpy)(float alpha, const float* x, float* y, std::size_t n);
     /// Row-major rows x cols matrix-vector product; bias may be null.
@@ -73,7 +91,9 @@ struct KernelTable {
     void (*outer_accumulate)(const float* d, const float* x,
                              std::size_t rows, std::size_t cols, float* y);
     /// Fused pass for the batched cosine kernel: *dot_out = dot(x, y) and
-    /// *x_norm2_out = dot(x, x) in one traversal of x.
+    /// *x_norm2_out = dot(x, x) in one traversal of x.  The scalar table
+    /// carries both strict chains through one loop, so each result is
+    /// bitwise this table's dot.
     void (*dot_and_norm)(const float* x, const float* y, std::size_t n,
                          double* dot_out, double* x_norm2_out);
     /// Diagnostic name ("scalar", "avx2") -- perf JSON `kernels` key.
@@ -120,6 +140,16 @@ namespace detail {
 /// The pinned scalar table (always available; the reference the parity
 /// harness measures divergence against).
 [[nodiscard]] const KernelTable& scalar_table() noexcept;
+/// The scalar table's portable four-pair body: four calls of the scalar
+/// squared_distance_blocked.  What the table entry runs on hosts without
+/// the lane-exact encoding, and the reference that encoding is pinned to.
+[[nodiscard]] SquaredDistanceX4 portable_squared_distance_blocked_x4() noexcept;
+/// The lane-exact AVX encoding of the scalar four-pair entry (defined in
+/// simd_avx2.cpp), or nullptr when the build lacks that TU's ISA.  Lane k
+/// of pair p's accumulator is the scalar kernel's accumulator a_k, updated
+/// with separate subtract, multiply and add (never FMA), so the results
+/// are the scalar bits.  Callers must also check cpu_supports_avx2_fma().
+[[nodiscard]] SquaredDistanceX4 lane_exact_squared_distance_blocked_x4() noexcept;
 }  // namespace detail
 
 }  // namespace fairbfl::support::simd

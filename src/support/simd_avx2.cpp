@@ -3,18 +3,29 @@
 // one allowed to include <immintrin.h> (the simd-isolation project lint
 // enforces that).
 //
-// Rounding contract: these kernels are *tolerance-pinned*, not bit-pinned.
-// Reductions still widen every float to double before accumulating -- the
-// same precision discipline as the scalar chains -- but run four-lane FMA
-// chains (multiple independent accumulators), so results differ from the
-// pinned scalar series in the last ulps.  Elementwise float kernels (axpy,
-// the transpose accumulate) fuse the multiply-add per lane, which rounds
-// once instead of twice per element.  tests/test_kernel_parity.cpp bounds
-// the divergence; nothing dispatched here may feed a bit-pin assertion.
+// Two rounding contracts live here, one per kind of kernel:
+//
+//  * The avx2 table is *tolerance-pinned*, not bit-pinned.  Reductions
+//    still widen every float to double before accumulating -- the same
+//    precision discipline as the scalar chains -- but run four-lane FMA
+//    chains (multiple independent accumulators), so results differ from
+//    the pinned scalar series in the last ulps.  Elementwise float kernels
+//    (axpy, the transpose accumulate) fuse the multiply-add per lane,
+//    which rounds once instead of twice per element.
+//    tests/test_kernel_parity.cpp bounds the divergence; nothing the avx2
+//    table serves may feed a bit-pin assertion.
+//  * The lane-exact four-pair squared distance serves the *scalar* table
+//    and is bit-pinned.  Lane k of each pair's accumulator is the scalar
+//    kernel's accumulator a_k, updated with separate _mm256_sub_pd,
+//    _mm256_mul_pd and _mm256_add_pd -- the scalar loop's IEEE operations
+//    in its order.  No FMA is spelled, and the project-wide
+//    -ffp-contract=off keeps the compiler from fusing the mul+add (this
+//    TU is built with -mfma, so that pin is load-bearing here).
+//    test_kernel_parity demands bitwise equality with the scalar loop.
 //
 // When the build cannot enable AVX2+FMA (non-x86 target, flags rejected),
-// the guard below compiles this TU down to a null table and the dispatcher
-// stays on scalar.
+// the guard below compiles this TU down to null accessors and the
+// dispatcher stays on the portable scalar bodies.
 
 #include "support/simd.hpp"
 
@@ -82,6 +93,57 @@ double avx2_squared_distance(const float* x, const float* y, std::size_t n) {
         acc += d * d;
     }
     return acc;
+}
+
+/// Four avx2_squared_distance calls: the avx2 table's four-pair entry
+/// must equal its own single-pair kernel, FMA chains included.
+void avx2_squared_distance_x4(const float* x, const float* const* ys,
+                              std::size_t n, double* out) {
+    for (std::size_t p = 0; p < 4; ++p)
+        out[p] = avx2_squared_distance(x, ys[p], n);
+}
+
+/// Lane-exact encoding of the scalar squared_distance_blocked, four pairs
+/// sharing x.  Each pair's __m256d accumulator holds the scalar kernel's
+/// (a0, a1, a2, a3) in lanes (0, 1, 2, 3); one block of four elements is
+/// d = x - y, a += d * d per lane, exactly as the scalar loop does it.
+/// The four accumulators are independent add chains, which is the whole
+/// win: the scalar kernel is bound by one pair's add latency.
+void lane_exact_x4(const float* x, const float* const* ys, std::size_t n,
+                   double* out) {
+    const float* y0 = ys[0];
+    const float* y1 = ys[1];
+    const float* y2 = ys[2];
+    const float* y3 = ys[3];
+    __m256d a0 = _mm256_setzero_pd();
+    __m256d a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd();
+    __m256d a3 = _mm256_setzero_pd();
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m256d xv = load4d(x + i);
+        const __m256d d0 = _mm256_sub_pd(xv, load4d(y0 + i));
+        const __m256d d1 = _mm256_sub_pd(xv, load4d(y1 + i));
+        const __m256d d2 = _mm256_sub_pd(xv, load4d(y2 + i));
+        const __m256d d3 = _mm256_sub_pd(xv, load4d(y3 + i));
+        a0 = _mm256_add_pd(a0, _mm256_mul_pd(d0, d0));
+        a1 = _mm256_add_pd(a1, _mm256_mul_pd(d1, d1));
+        a2 = _mm256_add_pd(a2, _mm256_mul_pd(d2, d2));
+        a3 = _mm256_add_pd(a3, _mm256_mul_pd(d3, d3));
+    }
+    const __m256d acc[4] = {a0, a1, a2, a3};
+    for (std::size_t p = 0; p < 4; ++p) {
+        alignas(32) double lane[4];
+        _mm256_store_pd(lane, acc[p]);
+        // The scalar combine, then the tail added one element at a time.
+        double sum = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+        for (std::size_t t = i; t < n; ++t) {
+            const double d =
+                static_cast<double>(x[t]) - static_cast<double>(ys[p][t]);
+            sum += d * d;
+        }
+        out[p] = sum;
+    }
 }
 
 void avx2_axpy(float alpha, const float* x, float* y, std::size_t n) {
@@ -185,6 +247,7 @@ constexpr KernelTable kAvx2Table = {
     avx2_dot,  // blocked == plain in a reassociated table
     avx2_squared_distance,
     avx2_squared_distance,
+    avx2_squared_distance_x4,
     avx2_axpy,
     avx2_gemv,
     avx2_gemv_transpose_accumulate,
@@ -197,6 +260,9 @@ constexpr KernelTable kAvx2Table = {
 
 namespace detail {
 const KernelTable* avx2_table() noexcept { return &kAvx2Table; }
+SquaredDistanceX4 lane_exact_squared_distance_blocked_x4() noexcept {
+    return lane_exact_x4;
+}
 }  // namespace detail
 
 }  // namespace fairbfl::support::simd
@@ -205,6 +271,9 @@ const KernelTable* avx2_table() noexcept { return &kAvx2Table; }
 
 namespace fairbfl::support::simd::detail {
 const KernelTable* avx2_table() noexcept { return nullptr; }
+SquaredDistanceX4 lane_exact_squared_distance_blocked_x4() noexcept {
+    return nullptr;
+}
 }  // namespace fairbfl::support::simd::detail
 
 #endif

@@ -65,6 +65,18 @@ double squared_distance_blocked(std::span<const float> x,
                                                    x.size());
 }
 
+void squared_distance_blocked_x4(std::span<const float> x,
+                                 std::span<const std::vector<float>, 4> ys,
+                                 std::span<double, 4> out) noexcept {
+#ifndef NDEBUG
+    for (const auto& y : ys) assert(y.size() == x.size());
+#endif
+    const float* const rows[4] = {ys[0].data(), ys[1].data(), ys[2].data(),
+                                  ys[3].data()};
+    simd::active().squared_distance_blocked_x4(x.data(), rows, x.size(),
+                                               out.data());
+}
+
 void gemv(std::span<const float> a, std::size_t rows, std::size_t cols,
           std::span<const float> x, std::span<const float> bias,
           std::span<float> out) noexcept {
@@ -136,30 +148,33 @@ std::vector<double> norms_of(std::span<const std::vector<float>> rows,
 }
 
 void cosine_distances_to(std::span<const std::vector<float>> rows,
-                         std::span<const float> query,
-                         std::span<double> out) noexcept {
+                         std::span<const float> query, std::span<double> out,
+                         ThreadPool& pool) {
     assert(rows.size() == out.size());
     const auto& kernels = simd::active();
     const double query_norm = norm2(query);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        // Fused dot+norm: one traversal of the row instead of the separate
-        // norm2() and dot() passes.  The scalar table's fused kernel is two
-        // strict chains, so this stays bit-identical to the old two-pass
-        // body under the pinned default.
-        double d = 0.0;
-        double row_norm2 = 0.0;
-        kernels.dot_and_norm(rows[i].data(), query.data(), rows[i].size(), &d,
-                             &row_norm2);
-        const double row_norm = std::sqrt(row_norm2);
-        if (row_norm == 0.0 || query_norm == 0.0) {
-            out[i] = 1.0;
-            continue;
-        }
-        double cosine = d / (row_norm * query_norm);
-        if (cosine > 1.0) cosine = 1.0;
-        if (cosine < -1.0) cosine = -1.0;
-        out[i] = 1.0 - cosine;
-    }
+    parallel_for(
+        0, rows.size(),
+        [&](std::size_t i) {
+            // Fused dot+norm: one traversal of the row instead of the
+            // separate norm2() and dot() passes.  The scalar table's fused
+            // kernel carries two strict chains, so this stays
+            // bit-identical to cosine_distance under the pinned default.
+            double d = 0.0;
+            double row_norm2 = 0.0;
+            kernels.dot_and_norm(rows[i].data(), query.data(),
+                                 rows[i].size(), &d, &row_norm2);
+            const double row_norm = std::sqrt(row_norm2);
+            if (row_norm == 0.0 || query_norm == 0.0) {
+                out[i] = 1.0;
+                return;
+            }
+            double cosine = d / (row_norm * query_norm);
+            if (cosine > 1.0) cosine = 1.0;
+            if (cosine < -1.0) cosine = -1.0;
+            out[i] = 1.0 - cosine;
+        },
+        pool);
 }
 
 void weighted_sum(std::span<const RowView> rows,

@@ -56,6 +56,13 @@ void fill(std::span<float> x, float value) noexcept;
 [[nodiscard]] double squared_distance_blocked(
     std::span<const float> x, std::span<const float> y) noexcept;
 
+/// Four blocked squared distances sharing x: out[p] is bitwise
+/// squared_distance_blocked(x, ys[p]).  One pass over x feeds four
+/// independent accumulator chains -- the pairwise distance build's kernel.
+void squared_distance_blocked_x4(std::span<const float> x,
+                                 std::span<const std::vector<float>, 4> ys,
+                                 std::span<double, 4> out) noexcept;
+
 /// Dense row-major matrix-vector product: out[r] = bias[r] + dot(row r of
 /// a, x) for r in [0, rows), where `a` is rows x cols.  This is the
 /// forward X·Wᵀ building block of the batched training kernels.  Each
@@ -113,11 +120,13 @@ void add_scaled_diff(float alpha, std::span<const float> x,
     ThreadPool& pool = ThreadPool::global());
 
 /// Fused norms-then-cosine batch kernel: out[i] = cosine_distance(rows[i],
-/// query), computing the query norm once.  Bit-identical to calling
-/// cosine_distance per row.
+/// query), computing the query norm once and each row's dot and norm in
+/// one traversal.  Rows fan out over `pool`; each writes only its own
+/// slot, so the result is bit-identical to calling cosine_distance per
+/// row under any thread count.
 void cosine_distances_to(std::span<const std::vector<float>> rows,
-                         std::span<const float> query,
-                         std::span<double> out) noexcept;
+                         std::span<const float> query, std::span<double> out,
+                         ThreadPool& pool = ThreadPool::global());
 
 /// Borrowed row view: the combine kernels take spans so callers with rows
 /// embedded in larger records (e.g. fl::GradientUpdate) can pass them

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "cluster/dbscan.hpp"
 #include "cluster/index.hpp"
 #include "cluster/kmeans.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/vecmath.hpp"
 
 namespace {
 
@@ -186,6 +191,43 @@ TEST(Distance, ParallelBuildBitIdenticalToSerial) {
     }
 }
 
+TEST(Distance, FourPairBuildBitIdenticalToPairKernelAtRealShapes) {
+    // The Euclidean build walks each row four pairs at a time and finishes
+    // the remainder pair by pair.  At the model's width (7850) and at
+    // widths with a 1- and a 3-element tail, every entry must be bitwise
+    // the single-pair kernel's, on one worker and on four.  n = 5 gives
+    // row 0 exactly one four-pair step; n = 33 mixes steps and remainders.
+    fairbfl::support::ThreadPool serial(1);
+    fairbfl::support::ThreadPool parallel(4);
+    Rng rng(20);
+    for (const std::size_t dim : {7850UL, 4UL * 25 + 1, 4UL * 25 + 3}) {
+        for (const std::size_t n : {5UL, 33UL}) {
+            std::vector<std::vector<float>> points(n);
+            for (auto& p : points) {
+                p.resize(dim);
+                for (auto& v : p) v = static_cast<float>(rng.normal());
+            }
+            for (auto* pool : {&serial, &parallel}) {
+                const cl::DistanceMatrix m(cl::Metric::kEuclidean, points,
+                                           *pool);
+                for (std::size_t i = 0; i < n; ++i) {
+                    for (std::size_t j = 0; j < n; ++j) {
+                        if (i == j) continue;
+                        const double want = std::sqrt(
+                            fairbfl::support::squared_distance_blocked(
+                                points[i], points[j]));
+                        ASSERT_EQ(std::bit_cast<std::uint64_t>(m.at(i, j)),
+                                  std::bit_cast<std::uint64_t>(want))
+                            << "dim=" << dim << " n=" << n
+                            << " threads=" << pool->size() << " (" << i
+                            << "," << j << ")";
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST(Distance, CosineMatrixCachesNorms) {
     const auto points = two_blobs(4, 0, 13);
     const cl::DistanceMatrix cosine(cl::Metric::kCosine, points);
@@ -213,20 +255,6 @@ TEST(Dbscan, PrebuiltIndexMatchesPointsPath) {
     EXPECT_EQ(direct.num_clusters, reused.num_clusters);
 }
 
-// The pre-GradientIndex seam survives as a shim for one release.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Dbscan, DeprecatedMatrixShimStillMatches) {
-    const auto points = two_blobs(20, 3, 14);
-    const cl::DbscanParams params{
-        .eps = 0.3, .min_pts = 3, .metric = cl::Metric::kEuclidean};
-    const cl::Dbscan dbscan(params);
-    const cl::DistanceMatrix dist(params.metric, points);
-    EXPECT_EQ(dbscan.cluster_with(dist, points).labels,
-              dbscan.cluster(points).labels);
-}
-#pragma GCC diagnostic pop
-
 TEST(Dbscan, MismatchedIndexMetricFallsBackToRebuild) {
     const auto points = two_blobs(20, 0, 15);
     const cl::Dbscan dbscan(
@@ -237,13 +265,10 @@ TEST(Dbscan, MismatchedIndexMetricFallsBackToRebuild) {
     EXPECT_EQ(reused.labels, dbscan.cluster(points).labels);
 }
 
-TEST(Dbscan, SuggestEpsMatrixAndIndexOverloadsMatchPointsOverload) {
+TEST(Dbscan, SuggestEpsIndexOverloadMatchesPointsOverload) {
     const auto points = two_blobs(20, 0, 16);
     for (const auto metric : {cl::Metric::kEuclidean, cl::Metric::kCosine}) {
-        const cl::DistanceMatrix dist(metric, points);
         const cl::ExactIndex index(metric, points);
-        EXPECT_EQ(cl::suggest_eps(points, 3, metric),
-                  cl::suggest_eps(dist, 3));
         EXPECT_EQ(cl::suggest_eps(points, 3, metric),
                   cl::suggest_eps(index, 3));
     }
@@ -256,8 +281,6 @@ TEST(Dbscan, SuggestEpsTooFewPointsReturnsZero) {
     const auto points = two_blobs(1, 1, 19);  // 3 points
     EXPECT_EQ(cl::suggest_eps(points, 3, cl::Metric::kEuclidean), 0.0);
     EXPECT_EQ(cl::suggest_eps({}, 3, cl::Metric::kEuclidean), 0.0);
-    const cl::DistanceMatrix dist(cl::Metric::kEuclidean, points);
-    EXPECT_EQ(cl::suggest_eps(dist, 3), 0.0);
     const cl::ExactIndex index(cl::Metric::kEuclidean, points);
     EXPECT_EQ(cl::suggest_eps(index, 3), 0.0);
 }

@@ -3,7 +3,9 @@
 // The scalar table is *bit-pinned*: its loops must match the strict
 // reference accumulation orders that produced every committed fixed-seed
 // series, so the first test re-states those loops locally and demands
-// exact equality.  The AVX2+FMA table is *tolerance-pinned*: FMA skips
+// exact equality.  Its four-pair entry, including the lane-exact AVX
+// encoding that serves it on capable CPUs, must equal four single calls
+// bit for bit.  The AVX2+FMA table is *tolerance-pinned*: FMA skips
 // intermediate roundings and the wide accumulators reassociate the chain,
 // so the harness bounds its element-wise divergence from scalar instead
 // -- with the analytic error model (double accumulation over float
@@ -13,8 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -59,6 +64,42 @@ double reference_squared_distance(const std::vector<float>& x,
     return acc;
 }
 
+/// Four partial chains over blocks of four, combined (a0 + a1) + (a2 + a3),
+/// then the tail added in order -- the pinned reference for dot_blocked.
+double reference_dot_blocked(const std::vector<float>& x,
+                             const std::vector<float>& y) {
+    double a[4] = {0.0, 0.0, 0.0, 0.0};
+    std::size_t i = 0;
+    for (; i + 4 <= x.size(); i += 4)
+        for (std::size_t k = 0; k < 4; ++k)
+            a[k] += static_cast<double>(x[i + k]) *
+                    static_cast<double>(y[i + k]);
+    double acc = (a[0] + a[1]) + (a[2] + a[3]);
+    for (; i < x.size(); ++i)
+        acc += static_cast<double>(x[i]) * static_cast<double>(y[i]);
+    return acc;
+}
+
+/// Same block structure for the squared distance.
+double reference_squared_distance_blocked(const std::vector<float>& x,
+                                          const std::vector<float>& y) {
+    double a[4] = {0.0, 0.0, 0.0, 0.0};
+    std::size_t i = 0;
+    for (; i + 4 <= x.size(); i += 4) {
+        for (std::size_t k = 0; k < 4; ++k) {
+            const double d = static_cast<double>(x[i + k]) -
+                             static_cast<double>(y[i + k]);
+            a[k] += d * d;
+        }
+    }
+    double acc = (a[0] + a[1]) + (a[2] + a[3]);
+    for (; i < x.size(); ++i) {
+        const double d = static_cast<double>(x[i]) - static_cast<double>(y[i]);
+        acc += d * d;
+    }
+    return acc;
+}
+
 /// Analytic divergence bound for a reassociated double-accumulator
 /// reduction over float products: a few n * eps_double of the magnitude
 /// sum, padded well clear of the constant factors.
@@ -78,6 +119,10 @@ TEST(ScalarTable, MatchesPinnedReferenceLoopsBitForBit) {
         EXPECT_EQ(table.dot(x.data(), y.data(), n), reference_dot(x, y));
         EXPECT_EQ(table.squared_distance(x.data(), y.data(), n),
                   reference_squared_distance(x, y));
+        EXPECT_EQ(table.dot_blocked(x.data(), y.data(), n),
+                  reference_dot_blocked(x, y));
+        EXPECT_EQ(table.squared_distance_blocked(x.data(), y.data(), n),
+                  reference_squared_distance_blocked(x, y));
         // axpy is elementwise: any unroll must stay bit-identical.
         std::vector<float> got = y;
         table.axpy(0.37F, x.data(), got.data(), n);
@@ -101,6 +146,144 @@ TEST(ScalarTable, MatchesPinnedReferenceLoopsBitForBit) {
         const std::vector<float> row(a.begin() + r * cols,
                                      a.begin() + (r + 1) * cols);
         EXPECT_EQ(out[r], static_cast<float>(reference_dot(row, x))) << r;
+    }
+}
+
+/// One x and four ys of width n.  Plain cases are normal draws, where any
+/// reordered or fused accumulation shows in the last bits.  Salted cases
+/// add the values a kernel could mishandle: signed zeros, float
+/// denormals, magnitudes whose float square overflows (finite in double)
+/// and one infinity in pair 3.  The large magnitudes swamp every rounding
+/// difference, which is why the plain cases exist.
+struct FourPairCase {
+    std::vector<float> x;
+    std::vector<std::vector<float>> ys;
+};
+
+FourPairCase four_pair_case(std::size_t n, Rng& rng, bool salted) {
+    FourPairCase c{random_vector(n, rng), {}};
+    for (int p = 0; p < 4; ++p) c.ys.push_back(random_vector(n, rng));
+    if (!salted) return c;
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    auto salt = [&](std::vector<float>& v, std::size_t offset) {
+        for (std::size_t i = offset; i < n; i += 5) {
+            switch ((i / 5) % 4) {
+                case 0: v[i] = (i % 2 == 0) ? 0.0F : -0.0F; break;
+                case 1: v[i] = denorm * static_cast<float>(i + 1); break;
+                case 2: v[i] = (i % 2 == 0) ? 3e38F : -1e20F; break;
+                default: break;
+            }
+        }
+    };
+    salt(c.x, 0);
+    for (std::size_t p = 0; p < 4; ++p) salt(c.ys[p], p);
+    if (n > 2) c.ys[3][n / 2] = std::numeric_limits<float>::infinity();
+    return c;
+}
+
+/// Runs `kernel` on the case and returns its four outputs.
+std::array<double, 4> run_x4(simd::SquaredDistanceX4 kernel,
+                             const FourPairCase& c) {
+    const float* const ys[4] = {c.ys[0].data(), c.ys[1].data(),
+                                c.ys[2].data(), c.ys[3].data()};
+    std::array<double, 4> out{};
+    kernel(c.x.data(), ys, c.x.size(), out.data());
+    return out;
+}
+
+/// Four single calls of `table`'s blocked kernel: the x4 contract.
+std::array<double, 4> four_singles(const simd::KernelTable& table,
+                                   const FourPairCase& c) {
+    std::array<double, 4> out{};
+    for (std::size_t p = 0; p < 4; ++p)
+        out[p] = table.squared_distance_blocked(c.x.data(), c.ys[p].data(),
+                                                c.x.size());
+    return out;
+}
+
+/// Bitwise equality of two four-pair results (memcmp: no -0 == +0).
+void expect_same_bits(const std::array<double, 4>& got,
+                      const std::array<double, 4>& want, std::size_t n,
+                      const char* body) {
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(got)), 0)
+        << body << " n=" << n << ": " << got[0] << " " << got[1] << " "
+        << got[2] << " " << got[3] << " vs " << want[0] << " " << want[1]
+        << " " << want[2] << " " << want[3];
+}
+
+/// NaN in x reaches every pair; NaN in one y reaches only that pair.
+void expect_nan_propagation(simd::SquaredDistanceX4 kernel, std::size_t n,
+                            const char* body) {
+    Rng rng(24);
+    const FourPairCase c = four_pair_case(n, rng, /*salted=*/false);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    FourPairCase in_y = c;
+    in_y.ys[2][n - 1] = nan;
+    const auto got_y = run_x4(kernel, in_y);
+    const auto want_y = four_singles(simd::detail::scalar_table(), in_y);
+    for (std::size_t p = 0; p < 4; ++p) {
+        if (p == 2) {
+            EXPECT_TRUE(std::isnan(got_y[p])) << body << " n=" << n;
+        } else {
+            EXPECT_EQ(std::memcmp(&got_y[p], &want_y[p], sizeof(double)), 0)
+                << body << " n=" << n << " pair " << p;
+        }
+    }
+    FourPairCase in_x = c;
+    in_x.x[0] = nan;
+    for (const double v : run_x4(kernel, in_x))
+        EXPECT_TRUE(std::isnan(v)) << body << " n=" << n;
+}
+
+TEST(ScalarTable, FourPairEntryBitIdenticalToFourSingleCalls) {
+    const simd::KernelTable& table = simd::detail::scalar_table();
+    const simd::SquaredDistanceX4 portable =
+        simd::detail::portable_squared_distance_blocked_x4();
+    Rng rng(23);
+    for (const std::size_t n : kSizes) {
+        for (const bool salted : {false, true}) {
+            const FourPairCase c = four_pair_case(n, rng, salted);
+            const auto want = four_singles(table, c);
+            if (salted && n > 2) EXPECT_TRUE(std::isinf(want[3])) << n;
+            expect_same_bits(run_x4(table.squared_distance_blocked_x4, c),
+                             want, n, "table entry");
+            expect_same_bits(run_x4(portable, c), want, n, "portable");
+        }
+        expect_nan_propagation(table.squared_distance_blocked_x4, n,
+                               "table entry");
+        expect_nan_propagation(portable, n, "portable");
+    }
+}
+
+TEST(ScalarTable, LaneExactEncodingBitIdenticalToFourSingleCalls) {
+    const simd::SquaredDistanceX4 lane_exact =
+        simd::detail::lane_exact_squared_distance_blocked_x4();
+    if (lane_exact == nullptr || !simd::cpu_supports_avx2_fma())
+        GTEST_SKIP() << "lane-exact AVX encoding unavailable on this "
+                        "build/CPU";
+    const simd::KernelTable& table = simd::detail::scalar_table();
+    Rng rng(23);
+    for (const std::size_t n : kSizes) {
+        for (const bool salted : {false, true}) {
+            const FourPairCase c = four_pair_case(n, rng, salted);
+            expect_same_bits(run_x4(lane_exact, c), four_singles(table, c),
+                             n, "lane-exact");
+        }
+        expect_nan_propagation(lane_exact, n, "lane-exact");
+    }
+}
+
+TEST(KernelParity, Avx2FourPairEntryIsFourOfItsOwnCalls) {
+    const simd::KernelTable* avx2 = simd::detail::avx2_table();
+    if (avx2 == nullptr || !simd::cpu_supports_avx2_fma())
+        GTEST_SKIP() << "AVX2+FMA unavailable on this build/CPU";
+    Rng rng(25);
+    for (const std::size_t n : kSizes) {
+        for (const bool salted : {false, true}) {
+            const FourPairCase c = four_pair_case(n, rng, salted);
+            expect_same_bits(run_x4(avx2->squared_distance_blocked_x4, c),
+                             four_singles(*avx2, c), n, "avx2");
+        }
     }
 }
 

@@ -153,14 +153,27 @@ TEST(VecMath, CachedCosineBitIdenticalToPlain) {
 }
 
 TEST(VecMath, BatchCosineBitIdenticalToPairwise) {
+    // The model's real width (7850) and a zero row (the 1.0 branch), on
+    // one worker and on four: rows fan out over the pool, and every slot
+    // must still equal the pairwise kernel bit for bit.
+    fairbfl::support::ThreadPool serial(1);
+    fairbfl::support::ThreadPool parallel(4);
     std::uint32_t state = 5;
-    std::vector<std::vector<float>> rows;
-    for (int i = 0; i < 9; ++i) rows.push_back(random_vec(33, state));
-    const auto query = random_vec(33, state);
-    std::vector<double> out(rows.size());
-    vm::cosine_distances_to(rows, query, out);
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        EXPECT_EQ(out[i], vm::cosine_distance(rows[i], query)) << i;
+    for (const std::size_t dim : {33UL, 7850UL}) {
+        std::vector<std::vector<float>> rows;
+        for (int i = 0; i < 9; ++i) rows.push_back(random_vec(dim, state));
+        rows[4].assign(dim, 0.0F);
+        const auto query = random_vec(dim, state);
+        for (auto* pool : {&serial, &parallel}) {
+            std::vector<double> out(rows.size());
+            vm::cosine_distances_to(rows, query, out, *pool);
+            for (std::size_t i = 0; i < rows.size(); ++i)
+                EXPECT_EQ(out[i], vm::cosine_distance(rows[i], query))
+                    << "dim=" << dim << " threads=" << pool->size()
+                    << " row=" << i;
+            EXPECT_EQ(out[4], 1.0);
+        }
+    }
 }
 
 TEST(VecMath, NormsOfMatchesNorm2) {
