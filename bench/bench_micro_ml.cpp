@@ -108,6 +108,65 @@ void BM_KernelGemv(benchmark::State& state) {
 BENCHMARK(BM_KernelGemv)
     ->Args({784, 0})->Args({784, 1})->Args({7850, 0})->Args({7850, 1});
 
+/// One logistic mini-batch at the train_heavy shape: a 10 x `dim` weight
+/// matrix and 10 samples of `dim` features.
+struct MiniBatch {
+    static constexpr std::size_t kClasses = 10;
+    static constexpr std::size_t kSamples = 10;
+
+    explicit MiniBatch(std::size_t dim)
+        : w(kernel_operand(kClasses * dim, 11)),
+          bias(kernel_operand(kClasses, 13)),
+          d(kernel_operand(kSamples * kClasses, 14)),
+          out(kSamples * kClasses) {
+        for (std::size_t s = 0; s < kSamples; ++s)
+            features.push_back(kernel_operand(dim, 20 + s));
+        for (const auto& x : features) xs.push_back(x.data());
+    }
+
+    std::vector<float> w;
+    std::vector<float> bias;
+    std::vector<float> d;
+    std::vector<float> out;
+    std::vector<std::vector<float>> features;
+    std::vector<const float*> xs;
+};
+
+void BM_KernelGemvRows(benchmark::State& state) {
+    // The batched logistic forward: one call per mini-batch.
+    const KernelModeRow row(state);
+    if (!row.ok) return;
+    const auto dim = static_cast<std::size_t>(state.range(0));
+    MiniBatch batch(dim);
+    for (auto _ : state) {
+        support::gemv_rows(batch.w, MiniBatch::kClasses, dim, batch.xs,
+                           batch.bias, batch.out);
+        benchmark::DoNotOptimize(batch.out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(MiniBatch::kSamples));
+}
+BENCHMARK(BM_KernelGemvRows)->Args({784, 0})->Args({784, 1});
+
+void BM_KernelOuterRows(benchmark::State& state) {
+    // The batched logistic backward: one call per mini-batch.
+    const KernelModeRow row(state);
+    if (!row.ok) return;
+    const auto dim = static_cast<std::size_t>(state.range(0));
+    MiniBatch batch(dim);
+    std::vector<float> grad(MiniBatch::kClasses * dim, 0.0F);
+    for (auto _ : state) {
+        support::outer_accumulate_rows(batch.d, batch.xs, MiniBatch::kClasses,
+                                       dim, grad);
+        benchmark::DoNotOptimize(grad.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(MiniBatch::kSamples));
+}
+BENCHMARK(BM_KernelOuterRows)->Args({784, 0})->Args({784, 1});
+
 void BM_KernelSketch(benchmark::State& state) {
     // The GradientIndex build step: project 64 gradient rows of `dim`
     // dims down to k = 48 through the seeded Gaussian matrix.
@@ -166,34 +225,53 @@ void BM_MlpGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpGradient)->Arg(10)->Arg(100);
 
+/// The train_heavy shape: 784 features, 10 classes; 100 samples per
+/// client shard and 564 test rows.
+const ml::Dataset& mnist_shape_dataset() {
+    static const ml::Dataset data = ml::make_synthetic_mnist(
+        {.samples = 664, .feature_dim = 784, .num_classes = 10, .seed = 1});
+    return data;
+}
+
 void BM_SgdLocalEpochs(benchmark::State& state) {
-    // One client's Procedure I at the paper's E=5, B=10 on a 60-sample
-    // shard (n=100 over 6000 samples).
-    const auto model = ml::make_logistic_regression(64, 10);
-    const auto shard = ml::DatasetView::all(dataset()).take(60);
+    // One train_heavy client's Procedure I, on the path LocalTrainer runs:
+    // a 100-sample shard packed once, E = 5, B = 10, workspace reused.
+    const auto model = ml::make_logistic_regression(784, 10);
+    ml::PackedBatch shard;
+    shard.pack(ml::DatasetView::all(mnist_shape_dataset()).take(100));
     ml::SgdParams sgd;
     sgd.epochs = 5;
     sgd.batch_size = 10;
+    ml::TrainWorkspace ws;
     std::vector<float> init(model->param_count(), 0.01F);
+    std::vector<float> params;
     for (auto _ : state) {
-        auto params = init;
+        params = init;
         support::Rng rng(3);
-        benchmark::DoNotOptimize(sgd_train(*model, params, shard, sgd, rng));
+        benchmark::DoNotOptimize(
+            ml::sgd_train(*model, params, shard, sgd, rng, ws));
     }
 }
 BENCHMARK(BM_SgdLocalEpochs)->Unit(benchmark::kMillisecond);
 
 void BM_AccuracyEval(benchmark::State& state) {
-    const auto model = ml::make_logistic_regression(64, 10);
-    const auto view = ml::DatasetView::all(dataset())
-                          .take(static_cast<std::size_t>(state.range(0)));
+    // Args = {feature dim, rows}; {784, 564} is train_heavy's test pass.
+    // Evaluation fans out over the global pool.
+    const auto dim = static_cast<std::size_t>(state.range(0));
+    const auto rows = static_cast<std::size_t>(state.range(1));
+    const auto model = ml::make_logistic_regression(dim, 10);
+    const auto view = ml::DatasetView::all(dim == 784 ? mnist_shape_dataset()
+                                                      : dataset())
+                          .take(rows);
     std::vector<float> params(model->param_count(), 0.01F);
     for (auto _ : state)
         benchmark::DoNotOptimize(model->accuracy(params, view));
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            state.range(0));
+                            state.range(1));
 }
-BENCHMARK(BM_AccuracyEval)->Arg(100)->Arg(1000);
+BENCHMARK(BM_AccuracyEval)
+    ->Args({64, 100})->Args({64, 1000})->Args({784, 564})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_Aggregation(benchmark::State& state) {
     std::vector<fl::GradientUpdate> updates(

@@ -363,7 +363,8 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
                 late.push_back(std::move(updates[idx]));
             engine_.carry(std::move(late));
         }
-        record.fl.test_accuracy = model_->accuracy(weights_, test_set_);
+        record.fl.test_accuracy =
+            model_->accuracy(weights_, test_set_, pool_of(config_));
         record.chain_height = chain_.height();
         return;
     }
@@ -536,7 +537,8 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
     }
 
     // --- Metrics (over the set that actually shaped weights_).
-    record.fl.test_accuracy = model_->accuracy(weights_, test_set_);
+    record.fl.test_accuracy =
+        model_->accuracy(weights_, test_set_, pool_of(config_));
     const auto& metric_updates =
         resettled ? settled_set.updates() : final_updates;
     double loss_sum = 0.0;

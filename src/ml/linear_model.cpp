@@ -71,31 +71,43 @@ public:
         return loss;
     }
 
-    /// Batched path: blocked X·Wᵀ forward (support::gemv) and dlogitsᵀ·X
-    /// outer-accumulate backward over packed rows.  Per-sample accumulation
-    /// order matches the reference loop, so results are bit-identical.
+    /// Batched path over packed rows: one X·Wᵀ forward for the whole
+    /// mini-batch (support::gemv_rows), softmax per sample, then one
+    /// dlogitsᵀ·X backward (support::outer_accumulate_rows).  Every logit
+    /// is a strict per-row chain and every gradient element receives its
+    /// per-sample adds in sample order, so results are bit-identical to
+    /// the reference loop.
     double loss_and_gradient_batch(std::span<const float> params,
                                    const PackedBatch& data,
                                    std::span<const std::size_t> rows,
                                    TrainWorkspace& ws,
                                    std::span<float> grad) const override {
         if (rows.empty()) return 0.0;
-        const auto logits = TrainWorkspace::ensure(ws.logits, classes_);
-        const auto dlogits = TrainWorkspace::ensure(ws.dlogits, classes_);
+        const std::size_t n = rows.size();
+        const auto logits = TrainWorkspace::ensure(ws.logits, n * classes_);
+        const auto dlogits = TrainWorkspace::ensure(ws.dlogits, n * classes_);
+        ws.samples.resize(n);
+        for (std::size_t i = 0; i < n; ++i)
+            ws.samples[i] = data.row(rows[i]).data();
         const auto w = params.first(classes_ * dim_);
         const auto bias = params.subspan(classes_ * dim_, classes_);
         const auto grad_w = grad.first(classes_ * dim_);
-        const float inv_n = 1.0F / static_cast<float>(rows.size());
+        const auto grad_b = grad.subspan(classes_ * dim_, classes_);
+        support::gemv_rows(w, classes_, dim_, ws.samples, bias, logits);
+        const float inv_n = 1.0F / static_cast<float>(n);
         double loss_sum = 0.0;
-        for (const std::size_t r : rows) {
-            const auto x = data.row(r);
-            support::gemv(w, classes_, dim_, x, bias, logits);
-            loss_sum += softmax_xent_backward(logits, data.label(r), dlogits);
-            for (std::size_t c = 0; c < classes_; ++c) dlogits[c] *= inv_n;
-            support::outer_accumulate(dlogits, x, classes_, dim_, grad_w);
-            for (std::size_t c = 0; c < classes_; ++c)
-                grad[classes_ * dim_ + c] += dlogits[c];
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto dl = dlogits.subspan(i * classes_, classes_);
+            loss_sum += softmax_xent_backward(
+                logits.subspan(i * classes_, classes_), data.label(rows[i]),
+                dl);
+            for (float& g : dl) g *= inv_n;
         }
+        support::outer_accumulate_rows(dlogits, ws.samples, classes_, dim_,
+                                       grad_w);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t c = 0; c < classes_; ++c)
+                grad_b[c] += dlogits[i * classes_ + c];
         // The L2 *gradient* is always applied; its full-width loss dot is
         // skipped when the caller discards the value (ws.want_loss).
         support::axpy(static_cast<float>(l2_), w, grad_w);
@@ -133,13 +145,12 @@ public:
     }
 
 private:
+    /// logits = W·x + b.  By gemv's contract each logit is bitwise
+    /// b[c] + float(dot(row c of W, x)).
     void forward(std::span<const float> params, std::span<const float> x,
                  std::span<float> logits) const {
-        for (std::size_t c = 0; c < classes_; ++c) {
-            logits[c] =
-                params[classes_ * dim_ + c] +
-                static_cast<float>(support::dot(params.subspan(c * dim_, dim_), x));
-        }
+        support::gemv(params.first(classes_ * dim_), classes_, dim_, x,
+                      params.subspan(classes_ * dim_, classes_), logits);
     }
 
     /// Adds the L2 gradient (weights only) and returns the L2 loss term.

@@ -1,5 +1,6 @@
 #include "ml/model.hpp"
 
+#include <atomic>
 #include <vector>
 
 namespace fairbfl::ml {
@@ -26,14 +27,23 @@ double Model::loss_and_gradient_batch(std::span<const float> params,
 }
 
 double Model::accuracy(std::span<const float> params,
-                       const DatasetView& view) const {
+                       const DatasetView& view,
+                       support::ThreadPool& pool) const {
     if (view.empty()) return 0.0;
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < view.size(); ++i) {
-        if (predict(params, view.features_of(i)) == view.label_of(i))
-            ++correct;
-    }
-    return static_cast<double>(correct) / static_cast<double>(view.size());
+    std::atomic<std::size_t> correct{0};
+    support::parallel_chunks(
+        0, view.size(), kAccuracyChunk,
+        [&](std::size_t lo, std::size_t hi) {
+            std::size_t hits = 0;
+            for (std::size_t i = lo; i < hi; ++i) {
+                if (predict(params, view.features_of(i)) == view.label_of(i))
+                    ++hits;
+            }
+            correct.fetch_add(hits, std::memory_order_relaxed);
+        },
+        pool);
+    return static_cast<double>(correct.load()) /
+           static_cast<double>(view.size());
 }
 
 }  // namespace fairbfl::ml

@@ -14,6 +14,7 @@
 
 #include "ml/dataset.hpp"
 #include "ml/train_workspace.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace fairbfl::ml {
@@ -51,9 +52,10 @@ public:
     /// for scratch.  Contract: bit-identical to calling the per-sample
     /// loss_and_gradient on the same samples in the same order -- batched
     /// implementations must preserve per-sample accumulation order inside
-    /// their kernels (see support::gemv / outer_accumulate).  The base
-    /// implementation gathers the rows back into a DatasetView and runs
-    /// the reference path; built-in models override with blocked kernels.
+    /// their kernels (see support::gemv_rows / outer_accumulate_rows).  The
+    /// base implementation gathers the rows back into a DatasetView and
+    /// runs the reference path; built-in models override with blocked
+    /// kernels.
     virtual double loss_and_gradient_batch(std::span<const float> params,
                                            const PackedBatch& data,
                                            std::span<const std::size_t> rows,
@@ -68,9 +70,19 @@ public:
     [[nodiscard]] virtual std::int32_t predict(
         std::span<const float> params, std::span<const float> features) const = 0;
 
-    /// Fraction of `view` classified correctly.
-    [[nodiscard]] double accuracy(std::span<const float> params,
-                                  const DatasetView& view) const;
+    /// Samples per evaluation task in accuracy(): a fixed size, so the
+    /// chunking never depends on the pool's thread count.
+    static constexpr std::size_t kAccuracyChunk = 64;
+
+    /// Fraction of `view` classified correctly.  Fixed chunks of
+    /// kAccuracyChunk samples fan out over `pool`; each counts its correct
+    /// predictions and the integer counts are summed, so the result is
+    /// exact -- the serial per-sample count -- at any thread count.
+    /// predict() must therefore be safe to call concurrently (the built-in
+    /// models are stateless).
+    [[nodiscard]] double accuracy(
+        std::span<const float> params, const DatasetView& view,
+        support::ThreadPool& pool = support::ThreadPool::global()) const;
 };
 
 /// Multinomial logistic regression: W (classes x dim) + b (classes).

@@ -83,8 +83,9 @@ struct TrainWorkspace {
     bool want_loss = true;
 
     // --- Model scratch (linear + MLP kernels).
-    std::vector<float> logits;    ///< batch x classes
-    std::vector<float> dlogits;   ///< classes (one sample at a time)
+    std::vector<float> logits;    ///< batch x classes (MLP: one sample)
+    std::vector<float> dlogits;   ///< batch x classes (MLP: one sample)
+    std::vector<const float*> samples;  ///< the batch's packed rows
     std::vector<float> hidden;    ///< hidden activations (MLP)
     std::vector<float> pre;       ///< pre-activations (MLP)
     std::vector<float> dh;        ///< hidden-layer gradient (MLP)

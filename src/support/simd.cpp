@@ -80,16 +80,14 @@ void squared_distance_blocked_x4_portable(const float* x,
         out[p] = scalar_squared_distance_blocked(x, ys[p], n);
 }
 
-SquaredDistanceX4 resolve_squared_distance_blocked_x4() noexcept {
-    // The same probe resolve() makes for the avx2 table: CPUID plus the
-    // TU's ISA guard (a null accessor).  Either body yields the scalar
-    // bits, so this is a speed choice, never a behaviour one.
-    if (cpu_supports_avx2_fma()) {
-        if (const SquaredDistanceX4 lane_exact =
-                detail::lane_exact_squared_distance_blocked_x4())
-            return lane_exact;
-    }
-    return squared_distance_blocked_x4_portable;
+/// The lane-exact body when the CPU and the build allow it, else
+/// `portable`.  The same probe resolve() makes for the avx2 table: CPUID
+/// plus the TU's ISA guard (a null accessor).  Either body yields the
+/// scalar bits, so this is a speed choice, never a behaviour one.
+template <typename Kernel>
+Kernel lane_exact_or(Kernel lane_exact, Kernel portable) noexcept {
+    return lane_exact != nullptr && cpu_supports_avx2_fma() ? lane_exact
+                                                            : portable;
 }
 
 void scalar_squared_distance_blocked_x4(const float* x,
@@ -97,7 +95,8 @@ void scalar_squared_distance_blocked_x4(const float* x,
                                         std::size_t n, double* out) {
     // Decided once per process, on first use.
     static const SquaredDistanceX4 kernel =
-        resolve_squared_distance_blocked_x4();
+        lane_exact_or(detail::lane_exact_squared_distance_blocked_x4(),
+                      squared_distance_blocked_x4_portable);
     kernel(x, ys, n, out);
 }
 
@@ -204,6 +203,37 @@ void scalar_outer_accumulate(const float* d, const float* x,
         scalar_axpy(d[r], x, y + r * cols, cols);
 }
 
+void gemv_rows_portable(const float* a, std::size_t rows, std::size_t cols,
+                        const float* const* xs, std::size_t count,
+                        const float* bias, float* out) {
+    for (std::size_t s = 0; s < count; ++s)
+        scalar_gemv(a, rows, cols, xs[s], bias, out + s * rows);
+}
+
+void outer_accumulate_rows_portable(const float* d, const float* const* xs,
+                                    std::size_t count, std::size_t rows,
+                                    std::size_t cols, float* y) {
+    for (std::size_t s = 0; s < count; ++s)
+        scalar_outer_accumulate(d + s * rows, xs[s], rows, cols, y);
+}
+
+void scalar_gemv_rows(const float* a, std::size_t rows, std::size_t cols,
+                      const float* const* xs, std::size_t count,
+                      const float* bias, float* out) {
+    static const GemvRows kernel =
+        lane_exact_or(detail::lane_exact_gemv_rows(), gemv_rows_portable);
+    kernel(a, rows, cols, xs, count, bias, out);
+}
+
+void scalar_outer_accumulate_rows(const float* d, const float* const* xs,
+                                  std::size_t count, std::size_t rows,
+                                  std::size_t cols, float* y) {
+    static const OuterAccumulateRows kernel =
+        lane_exact_or(detail::lane_exact_outer_accumulate_rows(),
+                      outer_accumulate_rows_portable);
+    kernel(d, xs, count, rows, cols, y);
+}
+
 void scalar_dot_and_norm(const float* x, const float* y, std::size_t n,
                          double* dot_out, double* x_norm2_out) {
     // Two independent strict chains carried through one traversal: each
@@ -228,8 +258,9 @@ constexpr KernelTable kScalarTable = {
     scalar_squared_distance_blocked_x4,
     scalar_axpy,
     scalar_gemv,
+    scalar_gemv_rows,
     scalar_gemv_transpose_accumulate,
-    scalar_outer_accumulate,
+    scalar_outer_accumulate_rows,
     scalar_dot_and_norm,
     "scalar",
 };
@@ -329,6 +360,10 @@ namespace detail {
 const KernelTable& scalar_table() noexcept { return kScalarTable; }
 SquaredDistanceX4 portable_squared_distance_blocked_x4() noexcept {
     return squared_distance_blocked_x4_portable;
+}
+GemvRows portable_gemv_rows() noexcept { return gemv_rows_portable; }
+OuterAccumulateRows portable_outer_accumulate_rows() noexcept {
+    return outer_accumulate_rows_portable;
 }
 }  // namespace detail
 

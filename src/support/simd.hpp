@@ -21,12 +21,14 @@
 //     the tolerance-based parity harness (tests/test_kernel_parity.cpp),
 //     never by bit pins.
 //
-// One entry crosses the line the other way: the scalar table's four-pair
-// squared_distance_blocked_x4 runs a *lane-exact* AVX encoding (same IEEE
-// operations per lane as the scalar loop, no FMA) when CPUID reports
-// AVX2+FMA and simd_avx2.cpp was built with its ISA.  That choice is made
-// once per process, has no knob, and leaves the table's name "scalar",
-// because the bits are the scalar bits; test_kernel_parity pins them.
+// Three entries cross the line the other way: the scalar table's four-pair
+// squared_distance_blocked_x4, batched forward gemv_rows and batched
+// backward outer_accumulate_rows each run a *lane-exact* AVX encoding
+// (same IEEE operations per lane as the scalar loop, no FMA) when CPUID
+// reports AVX2+FMA and simd_avx2.cpp was built with its ISA.  Each choice
+// is made once per process, has no knob, and leaves the table's name
+// "scalar", because the bits are the scalar bits; test_kernel_parity pins
+// them.
 //
 // Selection: FAIRBFL_KERNELS=scalar|simd|auto in the environment, or
 // set_mode()/set_mode_name() from a CLI flag (--kernels= on fairbfl_sim /
@@ -57,6 +59,20 @@ enum class Mode {
 using SquaredDistanceX4 = void (*)(const float* x, const float* const* ys,
                                    std::size_t n, double* out);
 
+/// Batched forward over `count` samples sharing one row-major rows x cols
+/// matrix: out[s * rows + r] is row r of gemv(a, ..., xs[s], bias).  The
+/// signature of KernelTable::gemv_rows.
+using GemvRows = void (*)(const float* a, std::size_t rows, std::size_t cols,
+                          const float* const* xs, std::size_t count,
+                          const float* bias, float* out);
+
+/// Batched backward: `count` outer-product accumulates into one rows x
+/// cols matrix y, sample s contributing d[s * rows + r] * xs[s] to row r.
+/// The signature of KernelTable::outer_accumulate_rows.
+using OuterAccumulateRows = void (*)(const float* d, const float* const* xs,
+                                     std::size_t count, std::size_t rows,
+                                     std::size_t cols, float* y);
+
 /// One resolved kernel set.  Raw pointers + sizes (not spans) so the
 /// `-march`-gated TU needs nothing from the rest of the tree and the
 /// indirect call stays a plain function pointer.
@@ -83,13 +99,25 @@ struct KernelTable {
     /// Row-major rows x cols matrix-vector product; bias may be null.
     void (*gemv)(const float* a, std::size_t rows, std::size_t cols,
                  const float* x, const float* bias, float* out);
+    /// Batched forward: out[s * rows + r] is bitwise this table's
+    /// gemv(a, rows, cols, xs[s], bias)[r] for s in [0, count).  The
+    /// scalar table serves it with the lane-exact AVX encoding when the
+    /// CPU and the build allow (lane k = row r0 + k's strict chain, one
+    /// transposed 4x4 tile of `a` reused by every sample), else with
+    /// per-sample scalar gemv calls.  The lane-exact body widens the
+    /// samples to double block by block into a stack buffer of the
+    /// calling thread; nothing is allocated.
+    GemvRows gemv_rows;
     /// out[j] += sum_r d[r] * a[r * cols + j], r applied in order.
     void (*gemv_transpose_accumulate)(const float* a, std::size_t rows,
                                       std::size_t cols, const float* d,
                                       float* out);
-    /// Row r of y += d[r] * x.
-    void (*outer_accumulate)(const float* d, const float* x,
-                             std::size_t rows, std::size_t cols, float* y);
+    /// Batched backward: bitwise this table's axpy(d[s * rows + r], xs[s],
+    /// y + r * cols, cols) for every row r, samples s in order.  The
+    /// scalar table's lane-exact body loads each 8-float span of a row of
+    /// y once, adds every sample's product to it in order of s, and stores
+    /// it once.
+    OuterAccumulateRows outer_accumulate_rows;
     /// Fused pass for the batched cosine kernel: *dot_out = dot(x, y) and
     /// *x_norm2_out = dot(x, x) in one traversal of x.  The scalar table
     /// carries both strict chains through one loop, so each result is
@@ -150,6 +178,20 @@ namespace detail {
 /// with separate subtract, multiply and add (never FMA), so the results
 /// are the scalar bits.  Callers must also check cpu_supports_avx2_fma().
 [[nodiscard]] SquaredDistanceX4 lane_exact_squared_distance_blocked_x4() noexcept;
+/// The scalar table's portable batched bodies: per-sample calls of the
+/// scalar gemv, and per-row calls of the scalar axpy, samples in order.
+/// What the entries run without the lane-exact encodings, and the
+/// reference those are pinned to.
+[[nodiscard]] GemvRows portable_gemv_rows() noexcept;
+[[nodiscard]] OuterAccumulateRows portable_outer_accumulate_rows() noexcept;
+/// The lane-exact AVX encodings of the scalar batched entries (defined in
+/// simd_avx2.cpp), or nullptr when the build lacks that TU's ISA.  The
+/// forward keeps row r0 + k's strict double chain in lane k (separate
+/// multiply and add, columns in order); the backward adds each sample's
+/// float product to an 8-float span in order of s (separate multiply and
+/// add).  Callers must also check cpu_supports_avx2_fma().
+[[nodiscard]] GemvRows lane_exact_gemv_rows() noexcept;
+[[nodiscard]] OuterAccumulateRows lane_exact_outer_accumulate_rows() noexcept;
 }  // namespace detail
 
 }  // namespace fairbfl::support::simd

@@ -14,14 +14,20 @@
 //    which rounds once instead of twice per element.
 //    tests/test_kernel_parity.cpp bounds the divergence; nothing the avx2
 //    table serves may feed a bit-pin assertion.
-//  * The lane-exact four-pair squared distance serves the *scalar* table
-//    and is bit-pinned.  Lane k of each pair's accumulator is the scalar
-//    kernel's accumulator a_k, updated with separate _mm256_sub_pd,
-//    _mm256_mul_pd and _mm256_add_pd -- the scalar loop's IEEE operations
-//    in its order.  No FMA is spelled, and the project-wide
-//    -ffp-contract=off keeps the compiler from fusing the mul+add (this
-//    TU is built with -mfma, so that pin is load-bearing here).
-//    test_kernel_parity demands bitwise equality with the scalar loop.
+//  * The three lane-exact kernels serve the *scalar* table and are
+//    bit-pinned: each lane performs the scalar loop's IEEE operations in
+//    its order.  In the four-pair squared distance, lane k of each pair's
+//    accumulator is the scalar kernel's accumulator a_k (separate
+//    _mm256_sub_pd, _mm256_mul_pd, _mm256_add_pd).  In the batched
+//    forward, lane k of a sample's accumulator is row r0 + k's strict
+//    double chain (separate _mm256_mul_pd, _mm256_add_pd, columns in
+//    order).  In the batched backward, each float of an 8-wide span of
+//    the gradient receives every sample's product in sample order
+//    (separate _mm256_mul_ps, _mm256_add_ps).  No FMA is spelled, and the
+//    project-wide -ffp-contract=off keeps the compiler from fusing the
+//    mul+add (this TU is built with -mfma, so that pin is load-bearing
+//    here).  test_kernel_parity demands bitwise equality with the scalar
+//    loops.
 //
 // When the build cannot enable AVX2+FMA (non-x86 target, flags rejected),
 // the guard below compiles this TU down to null accessors and the
@@ -146,6 +152,178 @@ void lane_exact_x4(const float* x, const float* const* ys, std::size_t n,
     }
 }
 
+/// Rows in one lane-exact block: one transposed 4x4 tile of `a` per four
+/// columns.
+constexpr std::size_t kTileRows = 4;
+/// Samples whose accumulators one tile pass updates.  Larger batches run
+/// in groups, each re-transposing the tiles.
+constexpr std::size_t kSampleGroup = 16;
+/// Rows whose accumulators stay live across the column blocks.  Taller
+/// matrices run in chunks, each widening the group's features again.
+constexpr std::size_t kRowChunk = 16;
+/// Columns of each sample widened to double per stack block (a multiple
+/// of four, so only the last block has tail columns).
+constexpr std::size_t kColBlock = 128;
+
+/// One block of up to four rows over one widened column block.  row[k]
+/// points at the block's first column in row r0 + k, sample s's widened
+/// features start at xd + s * kColBlock, and acc[s] is its accumulator.
+/// Each 4x4 tile of `a` is loaded once, transposed in registers and
+/// widened, so column vector t_i carries a[r0 + k][j + i] in lane k.
+/// Every sample then adds t_i * x_s[j + i] for i in order: lane k of its
+/// accumulator is row r0 + k's chain s += a * x, the scalar kernel's
+/// products in its order.  Tail columns go one at a time.
+void gemv_block_lane_exact(const float* const* row, std::size_t width,
+                           const double* xd, std::size_t group,
+                           __m256d* acc) {
+    std::size_t j = 0;
+    for (; j + 4 <= width; j += 4) {
+        __m128 c0 = _mm_loadu_ps(row[0] + j);
+        __m128 c1 = _mm_loadu_ps(row[1] + j);
+        __m128 c2 = _mm_loadu_ps(row[2] + j);
+        __m128 c3 = _mm_loadu_ps(row[3] + j);
+        _MM_TRANSPOSE4_PS(c0, c1, c2, c3);
+        const __m256d t0 = _mm256_cvtps_pd(c0);
+        const __m256d t1 = _mm256_cvtps_pd(c1);
+        const __m256d t2 = _mm256_cvtps_pd(c2);
+        const __m256d t3 = _mm256_cvtps_pd(c3);
+        for (std::size_t s = 0; s < group; ++s) {
+            const double* x = xd + s * kColBlock + j;
+            __m256d v = acc[s];
+            v = _mm256_add_pd(v, _mm256_mul_pd(t0, _mm256_broadcast_sd(x)));
+            v = _mm256_add_pd(v,
+                              _mm256_mul_pd(t1, _mm256_broadcast_sd(x + 1)));
+            v = _mm256_add_pd(v,
+                              _mm256_mul_pd(t2, _mm256_broadcast_sd(x + 2)));
+            v = _mm256_add_pd(v,
+                              _mm256_mul_pd(t3, _mm256_broadcast_sd(x + 3)));
+            acc[s] = v;
+        }
+    }
+    for (; j < width; ++j) {
+        const __m256d t = _mm256_cvtps_pd(
+            _mm_setr_ps(row[0][j], row[1][j], row[2][j], row[3][j]));
+        for (std::size_t s = 0; s < group; ++s)
+            acc[s] = _mm256_add_pd(
+                acc[s], _mm256_mul_pd(t, _mm256_broadcast_sd(
+                                             xd + s * kColBlock + j)));
+    }
+}
+
+/// Lane-exact encoding of the scalar gemv over a batch.  Samples run in
+/// groups of kSampleGroup and rows in chunks of kRowChunk.  For each block
+/// of kColBlock columns the group's features are widened to double once,
+/// into a stack buffer, and every row block of the chunk broadcasts them;
+/// blocks go in column order, so lane k of sample s's accumulator for the
+/// rows at r0 stays row r0 + k's strict double chain.  The result is
+/// bias[r] + (float)lane, or the bare cast without a bias.  A block with
+/// fewer than four rows repeats its last row in the spare lanes and drops
+/// them at the store.  Nothing is allocated: the scratch is ~18 KB of the
+/// calling thread's stack.
+void gemv_rows_lane_exact(const float* a, std::size_t rows, std::size_t cols,
+                          const float* const* xs, std::size_t count,
+                          const float* bias, float* out) {
+    alignas(32) double xd[kSampleGroup * kColBlock];
+    __m256d acc[kRowChunk / kTileRows][kSampleGroup];
+    for (std::size_t s0 = 0; s0 < count; s0 += kSampleGroup) {
+        const std::size_t group =
+            count - s0 < kSampleGroup ? count - s0 : kSampleGroup;
+        for (std::size_t rc = 0; rc < rows; rc += kRowChunk) {
+            const std::size_t chunk =
+                rows - rc < kRowChunk ? rows - rc : kRowChunk;
+            const std::size_t blocks = (chunk + kTileRows - 1) / kTileRows;
+            for (std::size_t b = 0; b < blocks; ++b)
+                for (std::size_t s = 0; s < group; ++s)
+                    acc[b][s] = _mm256_setzero_pd();
+            for (std::size_t j0 = 0; j0 < cols; j0 += kColBlock) {
+                const std::size_t width =
+                    cols - j0 < kColBlock ? cols - j0 : kColBlock;
+                for (std::size_t s = 0; s < group; ++s) {
+                    const float* x = xs[s0 + s] + j0;
+                    double* w = xd + s * kColBlock;
+                    std::size_t j = 0;
+                    for (; j + 4 <= width; j += 4)
+                        _mm256_store_pd(w + j, load4d(x + j));
+                    for (; j < width; ++j) w[j] = static_cast<double>(x[j]);
+                }
+                for (std::size_t b = 0; b < blocks; ++b) {
+                    const std::size_t r0 = rc + b * kTileRows;
+                    const std::size_t live =
+                        rows - r0 < kTileRows ? rows - r0 : kTileRows;
+                    const float* row[kTileRows];
+                    for (std::size_t k = 0; k < kTileRows; ++k)
+                        row[k] = a + (r0 + (k < live ? k : live - 1)) * cols +
+                                 j0;
+                    gemv_block_lane_exact(row, width, xd, group, acc[b]);
+                }
+            }
+            for (std::size_t b = 0; b < blocks; ++b) {
+                const std::size_t r0 = rc + b * kTileRows;
+                const std::size_t live =
+                    rows - r0 < kTileRows ? rows - r0 : kTileRows;
+                for (std::size_t s = 0; s < group; ++s) {
+                    alignas(32) double lane[kTileRows];
+                    _mm256_store_pd(lane, acc[b][s]);
+                    float* o = out + (s0 + s) * rows + r0;
+                    for (std::size_t k = 0; k < live; ++k) {
+                        const auto v = static_cast<float>(lane[k]);
+                        o[k] = bias == nullptr ? v : bias[r0 + k] + v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Lane-exact encoding of the scalar per-row axpy calls, samples in
+/// order: each 8-float span of a row of y is loaded once, receives
+/// d[s * rows + r] * x_s for s in order -- the float multiply and add the
+/// scalar axpy performs per element, in its order -- and is stored once.
+/// Four spans run side by side so four add chains hide the latency.
+void outer_accumulate_rows_lane_exact(const float* d, const float* const* xs,
+                                      std::size_t count, std::size_t rows,
+                                      std::size_t cols, float* y) {
+    for (std::size_t r = 0; r < rows; ++r) {
+        float* yr = y + r * cols;
+        std::size_t j = 0;
+        for (; j + 32 <= cols; j += 32) {
+            __m256 y0 = _mm256_loadu_ps(yr + j);
+            __m256 y1 = _mm256_loadu_ps(yr + j + 8);
+            __m256 y2 = _mm256_loadu_ps(yr + j + 16);
+            __m256 y3 = _mm256_loadu_ps(yr + j + 24);
+            for (std::size_t s = 0; s < count; ++s) {
+                const __m256 g = _mm256_set1_ps(d[s * rows + r]);
+                const float* x = xs[s] + j;
+                y0 = _mm256_add_ps(y0, _mm256_mul_ps(g, _mm256_loadu_ps(x)));
+                y1 = _mm256_add_ps(y1,
+                                   _mm256_mul_ps(g, _mm256_loadu_ps(x + 8)));
+                y2 = _mm256_add_ps(y2,
+                                   _mm256_mul_ps(g, _mm256_loadu_ps(x + 16)));
+                y3 = _mm256_add_ps(y3,
+                                   _mm256_mul_ps(g, _mm256_loadu_ps(x + 24)));
+            }
+            _mm256_storeu_ps(yr + j, y0);
+            _mm256_storeu_ps(yr + j + 8, y1);
+            _mm256_storeu_ps(yr + j + 16, y2);
+            _mm256_storeu_ps(yr + j + 24, y3);
+        }
+        for (; j + 8 <= cols; j += 8) {
+            __m256 v = _mm256_loadu_ps(yr + j);
+            for (std::size_t s = 0; s < count; ++s)
+                v = _mm256_add_ps(
+                    v, _mm256_mul_ps(_mm256_set1_ps(d[s * rows + r]),
+                                     _mm256_loadu_ps(xs[s] + j)));
+            _mm256_storeu_ps(yr + j, v);
+        }
+        for (; j < cols; ++j) {
+            float v = yr[j];
+            for (std::size_t s = 0; s < count; ++s)
+                v += d[s * rows + r] * xs[s][j];
+            yr[j] = v;
+        }
+    }
+}
+
 void avx2_axpy(float alpha, const float* x, float* y, std::size_t n) {
     const __m256 va = _mm256_set1_ps(alpha);
     std::size_t i = 0;
@@ -214,6 +392,22 @@ void avx2_outer_accumulate(const float* d, const float* x, std::size_t rows,
         avx2_axpy(d[r], x, y + r * cols, cols);
 }
 
+/// The avx2 table's batched entries are loops of its own single-sample
+/// kernels: FMA register-blocked batch bodies did not move its local time.
+void avx2_gemv_rows(const float* a, std::size_t rows, std::size_t cols,
+                    const float* const* xs, std::size_t count,
+                    const float* bias, float* out) {
+    for (std::size_t s = 0; s < count; ++s)
+        avx2_gemv(a, rows, cols, xs[s], bias, out + s * rows);
+}
+
+void avx2_outer_accumulate_rows(const float* d, const float* const* xs,
+                                std::size_t count, std::size_t rows,
+                                std::size_t cols, float* y) {
+    for (std::size_t s = 0; s < count; ++s)
+        avx2_outer_accumulate(d + s * rows, xs[s], rows, cols, y);
+}
+
 void avx2_dot_and_norm(const float* x, const float* y, std::size_t n,
                        double* dot_out, double* x_norm2_out) {
     // One traversal of x feeds both reductions -- the win over the scalar
@@ -250,8 +444,9 @@ constexpr KernelTable kAvx2Table = {
     avx2_squared_distance_x4,
     avx2_axpy,
     avx2_gemv,
+    avx2_gemv_rows,
     avx2_gemv_transpose_accumulate,
-    avx2_outer_accumulate,
+    avx2_outer_accumulate_rows,
     avx2_dot_and_norm,
     "avx2",
 };
@@ -263,6 +458,10 @@ const KernelTable* avx2_table() noexcept { return &kAvx2Table; }
 SquaredDistanceX4 lane_exact_squared_distance_blocked_x4() noexcept {
     return lane_exact_x4;
 }
+GemvRows lane_exact_gemv_rows() noexcept { return gemv_rows_lane_exact; }
+OuterAccumulateRows lane_exact_outer_accumulate_rows() noexcept {
+    return outer_accumulate_rows_lane_exact;
+}
 }  // namespace detail
 
 }  // namespace fairbfl::support::simd
@@ -272,6 +471,10 @@ SquaredDistanceX4 lane_exact_squared_distance_blocked_x4() noexcept {
 namespace fairbfl::support::simd::detail {
 const KernelTable* avx2_table() noexcept { return nullptr; }
 SquaredDistanceX4 lane_exact_squared_distance_blocked_x4() noexcept {
+    return nullptr;
+}
+GemvRows lane_exact_gemv_rows() noexcept { return nullptr; }
+OuterAccumulateRows lane_exact_outer_accumulate_rows() noexcept {
     return nullptr;
 }
 }  // namespace fairbfl::support::simd::detail

@@ -88,6 +88,17 @@ void gemv(std::span<const float> a, std::size_t rows, std::size_t cols,
                         bias.empty() ? nullptr : bias.data(), out.data());
 }
 
+void gemv_rows(std::span<const float> a, std::size_t rows, std::size_t cols,
+               std::span<const float* const> xs, std::span<const float> bias,
+               std::span<float> out) noexcept {
+    assert(a.size() == rows * cols);
+    assert(out.size() >= xs.size() * rows);
+    assert(bias.empty() || bias.size() >= rows);
+    simd::active().gemv_rows(a.data(), rows, cols, xs.data(), xs.size(),
+                             bias.empty() ? nullptr : bias.data(),
+                             out.data());
+}
+
 void gemv_transpose_accumulate(std::span<const float> a, std::size_t rows,
                                std::size_t cols, std::span<const float> d,
                                std::span<float> out) noexcept {
@@ -98,13 +109,14 @@ void gemv_transpose_accumulate(std::span<const float> a, std::size_t rows,
                                              out.data());
 }
 
-void outer_accumulate(std::span<const float> d, std::span<const float> x,
-                      std::size_t rows, std::size_t cols,
-                      std::span<float> y) noexcept {
-    assert(d.size() >= rows);
-    assert(x.size() == cols);
+void outer_accumulate_rows(std::span<const float> d,
+                           std::span<const float* const> xs,
+                           std::size_t rows, std::size_t cols,
+                           std::span<float> y) noexcept {
+    assert(d.size() >= xs.size() * rows);
     assert(y.size() == rows * cols);
-    simd::active().outer_accumulate(d.data(), x.data(), rows, cols, y.data());
+    simd::active().outer_accumulate_rows(d.data(), xs.data(), xs.size(), rows,
+                                         cols, y.data());
 }
 
 void add_scaled_diff(float alpha, std::span<const float> x,

@@ -76,6 +76,15 @@ void gemv(std::span<const float> a, std::size_t rows, std::size_t cols,
           std::span<const float> x, std::span<const float> bias,
           std::span<float> out) noexcept;
 
+/// Batched forward over a mini-batch: out[s * rows + r] is bitwise
+/// gemv(a, rows, cols, xs[s], bias, ...)[r] for every sample s, where
+/// xs[s] points at cols floats.  One call serves the whole batch, so the
+/// pinned scalar table can reuse each transposed tile of `a` across every
+/// sample (support/simd.hpp).
+void gemv_rows(std::span<const float> a, std::size_t rows, std::size_t cols,
+               std::span<const float* const> xs, std::span<const float> bias,
+               std::span<float> out) noexcept;
+
 /// Transposed accumulate: out[j] += sum_r d[r] * a[r * cols + j] (Aᵀd),
 /// the r-sum applied in order per element.  Used for the MLP's
 /// dh = W2ᵀ·dlogits.  Float accumulation, elementwise over j, so the adds
@@ -84,13 +93,18 @@ void gemv_transpose_accumulate(std::span<const float> a, std::size_t rows,
                                std::size_t cols, std::span<const float> d,
                                std::span<float> out) noexcept;
 
-/// Rank-1 outer-product accumulate: row r of y += d[r] * x for r in
-/// [0, rows), where y is rows x cols.  The backward dlogitsᵀ·X building
-/// block; per row it is exactly `axpy(d[r], x, row)`, so per-element
-/// accumulation order is untouched.
-void outer_accumulate(std::span<const float> d, std::span<const float> x,
-                      std::size_t rows, std::size_t cols,
-                      std::span<float> y) noexcept;
+/// Batched rank-1 outer-product accumulate, the backward dlogitsᵀ·X
+/// building block: for each sample s in order and each r in [0, rows),
+/// row r of y += d[s * rows + r] * xs[s], where d is xs.size() x rows, y
+/// is rows x cols and xs[s] points at cols floats.  Per sample and row it
+/// is exactly `axpy(d[s * rows + r], xs[s], row)`, so every element of y
+/// receives its per-sample adds in sample order; the pinned scalar table
+/// just loads and stores each span of y once per batch instead of once
+/// per sample.
+void outer_accumulate_rows(std::span<const float> d,
+                           std::span<const float* const> xs,
+                           std::size_t rows, std::size_t cols,
+                           std::span<float> y) noexcept;
 
 /// y[i] += alpha * (x[i] - z[i]): the FedProx proximal pull
 /// grad += mu_prox (w - anchor), fused to one pass.  Elementwise and

@@ -338,14 +338,17 @@ TEST(FairBfl, EncryptedGradientPathLearnsIdentically) {
 
 TEST(FairBfl, SecureRoundsAreThreadCountIndependentAndPinned) {
     // 512-bit keys, encrypted uploads to three miners: the per-client
-    // upload crypto, the block signatures and key generation all fan out
-    // across the pool.  Weights / ledger total / chain tip were captured
-    // from the single-threaded upload and signing loops.
+    // upload crypto, the block signatures, key generation and both
+    // accuracy passes (the 120-row test set spans two evaluation chunks)
+    // all fan out across the pool.  Weights / ledger total / chain tip
+    // were captured from the single-threaded upload and signing loops.
     static constexpr const char* kDigest =
         "3bf12554a53ac285ebd46321a9642012e928ae2c3a5c9d2331c4968a06574214/4/"
         "98a593cf26bb11e4e6117bca824432f377f9d0e80a07c5842a166047d0b9c67e";
+    std::vector<std::vector<double>> accuracy;  // per round, per pool
     for (const unsigned threads : {1U, 4U}) {
         World world(8);
+        ASSERT_GT(world.test.size(), fairbfl::ml::Model::kAccuracyChunk);
         auto config = fast_config();
         config.fl.client_ratio = 1.0;
         config.key_bits = 512;
@@ -355,8 +358,11 @@ TEST(FairBfl, SecureRoundsAreThreadCountIndependentAndPinned) {
         config.pool = &pool;
         core::FairBfl system(*world.model, world.clients(), world.test,
                              config);
-        for (const auto& record : system.run(4))
+        accuracy.emplace_back();
+        for (const auto& record : system.run(4)) {
             EXPECT_EQ(record.fl.participants, 8U) << threads << " threads";
+            accuracy.back().push_back(record.fl.test_accuracy);
+        }
         const auto weights = system.weights();
         char ledger_total[40];
         std::snprintf(ledger_total, sizeof ledger_total, "%.17g",
@@ -370,6 +376,7 @@ TEST(FairBfl, SecureRoundsAreThreadCountIndependentAndPinned) {
         EXPECT_EQ(digest, kDigest) << threads << " threads";
         EXPECT_TRUE(system.blockchain().validate_full_chain());
     }
+    EXPECT_EQ(accuracy[0], accuracy[1]);
 }
 
 TEST(FairBfl, IncentiveDisabledStillAggregates) {

@@ -3,9 +3,13 @@
 // The scalar table is *bit-pinned*: its loops must match the strict
 // reference accumulation orders that produced every committed fixed-seed
 // series, so the first test re-states those loops locally and demands
-// exact equality.  Its four-pair entry, including the lane-exact AVX
-// encoding that serves it on capable CPUs, must equal four single calls
-// bit for bit.  The AVX2+FMA table is *tolerance-pinned*: FMA skips
+// exact equality.  Its four-pair entry must equal four single calls, and
+// its batched gemv_rows / outer_accumulate_rows entries must equal
+// per-sample gemv calls / per-row axpy calls in sample order, bit for bit
+// -- including the lane-exact AVX encodings that serve them on capable
+// CPUs.  Every table's
+// batched entries must equal its own single-sample kernels the same way.
+// The AVX2+FMA table is *tolerance-pinned*: FMA skips
 // intermediate roundings and the wide accumulators reassociate the chain,
 // so the harness bounds its element-wise divergence from scalar instead
 // -- with the analytic error model (double accumulation over float
@@ -135,17 +139,46 @@ TEST(ScalarTable, MatchesPinnedReferenceLoopsBitForBit) {
         EXPECT_EQ(d, reference_dot(x, y));
         EXPECT_EQ(norm2, reference_dot(x, x));
     }
-    // Every gemv row is contractually bit-identical to a lone dot.
-    const std::size_t rows = 7;
-    const std::size_t cols = 33;
-    const auto a = random_vector(rows * cols, rng);
-    const auto x = random_vector(cols, rng);
-    std::vector<float> out(rows);
-    table.gemv(a.data(), rows, cols, x.data(), nullptr, out.data());
-    for (std::size_t r = 0; r < rows; ++r) {
-        const std::vector<float> row(a.begin() + r * cols,
-                                     a.begin() + (r + 1) * cols);
-        EXPECT_EQ(out[r], static_cast<float>(reference_dot(row, x))) << r;
+    // Every gemv row is contractually bit-identical to a lone dot, plus
+    // the float bias add when there is a bias: a small biasless shape and
+    // the logistic forward's 10 x 784 with bias.
+    struct GemvShape {
+        std::size_t rows;
+        std::size_t cols;
+        bool with_bias;
+    };
+    for (const GemvShape shape : {GemvShape{7, 33, false},
+                                  GemvShape{10, 784, true}}) {
+        const std::size_t rows = shape.rows;
+        const std::size_t cols = shape.cols;
+        const auto a = random_vector(rows * cols, rng);
+        const auto x = random_vector(cols, rng);
+        const auto bias = random_vector(rows, rng);
+        std::vector<float> out(rows);
+        table.gemv(a.data(), rows, cols, x.data(),
+                   shape.with_bias ? bias.data() : nullptr, out.data());
+        for (std::size_t r = 0; r < rows; ++r) {
+            const std::vector<float> row(a.begin() + r * cols,
+                                         a.begin() + (r + 1) * cols);
+            const auto sum = static_cast<float>(reference_dot(row, x));
+            EXPECT_EQ(out[r], shape.with_bias ? bias[r] + sum : sum)
+                << rows << "x" << cols << " row " << r;
+        }
+    }
+}
+
+/// Salts every fifth element from `offset` with the values a kernel could
+/// mishandle: signed zeros, float denormals and magnitudes whose float
+/// square overflows (finite in double).
+void salt(std::vector<float>& v, std::size_t offset) {
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    for (std::size_t i = offset; i < v.size(); i += 5) {
+        switch ((i / 5) % 4) {
+            case 0: v[i] = (i % 2 == 0) ? 0.0F : -0.0F; break;
+            case 1: v[i] = denorm * static_cast<float>(i + 1); break;
+            case 2: v[i] = (i % 2 == 0) ? 3e38F : -1e20F; break;
+            default: break;
+        }
     }
 }
 
@@ -164,17 +197,6 @@ FourPairCase four_pair_case(std::size_t n, Rng& rng, bool salted) {
     FourPairCase c{random_vector(n, rng), {}};
     for (int p = 0; p < 4; ++p) c.ys.push_back(random_vector(n, rng));
     if (!salted) return c;
-    const float denorm = std::numeric_limits<float>::denorm_min();
-    auto salt = [&](std::vector<float>& v, std::size_t offset) {
-        for (std::size_t i = offset; i < n; i += 5) {
-            switch ((i / 5) % 4) {
-                case 0: v[i] = (i % 2 == 0) ? 0.0F : -0.0F; break;
-                case 1: v[i] = denorm * static_cast<float>(i + 1); break;
-                case 2: v[i] = (i % 2 == 0) ? 3e38F : -1e20F; break;
-                default: break;
-            }
-        }
-    };
     salt(c.x, 0);
     for (std::size_t p = 0; p < 4; ++p) salt(c.ys[p], p);
     if (n > 2) c.ys[3][n / 2] = std::numeric_limits<float>::infinity();
@@ -271,6 +293,215 @@ TEST(ScalarTable, LaneExactEncodingBitIdenticalToFourSingleCalls) {
         }
         expect_nan_propagation(lane_exact, n, "lane-exact");
     }
+}
+
+// --- Batched forward / backward entries -------------------------------------
+
+/// One batch for gemv_rows / outer_accumulate_rows: a rows x cols matrix
+/// (the weights for the forward, the gradient for the backward), `count`
+/// samples of cols features, a bias and count x rows backward
+/// coefficients.  Salted cases add the four-pair salts -- signed zeros,
+/// float denormals, magnitudes whose float square overflows and one
+/// infinity -- to the matrix, the samples and the coefficients.
+struct BatchCase {
+    std::size_t rows;
+    std::size_t cols;
+    std::vector<float> a;
+    std::vector<std::vector<float>> xs;
+    std::vector<float> bias;
+    std::vector<float> d;
+
+    [[nodiscard]] std::vector<const float*> pointers() const {
+        std::vector<const float*> out;
+        for (const auto& x : xs) out.push_back(x.data());
+        return out;
+    }
+};
+
+BatchCase batch_case(std::size_t rows, std::size_t cols, std::size_t count,
+                     Rng& rng, bool salted) {
+    BatchCase c{rows, cols, random_vector(rows * cols, rng), {},
+                random_vector(rows, rng), random_vector(count * rows, rng)};
+    for (std::size_t s = 0; s < count; ++s)
+        c.xs.push_back(random_vector(cols, rng));
+    if (!salted) return c;
+    salt(c.a, 0);
+    salt(c.d, 1);
+    for (std::size_t s = 0; s < count; ++s) salt(c.xs[s], s % 5);
+    c.xs[count / 2][cols / 2] = std::numeric_limits<float>::infinity();
+    return c;
+}
+
+/// Runs a batched forward body over the case.
+std::vector<float> run_gemv_rows(simd::GemvRows kernel, const BatchCase& c,
+                                 bool with_bias) {
+    const auto xs = c.pointers();
+    std::vector<float> out(xs.size() * c.rows);
+    kernel(c.a.data(), c.rows, c.cols, xs.data(), xs.size(),
+           with_bias ? c.bias.data() : nullptr, out.data());
+    return out;
+}
+
+/// Per-sample gemv calls of `table`: the gemv_rows contract.
+std::vector<float> per_sample_gemv(const simd::KernelTable& table,
+                                   const BatchCase& c, bool with_bias) {
+    std::vector<float> out(c.xs.size() * c.rows);
+    for (std::size_t s = 0; s < c.xs.size(); ++s)
+        table.gemv(c.a.data(), c.rows, c.cols, c.xs[s].data(),
+                   with_bias ? c.bias.data() : nullptr,
+                   out.data() + s * c.rows);
+    return out;
+}
+
+/// Runs a batched backward body over the case, accumulating into a copy
+/// of the case's matrix.
+std::vector<float> run_outer_rows(simd::OuterAccumulateRows kernel,
+                                  const BatchCase& c) {
+    const auto xs = c.pointers();
+    std::vector<float> y = c.a;
+    kernel(c.d.data(), xs.data(), xs.size(), c.rows, c.cols, y.data());
+    return y;
+}
+
+/// Per-row axpy calls of `table`, samples in order: the
+/// outer_accumulate_rows contract.
+std::vector<float> sequential_outer(const simd::KernelTable& table,
+                                    const BatchCase& c) {
+    std::vector<float> y = c.a;
+    for (std::size_t s = 0; s < c.xs.size(); ++s)
+        for (std::size_t r = 0; r < c.rows; ++r)
+            table.axpy(c.d[s * c.rows + r], c.xs[s].data(),
+                       y.data() + r * c.cols, c.cols);
+    return y;
+}
+
+::testing::AssertionResult same_bits(const std::vector<float>& got,
+                                     const std::vector<float>& want) {
+    if (got.size() == want.size() &&
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) == 0)
+        return ::testing::AssertionSuccess();
+    for (std::size_t i = 0; i < got.size() && i < want.size(); ++i) {
+        if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0)
+            return ::testing::AssertionFailure()
+                   << "first difference at " << i << ": " << got[i]
+                   << " vs " << want[i];
+    }
+    return ::testing::AssertionFailure() << "size " << got.size() << " vs "
+                                         << want.size();
+}
+
+// 17 rows take the lane-exact forward past one 16-row chunk, 25 samples
+// past one 16-sample group, and 785 columns past six 128-column blocks
+// into a tail.
+const std::size_t kBatchRows[] = {1, 2, 3, 4, 5, 10, 13, 17};
+const std::size_t kBatchCols[] = {1, 3, 4, 5, 39, 783, 784, 785};
+const std::size_t kBatchCounts[] = {1, 2, 9, 10, 12, 13, 25};
+
+/// Every shape of the grid, plain and salted, with and without bias:
+/// `forward` must equal per-sample gemv of `reference`, and `backward`
+/// must equal its per-row axpy in sample order, bit for bit.  Then NaN in
+/// one sample's features must reach only that sample's logits, and in the
+/// backward only the gradient columns that sample feeds, with every other
+/// value unchanged.
+void expect_batch_contracts(simd::GemvRows forward,
+                            simd::OuterAccumulateRows backward,
+                            const simd::KernelTable& reference,
+                            const char* body) {
+    Rng rng(26);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const std::size_t rows : kBatchRows) {
+        for (const std::size_t cols : kBatchCols) {
+            for (const std::size_t count : kBatchCounts) {
+                for (const bool salted : {false, true}) {
+                    const BatchCase c =
+                        batch_case(rows, cols, count, rng, salted);
+                    for (const bool with_bias : {false, true}) {
+                        EXPECT_TRUE(same_bits(
+                            run_gemv_rows(forward, c, with_bias),
+                            per_sample_gemv(reference, c, with_bias)))
+                            << body << " gemv_rows " << rows << "x" << cols
+                            << " count=" << count << " salted=" << salted
+                            << " bias=" << with_bias;
+                    }
+                    EXPECT_TRUE(same_bits(run_outer_rows(backward, c),
+                                          sequential_outer(reference, c)))
+                        << body << " outer_accumulate_rows " << rows << "x"
+                        << cols << " count=" << count
+                        << " salted=" << salted;
+                }
+                // NaN in one sample, plain draws elsewhere: compare with
+                // the same case before the NaN went in.
+                BatchCase c = batch_case(rows, cols, count, rng, false);
+                const auto clean = run_gemv_rows(forward, c, true);
+                const auto clean_y = sequential_outer(reference, c);
+                const std::size_t bad = count / 2;
+                const std::size_t col = cols - 1;
+                c.xs[bad][col] = nan;
+                const auto got = run_gemv_rows(forward, c, true);
+                for (std::size_t s = 0; s < count; ++s) {
+                    for (std::size_t r = 0; r < rows; ++r) {
+                        const std::size_t i = s * rows + r;
+                        if (s == bad) {
+                            EXPECT_TRUE(std::isnan(got[i]))
+                                << body << " gemv_rows NaN sample " << rows
+                                << "x" << cols << " count=" << count;
+                        } else {
+                            EXPECT_EQ(std::memcmp(&got[i], &clean[i],
+                                                  sizeof(float)),
+                                      0)
+                                << body << " gemv_rows clean sample " << s;
+                        }
+                    }
+                }
+                const auto y = run_outer_rows(backward, c);
+                for (std::size_t r = 0; r < rows; ++r) {
+                    for (std::size_t j = 0; j < cols; ++j) {
+                        const std::size_t i = r * cols + j;
+                        if (j == col) {
+                            EXPECT_TRUE(std::isnan(y[i]))
+                                << body << " outer_accumulate_rows NaN "
+                                << rows << "x" << cols << " count=" << count;
+                        } else {
+                            EXPECT_EQ(std::memcmp(&y[i], &clean_y[i],
+                                                  sizeof(float)),
+                                      0)
+                                << body << " outer_accumulate_rows clean "
+                                << "column " << j;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ScalarTable, BatchEntriesBitIdenticalToPerSampleCalls) {
+    const simd::KernelTable& table = simd::detail::scalar_table();
+    expect_batch_contracts(table.gemv_rows, table.outer_accumulate_rows,
+                           table, "table entry");
+    expect_batch_contracts(simd::detail::portable_gemv_rows(),
+                           simd::detail::portable_outer_accumulate_rows(),
+                           table, "portable");
+}
+
+TEST(ScalarTable, LaneExactBatchEncodingsBitIdenticalToPerSampleCalls) {
+    const simd::GemvRows forward = simd::detail::lane_exact_gemv_rows();
+    const simd::OuterAccumulateRows backward =
+        simd::detail::lane_exact_outer_accumulate_rows();
+    if (forward == nullptr || backward == nullptr ||
+        !simd::cpu_supports_avx2_fma())
+        GTEST_SKIP() << "lane-exact AVX encodings unavailable on this "
+                        "build/CPU";
+    expect_batch_contracts(forward, backward, simd::detail::scalar_table(),
+                           "lane-exact");
+}
+
+TEST(KernelParity, Avx2BatchEntriesAreLoopsOfItsOwnKernels) {
+    const simd::KernelTable* avx2 = simd::detail::avx2_table();
+    if (avx2 == nullptr || !simd::cpu_supports_avx2_fma())
+        GTEST_SKIP() << "AVX2+FMA unavailable on this build/CPU";
+    expect_batch_contracts(avx2->gemv_rows, avx2->outer_accumulate_rows,
+                           *avx2, "avx2");
 }
 
 TEST(KernelParity, Avx2FourPairEntryIsFourOfItsOwnCalls) {
@@ -378,8 +609,9 @@ TEST(KernelParity, Avx2WithinAnalyticToleranceOfScalar) {
             << j;
     std::vector<float> go(rows * cols, 0.5F);
     std::vector<float> wo(rows * cols, 0.5F);
-    avx2->outer_accumulate(d.data(), x.data(), rows, cols, go.data());
-    scalar.outer_accumulate(d.data(), x.data(), rows, cols, wo.data());
+    const float* xs[] = {x.data()};
+    avx2->outer_accumulate_rows(d.data(), xs, 1, rows, cols, go.data());
+    scalar.outer_accumulate_rows(d.data(), xs, 1, rows, cols, wo.data());
     for (std::size_t i = 0; i < rows * cols; ++i)
         EXPECT_NEAR(go[i], wo[i],
                     1e-5 * std::fabs(static_cast<double>(wo[i])) + 1e-6)

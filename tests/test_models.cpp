@@ -8,6 +8,7 @@
 
 #include "ml/model.hpp"
 #include "ml/synthetic_mnist.hpp"
+#include "support/parallel.hpp"
 #include "support/vecmath.hpp"
 
 namespace {
@@ -111,21 +112,38 @@ TEST_P(ModelTest, GradientDescentReducesLossAndFits) {
 }
 
 TEST_P(ModelTest, PredictIsArgmaxConsistentWithAccuracy) {
-    const auto data = make_data();
+    // accuracy() fans fixed chunks out over the pool; at every view size
+    // around the chunk boundary, and at train_heavy's 564 test rows, it
+    // must equal the serial per-sample count on 1 and 4 threads.
+    const auto data = ml::make_synthetic_mnist({.samples = 600,
+                                                .feature_dim = 6,
+                                                .num_classes = 3,
+                                                .noise_sigma = 0.6,
+                                                .seed = 21});
     auto model = GetParam().make(data.feature_dim(), data.num_classes());
     std::vector<float> params(model->param_count());
     Rng rng(7);
     model->init_params(params, rng);
-    const auto view = ml::DatasetView::all(data).take(50);
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < view.size(); ++i) {
-        const auto pred = model->predict(params, view.features_of(i));
-        ASSERT_GE(pred, 0);
-        ASSERT_LT(pred, 3);
-        if (pred == view.label_of(i)) ++correct;
+    fairbfl::support::ThreadPool pool1(1);
+    fairbfl::support::ThreadPool pool4(4);
+    constexpr std::size_t chunk = ml::Model::kAccuracyChunk;
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, chunk - 1, chunk, chunk + 1,
+          std::size_t{564}}) {
+        const auto view = ml::DatasetView::all(data).take(n);
+        std::size_t correct = 0;
+        for (std::size_t i = 0; i < view.size(); ++i) {
+            const auto pred = model->predict(params, view.features_of(i));
+            ASSERT_GE(pred, 0);
+            ASSERT_LT(pred, 3);
+            if (pred == view.label_of(i)) ++correct;
+        }
+        const double want =
+            n == 0 ? 0.0
+                   : static_cast<double>(correct) / static_cast<double>(n);
+        EXPECT_EQ(model->accuracy(params, view, pool1), want) << n;
+        EXPECT_EQ(model->accuracy(params, view, pool4), want) << n;
     }
-    EXPECT_DOUBLE_EQ(model->accuracy(params, view),
-                     static_cast<double>(correct) / 50.0);
 }
 
 TEST_P(ModelTest, EmptyBatchContributesNothing) {

@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "core/system.hpp"
@@ -255,6 +256,60 @@ TEST(LocalTrainer, BatchedEqualsReferenceAcrossThreadCountsAndRounds) {
                 EXPECT_EQ(ref[i], bat4[i]) << "round " << round << " i " << i;
             }
         }
+    }
+}
+
+TEST(LocalTrainer, BatchedEqualsReferenceAtTheBenchmarkShape) {
+    // The train_heavy client: 784 features x 10 classes (logistic), E = 5,
+    // B = 10.  The 100-sample shard runs ten full batches per epoch; the
+    // 25-sample shard ends every epoch in a partial batch of 5.
+    const auto data = ml::make_synthetic_mnist(
+        {.samples = 125, .feature_dim = 784, .num_classes = 10, .seed = 42});
+    const auto model = ml::make_logistic_regression(784, 10);
+    std::vector<std::size_t> full(100);
+    std::vector<std::size_t> partial(25);
+    std::iota(full.begin(), full.end(), std::size_t{0});
+    std::iota(partial.begin(), partial.end(), std::size_t{100});
+    const std::vector<ml::DatasetView> shards{
+        ml::DatasetView(data, full), ml::DatasetView(data, partial)};
+    const auto clients = fl::make_clients(*model, shards);
+    std::vector<float> weights(model->param_count());
+    Rng rng(3);
+    model->init_params(weights, rng);
+    ml::SgdParams sgd;
+    sgd.learning_rate = 0.05;
+    sgd.epochs = 5;
+    sgd.batch_size = 10;
+    const std::vector<std::size_t> selected{0, 1};
+
+    ThreadPool pool1(1);
+    ThreadPool pool4(4);
+    fl::LocalTrainer reference(
+        fl::LocalTrainer::Options{.batched = false, .pool = &pool1});
+    fl::LocalTrainer batched1(
+        fl::LocalTrainer::Options{.batched = true, .pool = &pool1});
+    fl::LocalTrainer batched4(
+        fl::LocalTrainer::Options{.batched = true, .pool = &pool4});
+    for (std::uint64_t round = 0; round < 2; ++round) {
+        const auto ref =
+            reference.run(clients, selected, weights, sgd, round, 42);
+        const auto bat1 =
+            batched1.run(clients, selected, weights, sgd, round, 42);
+        const auto bat4 =
+            batched4.run(clients, selected, weights, sgd, round, 42);
+        ASSERT_EQ(ref.size(), selected.size());
+        ASSERT_EQ(bat1.size(), selected.size());
+        ASSERT_EQ(bat4.size(), selected.size());
+        const std::size_t bytes = weights.size() * sizeof(float);
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            EXPECT_EQ(ref[i], bat1[i]) << "round " << round << " i " << i;
+            EXPECT_EQ(ref[i], bat4[i]) << "round " << round << " i " << i;
+            EXPECT_EQ(0, std::memcmp(ref[i].weights.data(),
+                                     bat1[i].weights.data(), bytes));
+            EXPECT_EQ(0, std::memcmp(ref[i].weights.data(),
+                                     bat4[i].weights.data(), bytes));
+        }
+        weights = ref[0].weights;  // the next round starts elsewhere
     }
 }
 

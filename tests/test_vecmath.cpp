@@ -238,17 +238,23 @@ TEST(VecMath, GemvTransposeAccumulateBitIdenticalToScalarLoop) {
     EXPECT_EQ(got, expect);
 }
 
-TEST(VecMath, OuterAccumulateBitIdenticalToPerRowAxpy) {
+TEST(VecMath, OuterAccumulateRowsBitIdenticalToPerRowAxpy) {
     std::uint32_t state = 13;
-    const std::size_t rows = 7, cols = 19;
-    const auto d = random_vec(rows, state);
-    const auto x = random_vec(cols, state);
+    const std::size_t rows = 7, cols = 19, count = 3;
+    const auto d = random_vec(count * rows, state);
+    std::vector<std::vector<float>> xs;
+    for (std::size_t s = 0; s < count; ++s)
+        xs.push_back(random_vec(cols, state));
+    std::vector<const float*> samples;
+    for (const auto& x : xs) samples.push_back(x.data());
     auto expect = random_vec(rows * cols, state);
     auto got = expect;
 
-    for (std::size_t r = 0; r < rows; ++r)
-        vm::axpy(d[r], x, std::span<float>(expect).subspan(r * cols, cols));
-    vm::outer_accumulate(d, x, rows, cols, got);
+    for (std::size_t s = 0; s < count; ++s)
+        for (std::size_t r = 0; r < rows; ++r)
+            vm::axpy(d[s * rows + r], xs[s],
+                     std::span<float>(expect).subspan(r * cols, cols));
+    vm::outer_accumulate_rows(d, samples, rows, cols, got);
     EXPECT_EQ(got, expect);
 }
 
