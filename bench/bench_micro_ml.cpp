@@ -168,22 +168,48 @@ void BM_KernelOuterRows(benchmark::State& state) {
 BENCHMARK(BM_KernelOuterRows)->Args({784, 0})->Args({784, 1});
 
 void BM_KernelSketch(benchmark::State& state) {
-    // The GradientIndex build step: project 64 gradient rows of `dim`
-    // dims down to k = 48 through the seeded Gaussian matrix.
+    // The GradientIndex build step: project range(2) gradient rows of
+    // range(0) dims down to k = 48 through the seeded Gaussian matrix.
+    // 113 x 7850 is the sketch async_adversarial builds every round.
     const KernelModeRow row(state);
     if (!row.ok) return;
     const auto dim = static_cast<std::size_t>(state.range(0));
     const auto projection = support::gaussian_projection(dim, 48, 42);
-    std::vector<std::vector<float>> points(64);
-    for (std::size_t i = 0; i < points.size(); ++i)
+    std::vector<std::vector<float>> points(
+        static_cast<std::size_t>(state.range(2)));
+    std::vector<const float*> rows;
+    for (std::size_t i = 0; i < points.size(); ++i) {
         points[i] = kernel_operand(dim, 100 + i);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(support::project_rows(projection, points));
+        rows.push_back(points[i].data());
+    }
+    std::vector<float> sketches(points.size() * projection->out_dim);
+    for (auto _ : state) {
+        support::project_rows(*projection, rows, sketches);
+        benchmark::DoNotOptimize(sketches.data());
+        benchmark::ClobberMemory();
+    }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(points.size()) *
-                            state.range(0));
+                            state.range(2) * state.range(0));
 }
-BENCHMARK(BM_KernelSketch)->Args({784, 0})->Args({784, 1});
+BENCHMARK(BM_KernelSketch)
+    ->Args({784, 0, 64})->Args({784, 1, 64})
+    ->Args({7850, 0, 113})->Args({7850, 1, 113});
+
+void BM_GaussianProjection(benchmark::State& state) {
+    // The serial draw of a range(1) x range(0) matrix.  A fresh seed per
+    // iteration misses gaussian_projection's memo, so every iteration
+    // generates a matrix.
+    const auto dim = static_cast<std::size_t>(state.range(0));
+    const auto k = static_cast<std::size_t>(state.range(1));
+    std::uint64_t seed = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(support::gaussian_projection(dim, k, ++seed));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            state.range(0) * state.range(1));
+}
+BENCHMARK(BM_GaussianProjection)
+    ->Args({7850, 48})
+    ->Unit(benchmark::kMillisecond);
 
 const ml::Dataset& dataset() {
     static const ml::Dataset data = ml::make_synthetic_mnist(

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <stdexcept>
 
 #include "support/rng.hpp"
 #include "support/vecmath.hpp"
@@ -125,20 +127,49 @@ RandomProjectionIndex::RandomProjectionIndex(
         dense_ = DistanceMatrix(params.metric, points, pool);
         return;
     }
+    for (const auto& point : points) {
+        if (point.size() < dim)
+            throw std::invalid_argument(
+                "RandomProjectionIndex: point narrower than the first");
+    }
     sketch_dims_ = k;
     projection_ = support::gaussian_projection(dim, k, params.seed);
-    sketches_ = support::project_rows(projection_, points, pool);
+    sketches_.resize(n_ * k);
     norms_.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) norms_[i] = sketch_norm(sketches_[i]);
+    std::vector<std::size_t> ids(n_);
+    std::iota(ids.begin(), ids.end(), std::size_t{0});
+    resketch(points, ids, pool);
     sort_by_norm();
+}
+
+void RandomProjectionIndex::resketch(
+    std::span<const std::vector<float>> points,
+    std::span<const std::size_t> ids, support::ThreadPool& pool) {
+    std::vector<const float*> rows(ids.size());
+    for (std::size_t m = 0; m < ids.size(); ++m)
+        rows[m] = points[ids[m]].data();
+    std::vector<float> fresh(ids.size() * sketch_dims_);
+    support::project_rows(*projection_, rows, fresh, pool);
+    for (std::size_t m = 0; m < ids.size(); ++m) {
+        std::copy_n(fresh.data() + m * sketch_dims_, sketch_dims_,
+                    sketches_.data() + ids[m] * sketch_dims_);
+        norms_[ids[m]] = sketch_norm(sketch(ids[m]));
+    }
 }
 
 void RandomProjectionIndex::sort_by_norm() {
     norm_order_.resize(n_);
     for (std::size_t i = 0; i < n_; ++i) norm_order_[i] = i;
+    // A strict weak order even over non-finite sketches: NaN norms sort
+    // after every other norm, and ties -- NaN with NaN included -- break
+    // by id.
     std::sort(norm_order_.begin(), norm_order_.end(),
               [&](std::size_t a, std::size_t b) {
-                  if (norms_[a] != norms_[b]) return norms_[a] < norms_[b];
+                  const bool a_nan = std::isnan(norms_[a]);
+                  const bool b_nan = std::isnan(norms_[b]);
+                  if (a_nan != b_nan) return b_nan;
+                  if (!a_nan && norms_[a] != norms_[b])
+                      return norms_[a] < norms_[b];
                   return a < b;
               });
 }
@@ -161,11 +192,10 @@ double RandomProjectionIndex::distance(std::size_t i, std::size_t j) const {
     // Exactly the kernels DistanceMatrix applies per pair, so on-demand
     // values are bit-identical to the dense sketch matrix this replaced.
     if (metric_ == Metric::kCosine) {
-        return support::cosine_distance_cached(sketches_[i], sketches_[j],
+        return support::cosine_distance_cached(sketch(i), sketch(j),
                                                norms_[i], norms_[j]);
     }
-    return std::sqrt(
-        support::squared_distance_blocked(sketches_[i], sketches_[j]));
+    return std::sqrt(support::squared_distance_blocked(sketch(i), sketch(j)));
 }
 
 std::vector<std::size_t> RandomProjectionIndex::neighbors_within(
@@ -266,7 +296,10 @@ double RandomProjectionIndex::kth_distance(std::size_t i,
         const double right_gap =
             right_open ? norms_[norm_order_[right]] - norms_[i]
                        : std::numeric_limits<double>::infinity();
-        if (left_gap <= right_gap) {
+        // Openness first: a closed side's +inf gap can tie an open side's
+        // +inf (or lose to a NaN) gap, and must never be walked.  Finite
+        // gaps take the same branch as the bare comparison.
+        if (left_open && (!right_open || left_gap <= right_gap)) {
             if (!bound_allows(left_gap)) {
                 left_open = false;
                 continue;
@@ -291,9 +324,10 @@ std::size_t RandomProjectionIndex::storage_bytes() const noexcept {
     if (fallback_)
         return (dense_.size() * dense_.size() + dense_.norms().size()) *
                sizeof(double);
-    return n_ * sketch_dims_ * sizeof(float) + norms_.size() * sizeof(double) +
+    if (projection_ == nullptr) return 0;
+    return sketches_.size() * sizeof(float) + norms_.size() * sizeof(double) +
            norm_order_.size() * sizeof(std::size_t) +
-           projection_.rows.size() * sizeof(float);
+           projection_->rows.size() * sizeof(float);
 }
 
 bool RandomProjectionIndex::update(std::span<const std::vector<float>> points,
@@ -301,16 +335,12 @@ bool RandomProjectionIndex::update(std::span<const std::vector<float>> points,
                                    support::ThreadPool& pool) {
     if (fallback_ || n_ == 0) return false;
     if (points.size() != n_ || moved.size() != n_) return false;
-    if (points[0].size() != projection_.in_dim) return false;
-    support::parallel_for(
-        0, n_,
-        [&](std::size_t i) {
-            if (moved[i] == 0) return;
-            support::gemv(projection_.rows, projection_.out_dim,
-                          projection_.in_dim, points[i], {}, sketches_[i]);
-            norms_[i] = sketch_norm(sketches_[i]);
-        },
-        pool);
+    std::vector<std::size_t> movers;
+    for (std::size_t i = 0; i < n_; ++i) {
+        if (points[i].size() != projection_->in_dim) return false;
+        if (moved[i] != 0) movers.push_back(i);
+    }
+    resketch(points, movers, pool);
     sort_by_norm();
     return true;
 }

@@ -302,12 +302,21 @@ private:
 /// sorted by sketch norm, and |  ||a|| - ||b||  | <= ||a - b|| restricts a
 /// radius-eps scan (and the pruned k-distance search) to the norm band
 /// around the query, breaking the dense O(n^2 k) sweep on separated data.
-/// The cached projection matrix makes the index incrementally updatable
-/// across rounds (see GradientIndex::update).
+/// Non-finite points cannot stall those searches: a NaN norm sorts after
+/// every other norm, and the k-distance search only walks open sides.
+///
+/// The Gaussian matrix is shared, not owned: support::gaussian_projection
+/// hands every index with the same (d, k, seed) one matrix, so an index
+/// rebuilt every round draws it once per process.  Build and update() run
+/// one projection loop (support::project_rows: fixed chunks of points, one
+/// gemv_rows call each), which makes every sketch bitwise the per-point
+/// gemv and the index incrementally updatable across rounds (see
+/// GradientIndex::update).
 class RandomProjectionIndex final : public GradientIndex {
 public:
     /// Projects the points to sketches (or, below break-even, builds the
-    /// dense exact matrix).
+    /// dense exact matrix).  Throws std::invalid_argument when a point is
+    /// narrower than the first.
     /// \param points the round's point set; not borrowed after the build.
     /// \param params projection_dims (k), seed, and the query metric.
     /// \param pool   carries the projection fan-out.
@@ -343,13 +352,16 @@ public:
     [[nodiscard]] bool precomputed_rows() const noexcept override {
         return fallback_;
     }
+    /// Sketches, norms and norm order, plus the projection matrix: shared
+    /// across indexes, but still counted against each one.
     [[nodiscard]] std::size_t storage_bytes() const noexcept override;
 
     [[nodiscard]] bool supports_update() const noexcept override {
         return !fallback_ && n_ > 0;
     }
-    /// Re-projects the moved rows through the cached matrix and refreshes
+    /// Re-projects the moved rows through the shared matrix and refreshes
     /// their norms; O(moved * d k) instead of the full O(n d k) build.
+    /// Returns false when any point's width differs from the build's.
     [[nodiscard]] bool update(
         std::span<const std::vector<float>> points,
         std::span<const std::uint8_t> moved,
@@ -362,6 +374,16 @@ public:
     }
 
 private:
+    /// Sketch row of point i: sketch_dims_ floats of sketches_.
+    [[nodiscard]] std::span<const float> sketch(std::size_t i) const noexcept {
+        return std::span<const float>(sketches_).subspan(i * sketch_dims_,
+                                                         sketch_dims_);
+    }
+    /// Projects points[ids[m]] for every m through the shared matrix into
+    /// its sketch row and refreshes its norm (build and update).
+    void resketch(std::span<const std::vector<float>> points,
+                  std::span<const std::size_t> ids,
+                  support::ThreadPool& pool);
     /// Re-sorts norm_order_ after the norms changed (build and update).
     void sort_by_norm();
     /// Indices of norm_order_ whose norm lies within [lo, hi].
@@ -372,10 +394,11 @@ private:
     std::size_t n_ = 0;
     std::size_t sketch_dims_ = 0;
     bool fallback_ = false;
-    std::vector<std::vector<float>> sketches_;  ///< n x k sketch rows
+    std::vector<float> sketches_;      ///< n x k sketch rows, row-major
     std::vector<double> norms_;        ///< sketch L2 norms (band + cosine)
     std::vector<std::size_t> norm_order_;  ///< point ids ascending by norm
-    support::ProjectionMatrix projection_;  ///< cached for update()
+    /// Shared per (d, k, seed); kept for update().
+    std::shared_ptr<const support::ProjectionMatrix> projection_;
     DistanceMatrix dense_;             ///< break-even fallback storage
 };
 

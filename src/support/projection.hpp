@@ -12,6 +12,7 @@
 // arithmetic.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -32,17 +33,28 @@ struct ProjectionMatrix {
 /// so projected squared Euclidean norms are unbiased estimates of the
 /// originals.  Deterministic in (in_dim, out_dim, seed) -- the entries are
 /// drawn from one serial stream, independent of any thread count.
-[[nodiscard]] ProjectionMatrix gaussian_projection(std::size_t in_dim,
-                                                   std::size_t out_dim,
-                                                   std::uint64_t seed);
+///
+/// The draw costs milliseconds at gradient width (d = 7850, k = 48), more
+/// than projecting a round's points, so the last matrix generated is kept
+/// in a one-entry process-wide memo: a caller that asks for the same key
+/// again (an index rebuilt every round, the shard tree's concurrent
+/// passes) shares it instead of drawing it again.  A different key
+/// replaces the entry; matrices already handed out stay valid.  Safe to
+/// call from any thread.
+[[nodiscard]] std::shared_ptr<const ProjectionMatrix> gaussian_projection(
+    std::size_t in_dim, std::size_t out_dim, std::uint64_t seed);
 
-/// out[i] = P * points[i] for every row, fanned out over `pool` (points are
-/// independent).  Each output coordinate is a strict left-to-right `dot`
-/// chain (support::gemv), so results are identical under any thread count.
-/// Rows shorter than P.in_dim are rejected with std::invalid_argument.
-[[nodiscard]] std::vector<std::vector<float>> project_rows(
-    const ProjectionMatrix& projection,
-    std::span<const std::vector<float>> points,
-    ThreadPool& pool = ThreadPool::global());
+/// Points per gemv_rows call in project_rows: a constant, so the chunking
+/// never depends on the pool's thread count.
+inline constexpr std::size_t kProjectChunk = 8;
+
+/// out[s * P.out_dim + r] = (P * rows[s])[r] for every s, where rows[s]
+/// points at P.in_dim floats.  Chunks of kProjectChunk rows fan out over
+/// `pool`, one support::gemv_rows call each, so every sketch is bitwise
+/// the per-point support::gemv through P -- identical under any thread
+/// count.  `out` must hold rows.size() * P.out_dim floats.
+void project_rows(const ProjectionMatrix& projection,
+                  std::span<const float* const> rows, std::span<float> out,
+                  ThreadPool& pool = ThreadPool::global());
 
 }  // namespace fairbfl::support

@@ -1,11 +1,16 @@
 // GradientIndex: exact-backend equivalence with the dense matrix, the
 // string-keyed registry, approximate-backend quality (recall, attack
-// detection within 2% of exact), and the small-n break-even fallbacks.
+// detection within 2% of exact), the small-n break-even fallbacks, the
+// sketch path's bit pins (shared Gaussian matrix, chunked projection) and
+// the sketch index's behaviour on non-finite points.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "cluster/dbscan.hpp"
@@ -13,13 +18,19 @@
 #include "cluster/kmeans.hpp"
 #include "core/experiment.hpp"
 #include "core/fairbfl.hpp"
+#include "crypto/sha256.hpp"
+#include "fl/aggregation.hpp"
 #include "incentive/contribution.hpp"
+#include "support/parallel.hpp"
+#include "support/projection.hpp"
 #include "support/rng.hpp"
+#include "support/vecmath.hpp"
 
 namespace {
 
 namespace cl = fairbfl::cluster;
 namespace core = fairbfl::core;
+namespace support = fairbfl::support;
 using fairbfl::support::Rng;
 
 /// `groups` tight gradient clusters in `dim` dims: shared random direction
@@ -325,6 +336,225 @@ TEST(ApproximateIndexes, AttackDetectionWithin2PercentOfExact) {
     EXPECT_GT(exact, 0.5);  // the defense itself must be working
     EXPECT_NEAR(detection("random_projection"), exact, 0.02);
     EXPECT_NEAR(detection("sampled"), exact, 0.02);
+}
+
+// --- Sketch path bit pins -------------------------------------------------
+
+bool same_bytes(std::span<const float> a, std::span<const float> b) {
+    // memcmp may not see the null data() of an empty span.
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(Projection, ProjectRowsEqualsPerPointGemvBitForBit) {
+    // Every chunking edge (empty, one point, the chunk size and its
+    // neighbours, the stage's 113/129) at every row-tail shape of the
+    // kernel's 4-row tiles and every column-tail shape, on 1 and 4
+    // threads: each sketch must be the per-point gemv's bytes.
+    constexpr std::size_t kChunk = support::kProjectChunk;
+    const std::size_t counts[] = {0, 1, kChunk - 1, kChunk, kChunk + 1,
+                                  113, 129};
+    const std::size_t max_count = 129;
+    support::ThreadPool serial(1);
+    support::ThreadPool wide(4);
+    for (const std::size_t in_dim : {1U, 5U, 784U, 7850U}) {
+        Rng rng(in_dim);
+        std::vector<std::vector<float>> points(max_count,
+                                               std::vector<float>(in_dim));
+        std::vector<const float*> rows;
+        for (auto& point : points) {
+            for (auto& v : point) v = static_cast<float>(rng.normal());
+            rows.push_back(point.data());
+        }
+        for (const std::size_t out_dim : {1U, 3U, 4U, 5U, 17U, 48U}) {
+            const auto projection =
+                support::gaussian_projection(in_dim, out_dim, 42);
+            std::vector<float> want(max_count * out_dim);
+            for (std::size_t s = 0; s < max_count; ++s)
+                support::gemv(projection->rows, out_dim, in_dim, points[s],
+                              {}, std::span(want).subspan(s * out_dim,
+                                                          out_dim));
+            for (const std::size_t count : counts) {
+                for (support::ThreadPool* pool : {&serial, &wide}) {
+                    // A NaN fill: a sketch the loop never writes cannot
+                    // match the reference by accident.
+                    std::vector<float> got(
+                        count * out_dim,
+                        std::numeric_limits<float>::quiet_NaN());
+                    support::project_rows(
+                        *projection, std::span(rows).first(count), got,
+                        *pool);
+                    EXPECT_TRUE(same_bytes(
+                        got, std::span(want).first(count * out_dim)))
+                        << "in_dim " << in_dim << " out_dim " << out_dim
+                        << " count " << count << " threads "
+                        << pool->size();
+                }
+            }
+        }
+    }
+}
+
+TEST(Projection, MemoSharesOneMatrixPerKeyAndRegeneratesTheSameBytes) {
+    const auto a = support::gaussian_projection(784, 48, 42);
+    EXPECT_EQ(support::gaussian_projection(784, 48, 42), a);  // memo hit
+    const auto b = support::gaussian_projection(784, 48, 43);  // seed
+    const auto c = support::gaussian_projection(784, 17, 42);  // k
+    const auto again = support::gaussian_projection(784, 48, 42);
+    EXPECT_EQ(again->in_dim, 784U);
+    EXPECT_EQ(again->out_dim, 48U);
+    EXPECT_TRUE(same_bytes(again->rows, a->rows));
+    EXPECT_FALSE(same_bytes(b->rows, a->rows));
+    EXPECT_EQ(c->out_dim, 17U);
+    EXPECT_FALSE(same_bytes(c->rows, a->rows));
+}
+
+TEST(Projection, StageMatrixBytesArePinned) {
+    // The (d = 7850, k = 48, seed = 42) matrix every async_adversarial
+    // sketch goes through: its SHA-256 pins the generation loop and its
+    // single RNG stream.
+    const auto projection = support::gaussian_projection(7850, 48, 42);
+    const auto* bytes =
+        reinterpret_cast<const std::uint8_t*>(projection->rows.data());
+    const auto digest = fairbfl::crypto::Sha256::hash(std::span(
+        bytes, projection->rows.size() * sizeof(float)));
+    EXPECT_EQ(fairbfl::crypto::to_hex(digest),
+              "915be45737ee4b50303511d1536970bd"
+              "1470a5a5b6aefec9f3fe9861f9bf4a33");
+}
+
+void expect_same_index(const cl::GradientIndex& got,
+                       const cl::GradientIndex& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        for (std::size_t j = 0; j < got.size(); ++j)
+            ASSERT_EQ(got.distance(i, j), want.distance(i, j))
+                << i << "," << j;
+}
+
+TEST(RandomProjectionIndex, ConcurrentBuildsOverTwoKeysMatchSerialBuilds) {
+    // The shard tree builds its passes concurrently through the matrix
+    // memo.  Two keys alternate across pool workers, so the one-entry
+    // memo is replaced while other builds hold the matrix it replaced.
+    const auto points = grouped_gradients(6, 10, 256, 17);  // n = 60
+    cl::IndexParams params_a;
+    params_a.metric = cl::Metric::kEuclidean;
+    params_a.projection_dims = 12;  // engaged: 60 > 24
+    cl::IndexParams params_b = params_a;
+    params_b.seed = 7;
+    support::ThreadPool serial(1);
+    const cl::RandomProjectionIndex want_a(points, params_a, serial);
+    const cl::RandomProjectionIndex want_b(points, params_b, serial);
+
+    support::ThreadPool pool(4);
+    std::vector<std::unique_ptr<cl::RandomProjectionIndex>> built(8);
+    support::parallel_for(
+        0, built.size(),
+        [&](std::size_t i) {
+            built[i] = std::make_unique<cl::RandomProjectionIndex>(
+                points, i % 2 == 0 ? params_a : params_b, pool);
+        },
+        pool);
+    for (std::size_t i = 0; i < built.size(); ++i)
+        expect_same_index(*built[i], i % 2 == 0 ? want_a : want_b);
+}
+
+// --- Non-finite points -----------------------------------------------------
+
+/// 120 grouped points in 128 dims (engaged at k = 48: 120 > 96) with
+/// non-finite coordinates planted per `plant`.  Each point is scaled by
+/// one of 40 random levels, so sketch norms spread far beyond the query
+/// radii (the norm band is selective) and do not follow point ids.
+std::vector<std::vector<float>> planted_points(
+    const std::vector<std::pair<std::size_t, float>>& plant) {
+    auto points = grouped_gradients(6, 20, 128, 23);
+    Rng rng(29);
+    for (auto& point : points) {
+        const auto scale =
+            static_cast<float>(1.0 + 0.25 * static_cast<double>(
+                                                rng.uniform_int(0, 39)));
+        for (auto& v : point) v *= scale;
+    }
+    for (std::size_t p = 0; p < plant.size(); ++p)
+        points[plant[p].first][3 * p + 1] = plant[p].second;
+    return points;
+}
+
+/// Every k-distance query returns, and every radius query equals the
+/// brute-force distance scan.
+void expect_queries_terminate_and_match(const cl::RandomProjectionIndex& index) {
+    const std::size_t n = index.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{3}, n / 2, n - 1})
+            static_cast<void>(index.kth_distance(i, k));
+        for (const double eps : {0.5, 5.0,
+                                 std::numeric_limits<double>::infinity()}) {
+            std::vector<std::size_t> brute;
+            for (std::size_t j = 0; j < n; ++j)
+                if (index.distance(i, j) <= eps) brute.push_back(j);
+            EXPECT_EQ(index.neighbors_within(i, eps), brute)
+                << "point " << i << " eps " << eps;
+        }
+    }
+}
+
+TEST(RandomProjectionIndex, OneInfinitePointKeepsKthDistanceExact) {
+    // One +inf coordinate: its sketch norm is +inf, every other distance
+    // stays finite, so the pruned k-distance must still be the exact
+    // order statistic -- and the finite point next to it in norm order
+    // must not walk the exhausted low side.
+    const float inf = std::numeric_limits<float>::infinity();
+    const auto points = planted_points({{40, inf}});
+    cl::IndexParams params;
+    params.metric = cl::Metric::kEuclidean;
+    const cl::RandomProjectionIndex index(points, params);
+    ASSERT_FALSE(index.exact());
+    ASSERT_EQ(index.sketch_dims(), 48U);
+    expect_queries_terminate_and_match(index);
+    for (std::size_t i = 0; i < index.size(); ++i) {
+        std::vector<double> row(index.size());
+        for (std::size_t j = 0; j < row.size(); ++j)
+            row[j] = index.distance(i, j);
+        std::sort(row.begin(), row.end());
+        for (const std::size_t k : {std::size_t{0}, std::size_t{5},
+                                    std::size_t{118}, std::size_t{119}})
+            EXPECT_EQ(index.kth_distance(i, k), row[k]) << i << "," << k;
+    }
+}
+
+TEST(RandomProjectionIndex, NonFinitePointsNeverStallQueries) {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const auto points = planted_points(
+        {{3, inf}, {17, -inf}, {40, nan}, {41, inf}, {41, -inf}, {90, nan},
+         {119, inf}});
+    for (const auto metric : {cl::Metric::kEuclidean, cl::Metric::kCosine}) {
+        cl::IndexParams params;
+        params.metric = metric;
+        const cl::RandomProjectionIndex index(points, params);
+        ASSERT_FALSE(index.exact());
+        expect_queries_terminate_and_match(index);
+    }
+}
+
+TEST(IdentifyContributions, NonFiniteUpdatesReturnUnderTheSketchIndex) {
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const auto points =
+        planted_points({{3, inf}, {17, -inf}, {40, nan}, {119, inf}});
+    std::vector<fairbfl::fl::GradientUpdate> updates(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        updates[i].client = static_cast<fairbfl::fl::NodeId>(i);
+        updates[i].weights = points[i];
+    }
+    fairbfl::incentive::ContributionConfig config;
+    config.index = "random_projection";
+    const auto report = fairbfl::incentive::identify_contributions(
+        updates, fairbfl::fl::simple_average(updates), config);
+    EXPECT_EQ(report.index_backend, "random_projection");
+    EXPECT_EQ(report.entries.size(), updates.size());
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "cluster/index_cache.hpp"
 #include "fl/aggregation.hpp"
 #include "incentive/contribution.hpp"
+#include "support/projection.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -76,22 +77,39 @@ void expect_same_distances(const cl::GradientIndex& got,
 }
 
 TEST(RandomProjectionIndex, UpdateEqualsRebuildBitForBit) {
-    // Engaged sketch: n = 60 > 2k = 24.  Three rounds of drift; each
+    // Engaged sketch: n = 60 > 2k = 24.  Four rounds of drift; each
     // round flags exactly the points that moved (a strict subset, then
-    // everyone), and the maintained index must equal a fresh build over
-    // the current points -- same projection seed, same arithmetic.
+    // everyone, then a non-contiguous set straddling every projection
+    // chunk boundary), and the maintained index must equal a fresh build
+    // over the current points -- same projection seed, same arithmetic.
+    constexpr std::size_t kChunk = fairbfl::support::kProjectChunk;
     cl::IndexParams params;
     params.metric = cl::Metric::kEuclidean;
     params.projection_dims = 12;
     auto points = grouped_gradients(6, 10, 256, 31);
+    ASSERT_GT(points.size(), 2 * kChunk);
     cl::RandomProjectionIndex maintained(points, params);
     ASSERT_TRUE(maintained.supports_update());
 
     Rng rng(32);
-    for (std::size_t round = 0; round < 3; ++round) {
+    for (std::size_t round = 0; round < 4; ++round) {
         std::vector<std::uint8_t> moved(points.size(), 0);
-        for (std::size_t i = 0; i < points.size(); ++i)
-            moved[i] = round == 2 || i % 3 == round ? 1 : 0;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            if (round < 3) {
+                moved[i] = round == 2 || i % 3 == round ? 1 : 0;
+            } else {
+                // Both sides of every chunk boundary, plus a stride.
+                const std::size_t phase = i % kChunk;
+                moved[i] = phase == 0 || phase == kChunk - 1 || i % 7 == 3;
+            }
+        }
+        if (round == 3) {
+            // More movers than two chunks, ending in a partial chunk.
+            const auto movers = static_cast<std::size_t>(
+                std::count(moved.begin(), moved.end(), 1));
+            ASSERT_GT(movers, 2 * kChunk);
+            ASSERT_NE(movers % kChunk, 0U);
+        }
         points = drifted(points, moved, 0.02, rng);
         ASSERT_TRUE(maintained.update(points, moved));
         const cl::RandomProjectionIndex rebuilt(points, params);
