@@ -3,6 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 
@@ -19,7 +21,28 @@ void BM_Sha256Throughput(benchmark::State& state) {
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             state.range(0));
 }
-BENCHMARK(BM_Sha256Throughput)->Arg(64)->Arg(1024)->Arg(65536);
+// 31400 bytes: a gradient transaction's 7850-float payload.
+BENCHMARK(BM_Sha256Throughput)->Arg(64)->Arg(1024)->Arg(31400)->Arg(65536);
+
+// The block compressor alone over 490 blocks (the whole blocks of that
+// 31400-byte payload): the portable round loop vs the compressor Sha256
+// dispatches to (SHA-NI where CPUID reports it).
+void BM_Sha256Blocks(benchmark::State& state,
+                     support::simd::Sha256Blocks compress) {
+    constexpr std::size_t kBlocks = 490;
+    const std::vector<std::uint8_t> data(kBlocks * 64, 0xAB);
+    std::array<std::uint32_t, 8> words{};
+    for (auto _ : state) {
+        compress(words.data(), data.data(), kBlocks);
+        benchmark::DoNotOptimize(words);
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK_CAPTURE(BM_Sha256Blocks, portable,
+                  crypto::detail::portable_sha256_blocks());
+BENCHMARK_CAPTURE(BM_Sha256Blocks, dispatched,
+                  crypto::detail::sha256_blocks());
 
 void BM_BigUintMul(benchmark::State& state) {
     support::Rng rng(1);

@@ -55,8 +55,9 @@ Bytes Block::encode() const {
 Block Block::decode(ByteReader& reader) {
     Block block;
     block.header = BlockHeader::decode(reader);
+    // No reserve(count): the count is unchecked input, and a hostile one
+    // must end in the reader's std::out_of_range, not a huge allocation.
     const std::uint32_t count = reader.u32();
-    block.transactions.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i)
         block.transactions.push_back(Transaction::decode(reader));
     return block;

@@ -42,6 +42,8 @@ struct Block {
     [[nodiscard]] bool merkle_consistent() const;
 
     [[nodiscard]] Bytes encode() const;
+    /// Throws what Transaction::decode throws; a transaction count beyond
+    /// the input ends in std::out_of_range.
     [[nodiscard]] static Block decode(ByteReader& reader);
     /// Serialized size (drives propagation delay and block-size limits).
     [[nodiscard]] std::size_t size_bytes() const;

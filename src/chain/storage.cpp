@@ -25,9 +25,10 @@ std::vector<Block> parse_chain(std::span<const std::uint8_t> data) {
         throw std::runtime_error("parse_chain: bad magic");
     if (reader.u32() != kVersion)
         throw std::runtime_error("parse_chain: unsupported version");
+    // No reserve(count): the count is unchecked input, and a hostile one
+    // must end in the reader's std::out_of_range, not a huge allocation.
     const std::uint32_t count = reader.u32();
     std::vector<Block> blocks;
-    blocks.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i)
         blocks.push_back(Block::decode(reader));
     if (!reader.exhausted())

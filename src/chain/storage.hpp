@@ -18,7 +18,10 @@ namespace fairbfl::chain {
 [[nodiscard]] Bytes export_chain(const Blockchain& chain);
 
 /// Parses an exported chain back into its block sequence.  Throws
-/// std::out_of_range / std::runtime_error on malformed input.
+/// std::out_of_range on truncated input (a block or transaction count
+/// beyond the bytes included), std::invalid_argument on an unknown
+/// transaction kind, and std::runtime_error on a bad magic, version or
+/// trailing bytes.
 [[nodiscard]] std::vector<Block> parse_chain(std::span<const std::uint8_t> data);
 
 /// Rebuilds a Blockchain by re-submitting every parsed block in order,

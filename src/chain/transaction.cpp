@@ -24,8 +24,11 @@ Bytes Transaction::encode() const {
 }
 
 Transaction Transaction::decode(ByteReader& reader) {
+    const std::uint8_t kind = reader.u8();
+    if (kind > static_cast<std::uint8_t>(TxKind::kPayload))
+        throw std::invalid_argument("Transaction::decode: unknown kind");
     Transaction tx;
-    tx.kind = static_cast<TxKind>(reader.u8());
+    tx.kind = static_cast<TxKind>(kind);
     tx.origin = reader.u32();
     tx.round = reader.u64();
     tx.payload = reader.blob();

@@ -39,6 +39,8 @@ struct Transaction {
     [[nodiscard]] Bytes signing_bytes() const;
     /// Full canonical encoding (including signature).
     [[nodiscard]] Bytes encode() const;
+    /// Throws std::out_of_range on truncated input and
+    /// std::invalid_argument on a kind byte beyond TxKind::kPayload.
     [[nodiscard]] static Transaction decode(ByteReader& reader);
 
     /// Transaction id: SHA-256 over the full encoding.

@@ -1,5 +1,6 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -24,7 +25,75 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) noexcept {
     return std::rotr(x, n);
 }
 
+void portable_blocks(std::uint32_t* state, const std::uint8_t* data,
+                     std::size_t blocks) {
+    for (; blocks > 0; --blocks, data += 64) {
+        std::array<std::uint32_t, 64> w;
+        for (std::size_t i = 0; i < 16; ++i) {
+            w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+                   (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+                   (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+                   static_cast<std::uint32_t>(data[4 * i + 3]);
+        }
+        for (std::size_t i = 16; i < 64; ++i) {
+            const std::uint32_t s0 =
+                rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+            const std::uint32_t s1 =
+                rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
+
+        std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                      e = state[4], f = state[5], g = state[6], h = state[7];
+        for (std::size_t i = 0; i < 64; ++i) {
+            const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+            const std::uint32_t ch = (e & f) ^ (~e & g);
+            const std::uint32_t temp1 =
+                h + s1 + ch + kRoundConstants[i] + w[i];
+            const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+            const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+            const std::uint32_t temp2 = s0 + maj;
+            h = g;
+            g = f;
+            f = e;
+            e = d + temp1;
+            d = c;
+            c = b;
+            b = a;
+            a = temp1 + temp2;
+        }
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
+    }
+}
+
 }  // namespace
+
+namespace detail {
+
+support::simd::Sha256Blocks portable_sha256_blocks() noexcept {
+    return portable_blocks;
+}
+
+support::simd::Sha256Blocks sha256_blocks() noexcept {
+    // Decided once per process, on first use.
+    static const support::simd::Sha256Blocks chosen = [] {
+        const support::simd::Sha256Blocks sha_ni =
+            support::simd::detail::sha_ni_sha256_blocks();
+        return sha_ni != nullptr && support::simd::cpu_supports_sha()
+                   ? sha_ni
+                   : portable_blocks;
+    }();
+    return chosen;
+}
+
+}  // namespace detail
 
 void Sha256::reset() noexcept {
     state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -37,24 +106,28 @@ void Sha256::update(std::span<const std::uint8_t> data) noexcept {
     // An empty span may carry a null pointer, which memcpy must not see.
     if (data.empty()) return;
     total_bits_ += static_cast<std::uint64_t>(data.size()) * 8;
-    std::size_t offset = 0;
+    const std::uint8_t* in = data.data();
+    std::size_t left = data.size();
+    const support::simd::Sha256Blocks compress = detail::sha256_blocks();
     if (buffer_len_ > 0) {
-        const std::size_t take = std::min(data.size(), 64 - buffer_len_);
-        std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
+        const std::size_t take = std::min(left, 64 - buffer_len_);
+        std::memcpy(buffer_.data() + buffer_len_, in, take);
         buffer_len_ += take;
-        offset += take;
-        if (buffer_len_ == 64) {
-            process_block(buffer_.data());
-            buffer_len_ = 0;
-        }
+        in += take;
+        left -= take;
+        if (buffer_len_ < 64) return;
+        compress(state_.data(), buffer_.data(), 1);
+        buffer_len_ = 0;
     }
-    while (offset + 64 <= data.size()) {
-        process_block(data.data() + offset);
-        offset += 64;
+    // Every whole block of the input in one call.
+    if (left >= 64) {
+        compress(state_.data(), in, left / 64);
+        in += left - left % 64;
+        left %= 64;
     }
-    if (offset < data.size()) {
-        buffer_len_ = data.size() - offset;
-        std::memcpy(buffer_.data(), data.data() + offset, buffer_len_);
+    if (left > 0) {
+        std::memcpy(buffer_.data(), in, left);
+        buffer_len_ = left;
     }
 }
 
@@ -64,24 +137,17 @@ void Sha256::update(std::string_view text) noexcept {
 }
 
 Digest Sha256::finish() noexcept {
-    const std::uint64_t bits = total_bits_;
-    // Padding: 0x80, zeros, then the 64-bit big-endian bit count.
-    const std::uint8_t pad_start = 0x80;
-    update(std::span<const std::uint8_t>(&pad_start, 1));
-    total_bits_ -= 8;  // padding is not message content
-    static constexpr std::array<std::uint8_t, 64> zeros{};
-    while (buffer_len_ != 56) {
-        const std::size_t gap = buffer_len_ < 56 ? 56 - buffer_len_
-                                                 : 64 - buffer_len_ + 56;
-        const std::size_t take = std::min<std::size_t>(gap, 64);
-        update(std::span<const std::uint8_t>(zeros.data(), take));
-        total_bits_ -= static_cast<std::uint64_t>(take) * 8;
-    }
-    std::array<std::uint8_t, 8> length_bytes{};
+    // Padding: the buffered bytes, 0x80, zeros, then the 64-bit big-endian
+    // bit count, filling one block when the count fits after the 0x80
+    // (at most 55 bytes buffered) and two otherwise, compressed at once.
+    std::array<std::uint8_t, 128> tail{};
+    std::memcpy(tail.data(), buffer_.data(), buffer_len_);
+    tail[buffer_len_] = 0x80;
+    const std::size_t blocks = buffer_len_ < 56 ? 1 : 2;
+    std::uint8_t* length = tail.data() + 64 * blocks - 8;
     for (int i = 0; i < 8; ++i)
-        length_bytes[static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-    update(length_bytes);
+        length[i] = static_cast<std::uint8_t>(total_bits_ >> (56 - 8 * i));
+    detail::sha256_blocks()(state_.data(), tail.data(), blocks);
 
     Digest digest{};
     for (std::size_t i = 0; i < 8; ++i) {
@@ -91,49 +157,6 @@ Digest Sha256::finish() noexcept {
         digest[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
     }
     return digest;
-}
-
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-    std::array<std::uint32_t, 64> w;
-    for (std::size_t i = 0; i < 16; ++i) {
-        w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-               (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-               (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-               static_cast<std::uint32_t>(block[4 * i + 3]);
-    }
-    for (std::size_t i = 16; i < 64; ++i) {
-        const std::uint32_t s0 =
-            rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-        const std::uint32_t s1 =
-            rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    auto [a, b, c, d, e, f, g, h] = state_;
-    for (std::size_t i = 0; i < 64; ++i) {
-        const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-        const std::uint32_t ch = (e & f) ^ (~e & g);
-        const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-        const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-        const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        const std::uint32_t temp2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + temp1;
-        d = c;
-        c = b;
-        b = a;
-        a = temp1 + temp2;
-    }
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
 }
 
 Digest Sha256::hash(std::span<const std::uint8_t> data) noexcept {

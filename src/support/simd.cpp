@@ -4,6 +4,10 @@
 #include <cstdlib>
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 namespace fairbfl::support::simd {
 
 namespace {
@@ -317,6 +321,19 @@ const KernelTable* resolve_from_env() noexcept {
 bool cpu_supports_avx2_fma() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+    return false;
+#endif
+}
+
+bool cpu_supports_sha() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+    // SHA is CPUID.(EAX=7, ECX=0):EBX[29], read directly: not every
+    // supported compiler accepts "sha" in __builtin_cpu_supports.
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    return __builtin_cpu_supports("sse4.1") &&
+           __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+           (ebx & bit_SHA) != 0;
 #else
     return false;
 #endif

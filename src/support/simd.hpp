@@ -39,10 +39,16 @@
 // the "kernels.dispatch" telemetry counter (0 = scalar, 1 = avx2) so
 // perf artifacts can attribute a fast run to the table that served it.
 //
+// Outside the table, the SHA-256 block compressor has an ISA body too:
+// src/support/simd_sha.cpp, built with -msha -msse4.1 in its own TU.
+// crypto/sha256.cpp picks it once per process by cpu_supports_sha() and
+// the accessor below; a hash has one right answer, so there is no knob.
+//
 // docs/ARCHITECTURE.md ("Kernel dispatch & the tolerance-pin convention")
 // carries the how-to for adding another variant.
 
 #include <cstddef>
+#include <cstdint>
 
 namespace fairbfl::support::simd {
 
@@ -72,6 +78,12 @@ using GemvRows = void (*)(const float* a, std::size_t rows, std::size_t cols,
 using OuterAccumulateRows = void (*)(const float* d, const float* const* xs,
                                      std::size_t count, std::size_t rows,
                                      std::size_t cols, float* y);
+
+/// SHA-256 compression of `blocks` consecutive 64-byte blocks at `data`
+/// into the eight-word state a..h (FIPS 180-4, section 6.2.2, steps 1-4
+/// per block).
+using Sha256Blocks = void (*)(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t blocks);
 
 /// One resolved kernel set.  Raw pointers + sizes (not spans) so the
 /// `-march`-gated TU needs nothing from the rest of the tree and the
@@ -130,6 +142,10 @@ struct KernelTable {
 
 /// True when this CPU can run the AVX2+FMA table (always false off x86).
 [[nodiscard]] bool cpu_supports_avx2_fma() noexcept;
+
+/// True when this CPU has the SHA extensions and SSE4.1 that the SHA-NI
+/// compressor needs (always false off x86).
+[[nodiscard]] bool cpu_supports_sha() noexcept;
 
 /// Selects the table for `mode` (probing the CPU for kSimd/kAuto) and
 /// makes it the active one.  Thread-safe; emits the dispatch telemetry
@@ -192,6 +208,11 @@ namespace detail {
 /// add).  Callers must also check cpu_supports_avx2_fma().
 [[nodiscard]] GemvRows lane_exact_gemv_rows() noexcept;
 [[nodiscard]] OuterAccumulateRows lane_exact_outer_accumulate_rows() noexcept;
+/// The SHA-NI SHA-256 compressor (defined in simd_sha.cpp), or nullptr
+/// when the build lacks that TU's -msha -msse4.1.  Its digests equal the
+/// portable round loop's (crypto::detail::portable_sha256_blocks).
+/// Callers must also check cpu_supports_sha().
+[[nodiscard]] Sha256Blocks sha_ni_sha256_blocks() noexcept;
 }  // namespace detail
 
 }  // namespace fairbfl::support::simd

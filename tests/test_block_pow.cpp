@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "chain/block.hpp"
 #include "chain/pow.hpp"
 
@@ -36,6 +38,24 @@ TEST(Block, EncodeDecodeRoundTrip) {
     ch::ByteReader reader(encoded);
     EXPECT_EQ(ch::Block::decode(reader), block);
     EXPECT_TRUE(reader.exhausted());
+}
+
+TEST(Block, HostileTxCountIsTruncationNotAllocation) {
+    // A header, then a transaction count of 0xFFFFFFFF and no transactions:
+    // the count must not size an allocation before the bytes back it.
+    const ch::Block block = make_test_block();
+    auto bytes = block.header.encode();
+    bytes.insert(bytes.end(), {0xFF, 0xFF, 0xFF, 0xFF});
+    ch::ByteReader reader(bytes);
+    EXPECT_THROW((void)ch::Block::decode(reader), std::out_of_range);
+    // A real block with its count inflated runs out after the last one.
+    auto inflated = block.encode();
+    const std::size_t count_at = block.header.encode().size();
+    std::fill(inflated.begin() + static_cast<std::ptrdiff_t>(count_at),
+              inflated.begin() + static_cast<std::ptrdiff_t>(count_at + 4),
+              0xFF);
+    ch::ByteReader inflated_reader(inflated);
+    EXPECT_THROW((void)ch::Block::decode(inflated_reader), std::out_of_range);
 }
 
 TEST(Block, SizeBytesMatchesEncoding) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "chain/storage.hpp"
@@ -69,6 +70,34 @@ TEST(Storage, ParseRejectsGarbage) {
     auto bytes = ch::export_chain(build_chain(1));
     bytes.push_back(0);
     EXPECT_THROW((void)ch::parse_chain(bytes), std::runtime_error);
+}
+
+TEST(Storage, HostileBlockCountIsTruncationNotAllocation) {
+    // Magic and version, then a block count of 0xFFFFFFFF and no blocks:
+    // the count must not size an allocation before the bytes back it.
+    const auto exported = ch::export_chain(build_chain(2));
+    std::vector<std::uint8_t> bytes(exported.begin(), exported.begin() + 8);
+    bytes.insert(bytes.end(), {0xFF, 0xFF, 0xFF, 0xFF});
+    EXPECT_THROW((void)ch::parse_chain(bytes), std::out_of_range);
+    EXPECT_FALSE(ch::import_chain(bytes, 77).has_value());
+    // A real chain with its count inflated runs out after the last block.
+    auto inflated = exported;
+    std::fill(inflated.begin() + 8, inflated.begin() + 12, 0xFF);
+    EXPECT_THROW((void)ch::parse_chain(inflated), std::out_of_range);
+}
+
+TEST(Storage, UnknownTransactionKindRejected) {
+    const ch::Blockchain chain = build_chain(1);
+    auto bytes = ch::export_chain(chain);
+    // Block 1's only transaction starts after the file header, the
+    // genesis block, block 1's header and its transaction count.
+    const std::size_t kind_at = 12 + chain.at(0).encode().size() +
+                                chain.at(1).header.encode().size() + 4;
+    ASSERT_EQ(bytes.at(kind_at),
+              static_cast<std::uint8_t>(ch::TxKind::kGlobalUpdate));
+    bytes[kind_at] = 0xEE;
+    EXPECT_THROW((void)ch::parse_chain(bytes), std::invalid_argument);
+    EXPECT_FALSE(ch::import_chain(bytes, 77).has_value());
 }
 
 TEST(Storage, SignatureRevalidationOnImport) {

@@ -23,6 +23,27 @@ TEST(Transaction, EncodeDecodeRoundTrip) {
     EXPECT_TRUE(reader.exhausted());
 }
 
+TEST(Transaction, DecodeRejectsUnknownKinds) {
+    // The kind is the encoding's first byte: 0-3 name a TxKind and
+    // round-trip, every other value is rejected before it can be hashed,
+    // signed or sealed.
+    const auto encoded = sample_tx().encode();
+    for (int kind = 0; kind < 256; ++kind) {
+        auto bytes = encoded;
+        bytes[0] = static_cast<std::uint8_t>(kind);
+        ch::ByteReader reader(bytes);
+        if (kind <= static_cast<int>(ch::TxKind::kPayload)) {
+            const ch::Transaction tx = ch::Transaction::decode(reader);
+            EXPECT_EQ(static_cast<int>(tx.kind), kind);
+            EXPECT_EQ(tx.encode(), bytes);
+        } else {
+            EXPECT_THROW((void)ch::Transaction::decode(reader),
+                         std::invalid_argument)
+                << "kind " << kind;
+        }
+    }
+}
+
 TEST(Transaction, SizeBytesMatchesEncoding) {
     const ch::Transaction tx = sample_tx();
     EXPECT_EQ(tx.size_bytes(), tx.encode().size());
