@@ -33,6 +33,7 @@
 #include "support/cli.hpp"
 #include "support/fault_plan.hpp"
 #include "support/simd.hpp"
+#include "telemetry/telemetry.hpp"
 
 using namespace fairbfl;
 
@@ -58,9 +59,7 @@ std::vector<std::size_t> parse_sweep(const std::string& csv) {
 }
 
 /// Per-stage wall-clock totals summed over a sweep point's rounds (peak
-/// for the bytes).  Bench-local on purpose: the JSON schema below is
-/// pinned to these fields, not to the deprecated core::StageWall shim,
-/// so the bench survives the shim's removal unchanged.
+/// for the bytes).  The JSON schema below is pinned to these fields.
 struct StageTotals {
     double local = 0.0;
     double cluster = 0.0;
@@ -77,6 +76,34 @@ struct StageTotals {
 
     [[nodiscard]] double total() const noexcept {
         return local + cluster + aggregate + mine;
+    }
+
+    /// Adds one round's telemetry harvest.  The label -> field mapping is
+    /// the one telemetry::to_json applies to a decoded dump:
+    ///   local, cluster, aggregate, mine <- spans "round.local",
+    ///       "round.cluster", "round.aggregate", "round.mine"
+    ///   index_build      <- span "cluster.index_build"
+    ///   cluster_shards   <- span "cluster.shard_pass"
+    ///   cluster_root     <- span "cluster.root_pass"
+    ///   index_peak_bytes <- max counter "cluster.index_bytes"
+    ///   wait_quorum      <- sum counter "round.wait_quorum_ns" (virtual
+    ///                       ns, converted to seconds per round)
+    ///   late_updates     <- sum counter "round.late_updates"
+    void add(const telemetry::RoundStats& stats) {
+        local += stats.seconds_of("round.local");
+        cluster += stats.seconds_of("round.cluster");
+        aggregate += stats.seconds_of("round.aggregate");
+        mine += stats.seconds_of("round.mine");
+        index_build += stats.seconds_of("cluster.index_build");
+        cluster_shards += stats.seconds_of("cluster.shard_pass");
+        cluster_root += stats.seconds_of("cluster.root_pass");
+        index_peak_bytes = std::max(
+            index_peak_bytes,
+            static_cast<std::size_t>(stats.max_of("cluster.index_bytes")));
+        wait_quorum +=
+            static_cast<double>(stats.sum_of("round.wait_quorum_ns")) * 1e-9;
+        late_updates +=
+            static_cast<std::size_t>(stats.sum_of("round.late_updates"));
     }
 };
 
@@ -239,19 +266,7 @@ int main(int argc, char** argv) {
             fl::ShardTree(spec.fair.incentive.sharding).shard_count(clients);
         point.run_seconds = std::chrono::duration<double>(t1 - t0).count();
         point.final_accuracy = run.final_accuracy;
-        for (const auto& p : run.series) {
-            point.total.local += p.wall.local;
-            point.total.cluster += p.wall.cluster;
-            point.total.index_build += p.wall.index_build;
-            point.total.cluster_shards += p.wall.cluster_shards;
-            point.total.cluster_root += p.wall.cluster_root;
-            point.total.aggregate += p.wall.aggregate;
-            point.total.mine += p.wall.mine;
-            point.total.index_peak_bytes = std::max(
-                point.total.index_peak_bytes, p.wall.index_peak_bytes);
-            point.total.wait_quorum += p.wall.wait_quorum;
-            point.total.late_updates += p.wall.late_updates;
-        }
+        for (const auto& p : run.series) point.total.add(p.stats);
         points.push_back(point);
         std::fprintf(stderr,
                      "# n=%-4zu local=%.4fs cluster=%.4fs (index=%.4fs, "

@@ -10,8 +10,10 @@
 //       [--save-chain=chain.bin] [--csv=out.csv]
 
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <optional>
 
 #include "chain/storage.hpp"
 #include "core/system.hpp"
@@ -25,22 +27,25 @@ using namespace fairbfl;
 
 namespace {
 
-ml::PartitionScheme parse_partition(const std::string& name) {
+std::optional<ml::PartitionScheme> parse_partition(const std::string& name) {
     if (name == "iid") return ml::PartitionScheme::kIid;
     if (name == "shards") return ml::PartitionScheme::kLabelShards;
     if (name == "dirichlet") return ml::PartitionScheme::kDirichlet;
-    std::fprintf(stderr, "unknown partition '%s', using shards\n",
-                 name.c_str());
-    return ml::PartitionScheme::kLabelShards;
+    return std::nullopt;
 }
 
-core::AttackKind parse_attack(const std::string& name) {
+std::optional<core::AttackKind> parse_attack(const std::string& name) {
     if (name == "none") return core::AttackKind::kNone;
     if (name == "signflip") return core::AttackKind::kSignFlip;
     if (name == "gaussian") return core::AttackKind::kGaussian;
     if (name == "scale") return core::AttackKind::kScale;
-    std::fprintf(stderr, "unknown attack '%s', using none\n", name.c_str());
-    return core::AttackKind::kNone;
+    return std::nullopt;
+}
+
+std::optional<core::ModelKind> parse_model(const std::string& name) {
+    if (name == "logistic") return core::ModelKind::kLogistic;
+    if (name == "mlp") return core::ModelKind::kMlp;
+    return std::nullopt;
 }
 
 /// Historic CLI aliases for registry keys.
@@ -50,9 +55,7 @@ std::string registry_key(const std::string& system) {
     return system;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
     support::CliArgs args(argc, argv);
     if (args.help_requested()) {
         std::puts(
@@ -125,13 +128,10 @@ int main(int argc, char** argv) {
     env_config.data.feature_dim =
         static_cast<std::size_t>(args.get_int("dim", 64));
     env_config.data.seed = seed;
-    env_config.partition.scheme =
-        parse_partition(args.get_string("partition", "shards"));
+    const std::string partition = args.get_string("partition", "shards");
     env_config.partition.num_clients = clients;
     env_config.partition.seed = seed;
-    env_config.model = args.get_string("model", "logistic") == "mlp"
-                           ? core::ModelKind::kMlp
-                           : core::ModelKind::kLogistic;
+    const std::string model = args.get_string("model", "logistic");
     env_config.mlp_hidden =
         static_cast<std::size_t>(args.get_int("hidden", 32));
 
@@ -144,8 +144,8 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(args.get_int("batch", 10));
     fl_config.seed = seed;
 
+    const std::string attack_name = args.get_string("attack", "none");
     core::AttackConfig attack;
-    attack.kind = parse_attack(args.get_string("attack", "none"));
     attack.max_attackers =
         static_cast<std::size_t>(args.get_int("attackers", 3));
 
@@ -171,6 +171,32 @@ int main(int argc, char** argv) {
     const std::string trace_format =
         args.get_string("trace-format", "binary");
     if (!args.finish("fairbfl_sim")) return 1;
+    const auto partition_scheme = parse_partition(partition);
+    if (!partition_scheme) {
+        std::fprintf(stderr,
+                     "--partition: unknown scheme '%s' (known: iid shards "
+                     "dirichlet)\n",
+                     partition.c_str());
+        return 1;
+    }
+    env_config.partition.scheme = *partition_scheme;
+    const auto model_kind = parse_model(model);
+    if (!model_kind) {
+        std::fprintf(stderr,
+                     "--model: unknown model '%s' (known: logistic mlp)\n",
+                     model.c_str());
+        return 1;
+    }
+    env_config.model = *model_kind;
+    const auto attack_kind = parse_attack(attack_name);
+    if (!attack_kind) {
+        std::fprintf(stderr,
+                     "--attack: unknown attack '%s' (known: none signflip "
+                     "gaussian scale)\n",
+                     attack_name.c_str());
+        return 1;
+    }
+    attack.kind = *attack_kind;
     if (!kernels.empty() &&
         !support::simd::set_mode_name(kernels.c_str())) {
         std::fprintf(stderr,
@@ -343,4 +369,18 @@ int main(int argc, char** argv) {
         }
     }
     return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+    // Invalid settings the flag checks above cannot see (zero clients, an
+    // unreadable dataset, ...) surface as exceptions from the library:
+    // report them and fail instead of aborting.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception& error) {
+        std::fprintf(stderr, "fairbfl_sim: %s\n", error.what());
+        return 1;
+    }
 }

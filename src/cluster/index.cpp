@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "support/rng.hpp"
@@ -52,12 +51,6 @@ double GradientIndex::kth_distance(std::size_t i, std::size_t k) const {
     std::nth_element(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(k),
                      row.end());
     return row[k];
-}
-
-bool GradientIndex::update(std::span<const std::vector<float>> /*points*/,
-                           std::span<const std::uint8_t> /*moved*/,
-                           support::ThreadPool& /*pool*/) {
-    return false;
 }
 
 // --- MatrixBackedIndex -----------------------------------------------------
@@ -134,27 +127,13 @@ RandomProjectionIndex::RandomProjectionIndex(
     }
     sketch_dims_ = k;
     projection_ = support::gaussian_projection(dim, k, params.seed);
+    std::vector<const float*> rows(n_);
+    for (std::size_t i = 0; i < n_; ++i) rows[i] = points[i].data();
     sketches_.resize(n_ * k);
+    support::project_rows(*projection_, rows, sketches_, pool);
     norms_.resize(n_);
-    std::vector<std::size_t> ids(n_);
-    std::iota(ids.begin(), ids.end(), std::size_t{0});
-    resketch(points, ids, pool);
+    for (std::size_t i = 0; i < n_; ++i) norms_[i] = sketch_norm(sketch(i));
     sort_by_norm();
-}
-
-void RandomProjectionIndex::resketch(
-    std::span<const std::vector<float>> points,
-    std::span<const std::size_t> ids, support::ThreadPool& pool) {
-    std::vector<const float*> rows(ids.size());
-    for (std::size_t m = 0; m < ids.size(); ++m)
-        rows[m] = points[ids[m]].data();
-    std::vector<float> fresh(ids.size() * sketch_dims_);
-    support::project_rows(*projection_, rows, fresh, pool);
-    for (std::size_t m = 0; m < ids.size(); ++m) {
-        std::copy_n(fresh.data() + m * sketch_dims_, sketch_dims_,
-                    sketches_.data() + ids[m] * sketch_dims_);
-        norms_[ids[m]] = sketch_norm(sketch(ids[m]));
-    }
 }
 
 void RandomProjectionIndex::sort_by_norm() {
@@ -330,21 +309,6 @@ std::size_t RandomProjectionIndex::storage_bytes() const noexcept {
            projection_->rows.size() * sizeof(float);
 }
 
-bool RandomProjectionIndex::update(std::span<const std::vector<float>> points,
-                                   std::span<const std::uint8_t> moved,
-                                   support::ThreadPool& pool) {
-    if (fallback_ || n_ == 0) return false;
-    if (points.size() != n_ || moved.size() != n_) return false;
-    std::vector<std::size_t> movers;
-    for (std::size_t i = 0; i < n_; ++i) {
-        if (points[i].size() != projection_->in_dim) return false;
-        if (moved[i] != 0) movers.push_back(i);
-    }
-    resketch(points, movers, pool);
-    sort_by_norm();
-    return true;
-}
-
 // --- SampledIndex ----------------------------------------------------------
 
 SampledIndex::SampledIndex(std::span<const std::vector<float>> points,
@@ -362,14 +326,6 @@ SampledIndex::SampledIndex(std::span<const std::vector<float>> points,
     auto rng = support::Rng::fork(params.seed, /*stream=*/0x51A4);
     pivot_ids_ = rng.sample_indices(n_, pivots_);
 
-    // Owned pivot copies: signatures are *defined* as exact distances to
-    // these copies, which is what keeps incremental update() consistent --
-    // a pivot whose gradient drifts below the refresh threshold keeps its
-    // old copy, and every signature stays exact against it.
-    pivot_points_.reserve(pivots_);
-    for (const std::size_t id : pivot_ids_)
-        pivot_points_.emplace_back(points[id].begin(), points[id].end());
-
     signatures_.resize(n_ * pivots_);
     support::parallel_for(
         0, n_,
@@ -377,7 +333,7 @@ SampledIndex::SampledIndex(std::span<const std::vector<float>> points,
             double* row = signatures_.data() + i * pivots_;
             for (std::size_t p = 0; p < pivots_; ++p)
                 row[p] = cluster::distance(metric_, points[i],
-                                           pivot_points_[p]);
+                                           points[pivot_ids_[p]]);
         },
         pool);
 }
@@ -390,42 +346,6 @@ void SampledIndex::distances_from(std::size_t i,
         return;
     }
     GradientIndex::distances_from(i, out);
-}
-
-bool SampledIndex::update(std::span<const std::vector<float>> points,
-                          std::span<const std::uint8_t> moved,
-                          support::ThreadPool& pool) {
-    if (pivots_ == 0) return false;
-    if (points.size() != n_ || moved.size() != n_) return false;
-    // Refresh the copies of moved pivots first: their column changes for
-    // *every* row (the signature invariant is "exact distance to the
-    // stored copy"), not just for moved points.
-    std::vector<std::size_t> moved_pivots;
-    for (std::size_t p = 0; p < pivots_; ++p) {
-        if (moved[pivot_ids_[p]] != 0) {
-            pivot_points_[p].assign(points[pivot_ids_[p]].begin(),
-                                    points[pivot_ids_[p]].end());
-            moved_pivots.push_back(p);
-        }
-    }
-    support::parallel_for(
-        0, n_,
-        [&](std::size_t i) {
-            double* row = signatures_.data() + i * pivots_;
-            if (moved[i] != 0) {
-                // Moved point: its whole profile is stale.
-                for (std::size_t p = 0; p < pivots_; ++p)
-                    row[p] = cluster::distance(metric_, points[i],
-                                               pivot_points_[p]);
-                return;
-            }
-            // Unmoved point: only the moved pivots' coordinates changed.
-            for (const std::size_t p : moved_pivots)
-                row[p] = cluster::distance(metric_, points[i],
-                                           pivot_points_[p]);
-        },
-        pool);
-    return true;
 }
 
 double SampledIndex::distance(std::size_t i, std::size_t j) const {

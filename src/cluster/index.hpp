@@ -67,13 +67,6 @@ struct IndexParams {
     /// Seed for the projection matrix / pivot sampling.  Affects index
     /// internals only, never the round's Rng streams.
     std::uint64_t seed = 42;
-    /// Incremental maintenance (IndexCache): relative L2 drift of a point
-    /// between rounds above which update() re-sketches it.  0 re-sketches
-    /// every point each round -- bit-identical to a from-scratch rebuild,
-    /// the equivalence the incremental tests pin.  Converged federated
-    /// gradients drift slowly, so a small threshold skips most of the
-    /// O(n d k) re-sketch work late in training.
-    double refresh_threshold = 0.02;
 };
 
 /// Read-only neighborhood structure over one round's point set (the n
@@ -132,28 +125,6 @@ public:
     /// \param k order statistic, in [0, size()).
     [[nodiscard]] virtual double kth_distance(std::size_t i,
                                               std::size_t k) const;
-
-    /// True when update() can maintain this index across rounds instead of
-    /// a from-scratch rebuild.  False for the exact backends: rebuilding
-    /// them is the bit-pinned behavior the fixed-seed series rely on.
-    [[nodiscard]] virtual bool supports_update() const noexcept {
-        return false;
-    }
-
-    /// Incrementally re-points the index at `points` (same cardinality and
-    /// dimensionality as the build set), re-sketching only the positions
-    /// flagged in `moved`.  Returns false -- leaving the index unusable for
-    /// the new round, caller must rebuild -- when the backend cannot
-    /// update (default, or a break-even fallback holding a dense matrix).
-    /// With every position flagged the result is bit-identical to a
-    /// from-scratch rebuild over `points` (same params/seed).
-    /// \param points the new round's point set; same n and d as the build.
-    /// \param moved  per-point flags (nonzero = re-sketch), one per point.
-    /// \param pool   carries the re-sketch fan-out.
-    [[nodiscard]] virtual bool update(
-        std::span<const std::vector<float>> points,
-        std::span<const std::uint8_t> moved,
-        support::ThreadPool& pool = support::ThreadPool::global());
 
     /// True when distance() is the exact pairwise metric (no projection or
     /// sampling error).  Exactness-sensitive consumers (the theta scores)
@@ -307,11 +278,10 @@ private:
 ///
 /// The Gaussian matrix is shared, not owned: support::gaussian_projection
 /// hands every index with the same (d, k, seed) one matrix, so an index
-/// rebuilt every round draws it once per process.  Build and update() run
-/// one projection loop (support::project_rows: fixed chunks of points, one
-/// gemv_rows call each), which makes every sketch bitwise the per-point
-/// gemv and the index incrementally updatable across rounds (see
-/// GradientIndex::update).
+/// rebuilt every round draws it once per process.  The build projects the
+/// points straight into the sketch rows (support::project_rows: fixed
+/// chunks of points, one gemv_rows call each), which makes every sketch
+/// bitwise the per-point gemv.
 class RandomProjectionIndex final : public GradientIndex {
 public:
     /// Projects the points to sketches (or, below break-even, builds the
@@ -356,18 +326,6 @@ public:
     /// across indexes, but still counted against each one.
     [[nodiscard]] std::size_t storage_bytes() const noexcept override;
 
-    [[nodiscard]] bool supports_update() const noexcept override {
-        return !fallback_ && n_ > 0;
-    }
-    /// Re-projects the moved rows through the shared matrix and refreshes
-    /// their norms; O(moved * d k) instead of the full O(n d k) build.
-    /// Returns false when any point's width differs from the build's.
-    [[nodiscard]] bool update(
-        std::span<const std::vector<float>> points,
-        std::span<const std::uint8_t> moved,
-        support::ThreadPool& pool =
-            support::ThreadPool::global()) override;
-
     /// Sketch dimensionality actually used (0 when n == 0).
     [[nodiscard]] std::size_t sketch_dims() const noexcept {
         return sketch_dims_;
@@ -379,12 +337,7 @@ private:
         return std::span<const float>(sketches_).subspan(i * sketch_dims_,
                                                          sketch_dims_);
     }
-    /// Projects points[ids[m]] for every m through the shared matrix into
-    /// its sketch row and refreshes its norm (build and update).
-    void resketch(std::span<const std::vector<float>> points,
-                  std::span<const std::size_t> ids,
-                  support::ThreadPool& pool);
-    /// Re-sorts norm_order_ after the norms changed (build and update).
+    /// Sorts norm_order_ by the sketch norms.
     void sort_by_norm();
     /// Indices of norm_order_ whose norm lies within [lo, hi].
     [[nodiscard]] std::pair<std::size_t, std::size_t> norm_band(
@@ -397,7 +350,7 @@ private:
     std::vector<float> sketches_;      ///< n x k sketch rows, row-major
     std::vector<double> norms_;        ///< sketch L2 norms (band + cosine)
     std::vector<std::size_t> norm_order_;  ///< point ids ascending by norm
-    /// Shared per (d, k, seed); kept for update().
+    /// Shared per (d, k, seed); held so storage_bytes() counts it.
     std::shared_ptr<const support::ProjectionMatrix> projection_;
     DistanceMatrix dense_;             ///< break-even fallback storage
 };
@@ -418,12 +371,6 @@ private:
 /// the theta read-back reuses the rows): small rounds decide identically
 /// to "exact", and the O(n m) cap engages exactly where the matrix would
 /// outgrow it.
-///
-/// The index keeps owned copies of the pivot gradients, which makes the
-/// signature table incrementally maintainable across rounds: update()
-/// refreshes the columns of moved pivots and the rows of moved points,
-/// leaving the signatures always equal to exact distances against the
-/// stored pivot copies.
 class SampledIndex final : public GradientIndex {
 public:
     /// Samples the pivots and fills the signature table.
@@ -455,18 +402,6 @@ public:
         return pivots_ == 0 && n_ > 0;
     }
 
-    [[nodiscard]] bool supports_update() const noexcept override {
-        return pivots_ > 0;
-    }
-    /// Refreshes moved pivots' columns (their copies changed for everyone)
-    /// and moved points' rows; O((moved_pivots * n + moved_points * m) d)
-    /// instead of the full O(n m d) build.
-    [[nodiscard]] bool update(
-        std::span<const std::vector<float>> points,
-        std::span<const std::uint8_t> moved,
-        support::ThreadPool& pool =
-            support::ThreadPool::global()) override;
-
     /// Pivot count actually in use; 0 in the small-n dense fallback.
     [[nodiscard]] std::size_t pivot_count() const noexcept { return pivots_; }
     /// Bytes held by the index storage: the n x m signature table, or the
@@ -482,7 +417,6 @@ private:
     std::size_t pivots_ = 0;
     std::vector<double> signatures_;  ///< n x m row-major pivot distances
     std::vector<std::size_t> pivot_ids_;  ///< sampled point ordinals
-    std::vector<std::vector<float>> pivot_points_;  ///< owned pivot copies
     DistanceMatrix dense_;            ///< small-n fallback (n <= m)
 };
 

@@ -14,7 +14,6 @@
 
 #include "chain/mining_race.hpp"
 #include "chain/network.hpp"
-#include "core/stage_wall.hpp"  // deprecated StageWall shim (moved out)
 #include "support/rng.hpp"
 
 namespace fairbfl::core {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/system.hpp"
 #include "ml/idx_loader.hpp"
 
 namespace fairbfl::core {
@@ -110,30 +109,6 @@ double fl_round_delay(const DelayModel& delays, const Environment& env,
     delay += delays.t_up(participants.size(), payload, rng);
     delay += delays.t_gl(participants.size(), /*clustered_points=*/0);
     return delay;
-}
-
-// The deprecated free functions are shims over the registry API; the round
-// loops they used to hold live in core/system.cpp's built-in factories,
-// which reproduce them bit-for-bit.
-
-SystemRun run_fedavg(const Environment& env, const fl::FlConfig& config,
-                     const DelayParams& delay) {
-    return run_system(env, fedavg_spec(config, delay));
-}
-
-SystemRun run_fedprox(const Environment& env, const fl::FedProxConfig& config,
-                      const DelayParams& delay) {
-    return run_system(env, fedprox_spec(config, delay));
-}
-
-SystemRun run_fairbfl(const Environment& env, const FairBflConfig& config,
-                      const std::string& label) {
-    return run_system(env, fairbfl_spec(config, label));
-}
-
-SystemRun run_blockchain(const BlockchainBaselineConfig& config) {
-    Environment none;  // the pure ledger never touches the environment
-    return run_system(none, blockchain_spec(config));
 }
 
 }  // namespace fairbfl::core

@@ -87,11 +87,7 @@ FairBfl::FairBfl(const ml::Model& model, std::vector<fl::Client> clients,
           .batched = config.fl.batched_training, .pool = config.pool}),
       aggregator_(config.aggregator ? config.aggregator
                                     : make_aggregator("simple")),
-      consensus_(make_consensus(
-          !config.consensus.empty()
-              ? std::string_view(config.consensus)
-              : (config.async_mining ? std::string_view("async_pow")
-                                     : std::string_view("sync_pow")))),
+      consensus_(make_consensus(config.consensus)),
       contribution_(config.contribution
                         ? config.contribution
                         : make_contribution_policy(config.incentive)),
@@ -137,11 +133,8 @@ BflRoundRecord FairBfl::run_round() {
         round_body(round, record);
     }
     // All spans are closed (fan-outs joined inside round_body), so the
-    // harvest sees the complete round; the StageWall shim -- and through
-    // it every perf_round.json `seconds.*` key -- is derived from the
-    // event log rather than written by stopwatches.
-    record.wall =
-        stage_wall_from(telemetry_.harvest(static_cast<std::uint32_t>(round)));
+    // harvest sees the complete round.
+    record.stats = telemetry_.harvest(static_cast<std::uint32_t>(round));
     return record;
 }
 

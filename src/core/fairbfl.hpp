@@ -12,8 +12,8 @@
 // Flexibility by design (Figure 3): stages III and V can be switched off,
 // degrading FAIR-BFL to pure FL; the pure-blockchain degradation (drop I
 // and IV) lives in blockchain_baseline.hpp.  Two ablation switches undo
-// the paper's Assumptions for comparison: `async_mining` (violates
-// Assumption 1 -> forking + empty-block waste) and
+// the paper's Assumptions for comparison: `consensus = "async_pow"`
+// (violates Assumption 1 -> forking + empty-block waste) and
 // `record_local_gradients` (violates Assumption 2 -> every local gradient
 // becomes a block transaction, re-introducing block-size queuing).
 
@@ -56,8 +56,7 @@ struct FairBflConfig {
     /// pure FL while keeping the same code path.
     bool stage_exchange = true;  ///< Procedure III
     bool stage_mining = true;    ///< Procedure V
-    /// Ablations (see header comment).
-    bool async_mining = false;           ///< violate Assumption 1
+    /// Ablation (see header comment).
     bool record_local_gradients = false; ///< violate Assumption 2
     std::uint64_t chain_id = 0x7A1B;
 
@@ -71,9 +70,9 @@ struct FairBflConfig {
     /// form) the incentive settlement, so robust rules ("trimmed_mean",
     /// "median") defend whether Algorithm 2 is on or off.
     std::shared_ptr<const Aggregator> aggregator;
-    /// Consensus engine name ("sync_pow" / "async_pow").  Empty = derived
-    /// from the legacy `async_mining` bool.
-    std::string consensus;
+    /// Consensus engine name: "sync_pow" (the paper's Assumption 1) or
+    /// "async_pow" (violates it; see header comment).
+    std::string consensus = "sync_pow";
     /// Algorithm 2 replacement.  Null = clustering per `incentive`.
     std::shared_ptr<const ContributionPolicy> contribution;
     /// Low-contribution handling.  Null = from `incentive.strategy`.
@@ -97,15 +96,10 @@ struct FairBflConfig {
 struct BflRoundRecord {
     fl::RoundRecord fl;                      ///< accuracy / loss / counts
     RoundDelay delay;                        ///< paper's T components
-    /// Measured host wall time, derived from the round's telemetry
-    /// harvest via core::stage_wall_from (zeros when FAIRBFL_TELEMETRY is
-    /// off).  Deprecated shim -- new consumers should harvest the
-    /// telemetry session directly.  The member rides out the shim's final
-    /// release, so it suppresses the deprecation it would otherwise emit.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    StageWall wall;
-#pragma GCC diagnostic pop
+    /// The round's telemetry harvest: measured host seconds per stage span
+    /// ("round.local", "round.cluster", "cluster.index_build", ...) and
+    /// the round's counters.  Empty when FAIRBFL_TELEMETRY is off.
+    telemetry::RoundStats stats;
     std::vector<fl::NodeId> attacker_clients;
     std::vector<fl::NodeId> low_contribution_clients;  ///< Table 2 "Drop Index"
     double detection_rate = 1.0;             ///< Table 2 row metric
@@ -166,8 +160,8 @@ private:
     [[nodiscard]] std::size_t batch_steps_of(std::size_t client_id) const;
 
     /// The five procedures of one round, executed under the round's
-    /// telemetry context; run_round() wraps it and derives record.wall
-    /// from the harvest.
+    /// telemetry context; run_round() wraps it and stores the harvest in
+    /// record.stats.
     void round_body(std::uint64_t round, BflRoundRecord& record);
 
     const ml::Model* model_;

@@ -193,12 +193,7 @@ public:
     explicit ShardTreeContribution(incentive::ContributionConfig config)
         : config_(std::move(config)),
           name_("shard_tree(" + config_.clustering + "/" + config_.index +
-                "/x" + std::to_string(config_.sharding.shards) + ")") {
-        // One cache per system: the tree's root and shard passes each use
-        // their own slot in it (incentive/hierarchical.cpp).
-        if (config_.index_cache == nullptr)
-            config_.index_cache = std::make_shared<cluster::IndexCache>();
-    }
+                "/x" + std::to_string(config_.sharding.shards) + ")") {}
 
     [[nodiscard]] std::string_view name() const noexcept override {
         return name_;
@@ -223,12 +218,7 @@ public:
     explicit ClusteredContribution(incentive::ContributionConfig config)
         : config_(std::move(config)),
           name_("clustered(" + config_.clustering + "/" + config_.index +
-                ")") {
-        // Installs the cross-round index cache; updatable backends then
-        // maintain their index incrementally between this system's rounds.
-        if (config_.index_cache == nullptr)
-            config_.index_cache = std::make_shared<cluster::IndexCache>();
-    }
+                ")") {}
 
     [[nodiscard]] std::string_view name() const noexcept override {
         return name_;

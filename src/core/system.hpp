@@ -14,10 +14,9 @@
 //     SystemRegistry::global().add("my_system",
 //         [](const Environment& env, const SystemSpec& spec) { ...; });
 //
-// The built-in factories reproduce the legacy run_fedavg / run_fedprox /
-// run_fairbfl / run_blockchain free functions bit-for-bit on the same
-// seed; those functions survive as deprecated shims over this API for one
-// release (see core/experiment.hpp).
+// The built-in factories reproduce the hand-driven FedAvg, FedProx,
+// FAIR-BFL and pure-blockchain round loops bit-for-bit on the same seed
+// (pinned in tests/test_system.cpp).
 
 #include <functional>
 #include <map>

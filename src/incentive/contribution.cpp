@@ -68,23 +68,17 @@ ContributionReport identify_contributions(
     // global -- O(n^2 d) for "exact", O(n d k) for the approximate
     // backends, nothing at all for "lazy".  Eps suggestion, the clustering
     // scan, and the nearest-cluster fallback all query it; nothing
-    // downstream touches a dense matrix directly.
+    // downstream touches a dense matrix directly.  The index lives for
+    // this pass only: every pass builds from its own round's points.
     cluster::IndexParams index_params = config.index_params;
     index_params.metric = algorithm->preferred_metric();
     const std::string_view index_key = config.index == "auto"
                                            ? algorithm->preferred_index()
                                            : std::string_view(config.index);
     const auto build_start = std::chrono::steady_clock::now();
-    // With a cache installed the previous round's index is update()d in
-    // place when only some points drifted (exact/lazy backends never
-    // cache, so they rebuild exactly as before); without one this is a
-    // plain registry build.
-    std::unique_ptr<cluster::GradientIndex> index =
-        config.index_cache != nullptr
-            ? config.index_cache->acquire(config.index_slot, index_key,
-                                          points, index_params)
-            : cluster::IndexRegistry::global().build(index_key, points,
-                                                     index_params);
+    const std::unique_ptr<cluster::GradientIndex> index =
+        cluster::IndexRegistry::global().build(index_key, points,
+                                               index_params);
     report.index_build_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       build_start)
@@ -196,14 +190,6 @@ ContributionReport identify_contributions(
             report.entries[i].reward = share;
     }
 
-    // Hand the index (and the point set it reflects) back for next
-    // round's incremental update.  Backends that cannot update are
-    // dropped inside -- they rebuild next round exactly as before.
-    if (config.index_cache != nullptr) {
-        config.index_cache->release(config.index_slot, index_key,
-                                    std::move(points), index_params,
-                                    std::move(index));
-    }
     return report;
 }
 

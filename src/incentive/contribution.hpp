@@ -17,14 +17,12 @@
 // Forged gradients land far from the honest cluster, so the discard
 // strategy doubles as the malicious-attack defense evaluated in Table 2.
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/clustering.hpp"
 #include "cluster/index.hpp"
-#include "cluster/index_cache.hpp"
 #include "cluster/registry.hpp"
 #include "fl/aggregation.hpp"
 #include "fl/gradient.hpp"
@@ -74,17 +72,6 @@ struct ContributionConfig {
     cluster::IndexParams index_params;
     /// The paper's `base` reward multiplier per round.
     double reward_base = 1.0;
-    /// Cross-round index cache (cluster/index_cache.hpp).  Null skips
-    /// caching and rebuilds every round.  The contribution policies
-    /// (core/strategies.cpp) install one per system, so consecutive
-    /// rounds with an updatable backend maintain the index incrementally;
-    /// exact/lazy backends rebuild regardless, keeping pinned series
-    /// intact.  Shared so hierarchical per-shard config copies reuse one
-    /// cache under distinct slots.
-    std::shared_ptr<cluster::IndexCache> index_cache;
-    /// This pass's slot in the cache (hierarchical.cpp gives the root
-    /// pass and every shard pass their own).
-    std::size_t index_slot = 0;
     /// Hierarchical shard tree (fl/sharding.hpp): `shards > 1` splits the
     /// round into that many independent shard-level Algorithm 2 passes
     /// plus a root pass over the shard summaries
@@ -112,8 +99,9 @@ struct ContributionReport {
     /// Index backend that served this round (diagnostics / perf JSON).
     std::string index_backend;
     /// Host wall seconds spent building the index -- a sub-component of
-    /// the round's cluster-stage wall time (core::StageWall::index_build).
-    /// Hierarchical rounds sum every pass's build here.
+    /// the round's cluster-stage wall time (telemetry span
+    /// "cluster.index_build").  Hierarchical rounds sum every pass's build
+    /// here.
     double index_build_seconds = 0.0;
     /// Peak GradientIndex::storage_bytes() of any single pass this round:
     /// the flat pipeline's one index, or -- under the shard tree -- the

@@ -67,13 +67,8 @@ HierarchicalReport identify_contributions_hierarchical(
             const std::span<const fl::GradientUpdate> shard_updates =
                 updates.subspan(plan[s].begin, plan[s].size());
             ShardOutcome& outcome = outcomes[s];
-            // Concurrent passes share the round's IndexCache, so each
-            // shard pass gets a slot of its own (the root uses slot 1;
-            // slot 0 is the flat pipeline's).
-            ContributionConfig shard_config = config;
-            shard_config.index_slot = 2 + s;
             outcome.report = identify_contributions(
-                shard_updates, provisional_global, shard_config, reference);
+                shard_updates, provisional_global, config, reference);
             outcome.summary = apply_strategy(shard_updates, outcome.report,
                                              config.strategy);
             outcome.stats = stats_of(s, outcome.report, span.close());
@@ -91,10 +86,8 @@ HierarchicalReport identify_contributions_hierarchical(
         summaries[s].weights = outcomes[s].summary;
         summaries[s].num_samples = plan[s].size();
     }
-    ContributionConfig root_config = config;
-    root_config.index_slot = 1;
     ContributionReport root = identify_contributions(
-        summaries, provisional_global, root_config, reference);
+        summaries, provisional_global, config, reference);
     std::vector<float> settled =
         apply_strategy(summaries, root, config.strategy);
     const double root_seconds = root_span.close();

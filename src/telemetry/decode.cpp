@@ -124,9 +124,8 @@ std::string to_json(const Dump& dump) {
     for (std::size_t i = 0; i < rounds.size(); ++i) {
         const RoundStats stats =
             dump_round_stats(dump, rounds[i].first, rounds[i].second);
-        // The same stage derivation core::stage_wall_from applies to a
-        // live harvest -- keep the two sites in sync (pinned in
-        // tests/test_telemetry.cpp).
+        // The same stage derivation bench_perf_round applies to a live
+        // harvest -- keep the two sites in sync.
         const double local = stats.seconds_of("round.local");
         const double cluster = stats.seconds_of("round.cluster");
         const double aggregate = stats.seconds_of("round.aggregate");

@@ -2,7 +2,7 @@
 // Renderers for telemetry::Dump: the human-readable text listing and the
 // JSON export shaped like bench_perf_round's perf_round.json (per-round
 // `seconds.*` keys derived from the event log -- the same derivation
-// core::stage_wall_from performs on a live harvest).
+// bench_perf_round performs on a live harvest).
 //
 // Consumed by `fairbfl_sim --trace-format=text|json` and the telemetry
 // tests; kept out of telemetry.hpp so hot-path includes stay lean.

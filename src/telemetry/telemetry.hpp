@@ -1,6 +1,6 @@
 #pragma once
-// Structured low-overhead telemetry: the event-log subsystem that replaces
-// the ad-hoc core::StageWall wall clocks (the addb2-style design the
+// Structured low-overhead telemetry: the event-log subsystem behind every
+// per-stage wall time the project reports (the addb2-style design the
 // ROADMAP references).
 //
 // Producers write fixed-size binary records -- span begin/end pairs and
@@ -22,10 +22,10 @@
 //
 // Consumers:
 //
-//   * core::FairBfl opens one Session per system instance and harvests it
-//     every round; core::stage_wall_from() derives the deprecated
-//     StageWall shim (and hence every `seconds.*` key of perf_round.json)
-//     from the harvested statistics;
+//   * core::FairBfl opens one Session per system instance, harvests it
+//     every round and hands the statistics out as BflRoundRecord::stats;
+//     bench_perf_round derives every `seconds.*` key of perf_round.json
+//     from them;
 //   * telemetry::capture_begin()/capture_end() snapshot *everything* into
 //     a telemetry::Dump -- the binary trace `fairbfl_sim --trace` writes
 //     and telemetry/decode.hpp renders as text or JSON.
@@ -183,9 +183,9 @@ void counter_add(Label label, std::uint64_t value) noexcept;
 void counter_max(Label label, std::uint64_t value) noexcept;
 
 // --- Canonical labels ------------------------------------------------------
-// The well-known names the FAIR-BFL pipeline emits.  core/stage_wall.cpp
-// and telemetry/decode.cpp map them onto the perf_round.json keys; keep
-// the three sites in sync (pinned by tests/test_telemetry.cpp).
+// The well-known names the FAIR-BFL pipeline emits.
+// bench/bench_perf_round.cpp and telemetry/decode.cpp map them onto the
+// perf_round.json keys; keep the three sites in sync.
 
 namespace labels {
 inline Label round_local() {
@@ -221,10 +221,6 @@ inline Label index_bytes() {
 }
 inline Label kernel_dispatch() {
     static const Label id = intern("kernels.dispatch");
-    return id;
-}
-inline Label index_reuse() {
-    static const Label id = intern("cluster.index_reuse");
     return id;
 }
 inline Label shard_pass() {
@@ -317,7 +313,7 @@ struct RoundStats {
 /// and round match.  `name_of` resolves label ids (live registry or a
 /// Dump's table).  Deterministic: identical record sequences produce
 /// bit-identical double sums, which is what lets a decoded dump reproduce
-/// the shim StageWall exactly (pinned in tests/test_telemetry.cpp).
+/// a live harvest exactly (pinned in tests/test_telemetry.cpp).
 [[nodiscard]] RoundStats round_stats(
     std::span<const Record> records,
     std::string_view (*name_of)(Label, const void* arg), const void* arg,

@@ -411,7 +411,7 @@ TEST(FairBfl, Assumption2AblationPutsGradientsOnChain) {
 TEST(FairBfl, Assumption1AblationCanFork) {
     World world;
     auto config = fast_config();
-    config.async_mining = true;
+    config.consensus = "async_pow";
     config.miners = 10;
     // Slow links widen the fork window.
     config.delay.network.miner_bandwidth_Bps = 1e5;

@@ -1,8 +1,9 @@
 // GradientIndex: exact-backend equivalence with the dense matrix, the
 // string-keyed registry, approximate-backend quality (recall, attack
 // detection within 2% of exact), the small-n break-even fallbacks, the
-// sketch path's bit pins (shared Gaussian matrix, chunked projection) and
-// the sketch index's behaviour on non-finite points.
+// sketch path's bit pins (shared Gaussian matrix, chunked projection,
+// sketch contents against a per-point reference) and the sketch index's
+// behaviour on non-finite points.
 
 #include <gtest/gtest.h>
 
@@ -458,6 +459,79 @@ TEST(RandomProjectionIndex, ConcurrentBuildsOverTwoKeysMatchSerialBuilds) {
         pool);
     for (std::size_t i = 0; i < built.size(); ++i)
         expect_same_index(*built[i], i % 2 == 0 ? want_a : want_b);
+}
+
+TEST(RandomProjectionIndex, DistancesEqualDistanceMatrixOverPerPointSketches) {
+    // An independent reference for the sketch contents: every point is
+    // projected on its own with the per-point gemv through the shared
+    // matrix, and the dense matrix over those sketches must hold every
+    // distance the index answers, byte for byte.  n = 97 and 113 are
+    // above 2k = 96 (engaged) and not multiples of the projection chunk,
+    // so a misplaced sketch row or a dropped chunk tail shows.
+    constexpr std::size_t kDims = 48;
+    constexpr std::size_t kWidth = 203;
+    constexpr std::uint64_t kSeed = 42;
+    static_assert(97 % support::kProjectChunk != 0);
+    static_assert(113 % support::kProjectChunk != 0);
+    const auto projection =
+        support::gaussian_projection(kWidth, kDims, kSeed);
+    for (const std::size_t n : {97U, 113U}) {
+        ASSERT_GT(n, 2 * kDims);
+        Rng rng(n);
+        std::vector<std::vector<float>> points(n, std::vector<float>(kWidth));
+        for (auto& point : points)
+            for (auto& v : point) v = static_cast<float>(rng.normal());
+        std::vector<std::vector<float>> sketches(n,
+                                                 std::vector<float>(kDims));
+        for (std::size_t i = 0; i < n; ++i)
+            support::gemv(projection->rows, kDims, kWidth, points[i], {},
+                          sketches[i]);
+        for (const cl::Metric metric :
+             {cl::Metric::kEuclidean, cl::Metric::kCosine}) {
+            cl::IndexParams params;
+            params.metric = metric;
+            params.projection_dims = kDims;
+            params.seed = kSeed;
+            const cl::RandomProjectionIndex index(points, params);
+            ASSERT_FALSE(index.exact());
+            ASSERT_EQ(index.sketch_dims(), kDims);
+            const cl::DistanceMatrix want(metric, sketches);
+            for (std::size_t i = 0; i < n; ++i) {
+                for (std::size_t j = 0; j < n; ++j) {
+                    const double got = index.distance(i, j);
+                    const double expected = want.at(i, j);
+                    ASSERT_EQ(std::memcmp(&got, &expected, sizeof got), 0)
+                        << "n " << n << " metric "
+                        << static_cast<int>(metric) << " pair " << i << ","
+                        << j << ": " << got << " vs " << expected;
+                }
+            }
+        }
+    }
+}
+
+TEST(SampledIndex, FallbackReportsExactRowsForThetaReadback) {
+    // The break-even bugfix: a fallback holding the dense matrix must say
+    // so, so the theta read-back reuses the rows it already paid for.
+    const auto points = grouped_gradients(2, 4, 32, 95);  // n = 8 <= m
+    cl::IndexParams params;
+    params.metric = cl::Metric::kCosine;
+    const cl::SampledIndex sampled(points, params);
+    ASSERT_EQ(sampled.pivot_count(), 0U);
+    EXPECT_TRUE(sampled.exact());
+    EXPECT_TRUE(sampled.precomputed_rows());
+    const cl::RandomProjectionIndex projected(points, params);  // n <= 2k
+    EXPECT_TRUE(projected.exact());
+    EXPECT_TRUE(projected.precomputed_rows());
+    // distances_from on the fallback serves the exact dense row.
+    const cl::ExactIndex exact(cl::Metric::kCosine, points);
+    std::vector<double> row(points.size());
+    std::vector<double> truth(points.size());
+    sampled.distances_from(3, row);
+    exact.distances_from(3, truth);
+    EXPECT_EQ(row, truth);
+    projected.distances_from(3, row);
+    EXPECT_EQ(row, truth);
 }
 
 // --- Non-finite points -----------------------------------------------------

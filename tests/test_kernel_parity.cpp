@@ -619,10 +619,9 @@ TEST(KernelParity, Avx2WithinAnalyticToleranceOfScalar) {
 }
 
 // The end-to-end gate: a Table-2 attack scenario served entirely by the
-// simd table must detect within 2% of the pinned scalar run.  (The
-// incremental index cache is active in both runs -- the contribution
-// policy installs it -- so this also covers "simd kernels + incremental
-// index enabled" from the acceptance criteria.)
+// simd table must detect within 2% of the pinned scalar run.  The sketch
+// index is engaged in both runs, so this also covers "simd kernels +
+// sketch index".
 TEST(KernelParity, DetectionWithin2PercentOfScalarOnAttackScenario) {
     if (simd::detail::avx2_table() == nullptr ||
         !simd::cpu_supports_avx2_fma())
@@ -648,9 +647,8 @@ TEST(KernelParity, DetectionWithin2PercentOfScalarOnAttackScenario) {
         config.attack.magnitude = 3.0;
         config.attack.min_attackers = 2;
         config.attack.max_attackers = 4;
-        // Sketch engaged (41 points > 2k = 32) and maintained across
-        // rounds by the policy-installed IndexCache, so the simd leg runs
-        // the full "simd kernels + incremental index" configuration.
+        // Sketch engaged (41 points > 2k = 32), so the simd leg runs the
+        // full "simd kernels + sketch index" configuration.
         config.incentive.index = "random_projection";
         config.incentive.index_params.projection_dims = 16;
         fairbfl::core::FairBfl system(*env.model, env.make_clients(),

@@ -1,5 +1,5 @@
 // The pluggable strategy API: registry lookup and error paths, bit-for-bit
-// equivalence between run_system specs and the legacy free functions,
+// equivalence between run_system specs and hand-driven round loops,
 // run_suite concurrency, and the robust Aggregator rules.
 
 #include <gtest/gtest.h>
@@ -143,11 +143,7 @@ TEST(SystemRegistry, CustomSystemRunsThroughRunSystem) {
     EXPECT_EQ(run.series.back().elapsed_seconds, 8.0);
 }
 
-// --- Equivalence with the legacy entry points ------------------------------
-
-// The deprecated shims are exactly what these tests exercise.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// --- Equivalence with the hand-driven round loops --------------------------
 
 TEST(Equivalence, FairBflSpecReproducesLegacyRunFairbfl) {
     const auto env = core::build_environment(small_env());
@@ -155,8 +151,7 @@ TEST(Equivalence, FairBflSpecReproducesLegacyRunFairbfl) {
     config.fl = small_fl();
     config.miners = 2;
 
-    // The legacy loop, driven by hand (what run_fairbfl held before the
-    // registry existed).
+    // The round loop, driven by hand (what the "fairbfl" factory runs).
     core::SystemRun manual;
     manual.name = "FAIR";
     core::FairBfl system(*env.model, env.make_clients(), env.test, config);
@@ -171,8 +166,11 @@ TEST(Equivalence, FairBflSpecReproducesLegacyRunFairbfl) {
         core::run_system(env, core::fairbfl_spec(config, "FAIR"));
     expect_identical(via_registry, manual);
 
-    const auto via_shim = core::run_fairbfl(env, config, "FAIR");
-    expect_identical(via_shim, manual);
+    // A second system from the same spec replays the series: nothing
+    // carries over between runs.
+    const auto rerun =
+        core::run_system(env, core::fairbfl_spec(config, "FAIR"));
+    expect_identical(rerun, manual);
 }
 
 TEST(Equivalence, FedAvgSpecReproducesLegacyRunFedavg) {
@@ -196,7 +194,6 @@ TEST(Equivalence, FedAvgSpecReproducesLegacyRunFedavg) {
 
     expect_identical(core::run_system(env, core::fedavg_spec(config, delay)),
                      manual);
-    expect_identical(core::run_fedavg(env, config, delay), manual);
 }
 
 TEST(Equivalence, BlockchainSpecReproducesLegacyRunBlockchain) {
@@ -218,7 +215,6 @@ TEST(Equivalence, BlockchainSpecReproducesLegacyRunBlockchain) {
     const core::Environment none;
     expect_identical(
         core::run_system(none, core::blockchain_spec(config)), manual);
-    expect_identical(core::run_blockchain(config), manual);
 }
 
 TEST(Equivalence, PureFlSpecMatchesStageTogglesOff) {
@@ -229,17 +225,12 @@ TEST(Equivalence, PureFlSpecMatchesStageTogglesOff) {
     auto toggled = config;
     toggled.stage_exchange = false;
     toggled.stage_mining = false;
-    const auto legacy = core::run_fairbfl(env, toggled, "pure-FL");
+    const auto via_toggles =
+        core::run_system(env, core::fairbfl_spec(toggled, "pure-FL"));
 
     expect_identical(core::run_system(env, core::pure_fl_spec(config)),
-                     [&] {
-                         auto run = legacy;
-                         run.name = "pure-FL";
-                         return run;
-                     }());
+                     via_toggles);
 }
-
-#pragma GCC diagnostic pop
 
 // --- run_suite -------------------------------------------------------------
 

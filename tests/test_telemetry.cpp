@@ -4,9 +4,9 @@
 //     per-thread rings, zero lost or duplicated events, correct nesting;
 //   * the hot path allocates nothing (global operator new/delete counters
 //     around an emit window that stays inside one ring);
-//   * fixed-seed pin: FairBfl's telemetry-derived StageWall matches the
-//     decoded trace dump *exactly* (bit-identical doubles), so perf JSON
-//     derived live and offline agree;
+//   * fixed-seed pin: FairBfl's live per-round harvest matches the
+//     decoded trace dump *exactly*, label by label (bit-identical
+//     doubles), so perf JSON derived live and offline agree;
 //   * JSON schema pin for the decoder export;
 //   * Dump binary round-trip (encode/decode and save/load);
 //   * FAIRBFL_TELEMETRY off emits nothing.
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/fairbfl.hpp"
-#include "core/stage_wall.hpp"
 #include "ml/partition.hpp"
 #include "ml/synthetic_mnist.hpp"
 #include "telemetry/decode.hpp"
@@ -172,7 +171,7 @@ TEST(TelemetryHotPath, EmitsWithoutAllocating) {
     EXPECT_EQ(after - before, 0U);
 }
 
-// --- Fixed-seed pin: live StageWall == decoded dump ------------------------
+// --- Fixed-seed pin: live harvest == decoded dump --------------------------
 
 struct World {
     ml::Dataset data;
@@ -234,34 +233,48 @@ TEST(TelemetryPin, LiveWallMatchesDecodedDumpExactly) {
     const tel::Dump dump = tel::Dump::decode(live.encode());
 
     for (std::size_t r = 0; r < history.size(); ++r) {
-        // `auto` on purpose: naming the deprecated StageWall type would
-        // warn; the pin only cares about the field values.
-        const auto& live_wall = history[r].wall;
-        const auto dump_wall = core::stage_wall_from(
-            tel::dump_round_stats(dump, sid, static_cast<std::uint32_t>(r)));
+        const tel::RoundStats& live_stats = history[r].stats;
+        const tel::RoundStats dump_stats =
+            tel::dump_round_stats(dump, sid, static_cast<std::uint32_t>(r));
         // Exactly equal, not approximately: the capture and the session
         // harvest route the same records in the same order, and
         // round_stats sums deterministically, so live and offline must be
-        // bit-identical.
-        EXPECT_EQ(live_wall.local, dump_wall.local) << "round " << r;
-        EXPECT_EQ(live_wall.cluster, dump_wall.cluster) << "round " << r;
-        EXPECT_EQ(live_wall.aggregate, dump_wall.aggregate) << "round " << r;
-        EXPECT_EQ(live_wall.mine, dump_wall.mine) << "round " << r;
-        EXPECT_EQ(live_wall.index_build, dump_wall.index_build)
+        // bit-identical for every label.
+        EXPECT_EQ(live_stats.session, dump_stats.session) << "round " << r;
+        EXPECT_EQ(live_stats.round, dump_stats.round) << "round " << r;
+        EXPECT_EQ(live_stats.records, dump_stats.records) << "round " << r;
+        EXPECT_EQ(live_stats.open_spans, dump_stats.open_spans)
             << "round " << r;
-        EXPECT_EQ(live_wall.cluster_shards, dump_wall.cluster_shards)
+        ASSERT_EQ(live_stats.labels.size(), dump_stats.labels.size())
             << "round " << r;
-        EXPECT_EQ(live_wall.cluster_root, dump_wall.cluster_root)
-            << "round " << r;
-        EXPECT_EQ(live_wall.index_peak_bytes, dump_wall.index_peak_bytes)
-            << "round " << r;
+        for (const auto& [name, live] : live_stats.labels) {
+            const auto it = dump_stats.labels.find(name);
+            ASSERT_NE(it, dump_stats.labels.end())
+                << "round " << r << " label " << name;
+            const tel::LabelStats& offline = it->second;
+            EXPECT_EQ(live.span_seconds, offline.span_seconds)
+                << "round " << r << " label " << name;
+            EXPECT_EQ(live.spans, offline.spans)
+                << "round " << r << " label " << name;
+            EXPECT_EQ(live.counter_sum, offline.counter_sum)
+                << "round " << r << " label " << name;
+            EXPECT_EQ(live.counter_max, offline.counter_max)
+                << "round " << r << " label " << name;
+            EXPECT_EQ(live.events, offline.events)
+                << "round " << r << " label " << name;
+        }
         // And the stages really ran: every watched stage is positive.
-        EXPECT_GT(live_wall.local, 0.0) << "round " << r;
-        EXPECT_GT(live_wall.cluster, 0.0) << "round " << r;
-        EXPECT_GT(live_wall.index_build, 0.0) << "round " << r;
-        EXPECT_GT(live_wall.cluster_shards, 0.0) << "round " << r;
-        EXPECT_GT(live_wall.cluster_root, 0.0) << "round " << r;
-        EXPECT_GT(live_wall.index_peak_bytes, 0U) << "round " << r;
+        EXPECT_GT(live_stats.seconds_of("round.local"), 0.0) << "round " << r;
+        EXPECT_GT(live_stats.seconds_of("round.cluster"), 0.0)
+            << "round " << r;
+        EXPECT_GT(live_stats.seconds_of("cluster.index_build"), 0.0)
+            << "round " << r;
+        EXPECT_GT(live_stats.seconds_of("cluster.shard_pass"), 0.0)
+            << "round " << r;
+        EXPECT_GT(live_stats.seconds_of("cluster.root_pass"), 0.0)
+            << "round " << r;
+        EXPECT_GT(live_stats.max_of("cluster.index_bytes"), 0U)
+            << "round " << r;
     }
 
     // Simulated delay components ride along as counters.
