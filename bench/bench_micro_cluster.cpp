@@ -88,10 +88,6 @@ BENCHMARK(BM_IndexBuild<cluster::RandomProjectionIndex>)
     ->Arg(100)
     ->Arg(250)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_IndexBuild<cluster::SampledIndex>)
-    ->Arg(100)
-    ->Arg(250)
-    ->Unit(benchmark::kMillisecond);
 
 /// Algorithm 2's theta scores: every update's cosine distance to the
 /// provisional global, (rows, dim) = the cluster_heavy shape.

@@ -154,8 +154,7 @@ int main(int argc, char** argv) {
             "  --system=fairbfl       registry key to benchmark\n"
             "  --engine=batched       Procedure-I engine: batched|reference\n"
             "  --index=exact          Algorithm-2 neighborhood backend\n"
-            "                         (auto|exact|lazy|random_projection|\n"
-            "                         sampled)\n"
+            "                         (auto|exact|lazy|random_projection)\n"
             "  --shards=1             hierarchical shard-tree fan-out\n"
             "                         (1 = flat single-pass Algorithm 2)\n"
             "  --kernels=scalar       vector-kernel table: scalar|simd|auto\n"

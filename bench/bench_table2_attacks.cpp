@@ -4,7 +4,9 @@
 // 10 indexed clients; each round 1-3 random clients forge their gradients;
 // DBSCAN-based Algorithm 2 flags low-contribution clients ("Drop Index");
 // detection rate = |attackers ∩ dropped| / |attackers|.  Run for non-IID
-// and IID (paper: averages 64.96% and 75%).
+// and IID (paper: averages 64.96% and 75%).  The two `# shape-check`
+// lines gate: the process exits 1 when either prints FAIL (few --rounds
+// can make that happen legitimately).
 //
 //   ./bench/bench_table2_attacks [--rounds=10] [--seed=42]
 
@@ -95,7 +97,8 @@ int main(int argc, char** argv) {
     if (args.help_requested()) {
         std::puts("bench_table2_attacks: Table 2 attack-detection rates\n"
                   "flags: --rounds (default 10) --seed --index=exact|\n"
-                  "       random_projection|sampled (neighborhood backend)");
+                  "       random_projection (neighborhood backend)\n"
+                  "exits 1 when a # shape-check line prints FAIL");
         return 0;
     }
     const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 10));
@@ -136,9 +139,11 @@ int main(int argc, char** argv) {
                                         magnitude, false, /*euclidean=*/true,
                                         index);
 
+    const bool ordered = iid >= noniid - 0.05;
+    const bool in_range = noniid > 0.40 && iid > 0.40;
     std::printf("# shape-check IID detection >= non-IID detection: %s\n",
-                iid >= noniid - 0.05 ? "PASS" : "FAIL");
+                ordered ? "PASS" : "FAIL");
     std::printf("# shape-check both averages in [40%%, 100%%]: %s\n",
-                noniid > 0.40 && iid > 0.40 ? "PASS" : "FAIL");
-    return 0;
+                in_range ? "PASS" : "FAIL");
+    return ordered && in_range ? 0 : 1;
 }

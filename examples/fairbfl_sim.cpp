@@ -70,9 +70,9 @@ int run(int argc, char** argv) {
             "  --clustering=NAME    Algorithm 2 clustering backend (dbscan|\n"
             "                       kmeans; any ClusteringRegistry key)\n"
             "  --index=NAME         neighborhood index backend (auto|\n"
-            "                       exact|lazy|random_projection|sampled;\n"
-            "                       any IndexRegistry key; auto defers to\n"
-            "                       the clustering algorithm)\n"
+            "                       exact|lazy|random_projection; any\n"
+            "                       IndexRegistry key; auto defers to the\n"
+            "                       clustering algorithm)\n"
             "  --shards=N           hierarchical shard-tree fan-out for\n"
             "                       Algorithm 2 (1 = flat single pass)\n"
             "  --kernels=NAME       vector-kernel table (scalar|simd|auto;\n"

@@ -41,9 +41,9 @@ public:
 
     /// Clusters `points` querying a prebuilt GradientIndex over the same
     /// points (the round pipeline builds the index once -- exact matrix,
-    /// random-projection sketch, or pivot signatures -- and shares it
-    /// across every stage).  Implementations use `index` only when its
-    /// metric matches their own; the default ignores it.
+    /// lazy per-query distances, or random-projection sketch -- and
+    /// shares it across every stage).  Implementations use `index` only
+    /// when its metric matches their own; the default ignores it.
     [[nodiscard]] virtual ClusterResult cluster_with(
         const GradientIndex& index,
         std::span<const std::vector<float>> points) const {

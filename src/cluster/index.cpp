@@ -5,15 +5,14 @@
 #include <limits>
 #include <stdexcept>
 
-#include "support/rng.hpp"
 #include "support/vecmath.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fairbfl::cluster {
 
 // --- GradientIndex defaults ------------------------------------------------
-// Generic fallbacks in terms of distance(); matrix-backed indexes override
-// with row scans over their own storage.
+// Generic fallbacks in terms of distance(); ExactIndex overrides them with
+// row scans over its matrix.
 
 std::vector<std::size_t> GradientIndex::neighbors_within(std::size_t i,
                                                          double eps) const {
@@ -53,9 +52,9 @@ double GradientIndex::kth_distance(std::size_t i, std::size_t k) const {
     return row[k];
 }
 
-// --- MatrixBackedIndex -----------------------------------------------------
+// --- ExactIndex ------------------------------------------------------------
 
-std::vector<std::size_t> MatrixBackedIndex::neighbors_within(
+std::vector<std::size_t> ExactIndex::neighbors_within(
     std::size_t i, double eps) const {
     std::vector<std::size_t> neighbors;
     const auto row = matrix_.row(i);
@@ -65,7 +64,7 @@ std::vector<std::size_t> MatrixBackedIndex::neighbors_within(
     return neighbors;
 }
 
-std::size_t MatrixBackedIndex::nearest_of(
+std::size_t ExactIndex::nearest_of(
     std::size_t i, std::span<const std::size_t> candidates) const {
     const auto row = matrix_.row(i);
     double best = std::numeric_limits<double>::infinity();
@@ -79,8 +78,7 @@ std::size_t MatrixBackedIndex::nearest_of(
     return nearest;
 }
 
-void MatrixBackedIndex::distances_from(std::size_t i,
-                                       std::span<double> out) const {
+void ExactIndex::distances_from(std::size_t i, std::span<double> out) const {
     const auto row = matrix_.row(i);
     std::copy(row.begin(), row.end(), out.begin());
 }
@@ -111,13 +109,9 @@ RandomProjectionIndex::RandomProjectionIndex(
     const std::size_t k = std::max<std::size_t>(params.projection_dims, 1);
     if (dim <= k || points.size() <= 2 * k) {
         // Below the break-even (see class comment) the sketches are the
-        // originals: exact distances, cheaper than projecting.  The
-        // fallback *reports* its exactness (exact() == true) so the theta
-        // read-back reuses the matrix rows it already paid for instead of
-        // recomputing the global's row.
+        // originals: exact distances, cheaper than projecting.
         sketch_dims_ = dim;
-        fallback_ = true;
-        dense_ = DistanceMatrix(params.metric, points, pool);
+        dense_.emplace(params.metric, points, pool);
         return;
     }
     for (const auto& point : points) {
@@ -166,7 +160,7 @@ std::pair<std::size_t, std::size_t> RandomProjectionIndex::norm_band(
 }
 
 double RandomProjectionIndex::distance(std::size_t i, std::size_t j) const {
-    if (fallback_) return dense_.at(i, j);
+    if (dense_) return dense_->distance(i, j);
     if (i == j) return 0.0;
     // Exactly the kernels DistanceMatrix applies per pair, so on-demand
     // values are bit-identical to the dense sketch matrix this replaced.
@@ -179,13 +173,8 @@ double RandomProjectionIndex::distance(std::size_t i, std::size_t j) const {
 
 std::vector<std::size_t> RandomProjectionIndex::neighbors_within(
     std::size_t i, double eps) const {
+    if (dense_) return dense_->neighbors_within(i, eps);
     std::vector<std::size_t> neighbors;
-    if (fallback_) {
-        const auto row = dense_.row(i);
-        for (std::size_t j = 0; j < row.size(); ++j)
-            if (row[j] <= eps) neighbors.push_back(j);
-        return neighbors;
-    }
     if (metric_ != Metric::kEuclidean) {
         for (std::size_t j = 0; j < n_; ++j)
             if (distance(i, j) <= eps) neighbors.push_back(j);
@@ -207,26 +196,14 @@ std::vector<std::size_t> RandomProjectionIndex::neighbors_within(
 
 std::size_t RandomProjectionIndex::nearest_of(
     std::size_t i, std::span<const std::size_t> candidates) const {
-    if (fallback_) {
-        const auto row = dense_.row(i);
-        double best = std::numeric_limits<double>::infinity();
-        std::size_t nearest = candidates.front();
-        for (const std::size_t candidate : candidates) {
-            if (row[candidate] < best) {
-                best = row[candidate];
-                nearest = candidate;
-            }
-        }
-        return nearest;
-    }
+    if (dense_) return dense_->nearest_of(i, candidates);
     return GradientIndex::nearest_of(i, candidates);
 }
 
 void RandomProjectionIndex::distances_from(std::size_t i,
                                            std::span<double> out) const {
-    if (fallback_) {
-        const auto row = dense_.row(i);
-        std::copy(row.begin(), row.end(), out.begin());
+    if (dense_) {
+        dense_->distances_from(i, out);
         return;
     }
     GradientIndex::distances_from(i, out);
@@ -234,7 +211,7 @@ void RandomProjectionIndex::distances_from(std::size_t i,
 
 double RandomProjectionIndex::kth_distance(std::size_t i,
                                            std::size_t k) const {
-    if (fallback_ || metric_ != Metric::kEuclidean)
+    if (dense_ || metric_ != Metric::kEuclidean)
         return GradientIndex::kth_distance(i, k);
     // Expand outward from i in norm order, keeping the k+1 smallest
     // distances seen in a max-heap.  Once the heap is full, a candidate
@@ -300,86 +277,11 @@ double RandomProjectionIndex::kth_distance(std::size_t i,
 }
 
 std::size_t RandomProjectionIndex::storage_bytes() const noexcept {
-    if (fallback_)
-        return (dense_.size() * dense_.size() + dense_.norms().size()) *
-               sizeof(double);
+    if (dense_) return dense_->storage_bytes();
     if (projection_ == nullptr) return 0;
     return sketches_.size() * sizeof(float) + norms_.size() * sizeof(double) +
            norm_order_.size() * sizeof(std::size_t) +
            projection_->rows.size() * sizeof(float);
-}
-
-// --- SampledIndex ----------------------------------------------------------
-
-SampledIndex::SampledIndex(std::span<const std::vector<float>> points,
-                           const IndexParams& params,
-                           support::ThreadPool& pool)
-    : metric_(params.metric), n_(points.size()) {
-    if (n_ == 0) return;
-    if (n_ <= std::max<std::size_t>(params.pivots, 1)) {
-        // Below the break-even (see class comment): the dense matrix is
-        // cheaper than any n x m profile table, and exact.
-        dense_ = DistanceMatrix(metric_, points, pool);
-        return;
-    }
-    pivots_ = std::max<std::size_t>(params.pivots, 1);
-    auto rng = support::Rng::fork(params.seed, /*stream=*/0x51A4);
-    pivot_ids_ = rng.sample_indices(n_, pivots_);
-
-    signatures_.resize(n_ * pivots_);
-    support::parallel_for(
-        0, n_,
-        [&](std::size_t i) {
-            double* row = signatures_.data() + i * pivots_;
-            for (std::size_t p = 0; p < pivots_; ++p)
-                row[p] = cluster::distance(metric_, points[i],
-                                           points[pivot_ids_[p]]);
-        },
-        pool);
-}
-
-void SampledIndex::distances_from(std::size_t i,
-                                  std::span<double> out) const {
-    if (pivots_ == 0 && n_ > 0) {
-        const auto row = dense_.row(i);
-        std::copy(row.begin(), row.end(), out.begin());
-        return;
-    }
-    GradientIndex::distances_from(i, out);
-}
-
-double SampledIndex::distance(std::size_t i, std::size_t j) const {
-    if (pivots_ == 0) return dense_.at(i, j);
-    if (i == j) return 0.0;
-    const double* a = signatures_.data() + i * pivots_;
-    const double* b = signatures_.data() + j * pivots_;
-    double sum = 0.0;
-    double top1 = 0.0;
-    double top2 = 0.0;
-    for (std::size_t p = 0; p < pivots_; ++p) {
-        const double diff = a[p] - b[p];
-        const double sq = diff * diff;
-        sum += sq;
-        if (sq > top1) {
-            top2 = top1;
-            top1 = sq;
-        } else if (sq > top2) {
-            top2 = sq;
-        }
-    }
-    // Trimmed RMS: each profile coordinate obeys |d(i,p) - d(j,p)| <=
-    // d(i,j), but most compress the true distance heavily while a pivot's
-    // *own* coordinate (s_p[p] == 0) does not -- so points that are pivots
-    // would read as outliers at the scale suggest_eps calibrates from
-    // everyone else.  Dropping the two largest coordinates (i and j can
-    // each be a pivot) removes that artifact; with far-group pairs many
-    // coordinates are large, so the contrast survives the trim.
-    std::size_t kept = pivots_;
-    if (pivots_ > 4) {
-        sum -= top1 + top2;
-        kept -= 2;
-    }
-    return std::sqrt(std::max(sum, 0.0) / static_cast<double>(kept));
 }
 
 // --- IndexRegistry ---------------------------------------------------------
@@ -407,13 +309,6 @@ void register_builtin_indexes(IndexRegistry& registry) {
                      -> std::unique_ptr<GradientIndex> {
                      return std::make_unique<RandomProjectionIndex>(
                          points, params, pool);
-                 });
-    registry.add("sampled",
-                 [](std::span<const std::vector<float>> points,
-                    const IndexParams& params, support::ThreadPool& pool)
-                     -> std::unique_ptr<GradientIndex> {
-                     return std::make_unique<SampledIndex>(points, params,
-                                                           pool);
                  });
 }
 

@@ -22,17 +22,10 @@
 //                             exact O(n^2 k) queries in sketch space.  The
 //                             LSH/random-projection direction of ROADMAP's
 //                             cluster-stage item.
-//   * "sampled"            -- scores every point against m sampled pivot
-//                             gradients and measures dissimilarity between
-//                             pivot-distance profiles; O(n m d) build and
-//                             O(n m) memory, never materializing an
-//                             (n+1)^2 matrix (ROADMAP's theta/matrix-memory
-//                             item).
 //
 // Index distances are comparison-only by contract (eps thresholds,
 // argmins).  Anything that feeds rewards or training -- e.g. the theta
-// scores -- must keep using the exact kernels; consumers may reuse index
-// entries for such paths only when exact() is true.
+// scores -- uses the exact kernels directly and never reads an index.
 //
 // Backends register in the string-keyed IndexRegistry (the SystemRegistry
 // pattern), so a bench or adopter plugs a new neighborhood structure in at
@@ -41,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -62,10 +56,8 @@ struct IndexParams {
     /// "random_projection": sketch dimensionality k.  Build is O(n d k);
     /// distortion shrinks as O(sqrt(log n / k)).
     std::size_t projection_dims = 48;
-    /// "sampled": pivot count m (clamped to n).  Memory is O(n m).
-    std::size_t pivots = 32;
-    /// Seed for the projection matrix / pivot sampling.  Affects index
-    /// internals only, never the round's Rng streams.
+    /// Seed for the projection matrix.  Affects index internals only,
+    /// never the round's Rng streams.
     std::uint64_t seed = 42;
 };
 
@@ -84,9 +76,9 @@ public:
     [[nodiscard]] virtual Metric metric() const noexcept = 0;
 
     /// Index distance between points i and j.  Symmetric, zero diagonal.
-    /// Approximate backends answer in their own geometry (sketch space,
-    /// pivot-profile space); values are mutually comparable within one
-    /// index but not across backends.
+    /// Approximate backends answer in their own geometry (sketch space);
+    /// values are mutually comparable within one index but not across
+    /// backends.
     /// \param i first point ordinal, in [0, size()).
     /// \param j second point ordinal, in [0, size()).
     [[nodiscard]] virtual double distance(std::size_t i,
@@ -126,21 +118,8 @@ public:
     [[nodiscard]] virtual double kth_distance(std::size_t i,
                                               std::size_t k) const;
 
-    /// True when distance() is the exact pairwise metric (no projection or
-    /// sampling error).  Exactness-sensitive consumers (the theta scores)
-    /// may reuse index entries only under this flag.
-    [[nodiscard]] virtual bool exact() const noexcept { return false; }
-
-    /// True when the index holds precomputed rows, making distances_from a
-    /// copy rather than a recompute.  Consumers with a cheaper batch
-    /// kernel of their own (the fused theta path) should read the index
-    /// back only when this is set.
-    [[nodiscard]] virtual bool precomputed_rows() const noexcept {
-        return false;
-    }
-
     /// Bytes of storage this index owns beyond the borrowed points: the
-    /// dense matrix, sketches' matrix, or pivot-signature table.  Zero for
+    /// dense matrix, or the sketches and their projection matrix.  Zero for
     /// backends that precompute nothing ("lazy").  This is the number the
     /// shard tree (fl/sharding.hpp) caps per pass -- the per-round memory
     /// ceiling reported as `index_peak_bytes` in perf artifacts.
@@ -149,13 +128,26 @@ public:
     }
 };
 
-/// Shared implementation for backends whose storage is a dense
-/// DistanceMatrix (exact over the originals, or exact over sketches):
-/// every query is a row scan in ascending-j order -- the exact access
-/// pattern of the pre-index DBSCAN scan / argmin fallback, so labels and
-/// tie-breaks are unchanged bit-for-bit given the same matrix.
-class MatrixBackedIndex : public GradientIndex {
+/// The dense exact backend: DistanceMatrix behind the index API.  Every
+/// query is a row scan in ascending-j order -- the exact access pattern of
+/// the pre-index DBSCAN scan / argmin fallback, so labels and tie-breaks
+/// are unchanged bit-for-bit given the same matrix.
+class ExactIndex final : public GradientIndex {
 public:
+    /// Builds the pairwise matrix over `points` (the O(n^2 d) job, row
+    /// fan-out on `pool`).
+    /// \param metric geometry of every stored distance.
+    /// \param points the round's point set; not borrowed (values copied
+    ///               into the matrix during the build).
+    /// \param pool   carries the row fan-out; values are identical for
+    ///               any pool size.
+    ExactIndex(Metric metric, std::span<const std::vector<float>> points,
+               support::ThreadPool& pool = support::ThreadPool::global())
+        : matrix_(metric, points, pool) {}
+
+    [[nodiscard]] std::string_view name() const noexcept override {
+        return "exact";
+    }
     [[nodiscard]] std::size_t size() const noexcept override {
         return matrix_.size();
     }
@@ -172,49 +164,14 @@ public:
         std::size_t i,
         std::span<const std::size_t> candidates) const override;
     void distances_from(std::size_t i, std::span<double> out) const override;
-    [[nodiscard]] bool precomputed_rows() const noexcept override {
-        return true;
-    }
     /// The dense n x n value table plus the cached per-point norms.
     [[nodiscard]] std::size_t storage_bytes() const noexcept override {
         return (matrix_.size() * matrix_.size() + matrix_.norms().size()) *
                sizeof(double);
     }
 
-    [[nodiscard]] const DistanceMatrix& matrix() const noexcept {
-        return matrix_;
-    }
-
-protected:
-    MatrixBackedIndex() = default;
-    explicit MatrixBackedIndex(DistanceMatrix matrix) noexcept
-        : matrix_(std::move(matrix)) {}
-
+private:
     DistanceMatrix matrix_;
-};
-
-/// The dense exact backend: today's DistanceMatrix behind the index API.
-class ExactIndex final : public MatrixBackedIndex {
-public:
-    /// Builds the pairwise matrix over `points` (the O(n^2 d) job, row
-    /// fan-out on `pool`).
-    /// \param metric geometry of every stored distance.
-    /// \param points the round's point set; not borrowed (values copied
-    ///               into the matrix during the build).
-    /// \param pool   carries the row fan-out; values are identical for
-    ///               any pool size.
-    ExactIndex(Metric metric, std::span<const std::vector<float>> points,
-               support::ThreadPool& pool = support::ThreadPool::global())
-        : MatrixBackedIndex(DistanceMatrix(metric, points, pool)) {}
-    /// Adopts a prebuilt matrix.
-    /// \param matrix dense pairwise distances to serve queries from.
-    explicit ExactIndex(DistanceMatrix matrix) noexcept
-        : MatrixBackedIndex(std::move(matrix)) {}
-
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "exact";
-    }
-    [[nodiscard]] bool exact() const noexcept override { return true; }
 };
 
 /// Zero-build exact backend: borrows the point storage and computes the
@@ -246,7 +203,6 @@ public:
         if (i == j) return 0.0;
         return cluster::distance(metric_, points_[i], points_[j]);
     }
-    [[nodiscard]] bool exact() const noexcept override { return true; }
 
 private:
     Metric metric_ = Metric::kCosine;
@@ -263,8 +219,7 @@ private:
 /// n <= 2k the dense pairwise build (n^2 d / 2 products) is already
 /// cheaper than the projection (n d k products).  In both cases the index
 /// is built over the original points -- exact geometry at lower cost than
-/// any sketch -- and the index *reports* exact() accordingly, so the
-/// theta read-back reuses the dense rows instead of recomputing them.
+/// any sketch; sketch_dims() then reports the point width instead of k.
 ///
 /// Above the break-even the index stores the n x k sketch rows (plus their
 /// cached L2 norms) and answers every query on demand in O(k) -- no
@@ -316,17 +271,12 @@ public:
     /// statistic (Euclidean sketch mode; delegates otherwise).
     [[nodiscard]] double kth_distance(std::size_t i,
                                       std::size_t k) const override;
-    /// True only in the break-even fallback, where the stored matrix holds
-    /// the exact pairwise metric over the original points.
-    [[nodiscard]] bool exact() const noexcept override { return fallback_; }
-    [[nodiscard]] bool precomputed_rows() const noexcept override {
-        return fallback_;
-    }
     /// Sketches, norms and norm order, plus the projection matrix: shared
     /// across indexes, but still counted against each one.
     [[nodiscard]] std::size_t storage_bytes() const noexcept override;
 
-    /// Sketch dimensionality actually used (0 when n == 0).
+    /// Sketch dimensionality actually used: k when the sketch is engaged,
+    /// the point width in the break-even fallback (0 when n == 0).
     [[nodiscard]] std::size_t sketch_dims() const noexcept {
         return sketch_dims_;
     }
@@ -346,83 +296,18 @@ private:
     Metric metric_ = Metric::kCosine;
     std::size_t n_ = 0;
     std::size_t sketch_dims_ = 0;
-    bool fallback_ = false;
     std::vector<float> sketches_;      ///< n x k sketch rows, row-major
     std::vector<double> norms_;        ///< sketch L2 norms (band + cosine)
     std::vector<std::size_t> norm_order_;  ///< point ids ascending by norm
     /// Shared per (d, k, seed); held so storage_bytes() counts it.
     std::shared_ptr<const support::ProjectionMatrix> projection_;
-    DistanceMatrix dense_;             ///< break-even fallback storage
-};
-
-/// Pivot-profile backend: m gradients are sampled as pivots, every point
-/// gets the m-vector of exact metric distances to them, and the index
-/// distance is the trimmed-RMS difference between profiles.  Points close
-/// under the true metric have close profiles (each coordinate is
-/// 1-Lipschitz in the point by the triangle inequality), so cluster
-/// structure survives while memory stays O(n m) -- the backend a
-/// million-client shard can afford, where any (n+1)^2 matrix cannot
-/// exist.  Queries are O(m) per pair with no precomputed pairwise table.
-///
-/// When n <= m the profile table (n m distances) costs at least as much
-/// to build and store as the dense matrix it is supposed to avoid, so --
-/// like RandomProjectionIndex below its break-even -- the index holds the
-/// exact matrix instead (pivot_count() reports 0, exact() reports true so
-/// the theta read-back reuses the rows): small rounds decide identically
-/// to "exact", and the O(n m) cap engages exactly where the matrix would
-/// outgrow it.
-class SampledIndex final : public GradientIndex {
-public:
-    /// Samples the pivots and fills the signature table.
-    /// \param points the round's point set; not borrowed after the build.
-    /// \param params pivot count (m), sampling seed, and the metric the
-    ///               profiles are measured in.
-    /// \param pool   carries the per-point signature fan-out.
-    SampledIndex(std::span<const std::vector<float>> points,
-                 const IndexParams& params,
-                 support::ThreadPool& pool = support::ThreadPool::global());
-
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "sampled";
-    }
-    [[nodiscard]] std::size_t size() const noexcept override { return n_; }
-    [[nodiscard]] Metric metric() const noexcept override { return metric_; }
-    /// Trimmed-RMS difference between the two pivot-distance profiles
-    /// (exact matrix lookup in the small-n fallback).
-    /// \param i first point ordinal.
-    /// \param j second point ordinal.
-    [[nodiscard]] double distance(std::size_t i, std::size_t j) const override;
-    void distances_from(std::size_t i, std::span<double> out) const override;
-    /// True only in the small-n fallback, where the stored matrix holds
-    /// the exact pairwise metric over the original points.
-    [[nodiscard]] bool exact() const noexcept override {
-        return pivots_ == 0 && n_ > 0;
-    }
-    [[nodiscard]] bool precomputed_rows() const noexcept override {
-        return pivots_ == 0 && n_ > 0;
-    }
-
-    /// Pivot count actually in use; 0 in the small-n dense fallback.
-    [[nodiscard]] std::size_t pivot_count() const noexcept { return pivots_; }
-    /// Bytes held by the index storage: the n x m signature table, or the
-    /// dense matrix in the small-n fallback.
-    [[nodiscard]] std::size_t storage_bytes() const noexcept override {
-        return (signatures_.size() + dense_.size() * dense_.size()) *
-               sizeof(double);
-    }
-
-private:
-    Metric metric_ = Metric::kCosine;
-    std::size_t n_ = 0;
-    std::size_t pivots_ = 0;
-    std::vector<double> signatures_;  ///< n x m row-major pivot distances
-    std::vector<std::size_t> pivot_ids_;  ///< sampled point ordinals
-    DistanceMatrix dense_;            ///< small-n fallback (n <= m)
+    /// Break-even fallback: every query delegates to it when engaged.
+    std::optional<ExactIndex> dense_;
 };
 
 /// String-keyed backend table, mirroring core::SystemRegistry.  `global()`
-/// comes pre-loaded with "exact", "lazy", "random_projection" and
-/// "sampled"; registrations are additive and thread-safe.
+/// comes pre-loaded with "exact", "lazy" and "random_projection";
+/// registrations are additive and thread-safe.
 class IndexRegistry
     : public FactoryRegistry<std::function<std::unique_ptr<GradientIndex>(
           std::span<const std::vector<float>>, const IndexParams&,

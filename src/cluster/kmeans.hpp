@@ -34,7 +34,7 @@ public:
     /// Caveat: index entries are at best mathematically equal -- and for
     /// approximate backends only approximately equal -- to what cluster()
     /// computes (blocked Euclidean kernel; cosine on unnormalized
-    /// originals; sketch/pivot space), and seeding feeds them into
+    /// originals; sketch space), and seeding feeds them into
     /// cumulative probability sampling -- so this path may pick a
     /// different (equally valid) seed than cluster() and label the same
     /// partition differently.  Use it for throughput when a matching

@@ -11,16 +11,6 @@ namespace fairbfl::core {
 
 namespace {
 
-void check_updates(std::span<const fl::GradientUpdate> updates) {
-    if (updates.empty())
-        throw std::invalid_argument("aggregate: empty update set");
-    const std::size_t width = updates[0].weights.size();
-    for (const auto& u : updates) {
-        if (u.weights.size() != width)
-            throw std::invalid_argument("aggregate: ragged update widths");
-    }
-}
-
 // --- Aggregators -----------------------------------------------------------
 
 class SimpleAverageAggregator final : public Aggregator {
@@ -82,7 +72,7 @@ public:
 
     [[nodiscard]] std::vector<float> aggregate(
         std::span<const fl::GradientUpdate> updates) const override {
-        check_updates(updates);
+        fl::check_updates(updates);
         const std::size_t k = updates.size();
         std::size_t trim = static_cast<std::size_t>(
             std::ceil(trim_fraction_ * static_cast<double>(k)));
@@ -117,7 +107,7 @@ public:
 
     [[nodiscard]] std::vector<float> aggregate(
         std::span<const fl::GradientUpdate> updates) const override {
-        check_updates(updates);
+        fl::check_updates(updates);
         const std::size_t k = updates.size();
         std::vector<float> out(updates[0].weights.size());
         std::vector<float> column(k);
@@ -204,8 +194,7 @@ public:
         std::span<const float> provisional_global,
         std::span<const float> reference) const override {
         return incentive::identify_contributions_hierarchical(
-                   updates, provisional_global, config_, reference)
-            .report;
+            updates, provisional_global, config_, reference);
     }
 
 private:

@@ -6,8 +6,6 @@
 
 namespace fairbfl::fl {
 
-namespace {
-
 void check_updates(std::span<const GradientUpdate> updates) {
     if (updates.empty())
         throw std::invalid_argument("aggregate: empty update set");
@@ -17,8 +15,6 @@ void check_updates(std::span<const GradientUpdate> updates) {
             throw std::invalid_argument("aggregate: ragged update widths");
     }
 }
-
-}  // namespace
 
 namespace {
 

@@ -14,6 +14,11 @@
 
 namespace fairbfl::fl {
 
+/// Throws std::invalid_argument unless `updates` is non-empty and every
+/// update has the first one's width.  Every combine rule below calls it;
+/// so does Algorithm 2 before it builds an index over the updates.
+void check_updates(std::span<const GradientUpdate> updates);
+
 /// (1/K) sum of the updates.  Requires a non-empty set with equal widths.
 [[nodiscard]] std::vector<float> simple_average(
     std::span<const GradientUpdate> updates);

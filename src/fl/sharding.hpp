@@ -2,15 +2,14 @@
 // ShardTree: the partition topology of hierarchical Algorithm-2 rounds.
 //
 // One process cannot hold a million client gradients, whatever the index
-// backend: the `sampled` backend caps a *pass* at O(n m) memory, but the
-// pass still sees all n points.  The shard tree breaks the round into S
-// independent shard-level passes of n/S clients each -- every pass builds
-// its own cluster::GradientIndex, so peak per-pass memory drops from
-// O(n^2) (exact) / O(n m) (sampled) to the same bound at n/S -- and a
-// root-level pass over the S shard summaries restores the global
-// decision.  incentive/hierarchical.hpp implements the two-level
-// Algorithm-2 pass on top of this topology; this header owns only the
-// deterministic client -> shard assignment.
+// backend: every backend's pass still sees all n points.  The shard tree
+// breaks the round into S independent shard-level passes of n/S clients
+// each -- every pass builds its own cluster::GradientIndex, so peak
+// per-pass memory drops from O(n^2) (exact) / O(n k) (random projection)
+// to the same bound at n/S -- and a root-level pass over the S shard
+// summaries restores the global decision.  incentive/hierarchical.hpp
+// implements the two-level Algorithm-2 pass on top of this topology; this
+// header owns only the deterministic client -> shard assignment.
 //
 // Shards are contiguous, balanced ranges over the canonical
 // (client-id-sorted) update order: assignment depends on nothing but

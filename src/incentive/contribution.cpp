@@ -1,7 +1,7 @@
 #include "incentive/contribution.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <stdexcept>
 
 #include "support/vecmath.hpp"
 #include "telemetry/telemetry.hpp"
@@ -22,6 +22,21 @@ double ContributionReport::total_reward() const {
     return total;
 }
 
+void check_contribution_inputs(std::span<const fl::GradientUpdate> updates,
+                               std::span<const float> provisional_global,
+                               std::span<const float> reference) {
+    fl::check_updates(updates);
+    const std::size_t width = updates[0].weights.size();
+    if (provisional_global.size() != width)
+        throw std::invalid_argument(
+            "identify_contributions: provisional global width differs from "
+            "the updates'");
+    if (!reference.empty() && reference.size() != width)
+        throw std::invalid_argument(
+            "identify_contributions: reference width differs from the "
+            "updates'");
+}
+
 ContributionReport identify_contributions(
     std::span<const fl::GradientUpdate> updates,
     std::span<const float> provisional_global,
@@ -29,6 +44,7 @@ ContributionReport identify_contributions(
     std::span<const float> reference) {
     ContributionReport report;
     if (updates.empty()) return report;
+    check_contribution_inputs(updates, provisional_global, reference);
     // One span per Algorithm-2 pass: the flat round's single pass, or --
     // under the shard tree -- each shard pass and the root pass (their
     // item ordinal distinguishes them in the decoded log).  The index
@@ -75,14 +91,9 @@ ContributionReport identify_contributions(
     const std::string_view index_key = config.index == "auto"
                                            ? algorithm->preferred_index()
                                            : std::string_view(config.index);
-    const auto build_start = std::chrono::steady_clock::now();
     const std::unique_ptr<cluster::GradientIndex> index =
         cluster::IndexRegistry::global().build(index_key, points,
                                                index_params);
-    report.index_build_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      build_start)
-            .count();
     report.index_backend = index->name();
     report.index_peak_bytes = index->storage_bytes();
 
@@ -134,25 +145,13 @@ ContributionReport identify_contributions(
     }
 
     // theta_i: cosine distance of each update to the provisional global.
-    // Theta feeds reward and aggregation arithmetic, so it must stay exact
-    // under every backend: an exact cosine index with precomputed rows
-    // already holds the values in the global's row (read them back); any
-    // other backend -- Euclidean exact, lazy (recomputing the row would
-    // cost more than the kernel), sketches, pivot profiles -- falls
-    // through to the fused batch kernel (bit-identical to pairwise
-    // cosine_distance).
+    // Theta feeds reward and aggregation arithmetic, so it comes from the
+    // exact fused batch kernel (bit-identical to pairwise cosine_distance)
+    // under every backend; the index is comparison-only.
     std::vector<double> theta(updates.size());
-    if (index->exact() && index->precomputed_rows() &&
-        index->metric() == cluster::Metric::kCosine) {
-        std::vector<double> global_row(points.size());
-        index->distances_from(global_index, global_row);
-        std::copy(global_row.begin(), global_row.begin() + updates.size(),
-                  theta.begin());
-    } else {
-        support::cosine_distances_to(
-            std::span<const std::vector<float>>(points).first(updates.size()),
-            points[global_index], theta);
-    }
+    support::cosine_distances_to(
+        std::span<const std::vector<float>>(points).first(updates.size()),
+        points[global_index], theta);
 
     report.entries.resize(updates.size());
     double high_theta_sum = 0.0;

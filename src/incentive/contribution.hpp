@@ -44,8 +44,8 @@ struct ContributionConfig {
     /// Neighborhood/distance backend, resolved by key in
     /// cluster::IndexRegistry::global(): "exact" (dense matrix,
     /// bit-identical to the pre-index pipeline), "lazy" (zero build,
-    /// per-query exact distances), "random_projection" (JL sketches,
-    /// O(n d k) build), or "sampled" (pivot signatures, O(n m) memory).
+    /// per-query exact distances), or "random_projection" (JL sketches,
+    /// O(n d k) build).
     /// "auto" (the default) defers to the clustering algorithm's
     /// preferred_index() -- "exact" for DBSCAN's dense scan, "lazy" for
     /// k-means' seed-only touches -- so each algorithm keeps its
@@ -65,10 +65,10 @@ struct ContributionConfig {
                                  .adaptive_eps = true,
                                  .adaptive_eps_scale = 2.0};
     cluster::KMeansParams kmeans;
-    /// Tuning for the selected index backend (projection dims, pivot
-    /// count, internal seed).  The metric field is overwritten at build
-    /// time with the clustering algorithm's preferred metric, so index and
-    /// scan always agree on the geometry.
+    /// Tuning for the selected index backend (projection dims, internal
+    /// seed).  The metric field is overwritten at build time with the
+    /// clustering algorithm's preferred metric, so index and scan always
+    /// agree on the geometry.
     cluster::IndexParams index_params;
     /// The paper's `base` reward multiplier per round.
     double reward_base = 1.0;
@@ -98,11 +98,6 @@ struct ContributionReport {
     cluster::ClusterResult clustering;        ///< labels: updates then global
     /// Index backend that served this round (diagnostics / perf JSON).
     std::string index_backend;
-    /// Host wall seconds spent building the index -- a sub-component of
-    /// the round's cluster-stage wall time (telemetry span
-    /// "cluster.index_build").  Hierarchical rounds sum every pass's build
-    /// here.
-    double index_build_seconds = 0.0;
     /// Peak GradientIndex::storage_bytes() of any single pass this round:
     /// the flat pipeline's one index, or -- under the shard tree -- the
     /// largest shard/root pass.  The per-process memory ceiling the
@@ -113,10 +108,6 @@ struct ContributionReport {
     // leave them at their defaults.
     /// Number of shard-level passes (1 = flat pipeline).
     std::size_t shard_count = 1;
-    /// Wall seconds summed over the shard-level passes / spent in the
-    /// root pass (sub-components of the cluster stage, like index_build).
-    double shard_seconds = 0.0;
-    double root_seconds = 0.0;
     /// Root-level settled global update: Eq. 1 over the shard summaries
     /// with the hierarchical weights already folded in.  When non-empty,
     /// apply_strategy (and the default reward policy) return it directly
@@ -138,11 +129,22 @@ struct ContributionReport {
 /// so cosine geometry on raw weights degenerates as training progresses,
 /// while the deltas keep exactly the honest-vs-forged structure the paper's
 /// clustering argument relies on.
+///
+/// A non-empty update set is validated first (check_contribution_inputs).
+/// Wall time is in the "cluster.identify" and "cluster.index_build"
+/// telemetry spans, not in the report.
 [[nodiscard]] ContributionReport identify_contributions(
     std::span<const fl::GradientUpdate> updates,
     std::span<const float> provisional_global,
     const ContributionConfig& config,
     std::span<const float> reference = {});
+
+/// Throws std::invalid_argument unless the updates share one width
+/// (fl::check_updates) and the provisional global and a non-empty
+/// reference have that width too -- checked before any index is built.
+void check_contribution_inputs(std::span<const fl::GradientUpdate> updates,
+                               std::span<const float> provisional_global,
+                               std::span<const float> reference);
 
 /// Below this theta sum the round's geometry is degenerate (every
 /// surviving update coincides with the global) and Eq. 1 is undefined.

@@ -13,40 +13,26 @@ namespace {
 struct ShardOutcome {
     ContributionReport report;     ///< the shard's flat Algorithm 2 pass
     std::vector<float> summary;    ///< Eq. 1 combine of its survivors
-    ShardPassStats stats;
 };
-
-ShardPassStats stats_of(std::size_t shard, const ContributionReport& report,
-                        double seconds) {
-    ShardPassStats stats;
-    stats.shard = shard;
-    stats.points = report.entries.size() + 1;  // + the provisional global
-    stats.high = report.high_indices.size();
-    stats.index_backend = report.index_backend;
-    stats.seconds = seconds;
-    stats.index_build_seconds = report.index_build_seconds;
-    stats.index_bytes = report.index_peak_bytes;
-    return stats;
-}
 
 }  // namespace
 
-HierarchicalReport identify_contributions_hierarchical(
+ContributionReport identify_contributions_hierarchical(
     std::span<const fl::GradientUpdate> updates,
     std::span<const float> provisional_global,
     const ContributionConfig& config, std::span<const float> reference,
     support::ThreadPool& pool) {
-    HierarchicalReport result;
     const fl::ShardTree tree(config.sharding);
     const std::size_t shards = tree.shard_count(updates.size());
     if (shards <= 1) {
         // Flat fallback: requested off, or the round is too small to
         // split.  Identical call, identical arithmetic -- the shards=1
         // configuration is the flat pipeline bit-for-bit.
-        result.report = identify_contributions(updates, provisional_global,
-                                               config, reference);
-        return result;
+        return identify_contributions(updates, provisional_global, config,
+                                      reference);
     }
+    // Reject a malformed round here, before S shard passes build indexes.
+    check_contribution_inputs(updates, provisional_global, reference);
 
     // --- Shard level: S independent flat passes, fanned out on the pool.
     // Each worker writes only its own preallocated slot, so results are
@@ -63,7 +49,7 @@ HierarchicalReport identify_contributions_hierarchical(
         [&](std::size_t s) {
             const telemetry::ContextScope scope(
                 ctx.with_item(static_cast<std::uint32_t>(s)));
-            telemetry::Span span(telemetry::labels::shard_pass());
+            const telemetry::Span span(telemetry::labels::shard_pass());
             const std::span<const fl::GradientUpdate> shard_updates =
                 updates.subspan(plan[s].begin, plan[s].size());
             ShardOutcome& outcome = outcomes[s];
@@ -71,7 +57,6 @@ HierarchicalReport identify_contributions_hierarchical(
                 shard_updates, provisional_global, config, reference);
             outcome.summary = apply_strategy(shard_updates, outcome.report,
                                              config.strategy);
-            outcome.stats = stats_of(s, outcome.report, span.close());
         },
         pool);
 
@@ -90,7 +75,7 @@ HierarchicalReport identify_contributions_hierarchical(
         summaries, provisional_global, config, reference);
     std::vector<float> settled =
         apply_strategy(summaries, root, config.strategy);
-    const double root_seconds = root_span.close();
+    root_span.close();
 
     // --- Compose the flat-compatible round report.  Shares compose
     // multiplicatively: both levels' rewards sum to `base` (the flat pass
@@ -99,7 +84,7 @@ HierarchicalReport identify_contributions_hierarchical(
     // exactly.
     const double base = config.reward_base;
     const double inv_base = base != 0.0 ? 1.0 / base : 0.0;
-    ContributionReport& report = result.report;
+    ContributionReport report;
     report.entries.reserve(updates.size());
     for (std::size_t s = 0; s < shards; ++s) {
         const ContributionReport& shard = outcomes[s].report;
@@ -118,28 +103,19 @@ HierarchicalReport identify_contributions_hierarchical(
             }
             report.entries.push_back(std::move(entry));
         }
-        report.index_build_seconds += shard.index_build_seconds;
         report.index_peak_bytes =
             std::max(report.index_peak_bytes, shard.index_peak_bytes);
-        report.shard_seconds += outcomes[s].stats.seconds;
     }
     // The round-level clustering view is the root's: S summaries + the
     // global, the decision that actually settled the round.
     report.clustering = root.clustering;
     report.global_cluster = root.global_cluster;
     report.index_backend = root.index_backend;
-    report.index_build_seconds += root.index_build_seconds;
     report.index_peak_bytes =
         std::max(report.index_peak_bytes, root.index_peak_bytes);
     report.shard_count = shards;
-    report.root_seconds = root_seconds;
     report.settled_weights = std::move(settled);
-
-    result.root_pass = stats_of(shards, root, root_seconds);
-    result.shard_passes.reserve(shards);
-    for (auto& outcome : outcomes)
-        result.shard_passes.push_back(std::move(outcome.stats));
-    return result;
+    return report;
 }
 
 }  // namespace fairbfl::incentive

@@ -31,15 +31,16 @@
 // round budget exactly, shards or no shards.
 //
 // Peak per-pass index memory drops from the flat bound at n points to the
-// same bound at n/S (exact: O((n/S)^2) instead of O(n^2); sampled:
-// O((n/S) m)), reported as ContributionReport::index_peak_bytes.  Results
+// same bound at n/S (exact: O((n/S)^2) instead of O(n^2); random
+// projection: O((n/S) k) plus the shared projection matrix), reported as
+// ContributionReport::index_peak_bytes.  Per-level wall time is read from
+// the "cluster.shard_pass" and "cluster.root_pass" telemetry spans.  Results
 // are deterministic at any thread count: shard assignment is a pure
 // function of (n, S) and every pass draws no randomness outside its own
 // seeded index internals.
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "incentive/contribution.hpp"
@@ -47,42 +48,18 @@
 
 namespace fairbfl::incentive {
 
-/// Diagnostics of one tree pass (a shard, or the root).
-struct ShardPassStats {
-    /// Shard ordinal, or fl::ShardTree's S for the root pass.
-    std::size_t shard = 0;
-    /// Points clustered by the pass (clients or summaries, + the global).
-    std::size_t points = 0;
-    /// Updates the pass labelled high contribution.
-    std::size_t high = 0;
-    /// Index backend that served the pass (registry key).
-    std::string index_backend;
-    /// Wall seconds of the whole pass / of its index build.
-    double seconds = 0.0;
-    double index_build_seconds = 0.0;
-    /// GradientIndex::storage_bytes() of the pass's index.
-    std::size_t index_bytes = 0;
-};
-
-/// Everything the shard tree produced in one round.
-struct HierarchicalReport {
-    /// Flat-compatible round outcome: entries in canonical update order
-    /// with hierarchical high flags and rewards, the *root* pass's
-    /// clustering/global_cluster, per-level timings, and the settled
-    /// global update in `settled_weights`.  Drop-in for every
-    /// ContributionReport consumer (ledger, detection, apply_strategy).
-    ContributionReport report;
-    /// One entry per shard-level pass, in shard order.
-    std::vector<ShardPassStats> shard_passes;
-    /// The root pass over the shard summaries.
-    ShardPassStats root_pass;
-};
-
 /// Runs the two-level shard-tree pass described above.
 ///
 /// With `config.sharding.shards <= 1` (or a round too small to split --
 /// see fl::ShardTree::shard_count) this is exactly the flat
 /// identify_contributions call: same arithmetic, bit-for-bit.
+///
+/// Otherwise the result is flat-compatible: entries in canonical update
+/// order with hierarchical high flags and rewards, the *root* pass's
+/// clustering/global_cluster/index_backend, the largest pass's
+/// index_peak_bytes, shard_count = S, and the settled global update in
+/// `settled_weights` -- a drop-in for every ContributionReport consumer
+/// (ledger, detection, apply_strategy).
 ///
 /// \param updates            the round's gradient set, canonical order.
 /// \param provisional_global the simple average of Algorithm 1 line 24.
@@ -94,7 +71,7 @@ struct HierarchicalReport {
 ///                           gradients against it, like the flat pass.
 /// \param pool               carries the shard fan-out; results are
 ///                           identical for any pool size.
-[[nodiscard]] HierarchicalReport identify_contributions_hierarchical(
+[[nodiscard]] ContributionReport identify_contributions_hierarchical(
     std::span<const fl::GradientUpdate> updates,
     std::span<const float> provisional_global,
     const ContributionConfig& config, std::span<const float> reference = {},

@@ -368,16 +368,16 @@ Span::Span(Label label) noexcept {
     id_ = buffer.next_span_id();
     parent_ = tls.open_span != 0 ? tls.open_span : tls.context.parent;
     prev_open_ = tls.open_span;
-    start_ns_ = Collector::instance().now_ns();
-    buffer.put(make_record(RecordKind::kSpanBegin, label, start_ns_, id_,
-                           parent_, tls.depth, buffer.slot()));
+    buffer.put(make_record(RecordKind::kSpanBegin, label,
+                           Collector::instance().now_ns(), id_, parent_,
+                           tls.depth, buffer.slot()));
     tls.open_span = id_;
     if (tls.depth < 0xFF) ++tls.depth;
     active_ = true;
 }
 
-double Span::close() noexcept {
-    if (!active_) return 0.0;
+void Span::close() noexcept {
+    if (!active_) return;
     active_ = false;
     ThreadBuffer& buffer = local_buffer();
     const std::uint64_t end_ns = Collector::instance().now_ns();
@@ -385,13 +385,6 @@ double Span::close() noexcept {
     buffer.put(make_record(RecordKind::kSpanEnd, label_, end_ns, id_,
                            parent_, tls.depth, buffer.slot()));
     tls.open_span = prev_open_;
-    return static_cast<double>(end_ns - start_ns_) * 1e-9;
-}
-
-double Span::seconds() const noexcept {
-    if (id_ == 0) return 0.0;
-    return static_cast<double>(Collector::instance().now_ns() - start_ns_) *
-           1e-9;
 }
 
 void counter_add(Label label, std::uint64_t value) noexcept {

@@ -160,18 +160,14 @@ public:
     Span(const Span&) = delete;
     Span& operator=(const Span&) = delete;
 
-    /// Emits the end record (idempotent) and returns the measured span
-    /// seconds -- the one measurement code can both log and keep.
-    double close() noexcept;
-
-    /// Seconds since the begin record, without closing.
-    [[nodiscard]] double seconds() const noexcept;
+    /// Emits the end record (idempotent) ahead of destruction.  The span's
+    /// seconds are read back from the harvested log, never kept here.
+    void close() noexcept;
 
 private:
     std::uint64_t id_ = 0;
     std::uint64_t parent_ = 0;
     std::uint64_t prev_open_ = 0;  ///< thread's open span to restore
-    std::uint64_t start_ns_ = 0;
     Label label_ = 0;
     bool active_ = false;
 };

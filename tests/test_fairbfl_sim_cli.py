@@ -43,6 +43,11 @@ class BadInput(unittest.TestCase):
                              "--model: unknown model 'bogus'",
                              "known: logistic mlp")
 
+    def test_unknown_index(self):
+        self.assert_rejected(["--clients=4", "--index=sampled"],
+                             "--index: unknown backend 'sampled'",
+                             "known: exact, lazy, random_projection)")
+
     def test_zero_clients(self):
         self.assert_rejected(["--clients=0"],
                              "fairbfl_sim: partition: zero clients")

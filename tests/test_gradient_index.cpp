@@ -1,9 +1,10 @@
 // GradientIndex: exact-backend equivalence with the dense matrix, the
 // string-keyed registry, approximate-backend quality (recall, attack
-// detection within 2% of exact), the small-n break-even fallbacks, the
-// sketch path's bit pins (shared Gaussian matrix, chunked projection,
-// sketch contents against a per-point reference) and the sketch index's
-// behaviour on non-finite points.
+// detection within 2% of exact), the sketch's small-n break-even fallback,
+// the sketch path's bit pins (shared Gaussian matrix, chunked projection,
+// sketch contents against a per-point reference), the sketch index's
+// behaviour on non-finite points, and Algorithm 2's rejection of ragged
+// point sets before any index is built.
 
 #include <gtest/gtest.h>
 
@@ -22,10 +23,12 @@
 #include "crypto/sha256.hpp"
 #include "fl/aggregation.hpp"
 #include "incentive/contribution.hpp"
+#include "incentive/hierarchical.hpp"
 #include "support/parallel.hpp"
 #include "support/projection.hpp"
 #include "support/rng.hpp"
 #include "support/vecmath.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -65,7 +68,6 @@ TEST(ExactIndex, MatchesDistanceMatrixBitForBit) {
 
     ASSERT_EQ(index.size(), matrix.size());
     EXPECT_EQ(index.metric(), matrix.metric());
-    EXPECT_TRUE(index.exact());
     EXPECT_EQ(index.name(), "exact");
     for (std::size_t i = 0; i < matrix.size(); ++i)
         for (std::size_t j = 0; j < matrix.size(); ++j)
@@ -109,7 +111,6 @@ TEST(LazyIndex, ComputesExactMetricWithZeroBuild) {
     const auto points = grouped_gradients(2, 5, 24, 11);
     for (const auto metric : {cl::Metric::kEuclidean, cl::Metric::kCosine}) {
         const cl::LazyIndex index(metric, points);
-        EXPECT_TRUE(index.exact());
         EXPECT_EQ(index.name(), "lazy");
         ASSERT_EQ(index.size(), points.size());
         for (std::size_t i = 0; i < points.size(); ++i) {
@@ -170,7 +171,6 @@ TEST(IndexRegistry, BuiltinsRegisteredUnknownThrows) {
     EXPECT_TRUE(registry.contains("exact"));
     EXPECT_TRUE(registry.contains("lazy"));
     EXPECT_TRUE(registry.contains("random_projection"));
-    EXPECT_TRUE(registry.contains("sampled"));
     EXPECT_FALSE(registry.contains("flat_l2"));
 
     const auto points = grouped_gradients(2, 4, 8, 3);
@@ -230,51 +230,26 @@ TEST(RandomProjectionIndex, RecallAtLeastPoint9OnGradientGroups) {
     EXPECT_GE(recall_at(approx, exact, 7), 0.9);
 }
 
-TEST(SampledIndex, RecallAtLeastPoint9OnGradientGroups) {
-    const auto points = grouped_gradients(10, 8, 512, 5);
-    cl::IndexParams params;
-    params.metric = cl::Metric::kEuclidean;
-    params.pivots = 16;  // engaged: n = 80 > m = 16
-    const cl::SampledIndex approx(points, params);
-    ASSERT_EQ(approx.pivot_count(), 16U);
-    const cl::ExactIndex exact(cl::Metric::kEuclidean, points);
-    EXPECT_GE(recall_at(approx, exact, 7), 0.9);
-}
-
-TEST(SampledIndex, MemoryCappedAtPivotTable) {
-    const auto points = grouped_gradients(10, 10, 64, 6);  // n = 100
-    cl::IndexParams params;
-    params.metric = cl::Metric::kEuclidean;
-    params.pivots = 16;
-    const cl::SampledIndex index(points, params);
-    EXPECT_EQ(index.pivot_count(), 16U);
-    // O(n m) doubles, far under the n^2 the dense matrix would need.
-    EXPECT_EQ(index.storage_bytes(), 100U * 16U * sizeof(double));
-    // Still a dissimilarity: symmetric with a zero diagonal.
-    for (std::size_t i = 0; i < 20; ++i) {
-        EXPECT_EQ(index.distance(i, i), 0.0);
-        for (std::size_t j = 0; j < 20; ++j)
-            EXPECT_EQ(index.distance(i, j), index.distance(j, i));
-    }
-}
-
 TEST(ApproximateIndexes, SmallRoundsFallBackToExactGeometry) {
-    // Below the cost break-even (n <= 2k / n <= m) approximating is pure
-    // loss, so both backends must answer with the exact metric -- Table-2
-    // sized rounds decide identically to the "exact" backend.
+    // Below the cost break-even (n <= 2k) sketching is pure loss, so the
+    // random-projection backend must answer with the exact metric --
+    // Table-2 sized rounds decide identically to the "exact" backend.
     const auto points = grouped_gradients(2, 5, 32, 7);  // n = 10
     const cl::ExactIndex exact(cl::Metric::kEuclidean, points);
     cl::IndexParams params;
-    params.metric = cl::Metric::kEuclidean;  // defaults: k = 48, m = 32
+    params.metric = cl::Metric::kEuclidean;  // default k = 48
     const cl::RandomProjectionIndex projected(points, params);
-    const cl::SampledIndex sampled(points, params);
-    EXPECT_EQ(sampled.pivot_count(), 0U);
+    EXPECT_EQ(projected.sketch_dims(), 32U);  // the point width, not k
     for (std::size_t i = 0; i < points.size(); ++i) {
-        for (std::size_t j = 0; j < points.size(); ++j) {
+        for (std::size_t j = 0; j < points.size(); ++j)
             EXPECT_EQ(projected.distance(i, j), exact.distance(i, j));
-            EXPECT_EQ(sampled.distance(i, j), exact.distance(i, j));
-        }
     }
+    // distances_from on the fallback serves the exact dense row.
+    std::vector<double> row(points.size());
+    std::vector<double> truth(points.size());
+    projected.distances_from(3, row);
+    exact.distances_from(3, truth);
+    EXPECT_EQ(row, truth);
 }
 
 TEST(ApproximateIndexes, DbscanLabelsMatchExactOnSeparatedGroups) {
@@ -285,9 +260,7 @@ TEST(ApproximateIndexes, DbscanLabelsMatchExactOnSeparatedGroups) {
     cl::IndexParams params;
     params.metric = cl::Metric::kEuclidean;
     params.projection_dims = 12;
-    params.pivots = 12;
     const cl::RandomProjectionIndex projected(points, params);
-    const cl::SampledIndex sampled(points, params);
 
     auto scan = [&](const cl::GradientIndex& index) {
         const double eps = 2.0 * cl::suggest_eps(index, 3);
@@ -298,14 +271,13 @@ TEST(ApproximateIndexes, DbscanLabelsMatchExactOnSeparatedGroups) {
     const auto truth = scan(exact);
     ASSERT_EQ(truth.num_clusters, 4);
     EXPECT_EQ(scan(projected).labels, truth.labels);
-    EXPECT_EQ(scan(sampled).labels, truth.labels);
 }
 
-// The acceptance gate: attack-detection rate under either approximate
-// backend stays within 2% of exact, with the approximation *engaged* at
-// its default tuning (n = 120 clients > 2k = 96 and > m = 32).  Table-2
-// scale (10 clients) is covered by the break-even fallback instead, and
-// pinned by the identical bench_table2_attacks output per backend.
+// The acceptance gate: attack-detection rate under the approximate backend
+// stays within 2% of exact, with the sketch *engaged* at its default
+// tuning (n = 120 clients > 2k = 96).  Table-2 scale (10 clients) is
+// covered by the break-even fallback instead, and pinned by the identical
+// bench_table2_attacks output per backend.
 TEST(ApproximateIndexes, AttackDetectionWithin2PercentOfExact) {
     core::EnvironmentConfig env_config;
     env_config.data.samples = 1200;
@@ -336,7 +308,6 @@ TEST(ApproximateIndexes, AttackDetectionWithin2PercentOfExact) {
     const double exact = detection("exact");
     EXPECT_GT(exact, 0.5);  // the defense itself must be working
     EXPECT_NEAR(detection("random_projection"), exact, 0.02);
-    EXPECT_NEAR(detection("sampled"), exact, 0.02);
 }
 
 // --- Sketch path bit pins -------------------------------------------------
@@ -493,7 +464,6 @@ TEST(RandomProjectionIndex, DistancesEqualDistanceMatrixOverPerPointSketches) {
             params.projection_dims = kDims;
             params.seed = kSeed;
             const cl::RandomProjectionIndex index(points, params);
-            ASSERT_FALSE(index.exact());
             ASSERT_EQ(index.sketch_dims(), kDims);
             const cl::DistanceMatrix want(metric, sketches);
             for (std::size_t i = 0; i < n; ++i) {
@@ -508,30 +478,6 @@ TEST(RandomProjectionIndex, DistancesEqualDistanceMatrixOverPerPointSketches) {
             }
         }
     }
-}
-
-TEST(SampledIndex, FallbackReportsExactRowsForThetaReadback) {
-    // The break-even bugfix: a fallback holding the dense matrix must say
-    // so, so the theta read-back reuses the rows it already paid for.
-    const auto points = grouped_gradients(2, 4, 32, 95);  // n = 8 <= m
-    cl::IndexParams params;
-    params.metric = cl::Metric::kCosine;
-    const cl::SampledIndex sampled(points, params);
-    ASSERT_EQ(sampled.pivot_count(), 0U);
-    EXPECT_TRUE(sampled.exact());
-    EXPECT_TRUE(sampled.precomputed_rows());
-    const cl::RandomProjectionIndex projected(points, params);  // n <= 2k
-    EXPECT_TRUE(projected.exact());
-    EXPECT_TRUE(projected.precomputed_rows());
-    // distances_from on the fallback serves the exact dense row.
-    const cl::ExactIndex exact(cl::Metric::kCosine, points);
-    std::vector<double> row(points.size());
-    std::vector<double> truth(points.size());
-    sampled.distances_from(3, row);
-    exact.distances_from(3, truth);
-    EXPECT_EQ(row, truth);
-    projected.distances_from(3, row);
-    EXPECT_EQ(row, truth);
 }
 
 // --- Non-finite points -----------------------------------------------------
@@ -584,7 +530,6 @@ TEST(RandomProjectionIndex, OneInfinitePointKeepsKthDistanceExact) {
     cl::IndexParams params;
     params.metric = cl::Metric::kEuclidean;
     const cl::RandomProjectionIndex index(points, params);
-    ASSERT_FALSE(index.exact());
     ASSERT_EQ(index.sketch_dims(), 48U);
     expect_queries_terminate_and_match(index);
     for (std::size_t i = 0; i < index.size(); ++i) {
@@ -608,7 +553,7 @@ TEST(RandomProjectionIndex, NonFinitePointsNeverStallQueries) {
         cl::IndexParams params;
         params.metric = metric;
         const cl::RandomProjectionIndex index(points, params);
-        ASSERT_FALSE(index.exact());
+        ASSERT_EQ(index.sketch_dims(), 48U);
         expect_queries_terminate_and_match(index);
     }
 }
@@ -629,6 +574,65 @@ TEST(IdentifyContributions, NonFiniteUpdatesReturnUnderTheSketchIndex) {
         updates, fairbfl::fl::simple_average(updates), config);
     EXPECT_EQ(report.index_backend, "random_projection");
     EXPECT_EQ(report.entries.size(), updates.size());
+}
+
+// One 100-float update among 256-float ones, or a short provisional global
+// or reference: every index backend would read past the narrow vector (or
+// silently score on its first 100 coordinates), so Algorithm 2 must throw
+// -- flat and under the shard tree, at sizes where the sketch falls back
+// (n = 20) and where it engages (n = 120) -- and no index build may start.
+TEST(IdentifyContributions, RaggedWidthsThrowBeforeAnyIndexIsBuilt) {
+    namespace inc = fairbfl::incentive;
+    namespace tel = fairbfl::telemetry;
+    constexpr std::size_t kWide = 256;
+    constexpr std::size_t kNarrow = 100;
+    tel::set_enabled(true);
+    tel::Session session;
+    const tel::ContextScope scope(session.context(0));
+
+    for (const std::size_t n : {std::size_t{20}, std::size_t{120}}) {
+        const auto points = grouped_gradients(2, n / 2, kWide, 41);
+        std::vector<fairbfl::fl::GradientUpdate> wide(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            wide[i].client = static_cast<fairbfl::fl::NodeId>(i);
+            wide[i].weights = points[i];
+        }
+        const std::vector<float> global = points[1];
+        const std::vector<float> narrow(global.begin(),
+                                        global.begin() + kNarrow);
+        auto narrow_middle = wide;
+        narrow_middle[n / 2].weights = narrow;
+        auto narrow_first = wide;
+        narrow_first[0].weights = narrow;
+        for (const char* backend : {"exact", "random_projection"}) {
+            for (const std::size_t shards : {1U, 4U}) {
+                SCOPED_TRACE(testing::Message()
+                             << "n " << n << " " << backend << " shards "
+                             << shards);
+                inc::ContributionConfig config;
+                config.index = backend;
+                config.sharding = {.shards = shards, .min_shard_clients = 4};
+                const auto run =
+                    [&](std::span<const fairbfl::fl::GradientUpdate> updates,
+                        std::span<const float> provisional,
+                        std::span<const float> reference) {
+                        return inc::identify_contributions_hierarchical(
+                            updates, provisional, config, reference);
+                    };
+                EXPECT_THROW((void)run(narrow_middle, global, {}),
+                             std::invalid_argument);
+                EXPECT_THROW((void)run(narrow_first, global, {}),
+                             std::invalid_argument);
+                EXPECT_THROW((void)run(wide, global, narrow),
+                             std::invalid_argument);
+                EXPECT_THROW((void)run(wide, narrow, {}),
+                             std::invalid_argument);
+            }
+        }
+    }
+    const tel::RoundStats stats = session.harvest(0);
+    EXPECT_EQ(stats.labels.count("cluster.index_build"), 0U);
+    EXPECT_EQ(stats.labels.count("cluster.identify"), 0U);
 }
 
 }  // namespace

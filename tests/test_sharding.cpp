@@ -166,9 +166,8 @@ TEST(ShardTreeEquivalence, ShardsOneBitIdenticalToFlatPinnedSeries) {
     const Fixture f = make_fixture();
     const auto flat = inc::identify_contributions(
         f.updates, f.global, inc::ContributionConfig{}, f.reference);
-    const auto tree = inc::identify_contributions_hierarchical(
+    const auto report = inc::identify_contributions_hierarchical(
         f.updates, f.global, sharded_config(1), f.reference);
-    const inc::ContributionReport& report = tree.report;
 
     ASSERT_EQ(report.entries.size(), 10U);
     for (std::size_t i = 0; i < 10; ++i) {
@@ -184,7 +183,6 @@ TEST(ShardTreeEquivalence, ShardsOneBitIdenticalToFlatPinnedSeries) {
     // the settlement stays the flat Eq. 1 downstream.
     EXPECT_EQ(report.shard_count, 1U);
     EXPECT_TRUE(report.settled_weights.empty());
-    EXPECT_EQ(tree.shard_passes.size(), 0U);
     // Both strategies settle identically to the flat pipeline.
     for (const auto strategy : {inc::LowContributionStrategy::kKeepAll,
                                 inc::LowContributionStrategy::kDiscard}) {
@@ -199,9 +197,9 @@ TEST(ShardTreeEquivalence, TinyRoundClampsToFlat) {
     const Fixture f = make_fixture();
     const auto tree = inc::identify_contributions_hierarchical(
         f.updates, f.global, sharded_config(4), f.reference);
-    EXPECT_EQ(tree.report.shard_count, 1U);
+    EXPECT_EQ(tree.shard_count, 1U);
     for (std::size_t i = 0; i < 10; ++i)
-        EXPECT_DOUBLE_EQ(tree.report.entries[i].theta, kExpectedTheta[i]);
+        EXPECT_DOUBLE_EQ(tree.entries[i].theta, kExpectedTheta[i]);
 }
 
 // --- Detection parity ------------------------------------------------------
@@ -212,16 +210,16 @@ TEST(ShardTreeDetection, ParityWithinTwoPercentOfFlatAtFourShards) {
         ax.f.updates, ax.f.global, inc::ContributionConfig{}, ax.f.reference);
     const auto tree = inc::identify_contributions_hierarchical(
         ax.f.updates, ax.f.global, sharded_config(4), ax.f.reference);
-    ASSERT_EQ(tree.report.shard_count, 4U);
+    ASSERT_EQ(tree.shard_count, 4U);
 
     const double flat_rate = detection_of(flat, ax.attackers);
-    const double tree_rate = detection_of(tree.report, ax.attackers);
+    const double tree_rate = detection_of(tree, ax.attackers);
     // The flat pipeline catches this fixture completely; the tree must
     // stay within 2% of whatever flat achieves.
     EXPECT_EQ(flat_rate, 1.0);
     EXPECT_GE(tree_rate, flat_rate - 0.02);
     // No honest client is falsely discarded by the hierarchy.
-    EXPECT_EQ(tree.report.low_indices.size(), ax.attackers.size());
+    EXPECT_EQ(tree.low_indices.size(), ax.attackers.size());
 }
 
 // --- Reward conservation ---------------------------------------------------
@@ -235,9 +233,9 @@ TEST(ShardTreeRewards, ConserveTheRoundBudgetUnderSharding) {
         config.reward_base = 2.5;
         const auto tree = inc::identify_contributions_hierarchical(
             ax.f.updates, ax.f.global, config, ax.f.reference);
-        EXPECT_NEAR(tree.report.total_reward(), 2.5, 1e-9);
+        EXPECT_NEAR(tree.total_reward(), 2.5, 1e-9);
         // Attackers earn nothing; every reward is non-negative.
-        for (const auto& entry : tree.report.entries) {
+        for (const auto& entry : tree.entries) {
             EXPECT_GE(entry.reward, 0.0);
             if (!entry.high) EXPECT_EQ(entry.reward, 0.0);
         }
@@ -254,15 +252,15 @@ TEST(ShardTreeDeterminism, IndependentOfFanOutThreadCount) {
         ax.f.updates, ax.f.global, sharded_config(4), ax.f.reference, serial);
     const auto b = inc::identify_contributions_hierarchical(
         ax.f.updates, ax.f.global, sharded_config(4), ax.f.reference, wide);
-    ASSERT_EQ(a.report.entries.size(), b.report.entries.size());
-    for (std::size_t i = 0; i < a.report.entries.size(); ++i) {
-        EXPECT_EQ(a.report.entries[i].theta, b.report.entries[i].theta) << i;
-        EXPECT_EQ(a.report.entries[i].reward, b.report.entries[i].reward) << i;
-        EXPECT_EQ(a.report.entries[i].high, b.report.entries[i].high) << i;
+    ASSERT_EQ(a.entries.size(), b.entries.size());
+    for (std::size_t i = 0; i < a.entries.size(); ++i) {
+        EXPECT_EQ(a.entries[i].theta, b.entries[i].theta) << i;
+        EXPECT_EQ(a.entries[i].reward, b.entries[i].reward) << i;
+        EXPECT_EQ(a.entries[i].high, b.entries[i].high) << i;
     }
-    EXPECT_EQ(a.report.high_indices, b.report.high_indices);
-    EXPECT_EQ(a.report.settled_weights, b.report.settled_weights);
-    EXPECT_EQ(a.report.clustering.labels, b.report.clustering.labels);
+    EXPECT_EQ(a.high_indices, b.high_indices);
+    EXPECT_EQ(a.settled_weights, b.settled_weights);
+    EXPECT_EQ(a.clustering.labels, b.clustering.labels);
 }
 
 // --- Memory ceiling --------------------------------------------------------
@@ -276,13 +274,13 @@ TEST(ShardTreeMemory, PeakIndexBytesDropAtLeastThreeTimes) {
         ax.f.updates, ax.f.global, inc::ContributionConfig{}, ax.f.reference);
     const auto tree = inc::identify_contributions_hierarchical(
         ax.f.updates, ax.f.global, sharded_config(4), ax.f.reference);
-    ASSERT_EQ(tree.report.shard_count, 4U);
+    ASSERT_EQ(tree.shard_count, 4U);
     ASSERT_GT(flat.index_peak_bytes, 0U);
-    ASSERT_GT(tree.report.index_peak_bytes, 0U);
-    EXPECT_GE(flat.index_peak_bytes, 3 * tree.report.index_peak_bytes);
+    ASSERT_GT(tree.index_peak_bytes, 0U);
+    EXPECT_GE(flat.index_peak_bytes, 3 * tree.index_peak_bytes);
     // Exact backend arithmetic: (n+1)^2 doubles flat, (n/S+1)^2 per shard.
     EXPECT_EQ(flat.index_peak_bytes, 257U * 257U * sizeof(double));
-    EXPECT_EQ(tree.report.index_peak_bytes, 65U * 65U * sizeof(double));
+    EXPECT_EQ(tree.index_peak_bytes, 65U * 65U * sizeof(double));
 }
 
 // --- End-to-end through FairBfl -------------------------------------------
