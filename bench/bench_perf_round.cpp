@@ -152,7 +152,6 @@ int main(int argc, char** argv) {
             "  --rounds=5             rounds per sweep point\n"
             "  --dim=784              feature dimension\n"
             "  --system=fairbfl       registry key to benchmark\n"
-            "  --engine=batched       Procedure-I engine: batched|reference\n"
             "  --index=exact          Algorithm-2 neighborhood backend\n"
             "                         (auto|exact|lazy|random_projection)\n"
             "  --shards=1             hierarchical shard-tree fan-out\n"
@@ -176,7 +175,6 @@ int main(int argc, char** argv) {
     const auto miners = static_cast<std::size_t>(args.get_int("miners", 2));
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
     const std::string system = args.get_string("system", "fairbfl");
-    const std::string engine = args.get_string("engine", "batched");
     const std::string index = args.get_string("index", "exact");
     const auto shards = static_cast<std::size_t>(args.get_int("shards", 1));
     const std::string kernels = args.get_string("kernels", "scalar");
@@ -203,11 +201,6 @@ int main(int argc, char** argv) {
                      kernels.c_str());
         return 1;
     }
-    if (engine != "batched" && engine != "reference") {
-        std::fprintf(stderr, "bench_perf_round: bad --engine '%s'\n",
-                     engine.c_str());
-        return 1;
-    }
     if (index != "auto" &&
         !cluster::IndexRegistry::global().contains(index)) {
         std::fprintf(stderr, "bench_perf_round: bad --index '%s'\n",
@@ -231,7 +224,6 @@ int main(int argc, char** argv) {
         spec.fair.fl.rounds = rounds;
         spec.fair.fl.client_ratio = 1.0;  // full round: n+1 clustered points
         spec.fair.fl.seed = seed;
-        spec.fair.fl.batched_training = engine == "batched";
         spec.fair.incentive.index = index;
         spec.fair.incentive.sharding.shards = shards;
         spec.fair.miners = miners;
@@ -248,10 +240,6 @@ int main(int argc, char** argv) {
                 support::FaultPlan::sampled(fault_spec, seed, rounds,
                                             clients));
         }
-        spec.fl.batched_training = spec.fair.fl.batched_training;
-        spec.fedprox.base.batched_training = spec.fair.fl.batched_training;
-        spec.vanilla.fl.batched_training = spec.fair.fl.batched_training;
-
         const auto t0 = std::chrono::steady_clock::now();
         const core::SystemRun run = core::run_system(env, spec);
         const auto t1 = std::chrono::steady_clock::now();
@@ -284,7 +272,6 @@ int main(int argc, char** argv) {
     // on artifacts from another version.  2 = telemetry-derived stages.
     json += "  \"schema_version\": 2,\n";
     json += "  \"system\": \"" + system + "\",\n";
-    json += "  \"engine\": \"" + engine + "\",\n";
     json += "  \"index\": \"" + index + "\",\n";
     // Requested mode plus the table that actually served (auto on a
     // non-AVX2 host degrades to scalar; A/B consumers must see which).

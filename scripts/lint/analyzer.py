@@ -1,49 +1,79 @@
 #!/usr/bin/env python3
-"""fairbfl-analyzer: dependency-free whole-program static analysis.
+"""fairbfl-analyzer: the project's one dependency-free static analyzer.
 
-run_lints.py checks one file at a time; this tool builds the project-wide
+Lexes every file of the tree once with cpplex.py, builds the project-wide
 include graph and a cross-TU symbol/call graph from compile_commands.json
-(declaration->definition resolution via the cpplex.py lexer: qualified-name
-matching first, then header-signature matching; unresolved edges are
-reported, never silently dropped) and proves the repo's global invariants
-on top of it:
+(declaration->definition resolution: qualified-name matching first, then
+header-signature matching; unresolved edges are reported, never silently
+dropped), and checks every rule of the RULES table on that one view.
 
-  layer-deps            ARCHITECTURE.md's "dependencies point strictly
-                        downward" as a machine-checked DAG over #include
-                        edges; the allowed-edge table is
-                        scripts/lint/layers.json (the normative layer map).
-  telemetry-hotpath-xtu PR 7's no-alloc/no-lock/no-throw telemetry
-                        emission proof extended across TU boundaries: the
-                        reachability walk follows resolved call edges into
-                        every TU instead of stopping at the file edge.
-                        Shares stop_functions with the per-file rule.
-  fp-determinism        the PR 8 bit-pin convention, structurally: no
-                        floating-point multiply-accumulate loops outside
-                        the allowlisted kernel layer (src/support/simd*,
-                        src/support/vecmath*), plus every TU's compile
-                        command must carry -ffp-contract=off and none of
-                        -ffast-math/-funsafe-math-optimizations/
-                        -fassociative-math/-Ofast.
-  lock-order            the global acquires-while-holding graph built from
-                        support::MutexLock sites and REQUIRES()
-                        annotations, with call edges followed so transitive
-                        acquisition counts; fails on cycles, on
-                        acquisitions not sanctioned by the documented lock
-                        hierarchy in allowlists.json, and on undocumented
-                        or stale hierarchy entries (per-function Clang TSA
-                        cannot see cross-function lock ordering).
-  blocking-in-worker    no blocking syscalls / sleeps / condvar waits /
-                        stream IO reachable from ThreadPool task bodies
-                        (lambdas passed to parallel_for/parallel_chunks/
-                        pool.run) outside the pool's own scheduler
-                        (allowlisted scheduler_paths).
-  unused-include        IWYU-lite: a project header whose include closure
-                        provides no name the including file references.
-                        Report-only unless --strict.
+Per-file match rules (token patterns; each skips its allowlisted
+exempt_paths):
+
+  raw-sync            no std::mutex / std::thread / std::lock_guard /
+                      std::condition_variable (or their headers) outside
+                      src/support/ -- concurrency goes through the
+                      annotated support::Mutex/MutexLock/CondVar wrappers
+                      or the ThreadPool, so clang -Wthread-safety can see
+                      every lock in the tree.
+  rng-determinism     no rand()/srand(), std::random_device, or
+                      argless-seeded std engines outside support/rng --
+                      all randomness derives from the experiment seed via
+                      support::Rng (fixed-seed runs stay bit-for-bit).
+  catch-swallow       no `catch (...)` in src/ that swallows without
+                      rethrowing (or capturing via std::current_exception
+                      for a later rethrow).
+  simd-isolation      no x86 intrinsic headers (<immintrin.h> and
+                      friends) or _mm*/__m* intrinsics outside
+                      src/support/simd* -- ISA-specific code lives behind
+                      the runtime-dispatched KernelTable
+                      (support/simd.hpp), keeping every other TU portable
+                      and the scalar bit-pins the default.
+
+Whole-program rules:
+
+  layer-deps          ARCHITECTURE.md's "dependencies point strictly
+                      downward" as a machine-checked DAG over #include
+                      edges; the allowed-edge table is
+                      scripts/lint/layers.json (the normative layer map).
+  telemetry-hotpath   no allocation (new/malloc/containers growing), no
+                      lock, no ad-hoc std::chrono::*::now(), and no throw
+                      reachable from the telemetry emission roots
+                      (telemetry::Span begin/close, counter_add,
+                      counter_max and their helpers) -- the lock-free ring
+                      guarantee.  The walk follows resolved call edges
+                      into every TU and stops at the allowlisted cold
+                      paths (stop_functions: buffer-full self-flush,
+                      first-use adopt, label interning).
+  fp-determinism      the bit-pin convention, structurally: no
+                      floating-point multiply-accumulate loops outside
+                      the allowlisted kernel layer (src/support/simd*,
+                      src/support/vecmath*), plus every TU's compile
+                      command must carry -ffp-contract=off and none of
+                      -ffast-math/-funsafe-math-optimizations/
+                      -fassociative-math/-Ofast.
+  lock-order          the global acquires-while-holding graph built from
+                      support::MutexLock sites and REQUIRES()
+                      annotations, with call edges followed so transitive
+                      acquisition counts; fails on cycles, on
+                      acquisitions not sanctioned by the documented lock
+                      hierarchy in allowlists.json, and on undocumented
+                      locks (per-function Clang TSA cannot see
+                      cross-function lock ordering).
+  blocking-in-worker  no blocking syscalls / sleeps / condvar waits /
+                      stream IO reachable from ThreadPool task bodies
+                      (lambdas passed to parallel_for/parallel_chunks/
+                      pool.run) outside the pool's own scheduler
+                      (allowlisted scheduler_paths).
+  unused-include      IWYU-lite: a project header whose own declarations
+                      provide no name the including file references.
+
+Every allowlist entry is checked too: one that no longer suppresses or
+documents anything is itself a finding (check_stale_entries).
 
 Usage:
   analyzer.py --build-dir build            # analyze the tree; exit 1 on
-                                           # findings from enforcing rules
+                                           # any finding
   analyzer.py --rule layer-deps            # restrict to one rule
   analyzer.py --self-test                  # per-rule bad/clean fixture
                                            # trees (tests/analyzer_fixtures)
@@ -52,50 +82,273 @@ Usage:
                                            # locks, pool-task roots
   analyzer.py --explain lock-order:mutex   # where a symbol stands in a
                                            # rule's graph and why
-  analyzer.py --strict                     # unused-include becomes
-                                           # enforcing
   analyzer.py --summary-md out.md          # per-rule markdown table +
                                            # runtime (CI job summary)
 
-Per-file facts are cached in <build-dir>/analyzer_cache.json keyed on
-content sha256 + extractor version (FACTS_VERSION), so warm full-tree
-runs re-lex nothing and stay well inside the 5 s CI budget.
+Diagnostics are gcc-style `file:line:col: error: [rule] message` so
+editors and CI annotate them.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
 import sys
 import time
+from dataclasses import dataclass
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import cpplex  # noqa: E402
-from cpplex import IDENT, NUMBER, PP, PUNCT  # noqa: E402
-import run_lints as rl  # noqa: E402  (shared Finding, sets, helpers)
+from cpplex import IDENT, NUMBER, PP, PUNCT, Token  # noqa: E402
 
-Finding = rl.Finding
-_find_matching = rl._find_matching
+LINT_DIR = os.path.dirname(os.path.abspath(__file__))
+REPO_ROOT = os.path.dirname(os.path.dirname(LINT_DIR))
+ALLOWLISTS_REL = "scripts/lint/allowlists.json"
 
-REPO_ROOT = rl.REPO_ROOT
 
-RULES = ("layer-deps", "telemetry-hotpath-xtu", "fp-determinism",
-         "lock-order", "blocking-in-worker", "unused-include")
+@dataclass
+class Finding:
+    rule: str
+    path: str
+    line: int
+    col: int
+    message: str
 
-# Bump whenever extraction below changes shape or semantics: stale caches
-# are discarded wholesale, never migrated.
-FACTS_VERSION = 5
+    def __str__(self) -> str:
+        return (f"{self.path}:{self.line}:{self.col}: error: "
+                f"[{self.rule}] {self.message}")
+
+
+def _find_matching(tokens: list[Token], start: int, open_: str,
+                   close: str) -> int:
+    """Index of the token closing the bracket opened at `start` (which
+    must hold `open_`); len(tokens) if unbalanced."""
+    depth = 0
+    for k in range(start, len(tokens)):
+        v = tokens[k].value
+        if tokens[k].kind == PUNCT:
+            if v == open_:
+                depth += 1
+            elif v == close:
+                depth -= 1
+                if depth == 0:
+                    return k
+    return len(tokens)
+
 
 # ---------------------------------------------------------------------------
-# Shared vocabularies
+# Per-file match rules: (rel, tokens) -> [Finding]
 
-# Identifier-followed-by-'(' shapes that are control flow or specifiers,
-# not calls or function names.
-_STOPWORDS = rl._FUNC_NAME_STOPWORDS | {
-    "constexpr", "consteval", "constinit", "requires", "explicit",
+_RAW_SYNC_TYPES = {
+    "std::mutex", "std::timed_mutex", "std::recursive_mutex",
+    "std::recursive_timed_mutex", "std::shared_mutex",
+    "std::shared_timed_mutex", "std::thread", "std::jthread",
+    "std::lock_guard", "std::unique_lock", "std::scoped_lock",
+    "std::shared_lock", "std::condition_variable",
+    "std::condition_variable_any", "std::call_once", "std::once_flag",
+    "std::async",
+}
+_RAW_SYNC_HEADERS = {"<mutex>", "<thread>", "<shared_mutex>",
+                     "<condition_variable>", "<future>"}
+
+
+def rule_raw_sync(path: str, tokens: list[Token]) -> list[Finding]:
+    out = []
+    for k, t in enumerate(tokens):
+        if t.kind == PP and t.value.startswith("#include"):
+            header = t.value.split("#include", 1)[1].strip()
+            if header in _RAW_SYNC_HEADERS:
+                out.append(
+                    Finding(
+                        "raw-sync", path, t.line, t.col,
+                        f"raw concurrency header {header}: use "
+                        "support/sync.hpp (annotated Mutex/MutexLock/"
+                        "CondVar) or support/parallel.hpp instead"))
+        elif t.kind == IDENT:
+            for name in _RAW_SYNC_TYPES:
+                if t.value == name.rsplit("::", 1)[1] and \
+                        cpplex.match_qualified(tokens, k, name):
+                    out.append(
+                        Finding(
+                            "raw-sync", path, t.line, t.col,
+                            f"{name} outside src/support/: the analysis "
+                            "cannot see std primitives -- use the "
+                            "annotated support::Mutex/MutexLock/CondVar "
+                            "(support/sync.hpp) or support::ThreadPool"))
+                    break
+    return out
+
+
+_RNG_ENGINES = {"std::mt19937", "std::mt19937_64", "std::minstd_rand",
+                "std::minstd_rand0", "std::default_random_engine",
+                "std::ranlux24", "std::ranlux48", "std::knuth_b"}
+
+
+def rule_rng_determinism(path: str, tokens: list[Token]) -> list[Finding]:
+    out = []
+    for k, t in enumerate(tokens):
+        if t.kind != IDENT:
+            continue
+        if t.value in ("rand", "srand") and k + 1 < len(tokens) \
+                and tokens[k + 1].value == "(" \
+                and (k == 0 or tokens[k - 1].value not in ("::", ".", "->")
+                     or cpplex.match_qualified(tokens, k, "std::" + t.value)):
+            out.append(
+                Finding(
+                    "rng-determinism", path, t.line, t.col,
+                    f"{t.value}() breaks seed determinism: draw from a "
+                    "support::Rng stream forked off the experiment seed"))
+        elif t.value == "random_device" and \
+                cpplex.match_qualified(tokens, k, "std::random_device"):
+            out.append(
+                Finding(
+                    "rng-determinism", path, t.line, t.col,
+                    "std::random_device is non-deterministic by design: "
+                    "seed a support::Rng from the experiment config "
+                    "instead"))
+        elif t.value in {n.rsplit("::", 1)[1] for n in _RNG_ENGINES} and \
+                any(cpplex.match_qualified(tokens, k, n)
+                    for n in _RNG_ENGINES):
+            # Flag only *argless* construction: `std::mt19937 g;`,
+            # `std::mt19937()`, `std::mt19937{}` -- the default seed is a
+            # process-invariant constant, which silently decouples the
+            # stream from the experiment seed.  Seeded forms pass (though
+            # support::Rng is still the idiomatic source).
+            nxt = tokens[k + 1] if k + 1 < len(tokens) else None
+            after = tokens[k + 2] if k + 2 < len(tokens) else None
+            third = tokens[k + 3] if k + 3 < len(tokens) else None
+            argless = False
+            if nxt is not None and nxt.kind == IDENT:
+                argless = after is not None and (
+                    after.value in (";", ",", ")") or
+                    (after.value == "(" and third is not None
+                     and third.value == ")") or
+                    (after.value == "{" and third is not None
+                     and third.value == "}"))
+            elif nxt is not None and nxt.value in ("(", "{"):
+                close = ")" if nxt.value == "(" else "}"
+                argless = after is not None and after.value == close
+            if argless:
+                out.append(
+                    Finding(
+                        "rng-determinism", path, t.line, t.col,
+                        "argless std engine construction uses the fixed "
+                        "default seed: derive the stream from the "
+                        "experiment seed via support::Rng"))
+    return out
+
+
+_RETHROW_MARKERS = {"throw", "current_exception", "rethrow_exception",
+                    "rethrow_if_nested"}
+
+
+def rule_catch_swallow(path: str, tokens: list[Token]) -> list[Finding]:
+    out = []
+    k = 0
+    while k < len(tokens):
+        t = tokens[k]
+        if t.kind == IDENT and t.value == "catch" and k + 1 < len(tokens) \
+                and tokens[k + 1].value == "(":
+            close = _find_matching(tokens, k + 1, "(", ")")
+            params = tokens[k + 2:close]
+            is_catch_all = any(p.kind == PUNCT and p.value == "..."
+                               for p in params)
+            body_open = close + 1
+            if is_catch_all and body_open < len(tokens) \
+                    and tokens[body_open].value == "{":
+                body_close = _find_matching(tokens, body_open, "{", "}")
+                body = tokens[body_open + 1:body_close]
+                if not any(b.kind == IDENT and b.value in _RETHROW_MARKERS
+                           for b in body):
+                    out.append(
+                        Finding(
+                            "catch-swallow", path, t.line, t.col,
+                            "catch (...) swallows the exception: rethrow "
+                            "(`throw;`), capture it via "
+                            "std::current_exception for a later rethrow, "
+                            "or narrow the handler to the types you can "
+                            "actually handle"))
+                k = body_open
+                continue
+        k += 1
+    return out
+
+
+# x86 intrinsic headers (umbrella and per-ISA) -- none may appear outside
+# the dispatch layer.
+_SIMD_HEADERS = {
+    "<immintrin.h>", "<x86intrin.h>", "<x86gprintrin.h>", "<xmmintrin.h>",
+    "<emmintrin.h>", "<pmmintrin.h>", "<tmmintrin.h>", "<smmintrin.h>",
+    "<nmmintrin.h>", "<wmmintrin.h>", "<ammintrin.h>",
+}
+
+_SIMD_IDENT_PREFIXES = ("_mm_", "_mm256_", "_mm512_", "__m128", "__m256",
+                        "__m512")
+
+
+def rule_simd_isolation(path: str, tokens: list[Token]) -> list[Finding]:
+    out = []
+    for t in tokens:
+        if t.kind == PP and t.value.startswith("#include"):
+            header = t.value.split("#include", 1)[1].strip()
+            if header in _SIMD_HEADERS:
+                out.append(
+                    Finding(
+                        "simd-isolation", path, t.line, t.col,
+                        f"x86 intrinsic header {header} outside "
+                        "src/support/simd*: ISA-specific code lives "
+                        "behind the runtime-dispatched KernelTable "
+                        "(support/simd.hpp) so every other TU stays "
+                        "portable and the scalar bit-pins stay the "
+                        "default"))
+        elif t.kind == IDENT and t.value.startswith(_SIMD_IDENT_PREFIXES):
+            out.append(
+                Finding(
+                    "simd-isolation", path, t.line, t.col,
+                    f"x86 intrinsic `{t.value}` outside src/support/simd*: "
+                    "add the kernel to the KernelTable "
+                    "(support/simd.hpp) instead of open-coding ISA "
+                    "instructions here"))
+    return out
+
+
+MATCH_RULES = {
+    "raw-sync": rule_raw_sync,
+    "rng-determinism": rule_rng_determinism,
+    "catch-swallow": rule_catch_swallow,
+    "simd-isolation": rule_simd_isolation,
+}
+
+
+# ---------------------------------------------------------------------------
+# Shared vocabularies of the whole-program rules
+
+# Identifier-followed-by-'(' shapes that are control flow, operators or
+# specifiers, not calls or function names.
+_STOPWORDS = {
+    "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
+    "alignas", "decltype", "static_assert", "new", "delete", "throw",
+    "noexcept", "assert", "operator", "defined", "constexpr", "consteval",
+    "constinit", "requires", "explicit",
+}
+
+# The telemetry emission roots of src/telemetry/: the Span
+# constructor/close pair and the counter emitters, plus the helpers the
+# hot path is composed of (kept explicit so a rename breaks the rule
+# rather than silently un-scoping it).
+_HOTPATH_ROOTS = {"Span", "close", "counter_add", "counter_max", "put",
+                  "make_record", "local_buffer", "next_span_id",
+                  "current_context"}
+
+_HOTPATH_FORBIDDEN_CALLS = {
+    "malloc", "calloc", "realloc", "aligned_alloc", "strdup",
+    "push_back", "emplace", "emplace_back", "insert", "resize", "reserve",
+    "append", "assign",
+    "MutexLock", "lock_guard", "unique_lock", "scoped_lock", "lock",
+    "Lock", "try_lock", "TryLock", "wait",
+    "now",
 }
 
 # Blocking call names for blocking-in-worker.  Mutex acquisition is
@@ -144,11 +397,19 @@ _EXTERNAL_NAMES = {
     "now",
 }
 
-# When building graph edges, member names of std vocabulary types never
-# resolve to same-named project functions (run_lints' set, same
-# rationale).  `contains` joins it here: `factories_.contains(name)` is
-# std::map::contains, not the registry's own contains().
-_EDGE_IGNORED = rl._EDGE_IGNORED_NAMES | {"contains"}
+# Member names of std vocabulary types (atomics, containers, optionals)
+# that never resolve to same-named project functions when building graph
+# edges -- `g_enabled.load(...)` is std::atomic::load, not Dump::load, and
+# `factories_.contains(name)` is std::map::contains, not the registry's.
+# Forbidden-call detection is unaffected (it matches call sites directly,
+# so `.lock()` still trips telemetry-hotpath).
+_EDGE_IGNORED = {
+    "load", "store", "exchange", "compare_exchange_strong",
+    "compare_exchange_weak", "fetch_add", "fetch_sub", "find", "count",
+    "begin", "end", "size", "empty", "clear", "erase", "get", "reset",
+    "release", "data", "max", "min", "value_or", "has_value", "front",
+    "back", "contains",
+}
 
 # Type/specifier keywords that must not be recorded as declared names.
 _NOT_DECL_NAMES = {
@@ -172,7 +433,7 @@ _PP_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 # ---------------------------------------------------------------------------
-# Per-file fact extraction (pure: tokens in, JSON-safe dict out)
+# Per-file fact extraction (pure: tokens in, fact dict out)
 
 def _loop_mask(body):
     """Boolean mask over `body` marking tokens inside for/while/do bodies."""
@@ -347,8 +608,9 @@ def _analyze_body(body, requires):
 
 
 def _extract_functions(tokens):
-    """run_lints' heuristic extractor, extended to capture the specifier
-    gap between `)` and `{` so REQUIRES() annotations seed the lock
+    """Heuristic function-definition extractor: every `name(...) ...
+    {body}` shape, inline class methods included.  The specifier gap
+    between `)` and `{` is scanned so REQUIRES() annotations seed the lock
     stack.  Yields fact dicts."""
     k = 0
     n = len(tokens)
@@ -358,6 +620,10 @@ def _extract_functions(tokens):
                 and tokens[k + 1].value == "(":
             qname = cpplex.qualified_at(tokens, k)
             close = _find_matching(tokens, k + 1, "(", ")")
+            # Scan the gap between `)` and a possible `{`: specifiers,
+            # ctor init lists (nested parens consumed whole), trailing
+            # return types.  A top-level `;` or `=` disqualifies
+            # (declaration, `= default`, assignment...).
             j = close + 1
             is_definition = True
             requires = []
@@ -552,9 +818,8 @@ def _extract_mutex_decls(tokens):
     return out
 
 
-def extract_facts(text):
-    """All per-file facts, JSON-serializable (cached keyed on sha256)."""
-    tokens = cpplex.lex(text)
+def extract_facts(tokens):
+    """All per-file facts the whole-program rules read."""
     includes = []
     idents = set()
     for t in tokens:
@@ -577,22 +842,23 @@ def extract_facts(text):
 
 
 # ---------------------------------------------------------------------------
-# Program: the whole-program graph
+# Program: the whole-program view every rule reads
 
 class Program:
-    """Include graph + symbol/call graph over a file set.
+    """One analysis input: the file set, lexed once, with its include
+    graph and symbol/call graph, plus the allowlists and layer map the
+    rules consult.
 
     `files` maps virtual (repo-relative, '/'-separated) paths to absolute
     paths; `commands` maps TU virtual paths to their compile command (None
-    for headers).  Facts come from the cache when the content hash
-    matches, else from extract_facts."""
+    for headers)."""
 
-    def __init__(self, files, commands, cache_path=None):
-        self.paths = dict(files)
+    def __init__(self, files, commands, allow, layers):
         self.commands = dict(commands)
+        self.allow = allow
+        self.layers = layers
+        self.tokens = {}
         self.facts = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
         self._closure = {}
         self._provides_closure = {}
         self._fp_closure = {}
@@ -603,43 +869,10 @@ class Program:
         self.unresolved = []  # [rel, line, col, bare]
         self.weak_edges = 0
 
-        cache = {"version": FACTS_VERSION, "files": {}}
-        if cache_path and os.path.exists(cache_path):
-            try:
-                with open(cache_path, encoding="utf-8") as f:
-                    loaded = json.load(f)
-                if loaded.get("version") == FACTS_VERSION:
-                    cache = loaded
-            except (OSError, ValueError):
-                pass
-        dirty = False
-        for rel, path in self.paths.items():
-            with open(path, "rb") as f:
-                raw = f.read()
-            sha = hashlib.sha256(raw).hexdigest()
-            entry = cache["files"].get(rel)
-            if entry is not None and entry.get("sha") == sha:
-                self.facts[rel] = entry["facts"]
-                self.cache_hits += 1
-            else:
-                self.facts[rel] = extract_facts(
-                    raw.decode("utf-8", errors="replace"))
-                cache["files"][rel] = {"sha": sha, "facts": self.facts[rel]}
-                self.cache_misses += 1
-                dirty = True
-        stale = set(cache["files"]) - set(self.paths)
-        if stale:
-            for rel in stale:
-                del cache["files"][rel]
-            dirty = True
-        if cache_path and dirty:
-            try:
-                tmp = cache_path + ".tmp"
-                with open(tmp, "w", encoding="utf-8") as f:
-                    json.dump(cache, f)
-                os.replace(tmp, cache_path)
-            except OSError:
-                pass
+        for rel, path in files.items():
+            with open(path, encoding="utf-8", errors="replace") as f:
+                self.tokens[rel] = cpplex.lex(f.read())
+            self.facts[rel] = extract_facts(self.tokens[rel])
 
         # Resolved include edges: rel -> [(line, as_written, target|None)]
         self.inc = {}
@@ -796,6 +1029,13 @@ class Program:
         self._lock_memo[key] = out
         return out
 
+    def declared_locks(self):
+        """Every support::Mutex declared under src/: {lock id: (rel,
+        line)}."""
+        return {f"{rel}::{name}": (rel, line)
+                for rel in sorted(self.facts) if rel.startswith("src/")
+                for line, name in self.facts[rel]["mutex_decls"]}
+
     def effective_acquires(self, ref, _stack=None):
         """Lock ids acquired by `ref` directly or via any resolved
         callee (fixpoint with cycle guard)."""
@@ -832,10 +1072,23 @@ def _stem(rel):
 
 
 # ---------------------------------------------------------------------------
-# Rules
+# Rules: program -> [Finding]
 
-def rule_layer_deps(program, layers, allow):
-    allowed = layers.get("allowed", {})
+def _per_file(rule, match):
+    """A per-file match rule as a program rule: runs on every src/ file
+    outside the rule's exempt_paths."""
+    def run(program):
+        exempt = tuple(program.allow.get(rule, {}).get("exempt_paths", {}))
+        findings = []
+        for rel in sorted(program.tokens):
+            if rel.startswith("src/") and not rel.startswith(exempt):
+                findings += match(rel, program.tokens[rel])
+        return findings
+    return run
+
+
+def rule_layer_deps(program):
+    allowed = program.layers.get("allowed", {})
     findings = []
     unknown_layers = set()
     for rel in sorted(program.facts):
@@ -866,23 +1119,28 @@ def rule_layer_deps(program, layers, allow):
     return findings
 
 
-def rule_telemetry_hotpath_xtu(program, allow):
-    stops = allow.get("telemetry-hotpath", {}).get("stop_functions", {})
+def _hotpath_stops(program):
+    return program.allow.get("telemetry-hotpath", {}).get(
+        "stop_functions", {})
+
+
+def _hotpath_chains(program):
+    """Every function reachable from the telemetry emission roots (the
+    _HOTPATH_ROOTS defined under src/telemetry/), across TUs, without
+    passing a stop function: {fn ref: call chain}."""
+    stops = _hotpath_stops(program)
     chains = {}
     work = []
     for rel in sorted(program.facts):
         if not rel.startswith("src/telemetry/"):
             continue
         for i, fn in enumerate(program.facts[rel]["functions"]):
-            if fn["name"] in rl._HOTPATH_ROOTS:
-                ref = (rel, i)
-                if ref not in chains:
-                    chains[ref] = fn["name"]
-                    work.append(ref)
+            if fn["name"] in _HOTPATH_ROOTS:
+                chains[(rel, i)] = fn["name"]
+                work.append((rel, i))
     while work:
         ref = work.pop()
-        fn = program.fn(ref)
-        for l, c, bare, qname, mem in fn["calls"]:
+        for l, c, bare, qname, mem in program.fn(ref)["calls"]:
             if bare in stops:
                 continue
             for tgt in program.resolve_call(ref[0], bare, qname, l, c,
@@ -890,34 +1148,31 @@ def rule_telemetry_hotpath_xtu(program, allow):
                 if tgt not in chains:
                     chains[tgt] = f"{chains[ref]} -> {bare}"
                     work.append(tgt)
+    return chains
+
+
+def rule_telemetry_hotpath(program):
+    stops = _hotpath_stops(program)
     findings = []
     seen = set()
-    for ref, chain in chains.items():
+    for ref, chain in _hotpath_chains(program).items():
         fn = program.fn(ref)
         rel = ref[0]
-        for l, c, bare, _q, _m in fn["calls"]:
-            if bare in rl._HOTPATH_FORBIDDEN_CALLS and bare not in stops:
-                key = (rel, l, c)
-                if key in seen:
-                    continue
-                seen.add(key)
-                findings.append(Finding(
-                    "telemetry-hotpath-xtu", rel, l, c,
-                    f"`{bare}` reachable cross-TU from the telemetry "
-                    f"emission path ({chain}): the record hot path must "
-                    "not allocate, lock, block, or read ad-hoc clocks -- "
-                    "route cold work through an allowlisted stop function "
-                    "(scripts/lint/allowlists.json)"))
-        for l, c, kind in fn["news"]:
-            key = (rel, l, c)
-            if key in seen:
+        sites = [(l, c, bare) for l, c, bare, _q, _m in fn["calls"]
+                 if bare in _HOTPATH_FORBIDDEN_CALLS and bare not in stops]
+        sites += [(l, c, "MutexLock") for l, c, _lock in fn["acquires"]]
+        sites += fn["news"]
+        for l, c, what in sites:
+            if (rel, l, c) in seen:
                 continue
-            seen.add(key)
+            seen.add((rel, l, c))
             findings.append(Finding(
-                "telemetry-hotpath-xtu", rel, l, c,
-                f"`{kind}` reachable cross-TU from the telemetry emission "
-                f"path ({chain}): the record hot path must not allocate "
-                "or throw"))
+                "telemetry-hotpath", rel, l, c,
+                f"`{what}` reachable from the telemetry emission path "
+                f"({chain}): the record hot path must not allocate, lock, "
+                "block, throw, or read ad-hoc clocks -- route cold work "
+                "through an allowlisted stop function "
+                f"({ALLOWLISTS_REL})"))
     return findings
 
 
@@ -925,12 +1180,9 @@ _FP_BAD_FLAGS = ("-ffast-math", "-funsafe-math-optimizations",
                  "-fassociative-math", "-Ofast")
 
 
-def rule_fp_determinism(program, allow):
-    ex = allow.get("fp-determinism", {}).get("exempt_paths", {})
-
-    def exempt(rel):
-        return any(rel.startswith(p) for p in ex)
-
+def rule_fp_determinism(program):
+    ex = tuple(program.allow.get("fp-determinism", {}).get("exempt_paths",
+                                                           {}))
     findings = []
     for rel in sorted(program.commands):
         cmd = program.commands[rel]
@@ -939,7 +1191,7 @@ def rule_fp_determinism(program, allow):
         if "-ffp-contract=off" not in cmd:
             findings.append(Finding(
                 "fp-determinism", rel, 1, 1,
-                "compile command lacks -ffp-contract=off: the PR 8 bit-pin "
+                "compile command lacks -ffp-contract=off: the bit-pin "
                 "convention requires contraction off project-wide so "
                 "scalar results are ISA-portable bit-for-bit"))
         for bad in _FP_BAD_FLAGS:
@@ -949,7 +1201,7 @@ def rule_fp_determinism(program, allow):
                     f"compile command carries {bad}: value-unsafe math "
                     "breaks the fixed-seed bit pins"))
     for rel in sorted(program.facts):
-        if not rel.startswith("src/") or exempt(rel):
+        if not rel.startswith("src/") or rel.startswith(ex):
             continue
         fpids = None
         for fn in program.facts[rel]["functions"]:
@@ -992,29 +1244,17 @@ def _lock_edges(program):
     return edges
 
 
-def rule_lock_order(program, allow):
-    conf = allow.get("lock-order", {}).get("locks", {})
+def rule_lock_order(program):
+    conf = program.allow.get("lock-order", {}).get("locks", {})
     findings = []
-    discovered = {}
-    for rel in sorted(program.facts):
-        if not rel.startswith("src/"):
-            continue
-        for line, name in program.facts[rel]["mutex_decls"]:
-            discovered[f"{rel}::{name}"] = (rel, line)
-    for lock_id, (rel, line) in sorted(discovered.items()):
+    for lock_id, (rel, line) in sorted(program.declared_locks().items()):
         if lock_id not in conf:
             findings.append(Finding(
                 "lock-order", rel, line, 1,
                 f"lock `{lock_id}` is not documented in the lock-order "
-                "hierarchy (scripts/lint/allowlists.json): every "
-                "support::Mutex needs a may_acquire entry (usually empty "
-                "-- leaf) with a written justification"))
-    for lock_id in sorted(conf):
-        if lock_id not in discovered:
-            findings.append(Finding(
-                "lock-order", "scripts/lint/allowlists.json", 1, 1,
-                f"stale lock-order hierarchy entry `{lock_id}`: no such "
-                "support::Mutex declaration exists any more"))
+                f"hierarchy ({ALLOWLISTS_REL}): every support::Mutex "
+                "needs a may_acquire entry (usually empty -- leaf) with a "
+                "written justification"))
     edges = _lock_edges(program)
     for (a, b), sites in sorted(edges.items()):
         rel, line, col, note = sites[0]
@@ -1032,7 +1272,7 @@ def rule_lock_order(program, allow):
                 "documented hierarchy does not sanction this edge -- "
                 "either restructure to scoped release-then-acquire "
                 "(the parallel.cpp idiom) or extend may_acquire in "
-                "scripts/lint/allowlists.json with a justification"))
+                f"{ALLOWLISTS_REL} with a justification"))
     adj = {}
     for (a, b) in edges:
         if a != b:
@@ -1065,16 +1305,14 @@ def rule_lock_order(program, allow):
                 state[nxt] = 1
                 path.append(nxt)
                 stack.append((nxt, iter(sorted(adj.get(nxt, ())))))
-        continue
     return findings
 
 
-def rule_blocking_in_worker(program, allow):
-    sched = allow.get("blocking-in-worker", {}).get("scheduler_paths", {})
-
-    def in_sched(rel):
-        return any(rel.startswith(p) for p in sched)
-
+def _worker_walk(program):
+    """The blocking-in-worker walk from every ThreadPool task body outside
+    the scheduler: returns ({fn ref: call chain}, findings)."""
+    sched = tuple(program.allow.get("blocking-in-worker", {}).get(
+        "scheduler_paths", {}))
     findings = []
     seen = set()
 
@@ -1105,16 +1343,16 @@ def rule_blocking_in_worker(program, allow):
             # primitives, and scheduler-defined ones (CondVar::wait,
             # ThreadPool::join) block by design -- both flag at the call
             # site.
-            if not targets or all(in_sched(t[0]) for t in targets):
+            if not targets or all(t[0].startswith(sched) for t in targets):
                 flag(rel, l, c, bare, chain)
                 return
         for tgt in targets:
-            if tgt not in chains and not in_sched(tgt[0]):
+            if tgt not in chains and not tgt[0].startswith(sched):
                 chains[tgt] = f"{chain} -> {program.fn(tgt)['qname']}"
                 work.append(tgt)
 
     for rel in sorted(program.facts):
-        if in_sched(rel):
+        if rel.startswith(sched):
             continue
         for task in program.facts[rel]["pool_tasks"]:
             chain = f"task@{rel}:{task['line']}"
@@ -1131,15 +1369,19 @@ def rule_blocking_in_worker(program, allow):
             flag(rel, l, c, name, chain)
         for l, c, bare, qname, mem in fn["calls"]:
             enqueue(rel, l, c, bare, qname, mem, chain)
-    return findings
+    return chains, findings
 
 
-def rule_unused_include(program, allow):
-    ex = allow.get("unused-include", {}).get("exempt_paths", {})
+def rule_blocking_in_worker(program):
+    return _worker_walk(program)[1]
+
+
+def rule_unused_include(program):
+    ex = tuple(program.allow.get("unused-include", {}).get("exempt_paths",
+                                                           {}))
     findings = []
     for rel in sorted(program.facts):
-        if not rel.startswith("src/") or \
-                any(rel.startswith(p) for p in ex):
+        if not rel.startswith("src/") or rel.startswith(ex):
             continue
         uses = set(program.facts[rel]["idents"])
         for line, inc, target in program.inc[rel]:
@@ -1162,59 +1404,109 @@ def rule_unused_include(program, allow):
     return findings
 
 
-def run_rules(program, rules, allow, layers):
+# The rule table: name -> rule(program) -> [Finding].
+RULES = {
+    **{name: _per_file(name, match) for name, match in MATCH_RULES.items()},
+    "layer-deps": rule_layer_deps,
+    "telemetry-hotpath": rule_telemetry_hotpath,
+    "fp-determinism": rule_fp_determinism,
+    "lock-order": rule_lock_order,
+    "blocking-in-worker": rule_blocking_in_worker,
+    "unused-include": rule_unused_include,
+}
+
+
+def check_stale_entries(program, rules):
+    """Dead allowlist entries are worse than none: they read as a live
+    justification for a suppression that no longer happens.  For each of
+    `rules`, an entry is stale when
+      exempt_paths / scheduler_paths  the prefix matches no analyzed file,
+                                      or (per-file match rules) the rule
+                                      finds nothing under it even with
+                                      the exemption off;
+      stop_functions                  the name no longer appears as an
+                                      identifier in the src/telemetry/
+                                      sources;
+      locks (lock-order hierarchy)    no such support::Mutex is declared
+                                      any more."""
     findings = []
-    if "layer-deps" in rules:
-        findings += rule_layer_deps(program, layers, allow)
-    if "telemetry-hotpath-xtu" in rules:
-        findings += rule_telemetry_hotpath_xtu(program, allow)
-    if "fp-determinism" in rules:
-        findings += rule_fp_determinism(program, allow)
-    if "lock-order" in rules:
-        findings += rule_lock_order(program, allow)
-    if "blocking-in-worker" in rules:
-        findings += rule_blocking_in_worker(program, allow)
-    if "unused-include" in rules:
-        findings += rule_unused_include(program, allow)
+
+    def stale(rule, kind, name, why, reason):
+        findings.append(Finding(
+            rule, ALLOWLISTS_REL, 1, 1,
+            f"stale {kind} entry `{name}`: {reason} -- delete it "
+            f"(justification was: {why!r})"))
+
+    telemetry_idents = {t.value for rel, toks in program.tokens.items()
+                        if rel.startswith("src/telemetry/")
+                        for t in toks if t.kind == IDENT}
+    declared = program.declared_locks()
+    for rule in rules:
+        conf = program.allow.get(rule, {})
+        for kind in ("exempt_paths", "scheduler_paths"):
+            for prefix, why in conf.get(kind, {}).items():
+                matched = [rel for rel in sorted(program.tokens)
+                           if rel.startswith(prefix)]
+                if not matched:
+                    stale(rule, kind, prefix, why,
+                          "matches no analyzed file")
+                elif rule in MATCH_RULES and not any(
+                        MATCH_RULES[rule](rel, program.tokens[rel])
+                        for rel in matched if rel.startswith("src/")):
+                    stale(rule, kind, prefix, why,
+                          f"the {rule} rule finds nothing there even with "
+                          "the exemption off, so it suppresses nothing")
+        for name, why in conf.get("stop_functions", {}).items():
+            if name not in telemetry_idents:
+                stale(rule, "stop_functions", name, why,
+                      "no such identifier appears in the telemetry "
+                      "sources any more")
+        for lock_id, entry in conf.get("locks", {}).items():
+            if lock_id not in declared:
+                stale(rule, "lock-order hierarchy", lock_id,
+                      entry.get("why", ""),
+                      "no such support::Mutex declaration exists any more")
     return findings
 
 
-def check_stale_path_entries(program, allow):
-    """Path-prefix allowlist entries for the analyzer's own rules must
-    keep matching real files; a prefix nothing starts with is a dead
-    justification (the lock-hierarchy analogue lives in rule_lock_order,
-    and run_lints.py owns the single-TU rules' staleness)."""
+def analyze(program, rules):
+    """Runs `rules` over the program, then the stale-entry check of their
+    allowlists."""
     findings = []
-    keys = (("fp-determinism", "exempt_paths"),
-            ("blocking-in-worker", "scheduler_paths"),
-            ("unused-include", "exempt_paths"))
-    for rule, key in keys:
-        for prefix, why in allow.get(rule, {}).get(key, {}).items():
-            if any(rel.startswith(prefix) for rel in program.facts):
-                continue
-            findings.append(Finding(
-                rule, "scripts/lint/allowlists.json", 1, 1,
-                f"stale {key} entry `{prefix}`: matches no analyzed "
-                f"file -- delete it (justification was: {why!r})"))
-    return findings
+    for rule in rules:
+        findings += RULES[rule](program)
+    return findings + check_stale_entries(program, rules)
 
 
 # ---------------------------------------------------------------------------
 # Tree / fixture discovery
 
-def tree_program(build_dir, cache_path):
+def _load_json(path, default=None):
+    if default is not None and not os.path.exists(path):
+        return default
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
+def _rel_to_repo(path):
+    return os.path.relpath(os.path.abspath(path), REPO_ROOT).replace(
+        os.sep, "/")
+
+
+def tree_program(build_dir):
+    """The TU set from compile_commands.json plus every header under src/
+    (headers never appear as compile-command entries)."""
     cc_path = os.path.join(build_dir, "compile_commands.json")
     if not os.path.exists(cc_path):
         sys.exit(f"analyzer.py: {cc_path} not found -- configure with "
-                 "cmake first or pass --build-dir")
-    with open(cc_path, encoding="utf-8") as f:
-        entries = json.load(f)
+                 "cmake (CMAKE_EXPORT_COMPILE_COMMANDS is ON by default "
+                 "in this project) or pass --build-dir")
     files = {}
     commands = {}
-    for entry in entries:
+    for entry in _load_json(cc_path):
         path = os.path.normpath(
             os.path.join(entry.get("directory", ""), entry["file"]))
-        rel = rl.rel_to_repo(path)
+        rel = _rel_to_repo(path)
         cmd = entry.get("command") or " ".join(entry.get("arguments", ()))
         if rel.startswith("src/"):
             files[rel] = path
@@ -1227,16 +1519,17 @@ def tree_program(build_dir, cache_path):
         for name in names:
             if name.endswith((".hpp", ".h", ".hh", ".hxx")):
                 path = os.path.join(root, name)
-                files[rl.rel_to_repo(path)] = path
-    commands = {rel: cmd for rel, cmd in commands.items()
-                if rel in files or not rel.startswith("src/")}
-    return Program(files, commands, cache_path)
+                files[_rel_to_repo(path)] = path
+    return Program(files, commands,
+                   _load_json(os.path.join(LINT_DIR, "allowlists.json")),
+                   _load_json(os.path.join(LINT_DIR, "layers.json")))
 
 
 def fixture_program(root):
     """A Program over a fixture tree: every *.cpp under <root>/src is a
     TU with a synthesized compile command (-ffp-contract=off unless the
-    name contains 'noflag')."""
+    name contains 'noflag').  A tree-local allowlists.json / layers.json
+    overrides the defaults: no allowlists, and the project's layer map."""
     files = {}
     commands = {}
     src = os.path.join(root, "src")
@@ -1249,57 +1542,72 @@ def fixture_program(root):
                 flag = "" if "noflag" in name else " -ffp-contract=off"
                 commands[rel] = (f"c++ -I{src} -std=c++20 -O2{flag} "
                                  f"-c {path}")
-    return Program(files, commands, cache_path=None)
-
-
-def fixture_config(root, name, default):
-    path = os.path.join(root, name)
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    return default
-
-
-def load_layers():
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "layers.json")
-    with open(path, encoding="utf-8") as f:
-        return json.load(f)
+    layers = os.path.join(root, "layers.json")
+    if not os.path.exists(layers):
+        layers = os.path.join(LINT_DIR, "layers.json")
+    return Program(files, commands,
+                   _load_json(os.path.join(root, "allowlists.json"), {}),
+                   _load_json(layers))
 
 
 # ---------------------------------------------------------------------------
 # Self-test, graph dump, explain, summary
 
 def self_test(fixtures_dir):
+    """Each directory under `fixtures_dir` names a rule (dashes as
+    underscores) and holds bad*/ and clean*/ fixture trees.  A bad tree
+    must draw a finding from its own rule; a clean tree must draw none
+    from any rule.  A directory naming no rule in RULES, a tree that is
+    neither bad nor clean, and a rule without both a bad and a clean tree
+    each fail the suite, so no rule loses its fixtures unnoticed."""
     failures = 0
-    for rule in RULES:
-        for kind in ("bad", "clean"):
-            root = os.path.join(fixtures_dir, rule.replace("-", "_"), kind)
+    covered = set()
+    for entry in sorted(os.listdir(fixtures_dir)):
+        rule_dir = os.path.join(fixtures_dir, entry)
+        if not os.path.isdir(rule_dir):
+            continue
+        rule = entry.replace("_", "-")
+        if rule not in RULES:
+            print(f"self-test: {entry}/: names no rule in RULES")
+            failures += 1
+            continue
+        for tree in sorted(os.listdir(rule_dir)):
+            root = os.path.join(rule_dir, tree)
             if not os.path.isdir(root):
-                print(f"self-test: {rule}/{kind}: fixture tree missing")
+                continue
+            kind = tree.split("_", 1)[0]
+            label = f"{rule}/{tree}"
+            if kind not in ("bad", "clean"):
+                print(f"self-test: {label}: neither a bad* nor a clean* "
+                      "tree")
                 failures += 1
                 continue
+            covered.add((rule, kind))
             program = fixture_program(root)
-            allow = fixture_config(root, "allowlists.json", {})
-            layers = fixture_config(root, "layers.json", {"allowed": {}})
-            findings = [f for f in run_rules(program, (rule,), allow,
-                                             layers) if f.rule == rule]
             if kind == "bad":
-                if findings:
-                    print(f"self-test: {rule}/bad: flagged "
-                          f"({len(findings)} finding(s)) -- ok")
+                hits = [f for f in analyze(program, (rule,))
+                        if f.rule == rule]
+                if hits:
+                    print(f"self-test: {label}: flagged "
+                          f"({len(hits)} finding(s)) -- ok")
                 else:
-                    print(f"self-test: {rule}/bad: expected a [{rule}] "
+                    print(f"self-test: {label}: expected a [{rule}] "
                           "finding, got none")
                     failures += 1
             else:
+                findings = analyze(program, RULES)
                 if findings:
-                    print(f"self-test: {rule}/clean: expected clean, got:")
+                    print(f"self-test: {label}: expected clean, got:")
                     for f in findings:
                         print(f"  {f}")
                     failures += 1
                 else:
-                    print(f"self-test: {rule}/clean: clean -- ok")
+                    print(f"self-test: {label}: clean -- ok")
+    for rule in RULES:
+        for kind in ("bad", "clean"):
+            if (rule, kind) not in covered:
+                print(f"self-test: {rule}: no {kind} fixture tree")
+                failures += 1
     if failures:
         print(f"self-test: {failures} fixture expectation(s) failed")
         return 1
@@ -1326,9 +1634,8 @@ def graph_dump(program, out):
         "call_edges": sorted(call_edges),
         "unresolved_calls": program.unresolved,
         "weak_edges": program.weak_edges,
-        "locks": {f"{rel}::{name}": line
-                  for rel in sorted(program.facts)
-                  for line, name in program.facts[rel]["mutex_decls"]},
+        "locks": {lock_id: line for lock_id, (_rel, line)
+                  in program.declared_locks().items()},
         "lock_edges": [[a, b, sites[0][0], sites[0][1]]
                        for (a, b), sites in sorted(lock_e.items())],
         "pool_task_roots": [
@@ -1345,14 +1652,14 @@ def graph_dump(program, out):
         print(f"analyzer.py: graph dumped to {out}")
 
 
-def explain(program, allow, layers, query):
+def explain(program, query):
     if ":" not in query:
         print(f"explain: expected <rule>:<symbol>, got {query!r}")
         return 2
     rule, sym = query.split(":", 1)
     if rule == "layer-deps":
         la = layer_of(sym)
-        allowed = layers.get("allowed", {})
+        allowed = program.layers.get("allowed", {})
         print(f"{sym}: layer '{la}', allowed deps: "
               f"{sorted(set(allowed.get(la, ())) | {la})}")
         for line, inc, target in program.inc.get(sym, ()):
@@ -1360,58 +1667,9 @@ def explain(program, allow, layers, query):
             print(f"  line {line}: include {inc} -> "
                   f"{target or '<external>'} (layer {lb})")
         return 0
-    if rule in ("telemetry-hotpath-xtu", "blocking-in-worker"):
-        if rule == "telemetry-hotpath-xtu":
-            stops = allow.get("telemetry-hotpath", {}).get(
-                "stop_functions", {})
-            chains = {}
-            work = []
-            for rel in sorted(program.facts):
-                if not rel.startswith("src/telemetry/"):
-                    continue
-                for i, fn in enumerate(program.facts[rel]["functions"]):
-                    if fn["name"] in rl._HOTPATH_ROOTS:
-                        chains[(rel, i)] = fn["name"]
-                        work.append((rel, i))
-            while work:
-                ref = work.pop()
-                for l, c, bare, qname, mem in program.fn(ref)["calls"]:
-                    if bare in stops:
-                        continue
-                    for tgt in program.resolve_call(ref[0], bare, qname,
-                                                    record=False):
-                        if tgt not in chains:
-                            chains[tgt] = f"{chains[ref]} -> {bare}"
-                            work.append(tgt)
-        else:
-            sched = allow.get("blocking-in-worker", {}).get(
-                "scheduler_paths", {})
-            chains = {}
-            work = []
-            for rel in sorted(program.facts):
-                if any(rel.startswith(p) for p in sched):
-                    continue
-                for t in program.facts[rel]["pool_tasks"]:
-                    for l, c, bare, qname, mem in t["calls"]:
-                        for tgt in program.resolve_call(rel, bare, qname,
-                                                        record=False):
-                            if tgt not in chains and not any(
-                                    tgt[0].startswith(p) for p in sched):
-                                chains[tgt] = (f"task@{rel}:{t['line']} -> "
-                                               f"{program.fn(tgt)['qname']}")
-                                work.append(tgt)
-            while work:
-                ref = work.pop()
-                for l, c, bare, qname, mem in program.fn(ref)["calls"]:
-                    if bare in _BLOCKING_CALLS:
-                        continue
-                    for tgt in program.resolve_call(ref[0], bare, qname,
-                                                    record=False):
-                        if tgt not in chains and not any(
-                                tgt[0].startswith(p) for p in sched):
-                            chains[tgt] = (f"{chains[ref]} -> "
-                                           f"{program.fn(tgt)['qname']}")
-                            work.append(tgt)
+    if rule in ("telemetry-hotpath", "blocking-in-worker"):
+        chains = (_hotpath_chains(program) if rule == "telemetry-hotpath"
+                  else _worker_walk(program)[0])
         hits = [(ref, chain) for ref, chain in sorted(chains.items())
                 if program.fn(ref)["name"] == sym
                 or program.fn(ref)["qname"] == sym]
@@ -1423,10 +1681,8 @@ def explain(program, allow, layers, query):
         return 0
     if rule == "lock-order":
         edges = _lock_edges(program)
-        conf = allow.get("lock-order", {}).get("locks", {})
-        matches = [lid for lid in
-                   {f"{rel}::{name}" for rel in program.facts
-                    for _l, name in program.facts[rel]["mutex_decls"]}
+        conf = program.allow.get("lock-order", {}).get("locks", {})
+        matches = [lid for lid in program.declared_locks()
                    if lid == sym or lid.endswith("::" + sym)]
         if not matches:
             print(f"{sym}: no support::Mutex declaration matches")
@@ -1475,13 +1731,11 @@ def write_summary_md(path, per_rule, program, elapsed, budget=5.0):
              "| rule | findings | status |", "|---|---:|---|"]
     for rule in RULES:
         n = per_rule.get(rule, 0)
-        status = "clean" if n == 0 else (
-            "report-only" if rule == "unused-include" else "**FAIL**")
-        lines.append(f"| {rule} | {n} | {status} |")
+        lines.append(f"| {rule} | {n} | "
+                     f"{'clean' if n == 0 else '**FAIL**'} |")
     lines.append("")
     lines.append(
-        f"{len(program.facts)} files ({program.cache_hits} cached, "
-        f"{program.cache_misses} extracted), "
+        f"{len(program.facts)} files, "
         f"{len(set((u[0], u[3]) for u in program.unresolved))} unresolved "
         f"call name(s), {program.weak_edges} weak edge(s); runtime "
         f"**{elapsed:.2f}s** (budget {budget:.0f}s"
@@ -1499,7 +1753,7 @@ def main() -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--build-dir",
                         default=os.path.join(REPO_ROOT, "build"))
-    parser.add_argument("--rule", action="append", choices=RULES)
+    parser.add_argument("--rule", action="append", choices=tuple(RULES))
     parser.add_argument("--self-test", action="store_true")
     parser.add_argument("--fixtures-dir",
                         default=os.path.join(REPO_ROOT, "tests",
@@ -1507,9 +1761,6 @@ def main() -> int:
     parser.add_argument("--graph-dump", metavar="FILE",
                         help="write the graph as JSON ('-' for stdout)")
     parser.add_argument("--explain", metavar="RULE:SYMBOL")
-    parser.add_argument("--strict", action="store_true",
-                        help="unused-include findings fail the run")
-    parser.add_argument("--no-cache", action="store_true")
     parser.add_argument("--summary-md", metavar="FILE",
                         help="write a per-rule markdown summary table")
     args = parser.parse_args()
@@ -1518,28 +1769,18 @@ def main() -> int:
         return self_test(args.fixtures_dir)
 
     t0 = time.monotonic()
-    allow = rl.load_allowlists()
-    layers = load_layers()
-    cache_path = None if args.no_cache else os.path.join(
-        args.build_dir, "analyzer_cache.json")
-    program = tree_program(args.build_dir, cache_path)
+    program = tree_program(args.build_dir)
 
     if args.explain:
-        return explain(program, allow, layers, args.explain)
+        return explain(program, args.explain)
 
-    rules = tuple(args.rule) if args.rule else RULES
-    findings = run_rules(program, rules, allow, layers)
-    findings += check_stale_path_entries(program, allow)
+    rules = tuple(args.rule) if args.rule else tuple(RULES)
+    findings = analyze(program, rules)
     if args.graph_dump:
         graph_dump(program, args.graph_dump)
 
-    enforcing = []
     for f in findings:
-        if f.rule == "unused-include" and not args.strict:
-            print(str(f).replace(": error: ", ": warning: ", 1))
-        else:
-            print(f)
-            enforcing.append(f)
+        print(f)
     elapsed = time.monotonic() - t0
     per_rule = {}
     for f in findings:
@@ -1554,13 +1795,10 @@ def main() -> int:
             shown += ", ..."
         note = (f"; {len(unresolved_names)} unresolved call name(s) "
                 f"[{shown}] (see --graph-dump)")
-    print(f"analyzer.py: {len(program.facts)} files "
-          f"({program.cache_hits} cached), {len(rules)} rule(s), "
-          f"{len(enforcing)} finding(s) "
-          f"({len(findings) - len(enforcing)} report-only), "
-          f"{elapsed:.2f}s{note}",
-          file=sys.stderr if enforcing else sys.stdout)
-    return 1 if enforcing else 0
+    print(f"analyzer.py: {len(program.facts)} files, {len(rules)} "
+          f"rule(s), {len(findings)} finding(s), {elapsed:.2f}s{note}",
+          file=sys.stderr if findings else sys.stdout)
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

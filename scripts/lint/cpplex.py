@@ -1,15 +1,15 @@
-"""Minimal C++ lexer for the project lint rules.
+"""Minimal C++ lexer for the static analyzer (analyzer.py).
 
 Produces a token stream with comments stripped and string/char literals
 collapsed to single STRING/CHAR tokens, so rules never match inside text.
-This is deliberately a *lexical* engine, not a parser: the rules in
-run_lints.py operate on token patterns (plus a heuristic function-body
-extractor for the reachability rule), which keeps the linter dependency-
-free -- it runs on a bare python3, no libclang/clang-query needed.  The
-rule semantics are declarative enough that an AST engine could replace
-this module without touching the rule definitions; until the toolchain
-ships clang python bindings everywhere, lexical matching plus the fixture
-self-tests (tests/lint_fixtures) is the contract.
+This is deliberately a *lexical* engine, not a parser: the analyzer's
+rules operate on token patterns and on facts a heuristic function-body
+extractor pulls from them, which keeps the tool dependency-free -- it
+runs on a bare python3, no libclang/clang-query needed.  The rule
+semantics are declarative enough that an AST engine could replace this
+module without touching the rule definitions; until the toolchain ships
+clang python bindings everywhere, lexical matching plus the fixture
+self-tests (tests/analyzer_fixtures) is the contract.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@
 #include <vector>
 
 #include "cluster/distance.hpp"
-#include "cluster/factory_registry.hpp"
+#include "support/factory_registry.hpp"
 #include "support/parallel.hpp"
 #include "support/projection.hpp"
 
@@ -309,9 +309,10 @@ private:
 /// comes pre-loaded with "exact", "lazy" and "random_projection";
 /// registrations are additive and thread-safe.
 class IndexRegistry
-    : public FactoryRegistry<std::function<std::unique_ptr<GradientIndex>(
-          std::span<const std::vector<float>>, const IndexParams&,
-          support::ThreadPool&)>> {
+    : public support::FactoryRegistry<
+          std::function<std::unique_ptr<GradientIndex>(
+              std::span<const std::vector<float>>, const IndexParams&,
+              support::ThreadPool&)>> {
 public:
     IndexRegistry() : FactoryRegistry("index backend") {}
 

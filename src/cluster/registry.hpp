@@ -11,8 +11,8 @@
 #include <string_view>
 
 #include "cluster/dbscan.hpp"
-#include "cluster/factory_registry.hpp"
 #include "cluster/kmeans.hpp"
+#include "support/factory_registry.hpp"
 
 namespace fairbfl::cluster {
 
@@ -24,7 +24,7 @@ struct ClusteringConfig {
 };
 
 class ClusteringRegistry
-    : public FactoryRegistry<
+    : public support::FactoryRegistry<
           std::function<std::unique_ptr<ClusteringAlgorithm>(
               const ClusteringConfig&)>> {
 public:

@@ -83,8 +83,7 @@ FairBfl::FairBfl(const ml::Model& model, std::vector<fl::Client> clients,
       clients_(std::move(clients)),
       test_set_(std::move(test_set)),
       config_(config),
-      trainer_(fl::LocalTrainer::Options{
-          .batched = config.fl.batched_training, .pool = config.pool}),
+      trainer_(fl::LocalTrainer::Options{.pool = config.pool}),
       aggregator_(config.aggregator ? config.aggregator
                                     : make_aggregator("simple")),
       consensus_(make_consensus(config.consensus)),

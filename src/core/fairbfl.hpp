@@ -168,8 +168,7 @@ private:
     std::vector<fl::Client> clients_;
     ml::DatasetView test_set_;
     FairBflConfig config_;
-    /// Procedure-I engine (per-client pack/workspace caches; engine choice
-    /// comes from config.fl.batched_training).
+    /// Procedure-I engine (per-client pack/workspace caches).
     fl::LocalTrainer trainer_;
     /// Resolved strategy objects (config overrides or defaults).
     std::shared_ptr<const Aggregator> aggregator_;

@@ -1,7 +1,6 @@
 #include "core/system.hpp"
 
 #include <atomic>
-#include <stdexcept>
 #include <utility>
 
 namespace fairbfl::core {
@@ -293,44 +292,9 @@ SystemSpec blockchain_spec(const BlockchainBaselineConfig& config,
     return spec;
 }
 
-void SystemRegistry::add(std::string name, Factory factory, bool replace) {
-    support::MutexLock lock(mutex_);
-    if (!replace && factories_.contains(name)) {
-        throw std::invalid_argument("system '" + name +
-                                    "' is already registered");
-    }
-    factories_[std::move(name)] = std::move(factory);
-}
-
-bool SystemRegistry::contains(std::string_view name) const {
-    support::MutexLock lock(mutex_);
-    return factories_.find(name) != factories_.end();
-}
-
-std::vector<std::string> SystemRegistry::names() const {
-    support::MutexLock lock(mutex_);
-    std::vector<std::string> out;
-    out.reserve(factories_.size());
-    for (const auto& [name, _] : factories_) out.push_back(name);
-    return out;
-}
-
 std::unique_ptr<System> SystemRegistry::make(const Environment& env,
                                              const SystemSpec& spec) const {
-    Factory factory;
-    {
-        support::MutexLock lock(mutex_);
-        const auto it = factories_.find(spec.system);
-        if (it == factories_.end()) {
-            std::vector<std::string_view> known;
-            for (const auto& [name, _] : factories_) known.push_back(name);
-            throw std::out_of_range("unknown system '" + spec.system +
-                                    "' (known: " + detail::join_names(known) +
-                                    ")");
-        }
-        factory = it->second;
-    }
-    return factory(env, spec);
+    return find(spec.system)(env, spec);
 }
 
 SystemRegistry& SystemRegistry::global() {

@@ -19,7 +19,6 @@
 // (pinned in tests/test_system.cpp).
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -31,8 +30,8 @@
 #include "core/fairbfl.hpp"
 #include "core/vanilla_bfl.hpp"
 #include "fl/fedprox.hpp"
+#include "support/factory_registry.hpp"
 #include "support/parallel.hpp"
-#include "support/sync.hpp"
 
 namespace fairbfl::core {
 
@@ -134,44 +133,24 @@ public:
 
 /// String-keyed factory table.  `global()` comes pre-loaded with the
 /// built-ins ("fedavg", "fedprox", "fairbfl", "fairbfl_discard",
-/// "pure_fl", "vanilla_bfl", "blockchain"); registrations are additive and
+/// "pure_fl", "vanilla_bfl", "blockchain"); registrations (`add`,
+/// `contains`, `names` from support::FactoryRegistry) are additive and
 /// thread-safe, so a bench or adopter can plug a scenario in at startup.
-class SystemRegistry {
+class SystemRegistry
+    : public support::FactoryRegistry<std::function<std::unique_ptr<System>(
+          const Environment&, const SystemSpec&)>> {
 public:
-    using Factory = std::function<std::unique_ptr<System>(
-        const Environment&, const SystemSpec&)>;
-
-    /// Registers a factory.  Throws std::invalid_argument when `name` is
-    /// already taken, unless `replace` is set.
-    /// \param name    registry key the factory will answer to.
-    /// \param factory builds the system from an environment and a spec.
-    /// \param replace overwrite an existing registration instead of
-    ///                throwing.
-    void add(std::string name, Factory factory, bool replace = false)
-        EXCLUDES(mutex_);
-
-    /// True when a factory is registered under `name`.
-    /// \param name registry key to look up.
-    [[nodiscard]] bool contains(std::string_view name) const
-        EXCLUDES(mutex_);
-    /// Registered names, sorted.
-    [[nodiscard]] std::vector<std::string> names() const EXCLUDES(mutex_);
+    SystemRegistry() : FactoryRegistry("system") {}
 
     /// Builds the system `spec.system` names.  Throws std::out_of_range
     /// listing the known names when it is not registered.
     /// \param env  the shared world (dataset, partition, model).
     /// \param spec which system to build, with its configuration.
     [[nodiscard]] std::unique_ptr<System> make(const Environment& env,
-                                               const SystemSpec& spec) const
-        EXCLUDES(mutex_);
+                                               const SystemSpec& spec) const;
 
     /// The process-wide registry, built-ins pre-registered.
     static SystemRegistry& global();
-
-private:
-    mutable support::Mutex mutex_;
-    std::map<std::string, Factory, std::less<>> factories_
-        GUARDED_BY(mutex_);
 };
 
 /// Builds the spec's system, runs its rounds, and returns the finalized

@@ -12,8 +12,6 @@ VanillaBfl::VanillaBfl(const ml::Model& model, std::vector<fl::Client> clients,
       clients_(std::move(clients)),
       test_set_(std::move(test_set)),
       config_(config),
-      trainer_(fl::LocalTrainer::Options{
-          .batched = config.fl.batched_training}),
       consensus_(make_consensus("async_pow")),
       keys_(config.fl.seed, config.key_bits),
       chain_(config.chain_id, config.key_bits != 0 ? &keys_ : nullptr),

@@ -19,7 +19,6 @@ FedAvg::FedAvg(const ml::Model& model, std::vector<Client> clients,
       clients_(std::move(clients)),
       test_set_(std::move(test_set)),
       config_(config),
-      trainer_(LocalTrainer::Options{.batched = config.batched_training}),
       weights_(model.param_count(), 0.0F) {
     auto rng = support::Rng::fork(config_.seed, /*stream=*/0x1417);
     model_->init_params(weights_, rng);

@@ -18,11 +18,6 @@ struct FlConfig {
     std::size_t rounds = 100;
     ml::SgdParams sgd;          ///< eta=0.01, E=5, B=10 paper defaults
     std::uint64_t seed = 42;
-    /// Procedure-I engine selection (fl::LocalTrainer): batched kernels
-    /// over packed shards, or the per-sample reference path.  Results are
-    /// bit-identical either way; the switch exists for A/B benchmarking
-    /// and as the equivalence oracle.
-    bool batched_training = true;
 };
 
 /// One communication round's outcome.

@@ -13,7 +13,6 @@ FedProx::FedProx(const ml::Model& model, std::vector<Client> clients,
       clients_(std::move(clients)),
       test_set_(std::move(test_set)),
       config_(config),
-      trainer_(LocalTrainer::Options{.batched = config.base.batched_training}),
       weights_(model.param_count(), 0.0F) {
     config_.base.sgd.prox_mu = config_.prox_mu;
     auto rng = support::Rng::fork(config_.base.seed, /*stream=*/0x1417);

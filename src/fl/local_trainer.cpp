@@ -18,7 +18,7 @@ GradientUpdate LocalTrainer::train_one(const std::vector<Client>& clients,
     const Client& client = clients[client_id];
     ClientCache& cache = cache_[client_id];
     const ml::PackedBatch* pack = nullptr;
-    if (options_.batched && !client.shard().empty()) {
+    if (!client.shard().empty()) {
         // Pack once; shards are stable across rounds, so this is a
         // first-round cost only.
         if (!cache.pack.packed_from(client.shard()))

@@ -11,8 +11,8 @@
 //
 // Determinism: every client draws only from Rng::fork(root_seed, id,
 // round), and the batched kernels are bit-identical to the per-sample
-// reference path (pinned in tests/test_train_engine.cpp), so parallel
-// order -- and the engine choice itself -- never changes results.
+// path of Client::local_update (the test oracle, pinned in
+// tests/test_train_engine.cpp), so parallel order never changes results.
 
 #include <span>
 #include <vector>
@@ -25,18 +25,14 @@ namespace fairbfl::fl {
 class LocalTrainer {
 public:
     struct Options {
-        /// Batched kernels over packed shards.  Off = the per-sample
-        /// reference path (kept as the equivalence oracle); results are
-        /// identical either way.
-        bool batched = true;
         /// Pool for the client fan-out; null = ThreadPool::global().
         support::ThreadPool* pool = nullptr;
     };
 
-    /// Engine with default options (batched kernels, global pool).
+    /// Engine with default options (global pool).
     LocalTrainer() noexcept : LocalTrainer(Options{}) {}
     /// Engine with explicit options.
-    /// \param options engine selection and fan-out pool.
+    /// \param options fan-out pool.
     explicit LocalTrainer(Options options) noexcept : options_(options) {}
 
     /// Runs the selected clients' local updates in parallel and returns
@@ -71,8 +67,6 @@ public:
                                            const ml::SgdParams& sgd,
                                            std::uint64_t round,
                                            std::uint64_t root_seed);
-
-    [[nodiscard]] const Options& options() const noexcept { return options_; }
 
 private:
     /// Per-client caches, indexed by client id.  Distinct clients are

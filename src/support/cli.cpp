@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -57,10 +58,13 @@ double CliArgs::get_double(std::string_view key, double fallback) {
     consumed_[std::string(key)] = true;
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
+    // strtod also accepts "nan" and "inf": a NaN learning rate trains to
+    // NaN weights and a NaN ratio reaches size_t casts, so non-finite
+    // values are flagged like malformed ones.
     char* end = nullptr;
     const double value = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0') {
-        std::fprintf(stderr, "--%s: '%s' is not a number\n",
+    if (end == it->second.c_str() || *end != '\0' || !std::isfinite(value)) {
+        std::fprintf(stderr, "--%s: '%s' is not a finite number\n",
                      it->first.c_str(), it->second.c_str());
         parse_error_ = true;
         return fallback;

@@ -1,8 +1,9 @@
 #pragma once
-// Shared string-keyed factory-table machinery for the cluster layer's
-// registries (IndexRegistry, ClusteringRegistry) -- the SystemRegistry
-// pattern, written once: thread-safe additive registration, sorted name
-// listing, and unknown-key errors that enumerate the known names.
+// Shared string-keyed factory-table machinery for every registry
+// (core::SystemRegistry, cluster::IndexRegistry,
+// cluster::ClusteringRegistry), written once: thread-safe additive
+// registration, sorted name listing, and unknown-key errors that
+// enumerate the known names.
 
 #include <map>
 #include <stdexcept>
@@ -13,11 +14,11 @@
 #include "support/cli.hpp"
 #include "support/sync.hpp"
 
-namespace fairbfl::cluster {
+namespace fairbfl::support {
 
 /// CRTP-free registry base: derived classes add their typed build/make
 /// entry point on top of find().  `kind` names the registry in error
-/// messages ("index backend", "clustering algorithm").
+/// messages ("system", "index backend", "clustering algorithm").
 template <typename FactoryT>
 class FactoryRegistry {
 public:
@@ -29,7 +30,7 @@ public:
     /// already taken, unless `replace` is set.
     void add(std::string name, Factory factory, bool replace = false)
         EXCLUDES(mutex_) {
-        support::MutexLock lock(mutex_);
+        MutexLock lock(mutex_);
         if (!replace && factories_.contains(name)) {
             throw std::invalid_argument(std::string(kind_) + " '" + name +
                                         "' is already registered");
@@ -39,13 +40,13 @@ public:
 
     [[nodiscard]] bool contains(std::string_view name) const
         EXCLUDES(mutex_) {
-        support::MutexLock lock(mutex_);
+        MutexLock lock(mutex_);
         return factories_.find(name) != factories_.end();
     }
 
     /// Registered names, sorted.
     [[nodiscard]] std::vector<std::string> names() const EXCLUDES(mutex_) {
-        support::MutexLock lock(mutex_);
+        MutexLock lock(mutex_);
         std::vector<std::string> out;
         out.reserve(factories_.size());
         for (const auto& [name, _] : factories_) out.push_back(name);
@@ -57,7 +58,7 @@ protected:
     /// listing the known names when it is not registered.
     [[nodiscard]] Factory find(std::string_view name) const
         EXCLUDES(mutex_) {
-        support::MutexLock lock(mutex_);
+        MutexLock lock(mutex_);
         const auto it = factories_.find(name);
         if (it == factories_.end()) {
             std::vector<std::string> known;
@@ -65,16 +66,16 @@ protected:
             for (const auto& [key, _] : factories_) known.push_back(key);
             throw std::out_of_range("unknown " + std::string(kind_) + " '" +
                                     std::string(name) + "' (known: " +
-                                    support::join_names(known) + ")");
+                                    join_names(known) + ")");
         }
         return it->second;
     }
 
 private:
     const char* kind_;
-    mutable support::Mutex mutex_;
+    mutable Mutex mutex_;
     std::map<std::string, Factory, std::less<>> factories_
         GUARDED_BY(mutex_);
 };
 
-}  // namespace fairbfl::cluster
+}  // namespace fairbfl::support

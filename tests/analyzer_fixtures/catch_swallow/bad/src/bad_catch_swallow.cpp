@@ -1,4 +1,4 @@
-// Lint fixture: must be flagged by [catch-swallow].  The catch-all
+// Must be flagged by [catch-swallow].  The catch-all
 // handler drops the exception on the floor -- no rethrow, no
 // std::current_exception capture for a later rethrow.
 int risky();

@@ -1,7 +1,6 @@
-// Lint fixture: must be flagged by [raw-sync].  Raw std concurrency
+// Must be flagged by [raw-sync].  Raw std concurrency
 // primitives outside src/support/ are invisible to clang's thread-safety
-// analysis; the linter points at the annotated support::Mutex wrappers.
-// (Linted as if at src/bad_raw_sync.cpp -- see run_lints.py.)
+// analysis; the rule points at the annotated support::Mutex wrappers.
 #include <mutex>
 #include <thread>
 

@@ -1,4 +1,4 @@
-// Lint fixture: must be flagged by [rng-determinism].  Every randomness
+// Must be flagged by [rng-determinism].  Every randomness
 // source here decouples the run from the experiment seed: rand() and the
 // argless engine use process-invariant default state, std::random_device
 // is entropy by design.

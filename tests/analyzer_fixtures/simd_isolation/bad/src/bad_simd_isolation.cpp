@@ -1,8 +1,7 @@
-// Lint fixture: must be flagged by [simd-isolation].  x86 intrinsic
+// Must be flagged by [simd-isolation].  x86 intrinsic
 // headers and _mm*/__m* spellings outside src/support/simd* bypass the
 // runtime-dispatched KernelTable -- the code stops compiling on non-x86
 // hosts and silently diverges from the pinned scalar series.
-// (Linted as if at src/bad_simd_isolation.cpp -- see run_lints.py.)
 #include <immintrin.h>
 
 double open_coded_dot(const float* x, const float* y) {

@@ -1,7 +1,7 @@
-// Lint fixture: must be flagged by [telemetry-hotpath].  The emission
-// entry point (counter_add) reaches an allocation through a helper --
+// Must be flagged by [telemetry-hotpath].  The emission entry point
+// (counter_add) reaches an allocation through a same-TU helper --
 // exactly the regression the call-graph reachability walk exists to
-// catch.  (Linted as if at src/telemetry/bad_telemetry_hotpath.cpp.)
+// catch.
 #include <cstdint>
 
 struct Record {

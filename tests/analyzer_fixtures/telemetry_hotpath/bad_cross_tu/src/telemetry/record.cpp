@@ -1,6 +1,6 @@
 // BAD: counter_add is an emission-path root; it calls across the TU
-// boundary into support, where the callee allocates.  The single-TU
-// telemetry-hotpath rule cannot see this -- the cross-TU walk must.
+// boundary into support, where the callee allocates.  A walk that
+// stopped at the file edge would miss this; the cross-TU walk must not.
 namespace demo::telemetry {
 
 void counter_add(long value) {

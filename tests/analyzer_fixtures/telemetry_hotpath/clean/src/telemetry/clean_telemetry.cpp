@@ -1,6 +1,5 @@
-// Lint fixture: must pass [telemetry-hotpath] (linted as if at
-// src/telemetry/clean_telemetry.cpp).  A hot path in the sanctioned
-// shape: fixed-size ring, plain stores, no allocation/lock/clock.
+// Must pass every rule.  A telemetry hot path in the sanctioned shape:
+// fixed-size ring, plain stores, no allocation/lock/clock.
 #include <cstdint>
 
 struct Record {

@@ -106,6 +106,20 @@ TEST(Cli, MalformedDoubleIsFlagged) {
     EXPECT_FALSE(args.finish("prog"));
 }
 
+TEST(Cli, NonFiniteDoubleIsFlagged) {
+    for (const char* value : {"--eta=nan", "--eta=inf", "--eta=-inf"}) {
+        const char* argv[] = {"prog", value};
+        CliArgs args(2, argv);
+        EXPECT_DOUBLE_EQ(args.get_double("eta", 0.01), 0.01) << value;
+        EXPECT_FALSE(args.finish("prog")) << value;
+    }
+    // Finite but beyond float range (an attack magnitude): still a number.
+    const char* argv[] = {"prog", "--magnitude=1e39"};
+    CliArgs args(2, argv);
+    EXPECT_DOUBLE_EQ(args.get_double("magnitude", 1.0), 1e39);
+    EXPECT_TRUE(args.finish("prog"));
+}
+
 TEST(Cli, WellFormedNumbersStillPass) {
     const char* argv[] = {"prog", "--rounds=-3", "--eta=1e-2"};
     CliArgs args(3, argv);

@@ -198,7 +198,11 @@ TEST(PackedBatch, GathersRowsAndValidatesCache) {
     EXPECT_FALSE(pack.packed_from(split.test));
 }
 
-// --- LocalTrainer: engine x thread-count equivalence ------------------------
+// --- LocalTrainer: batched x thread-count equivalence ----------------------
+//
+// The oracle is Client::local_update without a workspace or pack: the
+// per-sample sgd_train(DatasetView) path.  Every trainer slot must equal
+// it bit for bit, on any pool size.
 
 struct TrainerWorld {
     core::Environment env;
@@ -233,27 +237,23 @@ TEST(LocalTrainer, BatchedEqualsReferenceAcrossThreadCountsAndRounds) {
 
         ThreadPool pool1(1);
         ThreadPool pool4(4);
-        fl::LocalTrainer reference(
-            fl::LocalTrainer::Options{.batched = false, .pool = &pool1});
-        fl::LocalTrainer batched1(
-            fl::LocalTrainer::Options{.batched = true, .pool = &pool1});
-        fl::LocalTrainer batched4(
-            fl::LocalTrainer::Options{.batched = true, .pool = &pool4});
+        fl::LocalTrainer batched1(fl::LocalTrainer::Options{.pool = &pool1});
+        fl::LocalTrainer batched4(fl::LocalTrainer::Options{.pool = &pool4});
 
         // Several rounds so the per-client pack/workspace caches are
         // exercised on reuse, not just first touch.
         for (std::uint64_t round = 0; round < 3; ++round) {
-            const auto ref = reference.run(world.clients, selected, weights,
-                                           sgd, round, 42);
             const auto bat1 = batched1.run(world.clients, selected, weights,
                                            sgd, round, 42);
             const auto bat4 = batched4.run(world.clients, selected, weights,
                                            sgd, round, 42);
-            ASSERT_EQ(ref.size(), bat1.size());
-            ASSERT_EQ(ref.size(), bat4.size());
-            for (std::size_t i = 0; i < ref.size(); ++i) {
-                EXPECT_EQ(ref[i], bat1[i]) << "round " << round << " i " << i;
-                EXPECT_EQ(ref[i], bat4[i]) << "round " << round << " i " << i;
+            ASSERT_EQ(bat1.size(), selected.size());
+            ASSERT_EQ(bat4.size(), selected.size());
+            for (std::size_t i = 0; i < selected.size(); ++i) {
+                const auto ref = world.clients[selected[i]].local_update(
+                    weights, sgd, round, 42);
+                EXPECT_EQ(ref, bat1[i]) << "round " << round << " i " << i;
+                EXPECT_EQ(ref, bat4[i]) << "round " << round << " i " << i;
             }
         }
     }
@@ -284,23 +284,19 @@ TEST(LocalTrainer, BatchedEqualsReferenceAtTheBenchmarkShape) {
 
     ThreadPool pool1(1);
     ThreadPool pool4(4);
-    fl::LocalTrainer reference(
-        fl::LocalTrainer::Options{.batched = false, .pool = &pool1});
-    fl::LocalTrainer batched1(
-        fl::LocalTrainer::Options{.batched = true, .pool = &pool1});
-    fl::LocalTrainer batched4(
-        fl::LocalTrainer::Options{.batched = true, .pool = &pool4});
+    fl::LocalTrainer batched1(fl::LocalTrainer::Options{.pool = &pool1});
+    fl::LocalTrainer batched4(fl::LocalTrainer::Options{.pool = &pool4});
     for (std::uint64_t round = 0; round < 2; ++round) {
-        const auto ref =
-            reference.run(clients, selected, weights, sgd, round, 42);
         const auto bat1 =
             batched1.run(clients, selected, weights, sgd, round, 42);
         const auto bat4 =
             batched4.run(clients, selected, weights, sgd, round, 42);
-        ASSERT_EQ(ref.size(), selected.size());
         ASSERT_EQ(bat1.size(), selected.size());
         ASSERT_EQ(bat4.size(), selected.size());
         const std::size_t bytes = weights.size() * sizeof(float);
+        std::vector<fl::GradientUpdate> ref;
+        for (const std::size_t id : selected)
+            ref.push_back(clients[id].local_update(weights, sgd, round, 42));
         for (std::size_t i = 0; i < ref.size(); ++i) {
             EXPECT_EQ(ref[i], bat1[i]) << "round " << round << " i " << i;
             EXPECT_EQ(ref[i], bat4[i]) << "round " << round << " i " << i;
@@ -311,73 +307,6 @@ TEST(LocalTrainer, BatchedEqualsReferenceAtTheBenchmarkShape) {
         }
         weights = ref[0].weights;  // the next round starts elsewhere
     }
-}
-
-// --- Full fixed-seed round series: engine choice must be invisible ----------
-
-TEST(RoundEquivalence, FairBflSeriesIdenticalUnderBothEngines) {
-    core::EnvironmentConfig env_cfg;
-    env_cfg.data.samples = 300;
-    env_cfg.data.feature_dim = 17;
-    env_cfg.data.seed = 21;
-    env_cfg.partition.num_clients = 10;
-    env_cfg.partition.seed = 21;
-    env_cfg.noisy_client_fraction = 0.2;
-    const core::Environment env = core::build_environment(env_cfg);
-
-    auto run_with = [&](bool batched) {
-        core::SystemSpec spec;
-        spec.system = "fairbfl";
-        spec.rounds = 5;
-        spec.fair.fl.rounds = 5;
-        spec.fair.fl.seed = 4;
-        spec.fair.fl.client_ratio = 0.7;
-        spec.fair.fl.batched_training = batched;
-        return core::run_system(env, spec);
-    };
-    const core::SystemRun batched = run_with(true);
-    const core::SystemRun reference = run_with(false);
-
-    ASSERT_EQ(batched.series.size(), reference.series.size());
-    for (std::size_t i = 0; i < batched.series.size(); ++i) {
-        EXPECT_EQ(batched.series[i].accuracy, reference.series[i].accuracy)
-            << i;
-        EXPECT_EQ(batched.series[i].delay_seconds,
-                  reference.series[i].delay_seconds)
-            << i;
-    }
-    EXPECT_EQ(batched.final_accuracy, reference.final_accuracy);
-    EXPECT_EQ(batched.average_accuracy, reference.average_accuracy);
-}
-
-TEST(RoundEquivalence, FedProxSeriesIdenticalUnderBothEngines) {
-    core::EnvironmentConfig env_cfg;
-    env_cfg.data.samples = 200;
-    env_cfg.data.feature_dim = 11;
-    env_cfg.data.seed = 33;
-    env_cfg.partition.num_clients = 8;
-    env_cfg.partition.seed = 33;
-    const core::Environment env = core::build_environment(env_cfg);
-
-    auto run_with = [&](bool batched) {
-        core::SystemSpec spec;
-        spec.system = "fedprox";
-        spec.rounds = 4;
-        spec.fedprox.base.rounds = 4;
-        spec.fedprox.base.seed = 6;
-        spec.fedprox.base.client_ratio = 0.8;
-        spec.fedprox.base.batched_training = batched;
-        spec.fedprox.prox_mu = 0.1;
-        spec.fedprox.drop_percent = 0.25;
-        return core::run_system(env, spec);
-    };
-    const core::SystemRun batched = run_with(true);
-    const core::SystemRun reference = run_with(false);
-    ASSERT_EQ(batched.series.size(), reference.series.size());
-    for (std::size_t i = 0; i < batched.series.size(); ++i)
-        EXPECT_EQ(batched.series[i].accuracy, reference.series[i].accuracy)
-            << i;
-    EXPECT_EQ(batched.final_accuracy, reference.final_accuracy);
 }
 
 }  // namespace
