@@ -1,6 +1,6 @@
-// Engineering micro-benchmarks: model gradients, SGD epochs, accuracy
-// evaluation, aggregation, and the kernel-table A/B rows (scalar vs the
-// runtime-dispatched AVX2+FMA table behind support/simd.hpp).
+// Engineering micro-benchmarks: the pinned vector kernels behind
+// support/simd.hpp, model gradients, SGD epochs, accuracy evaluation and
+// aggregation.
 
 #include <benchmark/benchmark.h>
 
@@ -16,40 +16,14 @@ namespace {
 
 using namespace fairbfl;
 
-/// CPU-feature report in the JSON header, so an A/B artifact records
-/// whether the simd rows could run on the producing host at all.
+/// CPU-feature report in the JSON header, so an artifact records whether
+/// the lane-exact AVX2 encodings could serve the kernel rows on the
+/// producing host.
 const bool kContextRegistered = [] {
-    namespace simd = support::simd;
     benchmark::AddCustomContext(
-        "cpu_avx2_fma", simd::cpu_supports_avx2_fma() ? "true" : "false");
-    benchmark::AddCustomContext(
-        "simd_table_built",
-        simd::detail::avx2_table() != nullptr ? "true" : "false");
+        "cpu_avx2", support::simd::cpu_supports_avx2() ? "true" : "false");
     return true;
 }();
-
-/// Selects the kernel table for one A/B row (range(1): 0 = scalar,
-/// 1 = simd) and restores the pinned scalar default on destruction.
-/// Returns false -- after flagging the row skipped -- when the simd leg
-/// cannot run on this host.
-struct KernelModeRow {
-    explicit KernelModeRow(benchmark::State& state)
-        : simd_row(state.range(1) != 0) {
-        namespace simd = support::simd;
-        if (simd_row && (!simd::cpu_supports_avx2_fma() ||
-                         simd::detail::avx2_table() == nullptr)) {
-            state.SkipWithError("avx2+fma unavailable");
-            ok = false;
-            return;
-        }
-        simd::set_mode(simd_row ? simd::Mode::kSimd : simd::Mode::kScalar);
-        state.SetLabel(simd_row ? "simd" : "scalar");
-    }
-    ~KernelModeRow() { support::simd::set_mode(support::simd::Mode::kScalar); }
-
-    bool simd_row;
-    bool ok = true;
-};
 
 std::vector<float> kernel_operand(std::size_t n, std::uint64_t seed) {
     support::Rng rng(seed);
@@ -59,8 +33,6 @@ std::vector<float> kernel_operand(std::size_t n, std::uint64_t seed) {
 }
 
 void BM_KernelDot(benchmark::State& state) {
-    const KernelModeRow row(state);
-    if (!row.ok) return;
     const auto n = static_cast<std::size_t>(state.range(0));
     const auto x = kernel_operand(n, 7);
     const auto y = kernel_operand(n, 8);
@@ -68,12 +40,9 @@ void BM_KernelDot(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             state.range(0));
 }
-BENCHMARK(BM_KernelDot)
-    ->Args({784, 0})->Args({784, 1})->Args({7850, 0})->Args({7850, 1});
+BENCHMARK(BM_KernelDot)->Arg(784)->Arg(7850);
 
 void BM_KernelAxpy(benchmark::State& state) {
-    const KernelModeRow row(state);
-    if (!row.ok) return;
     const auto n = static_cast<std::size_t>(state.range(0));
     const auto x = kernel_operand(n, 9);
     auto y = kernel_operand(n, 10);
@@ -84,13 +53,10 @@ void BM_KernelAxpy(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             state.range(0));
 }
-BENCHMARK(BM_KernelAxpy)
-    ->Args({784, 0})->Args({784, 1})->Args({7850, 0})->Args({7850, 1});
+BENCHMARK(BM_KernelAxpy)->Arg(784)->Arg(7850);
 
 void BM_KernelGemv(benchmark::State& state) {
     // The logistic forward shape: 10 classes x `dim` features.
-    const KernelModeRow row(state);
-    if (!row.ok) return;
     const auto dim = static_cast<std::size_t>(state.range(0));
     const std::size_t classes = 10;
     const auto a = kernel_operand(classes * dim, 11);
@@ -105,8 +71,7 @@ void BM_KernelGemv(benchmark::State& state) {
                             static_cast<std::int64_t>(classes) *
                             state.range(0));
 }
-BENCHMARK(BM_KernelGemv)
-    ->Args({784, 0})->Args({784, 1})->Args({7850, 0})->Args({7850, 1});
+BENCHMARK(BM_KernelGemv)->Arg(784)->Arg(7850);
 
 /// One logistic mini-batch at the train_heavy shape: a 10 x `dim` weight
 /// matrix and 10 samples of `dim` features.
@@ -134,8 +99,6 @@ struct MiniBatch {
 
 void BM_KernelGemvRows(benchmark::State& state) {
     // The batched logistic forward: one call per mini-batch.
-    const KernelModeRow row(state);
-    if (!row.ok) return;
     const auto dim = static_cast<std::size_t>(state.range(0));
     MiniBatch batch(dim);
     for (auto _ : state) {
@@ -147,12 +110,10 @@ void BM_KernelGemvRows(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(MiniBatch::kSamples));
 }
-BENCHMARK(BM_KernelGemvRows)->Args({784, 0})->Args({784, 1});
+BENCHMARK(BM_KernelGemvRows)->Arg(784);
 
 void BM_KernelOuterRows(benchmark::State& state) {
     // The batched logistic backward: one call per mini-batch.
-    const KernelModeRow row(state);
-    if (!row.ok) return;
     const auto dim = static_cast<std::size_t>(state.range(0));
     MiniBatch batch(dim);
     std::vector<float> grad(MiniBatch::kClasses * dim, 0.0F);
@@ -165,18 +126,16 @@ void BM_KernelOuterRows(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(MiniBatch::kSamples));
 }
-BENCHMARK(BM_KernelOuterRows)->Args({784, 0})->Args({784, 1});
+BENCHMARK(BM_KernelOuterRows)->Arg(784);
 
 void BM_KernelSketch(benchmark::State& state) {
-    // The GradientIndex build step: project range(2) gradient rows of
+    // The GradientIndex build step: project range(1) gradient rows of
     // range(0) dims down to k = 48 through the seeded Gaussian matrix.
     // 113 x 7850 is the sketch async_adversarial builds every round.
-    const KernelModeRow row(state);
-    if (!row.ok) return;
     const auto dim = static_cast<std::size_t>(state.range(0));
     const auto projection = support::gaussian_projection(dim, 48, 42);
     std::vector<std::vector<float>> points(
-        static_cast<std::size_t>(state.range(2)));
+        static_cast<std::size_t>(state.range(1)));
     std::vector<const float*> rows;
     for (std::size_t i = 0; i < points.size(); ++i) {
         points[i] = kernel_operand(dim, 100 + i);
@@ -189,11 +148,9 @@ void BM_KernelSketch(benchmark::State& state) {
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            state.range(2) * state.range(0));
+                            state.range(1) * state.range(0));
 }
-BENCHMARK(BM_KernelSketch)
-    ->Args({784, 0, 64})->Args({784, 1, 64})
-    ->Args({7850, 0, 113})->Args({7850, 1, 113});
+BENCHMARK(BM_KernelSketch)->Args({784, 64})->Args({7850, 113});
 
 void BM_GaussianProjection(benchmark::State& state) {
     // The serial draw of a range(1) x range(0) matrix.  A fresh seed per

@@ -32,7 +32,6 @@
 #include "fl/sharding.hpp"
 #include "support/cli.hpp"
 #include "support/fault_plan.hpp"
-#include "support/simd.hpp"
 #include "telemetry/telemetry.hpp"
 
 using namespace fairbfl;
@@ -156,8 +155,6 @@ int main(int argc, char** argv) {
             "                         (auto|exact|lazy|random_projection)\n"
             "  --shards=1             hierarchical shard-tree fan-out\n"
             "                         (1 = flat single-pass Algorithm 2)\n"
-            "  --kernels=scalar       vector-kernel table: scalar|simd|auto\n"
-            "                         (scalar = the bit-pinned default)\n"
             "  --quorum=1.0           aggregate once this fraction arrived\n"
             "  --deadline-ms=0        virtual round deadline (0 = none)\n"
             "  --late=next_round      late-gradient policy:\n"
@@ -177,7 +174,6 @@ int main(int argc, char** argv) {
     const std::string system = args.get_string("system", "fairbfl");
     const std::string index = args.get_string("index", "exact");
     const auto shards = static_cast<std::size_t>(args.get_int("shards", 1));
-    const std::string kernels = args.get_string("kernels", "scalar");
     const double quorum = args.get_double("quorum", 1.0);
     const double deadline_ms = args.get_double("deadline-ms", 0.0);
     const std::string late = args.get_string("late", "next_round");
@@ -194,11 +190,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "bench_perf_round: need --quorum > 0, "
                      "--deadline-ms >= 0, 0 <= --churn < 1\n");
-        return 1;
-    }
-    if (!support::simd::set_mode_name(kernels.c_str())) {
-        std::fprintf(stderr, "bench_perf_round: bad --kernels '%s'\n",
-                     kernels.c_str());
         return 1;
     }
     if (index != "auto" &&
@@ -273,11 +264,6 @@ int main(int argc, char** argv) {
     json += "  \"schema_version\": 2,\n";
     json += "  \"system\": \"" + system + "\",\n";
     json += "  \"index\": \"" + index + "\",\n";
-    // Requested mode plus the table that actually served (auto on a
-    // non-AVX2 host degrades to scalar; A/B consumers must see which).
-    json += "  \"kernels\": \"" + kernels + "\",\n";
-    json += "  \"kernels_active\": \"" +
-            std::string(support::simd::active_name()) + "\",\n";
     json += "  \"late\": \"" + late + "\",\n";
     char header[320];
     std::snprintf(header, sizeof header,

@@ -19,7 +19,6 @@
 #include "core/system.hpp"
 #include "support/cli.hpp"
 #include "support/csv.hpp"
-#include "support/simd.hpp"
 #include "telemetry/decode.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -75,11 +74,6 @@ int run(int argc, char** argv) {
             "                       clustering algorithm)\n"
             "  --shards=N           hierarchical shard-tree fan-out for\n"
             "                       Algorithm 2 (1 = flat single pass)\n"
-            "  --kernels=NAME       vector-kernel table (scalar|simd|auto;\n"
-            "                       scalar -- the default -- is bit-pinned,\n"
-            "                       simd/auto trade bit-identity for the\n"
-            "                       AVX2+FMA kernels; FAIRBFL_KERNELS env\n"
-            "                       sets the same switch)\n"
             "  --aggregator=NAME    combine rule (simple|sample_weighted|\n"
             "                       fair|trimmed_mean|median)\n"
             "  --list               print every registered backend and exit\n"
@@ -156,9 +150,6 @@ int run(int argc, char** argv) {
     const std::string clustering = args.get_string("clustering", "dbscan");
     const std::string index = args.get_string("index", "auto");
     const auto shards = static_cast<std::size_t>(args.get_int("shards", 1));
-    // Empty default defers to FAIRBFL_KERNELS (resolved on first kernel
-    // call); an explicit flag wins over the environment.
-    const std::string kernels = args.get_string("kernels", "");
     const std::string aggregator = args.get_string("aggregator", "");
     const bool encrypt = args.get_flag("encrypt");
     const auto key_bits = static_cast<std::size_t>(
@@ -197,14 +188,6 @@ int run(int argc, char** argv) {
         return 1;
     }
     attack.kind = *attack_kind;
-    if (!kernels.empty() &&
-        !support::simd::set_mode_name(kernels.c_str())) {
-        std::fprintf(stderr,
-                     "--kernels: unknown table '%s' (known: scalar simd "
-                     "auto)\n",
-                     kernels.c_str());
-        return 1;
-    }
     const auto late_policy = core::parse_late_policy(late);
     if (!late_policy) {
         std::fprintf(stderr,

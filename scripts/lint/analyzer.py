@@ -25,10 +25,10 @@ exempt_paths):
                       for a later rethrow).
   simd-isolation      no x86 intrinsic headers (<immintrin.h> and
                       friends) or _mm*/__m* intrinsics outside
-                      src/support/simd* -- ISA-specific code lives behind
-                      the runtime-dispatched KernelTable
-                      (support/simd.hpp), keeping every other TU portable
-                      and the scalar bit-pins the default.
+                      src/support/simd* -- ISA-specific code lives in
+                      the lane-exact encodings behind the pinned kernels
+                      (support/simd.hpp), keeping every other TU
+                      portable.
 
 Whole-program rules:
 
@@ -299,17 +299,16 @@ def rule_simd_isolation(path: str, tokens: list[Token]) -> list[Finding]:
                         "simd-isolation", path, t.line, t.col,
                         f"x86 intrinsic header {header} outside "
                         "src/support/simd*: ISA-specific code lives "
-                        "behind the runtime-dispatched KernelTable "
-                        "(support/simd.hpp) so every other TU stays "
-                        "portable and the scalar bit-pins stay the "
-                        "default"))
+                        "in the lane-exact encodings behind the pinned "
+                        "kernels (support/simd.hpp) so every other TU "
+                        "stays portable"))
         elif t.kind == IDENT and t.value.startswith(_SIMD_IDENT_PREFIXES):
             out.append(
                 Finding(
                     "simd-isolation", path, t.line, t.col,
                     f"x86 intrinsic `{t.value}` outside src/support/simd*: "
-                    "add the kernel to the KernelTable "
-                    "(support/simd.hpp) instead of open-coding ISA "
+                    "add the kernel to support/simd.hpp with a "
+                    "lane-exact encoding instead of open-coding ISA "
                     "instructions here"))
     return out
 
@@ -1214,8 +1213,8 @@ def rule_fp_determinism(program):
                         f"floating-point multiply-accumulate loop in "
                         f"`{fn['qname']}`: an FMA-eligible reduction "
                         "outside src/support/simd*/vecmath* -- route it "
-                        "through a KernelTable/vecmath kernel (bit-pinned "
-                        "per backend) or allowlist it with a written "
+                        "through a support/simd or vecmath kernel "
+                        "(bit-pinned) or allowlist it with a written "
                         "justification"))
     return findings
 
@@ -1424,9 +1423,10 @@ def check_stale_entries(program, rules):
                                       or (per-file match rules) the rule
                                       finds nothing under it even with
                                       the exemption off;
-      stop_functions                  the name no longer appears as an
-                                      identifier in the src/telemetry/
-                                      sources;
+      stop_functions                  the hot-path walk from the
+                                      telemetry emission roots never
+                                      reaches a call to it, so it stops
+                                      nothing;
       locks (lock-order hierarchy)    no such support::Mutex is declared
                                       any more."""
     findings = []
@@ -1437,9 +1437,7 @@ def check_stale_entries(program, rules):
             f"stale {kind} entry `{name}`: {reason} -- delete it "
             f"(justification was: {why!r})"))
 
-    telemetry_idents = {t.value for rel, toks in program.tokens.items()
-                        if rel.startswith("src/telemetry/")
-                        for t in toks if t.kind == IDENT}
+    reached_calls = None
     declared = program.declared_locks()
     for rule in rules:
         conf = program.allow.get(rule, {})
@@ -1456,11 +1454,15 @@ def check_stale_entries(program, rules):
                     stale(rule, kind, prefix, why,
                           f"the {rule} rule finds nothing there even with "
                           "the exemption off, so it suppresses nothing")
-        for name, why in conf.get("stop_functions", {}).items():
-            if name not in telemetry_idents:
+        stops = conf.get("stop_functions", {})
+        if stops and reached_calls is None:
+            reached_calls = {call[2] for ref in _hotpath_chains(program)
+                             for call in program.fn(ref)["calls"]}
+        for name, why in stops.items():
+            if name not in reached_calls:
                 stale(rule, "stop_functions", name, why,
-                      "no such identifier appears in the telemetry "
-                      "sources any more")
+                      "the walk from the telemetry emission roots never "
+                      "reaches a call to it, so it stops nothing")
         for lock_id, entry in conf.get("locks", {}).items():
             if lock_id not in declared:
                 stale(rule, "lock-order hierarchy", lock_id,

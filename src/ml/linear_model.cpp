@@ -133,15 +133,17 @@ public:
         return loss;
     }
 
-    [[nodiscard]] std::int32_t predict(
-        std::span<const float> params,
-        std::span<const float> features) const override {
-        std::vector<float> logits(classes_);
-        forward(params, features, logits);
-        std::size_t best = 0;
-        for (std::size_t c = 1; c < classes_; ++c)
-            if (logits[c] > logits[best]) best = c;
-        return static_cast<std::int32_t>(best);
+    /// One batched forward (support::gemv_rows) for every sample: by its
+    /// contract each sample's logits are bitwise forward()'s.
+    void predict(std::span<const float> params,
+                 std::span<const float* const> xs,
+                 std::span<std::int32_t> out) const override {
+        std::vector<float> logits(xs.size() * classes_);
+        support::gemv_rows(params.first(classes_ * dim_), classes_, dim_, xs,
+                           params.subspan(classes_ * dim_, classes_), logits);
+        for (std::size_t s = 0; s < xs.size(); ++s)
+            out[s] = argmax(
+                std::span(logits).subspan(s * classes_, classes_));
     }
 
 private:

@@ -49,4 +49,11 @@ double softmax_xent_backward(std::span<const float> logits, std::int32_t label,
     return loss;
 }
 
+std::int32_t argmax(std::span<const float> logits) noexcept {
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < logits.size(); ++c)
+        if (logits[c] > logits[best]) best = c;
+    return static_cast<std::int32_t>(best);
+}
+
 }  // namespace fairbfl::ml

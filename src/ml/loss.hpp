@@ -1,5 +1,6 @@
 #pragma once
-// Softmax cross-entropy: the loss l(w; b) of Algorithm 1 / Eq. 3.
+// Softmax cross-entropy: the loss l(w; b) of Algorithm 1 / Eq. 3, and the
+// argmax that turns logits into a predicted class.
 
 #include <cstdint>
 #include <span>
@@ -19,5 +20,8 @@ void softmax_inplace(std::span<float> logits) noexcept;
 [[nodiscard]] double softmax_xent_backward(std::span<const float> logits,
                                            std::int32_t label,
                                            std::span<float> dlogits) noexcept;
+
+/// Index of the largest logit; the first one on ties.
+[[nodiscard]] std::int32_t argmax(std::span<const float> logits) noexcept;
 
 }  // namespace fairbfl::ml

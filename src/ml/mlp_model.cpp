@@ -179,15 +179,14 @@ public:
         return loss;
     }
 
-    [[nodiscard]] std::int32_t predict(
-        std::span<const float> params,
-        std::span<const float> features) const override {
+    void predict(std::span<const float> params,
+                 std::span<const float* const> xs,
+                 std::span<std::int32_t> out) const override {
         std::vector<float> logits(classes_);
-        forward_logits(params, features, logits);
-        std::size_t best = 0;
-        for (std::size_t c = 1; c < classes_; ++c)
-            if (logits[c] > logits[best]) best = c;
-        return static_cast<std::int32_t>(best);
+        for (std::size_t s = 0; s < xs.size(); ++s) {
+            forward_logits(params, {xs[s], dim_}, logits);
+            out[s] = argmax(logits);
+        }
     }
 
 private:

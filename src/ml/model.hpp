@@ -66,20 +66,25 @@ public:
     [[nodiscard]] virtual double loss(std::span<const float> params,
                                       const DatasetView& batch) const = 0;
 
-    /// argmax-class prediction for one sample.
-    [[nodiscard]] virtual std::int32_t predict(
-        std::span<const float> params, std::span<const float> features) const = 0;
+    /// argmax-class predictions: out[s] for the sample whose features start
+    /// at xs[s], s in [0, xs.size()).  One call per batch, so a model can
+    /// run its forward once for every sample (the logistic model's
+    /// support::gemv_rows); each prediction is bitwise the single-sample
+    /// one.  out.size() must equal xs.size().
+    virtual void predict(std::span<const float> params,
+                         std::span<const float* const> xs,
+                         std::span<std::int32_t> out) const = 0;
 
     /// Samples per evaluation task in accuracy(): a fixed size, so the
     /// chunking never depends on the pool's thread count.
     static constexpr std::size_t kAccuracyChunk = 64;
 
     /// Fraction of `view` classified correctly.  Fixed chunks of
-    /// kAccuracyChunk samples fan out over `pool`; each counts its correct
-    /// predictions and the integer counts are summed, so the result is
-    /// exact -- the serial per-sample count -- at any thread count.
-    /// predict() must therefore be safe to call concurrently (the built-in
-    /// models are stateless).
+    /// kAccuracyChunk samples fan out over `pool`, one predict() call per
+    /// chunk; each counts its correct predictions and the integer counts
+    /// are summed, so the result is exact -- the serial per-sample count --
+    /// at any thread count.  predict() must therefore be safe to call
+    /// concurrently (the built-in models are stateless).
     [[nodiscard]] double accuracy(
         std::span<const float> params, const DatasetView& view,
         support::ThreadPool& pool = support::ThreadPool::global()) const;

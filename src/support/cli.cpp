@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -42,10 +43,12 @@ std::int64_t CliArgs::get_int(std::string_view key, std::int64_t fallback) {
     const auto it = values_.find(key);
     if (it == values_.end()) return fallback;
     // A malformed number silently becoming 0 (or a bare `--rounds`
-    // becoming "true" -> 0) corrupts sweeps; flag it instead.
+    // becoming "true" -> 0) corrupts sweeps, and strtoll clamps an
+    // out-of-range one to INT64_MIN/MAX; flag both instead.
     char* end = nullptr;
+    errno = 0;
     const std::int64_t value = std::strtoll(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0') {
+    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE) {
         std::fprintf(stderr, "--%s: '%s' is not an integer\n",
                      it->first.c_str(), it->second.c_str());
         parse_error_ = true;

@@ -34,7 +34,8 @@ public:
     /// The numeric getters return the fallback and mark a parse error
     /// (failing finish()) when the value is not fully numeric -- a
     /// malformed `--rounds=abc` or bare `--rounds` never silently reads
-    /// as 0 -- and get_double does the same for nan and +-inf.
+    /// as 0 -- get_int does the same for a value outside int64_t, and
+    /// get_double for nan and +-inf.
     [[nodiscard]] std::string get_string(std::string_view key,
                                          std::string_view fallback);
     [[nodiscard]] std::int64_t get_int(std::string_view key,

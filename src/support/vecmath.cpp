@@ -6,12 +6,10 @@
 #include "support/parallel.hpp"
 #include "support/simd.hpp"
 
-// Every kernel below routes through the runtime-dispatched table in
-// support/simd.{hpp,cpp}.  The scalar table holds the pinned reference
-// loops (byte-for-byte the bodies that used to live here); the avx2 table
-// is the tolerance-pinned fast path.  This file keeps the span-based
-// contracts and assertions; the tables work on raw pointers so the
-// `-march`-gated TU stays dependency-free.
+// The reduction and matrix kernels below call the pinned kernels in
+// support/simd.{hpp,cpp}.  This file keeps the span-based contracts and
+// assertions; the kernels work on raw pointers so the `-mavx2` TU stays
+// dependency-free.
 
 namespace fairbfl::support {
 
@@ -26,7 +24,7 @@ constexpr std::size_t kDimChunk = 8192;
 
 void axpy(float alpha, std::span<const float> x, std::span<float> y) noexcept {
     assert(x.size() == y.size());
-    simd::active().axpy(alpha, x.data(), y.data(), x.size());
+    simd::axpy(alpha, x.data(), y.data(), x.size());
 }
 
 void scale(std::span<float> x, float alpha) noexcept {
@@ -39,7 +37,7 @@ void fill(std::span<float> x, float value) noexcept {
 
 double dot(std::span<const float> x, std::span<const float> y) noexcept {
     assert(x.size() == y.size());
-    return simd::active().dot(x.data(), y.data(), x.size());
+    return simd::dot(x.data(), y.data(), x.size());
 }
 
 double norm2(std::span<const float> x) noexcept {
@@ -49,20 +47,19 @@ double norm2(std::span<const float> x) noexcept {
 double squared_distance(std::span<const float> x,
                         std::span<const float> y) noexcept {
     assert(x.size() == y.size());
-    return simd::active().squared_distance(x.data(), y.data(), x.size());
+    return simd::squared_distance(x.data(), y.data(), x.size());
 }
 
 double dot_blocked(std::span<const float> x,
                    std::span<const float> y) noexcept {
     assert(x.size() == y.size());
-    return simd::active().dot_blocked(x.data(), y.data(), x.size());
+    return simd::dot_blocked(x.data(), y.data(), x.size());
 }
 
 double squared_distance_blocked(std::span<const float> x,
                                 std::span<const float> y) noexcept {
     assert(x.size() == y.size());
-    return simd::active().squared_distance_blocked(x.data(), y.data(),
-                                                   x.size());
+    return simd::squared_distance_blocked(x.data(), y.data(), x.size());
 }
 
 void squared_distance_blocked_x4(std::span<const float> x,
@@ -73,8 +70,7 @@ void squared_distance_blocked_x4(std::span<const float> x,
 #endif
     const float* const rows[4] = {ys[0].data(), ys[1].data(), ys[2].data(),
                                   ys[3].data()};
-    simd::active().squared_distance_blocked_x4(x.data(), rows, x.size(),
-                                               out.data());
+    simd::squared_distance_blocked_x4(x.data(), rows, x.size(), out.data());
 }
 
 void gemv(std::span<const float> a, std::size_t rows, std::size_t cols,
@@ -84,8 +80,8 @@ void gemv(std::span<const float> a, std::size_t rows, std::size_t cols,
     assert(x.size() == cols);
     assert(out.size() >= rows);
     assert(bias.empty() || bias.size() >= rows);
-    simd::active().gemv(a.data(), rows, cols, x.data(),
-                        bias.empty() ? nullptr : bias.data(), out.data());
+    simd::gemv(a.data(), rows, cols, x.data(),
+               bias.empty() ? nullptr : bias.data(), out.data());
 }
 
 void gemv_rows(std::span<const float> a, std::size_t rows, std::size_t cols,
@@ -94,9 +90,8 @@ void gemv_rows(std::span<const float> a, std::size_t rows, std::size_t cols,
     assert(a.size() == rows * cols);
     assert(out.size() >= xs.size() * rows);
     assert(bias.empty() || bias.size() >= rows);
-    simd::active().gemv_rows(a.data(), rows, cols, xs.data(), xs.size(),
-                             bias.empty() ? nullptr : bias.data(),
-                             out.data());
+    simd::gemv_rows(a.data(), rows, cols, xs.data(), xs.size(),
+                    bias.empty() ? nullptr : bias.data(), out.data());
 }
 
 void gemv_transpose_accumulate(std::span<const float> a, std::size_t rows,
@@ -105,8 +100,8 @@ void gemv_transpose_accumulate(std::span<const float> a, std::size_t rows,
     assert(a.size() == rows * cols);
     assert(d.size() >= rows);
     assert(out.size() >= cols);
-    simd::active().gemv_transpose_accumulate(a.data(), rows, cols, d.data(),
-                                             out.data());
+    simd::gemv_transpose_accumulate(a.data(), rows, cols, d.data(),
+                                    out.data());
 }
 
 void outer_accumulate_rows(std::span<const float> d,
@@ -115,8 +110,8 @@ void outer_accumulate_rows(std::span<const float> d,
                            std::span<float> y) noexcept {
     assert(d.size() >= xs.size() * rows);
     assert(y.size() == rows * cols);
-    simd::active().outer_accumulate_rows(d.data(), xs.data(), xs.size(), rows,
-                                         cols, y.data());
+    simd::outer_accumulate_rows(d.data(), xs.data(), xs.size(), rows, cols,
+                                y.data());
 }
 
 void add_scaled_diff(float alpha, std::span<const float> x,
@@ -163,19 +158,18 @@ void cosine_distances_to(std::span<const std::vector<float>> rows,
                          std::span<const float> query, std::span<double> out,
                          ThreadPool& pool) {
     assert(rows.size() == out.size());
-    const auto& kernels = simd::active();
     const double query_norm = norm2(query);
     parallel_for(
         0, rows.size(),
         [&](std::size_t i) {
             // Fused dot+norm: one traversal of the row instead of the
-            // separate norm2() and dot() passes.  The scalar table's fused
-            // kernel carries two strict chains, so this stays
-            // bit-identical to cosine_distance under the pinned default.
+            // separate norm2() and dot() passes.  The fused kernel carries
+            // two strict chains, so this stays bit-identical to
+            // cosine_distance.
             double d = 0.0;
             double row_norm2 = 0.0;
-            kernels.dot_and_norm(rows[i].data(), query.data(),
-                                 rows[i].size(), &d, &row_norm2);
+            simd::dot_and_norm(rows[i].data(), query.data(), rows[i].size(),
+                               &d, &row_norm2);
             const double row_norm = std::sqrt(row_norm2);
             if (row_norm == 0.0 || query_norm == 0.0) {
                 out[i] = 1.0;

@@ -79,7 +79,7 @@ void gemv(std::span<const float> a, std::size_t rows, std::size_t cols,
 /// Batched forward over a mini-batch: out[s * rows + r] is bitwise
 /// gemv(a, rows, cols, xs[s], bias, ...)[r] for every sample s, where
 /// xs[s] points at cols floats.  One call serves the whole batch, so the
-/// pinned scalar table can reuse each transposed tile of `a` across every
+/// lane-exact encoding can reuse each transposed tile of `a` across every
 /// sample (support/simd.hpp).
 void gemv_rows(std::span<const float> a, std::size_t rows, std::size_t cols,
                std::span<const float* const> xs, std::span<const float> bias,
@@ -98,7 +98,7 @@ void gemv_transpose_accumulate(std::span<const float> a, std::size_t rows,
 /// row r of y += d[s * rows + r] * xs[s], where d is xs.size() x rows, y
 /// is rows x cols and xs[s] points at cols floats.  Per sample and row it
 /// is exactly `axpy(d[s * rows + r], xs[s], row)`, so every element of y
-/// receives its per-sample adds in sample order; the pinned scalar table
+/// receives its per-sample adds in sample order; the lane-exact encoding
 /// just loads and stores each span of y once per batch instead of once
 /// per sample.
 void outer_accumulate_rows(std::span<const float> d,

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "support/simd.hpp"
 #include "support/sync.hpp"
 
 namespace fairbfl::telemetry {
@@ -402,23 +401,6 @@ void counter_max(Label label, std::uint64_t value) noexcept {
                            Collector::instance().now_ns(), value,
                            tls.open_span, tls.depth, buffer.slot()));
 }
-
-namespace {
-
-// Kernel-dispatch breadcrumb (moved here from simd.cpp in PR 9: support
-// may not depend on telemetry, so the dependency now points this way).
-// publish() replays the current table at registration, so the counter is
-// emitted whichever TU wins static init.
-[[maybe_unused]] const bool g_kernel_dispatch_observer = [] {
-    support::simd::set_dispatch_observer(
-        [](const char* table_name) noexcept {
-            counter_max(labels::kernel_dispatch(),
-                        std::strcmp(table_name, "scalar") == 0 ? 0 : 1);
-        });
-    return true;
-}();
-
-}  // namespace
 
 // --- Statistics ------------------------------------------------------------
 

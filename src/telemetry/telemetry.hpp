@@ -215,10 +215,6 @@ inline Label index_bytes() {
     static const Label id = intern("cluster.index_bytes");
     return id;
 }
-inline Label kernel_dispatch() {
-    static const Label id = intern("kernels.dispatch");
-    return id;
-}
 inline Label shard_pass() {
     static const Label id = intern("cluster.shard_pass");
     return id;

@@ -1,7 +1,7 @@
 // Must be flagged by [simd-isolation].  x86 intrinsic
 // headers and _mm*/__m* spellings outside src/support/simd* bypass the
-// runtime-dispatched KernelTable -- the code stops compiling on non-x86
-// hosts and silently diverges from the pinned scalar series.
+// pinned kernels and their lane-exact encodings -- the code stops
+// compiling on non-x86 hosts and silently diverges from the pinned series.
 #include <immintrin.h>
 
 double open_coded_dot(const float* x, const float* y) {

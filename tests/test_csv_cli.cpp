@@ -99,6 +99,25 @@ TEST(Cli, BareNumericFlagIsFlagged) {
     EXPECT_FALSE(args.finish("prog"));
 }
 
+TEST(Cli, OutOfRangeIntIsFlaggedNotClamped) {
+    // strtoll clamps to INT64_MAX/MIN and reports ERANGE; a seed of
+    // 99999999999999999999 must not silently run as 9223372036854775807.
+    for (const char* value :
+         {"--seed=99999999999999999999", "--seed=-99999999999999999999"}) {
+        const char* argv[] = {"prog", value};
+        CliArgs args(2, argv);
+        EXPECT_EQ(args.get_int("seed", 42), 42) << value;
+        EXPECT_FALSE(args.finish("prog")) << value;
+    }
+    // The extremes themselves are in range.
+    const char* argv[] = {"prog", "--a=9223372036854775807",
+                          "--b=-9223372036854775808"};
+    CliArgs args(3, argv);
+    EXPECT_EQ(args.get_int("a", 0), INT64_MAX);
+    EXPECT_EQ(args.get_int("b", 0), INT64_MIN);
+    EXPECT_TRUE(args.finish("prog"));
+}
+
 TEST(Cli, MalformedDoubleIsFlagged) {
     const char* argv[] = {"prog", "--eta=0.05oops"};
     CliArgs args(2, argv);

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """fairbfl_sim fails loudly on bad input.
 
-Every unknown name exits 1 and lists the known ones; a non-finite number
-exits 1 like a malformed one; a setting the library rejects with an
-exception (zero clients) exits 1 with one line naming the reason instead
-of aborting.  A valid small run is the control.
+Every unknown name exits 1 and lists the known ones; a non-finite or
+out-of-range number exits 1 like a malformed one; a setting the library
+rejects with an exception (zero clients) exits 1 with one line naming the
+reason instead of aborting.  A valid small run is the control.
 
 Usage: test_fairbfl_sim_cli.py PATH/TO/fairbfl_sim
 """
@@ -52,6 +52,11 @@ class BadInput(unittest.TestCase):
     def test_non_finite_number(self):
         self.assert_rejected(["--clients=4", "--eta=nan"],
                              "--eta: 'nan' is not a finite number")
+
+    def test_out_of_range_integer(self):
+        self.assert_rejected(["--clients=4", "--seed=99999999999999999999"],
+                             "--seed: '99999999999999999999' is not an "
+                             "integer")
 
     def test_zero_clients(self):
         self.assert_rejected(["--clients=0"],

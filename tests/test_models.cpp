@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "ml/model.hpp"
 #include "ml/synthetic_mnist.hpp"
@@ -112,9 +115,11 @@ TEST_P(ModelTest, GradientDescentReducesLossAndFits) {
 }
 
 TEST_P(ModelTest, PredictIsArgmaxConsistentWithAccuracy) {
-    // accuracy() fans fixed chunks out over the pool; at every view size
-    // around the chunk boundary, and at train_heavy's 564 test rows, it
-    // must equal the serial per-sample count on 1 and 4 threads.
+    // accuracy() fans fixed chunks out over the pool, one batched
+    // predict() per chunk; at every view size around the chunk boundary,
+    // and at train_heavy's 564 test rows, it must equal the serial
+    // per-sample count on 1 and 4 threads.  A whole-view predict() call
+    // must give every sample its single-sample prediction.
     const auto data = ml::make_synthetic_mnist({.samples = 600,
                                                 .feature_dim = 6,
                                                 .num_classes = 3,
@@ -131,11 +136,19 @@ TEST_P(ModelTest, PredictIsArgmaxConsistentWithAccuracy) {
          {std::size_t{0}, std::size_t{1}, chunk - 1, chunk, chunk + 1,
           std::size_t{564}}) {
         const auto view = ml::DatasetView::all(data).take(n);
+        std::vector<const float*> xs;
+        for (std::size_t i = 0; i < view.size(); ++i)
+            xs.push_back(view.features_of(i).data());
+        std::vector<std::int32_t> batched(n);
+        model->predict(params, xs, batched);
         std::size_t correct = 0;
         for (std::size_t i = 0; i < view.size(); ++i) {
-            const auto pred = model->predict(params, view.features_of(i));
+            std::int32_t pred = -1;
+            model->predict(params, std::span(xs).subspan(i, 1),
+                           std::span(&pred, 1));
             ASSERT_GE(pred, 0);
             ASSERT_LT(pred, 3);
+            EXPECT_EQ(batched[i], pred) << n << " sample " << i;
             if (pred == view.label_of(i)) ++correct;
         }
         const double want =
