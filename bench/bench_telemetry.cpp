@@ -4,7 +4,7 @@
 // and the disabled-switch path, single-threaded and across a thread
 // fan-out.  Plain binary (no Google Benchmark dependency) so it always
 // builds; CI runs it to keep the per-event cost visible next to the
-// end-to-end <=2% gate on bench_perf_round.
+// end-to-end <=2% gate on a traced fairbfl_sim run's wall_s.
 //
 //   ./bench_telemetry [--events=2000000] [--threads=8]
 

@@ -9,6 +9,7 @@
 //       [--discard] [--attack=signflip --attackers=3] [--encrypt] \
 //       [--save-chain=chain.bin] [--csv=out.csv]
 
+#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -286,6 +287,8 @@ int run(int argc, char** argv) {
     spec.blockchain.rounds = rounds;
     spec.blockchain.seed = seed;
 
+    // wall_s: host seconds from building the system to its last round.
+    const auto build_start = std::chrono::steady_clock::now();
     std::unique_ptr<core::System> runner;
     try {
         runner = core::SystemRegistry::global().make(env, spec);
@@ -300,10 +303,14 @@ int run(int argc, char** argv) {
     csv.header({"round", "delay_s", "elapsed_s", "accuracy"});
 
     // The capture retains every record the round loop emits (all sessions
-    // plus ambient streams); it is independent of the systems' per-round
-    // harvests, which keep consuming their own sessions as usual.
+    // plus ambient streams); without --trace, records are dropped as they
+    // drain.
     if (!trace_path.empty()) telemetry::capture_begin();
     for (std::size_t r = 0; r < spec.rounds; ++r) (void)runner->run_round();
+    const double wall_seconds = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() -
+                                    build_start)
+                                    .count();
     core::SystemRun run = runner->finalize();
     if (!trace_path.empty()) {
         const telemetry::Dump dump = telemetry::capture_end();
@@ -335,9 +342,10 @@ int run(int argc, char** argv) {
             .col(point.accuracy)
             .end();
     }
-    std::printf("# %s: avg_delay=%.3fs avg_acc=%.4f final_acc=%.4f\n",
-                run.name.c_str(), run.average_delay, run.average_accuracy,
-                run.final_accuracy);
+    std::printf(
+        "# %s: avg_delay=%.3fs avg_acc=%.4f final_acc=%.4f wall_s=%.6f\n",
+        run.name.c_str(), run.average_delay, run.average_accuracy,
+        run.final_accuracy, wall_seconds);
 
     if (!save_chain_path.empty()) {
         if (ledger == nullptr) {

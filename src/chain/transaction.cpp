@@ -45,13 +45,21 @@ std::size_t Transaction::size_bytes() const {
 
 Transaction make_reward_tx(NodeId miner, std::uint64_t round, NodeId client,
                            double amount) {
+    // The payload is an unsigned milli-token count, so a negative,
+    // non-finite or too-large amount has no encoding; a plain cast would
+    // wrap -5.0 to 1.8e16 tokens.
+    const double millis = std::round(amount * 1000.0);
+    if (!(amount >= 0.0) || !(millis < 0x1p64))
+        throw std::invalid_argument(
+            "make_reward_tx: amount must be finite, non-negative and "
+            "below 2^64 milli-tokens");
     Transaction tx;
     tx.kind = TxKind::kReward;
     tx.origin = miner;
     tx.round = round;
     ByteWriter body;
     body.u32(client);
-    body.u64(static_cast<std::uint64_t>(std::llround(amount * 1000.0)));
+    body.u64(static_cast<std::uint64_t>(millis));
     tx.payload = body.take();
     return tx;
 }

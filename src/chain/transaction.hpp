@@ -52,7 +52,9 @@ struct Transaction {
 };
 
 /// Builds a reward transaction carrying <client, amount> (amount in
-/// fixed-point milli-units so the encoding stays integral).
+/// fixed-point milli-units so the encoding stays integral).  Throws
+/// std::invalid_argument on a negative or non-finite amount, or one whose
+/// milli-unit count does not fit in 64 bits.
 [[nodiscard]] Transaction make_reward_tx(NodeId miner, std::uint64_t round,
                                          NodeId client, double amount);
 

@@ -22,7 +22,7 @@
 //
 // Telemetry: every processed event emits an "engine.event" span and a
 // counter_max "engine.virtual_ns" sample of its virtual timestamp, so a
-// harvested round exposes both the event count and the round's virtual
+// captured round exposes both the event count and the round's virtual
 // makespan next to the host-time stage spans.
 
 #include <cstddef>

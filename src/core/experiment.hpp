@@ -69,10 +69,6 @@ struct SeriesPoint {
     double delay_seconds = 0.0;    ///< d_i
     double elapsed_seconds = 0.0;  ///< cumulative sum of d_i
     double accuracy = 0.0;         ///< acc_i (0 for pure blockchain)
-    /// The round's telemetry harvest (BflRoundRecord::stats), the source
-    /// of bench_perf_round's per-stage seconds.  Empty for systems that do
-    /// not report it and when FAIRBFL_TELEMETRY is off.
-    telemetry::RoundStats stats;
 };
 
 struct SystemRun {

@@ -123,17 +123,12 @@ BflRoundRecord FairBfl::run_round() {
     const std::uint64_t round = round_++;
     BflRoundRecord record;
     record.fl.round = round;
-    {
-        // Every span/counter of the round -- including those emitted from
-        // pool workers that inherit this context at their fan-out sites --
-        // is tagged with this system's session and the round number.
-        const telemetry::ContextScope scope(
-            telemetry_.context(static_cast<std::uint32_t>(round)));
-        round_body(round, record);
-    }
-    // All spans are closed (fan-outs joined inside round_body), so the
-    // harvest sees the complete round.
-    record.stats = telemetry_.harvest(static_cast<std::uint32_t>(round));
+    // Every span/counter of the round -- including those emitted from pool
+    // workers that inherit this context at their fan-out sites -- is tagged
+    // with this system's session and the round number.
+    const telemetry::ContextScope scope(
+        telemetry_.context(static_cast<std::uint32_t>(round)));
+    round_body(round, record);
     return record;
 }
 
@@ -361,49 +356,11 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
         return;
     }
 
-    // --- Procedure IV: provisional combine (line 24), Algorithm 2
-    // (line 26), reward settlement (line 27 / Eq. 1) -- each stage behind
-    // its strategy object.
-    std::vector<float> provisional;
-    {
-        const telemetry::Span span(telemetry::labels::round_aggregate());
-        provisional = aggregator_->aggregate(final_updates);
-    }
-    std::size_t clustered_points = 0;
-    if (config_.enable_incentive) {
-        // Cluster on effective gradients: weights_ still holds w_r here.
-        // The index-build / shard-pass / root-pass sub-spans and the
-        // index-bytes counter are emitted inside identify's callees
-        // (cluster::IndexRegistry::build, incentive/hierarchical.cpp).
-        incentive::ContributionReport report;
-        {
-            const telemetry::Span span(telemetry::labels::round_cluster());
-            report =
-                contribution_->identify(final_updates, provisional, weights_);
-        }
-        clustered_points = final_updates.size() + 1;
-        // An explicitly configured aggregator governs the settlement
-        // combine as well; the default keeps Eq. 1 exactly.
-        {
-            const telemetry::Span span(telemetry::labels::round_aggregate());
-            weights_ = reward_->settle(
-                final_updates, report,
-                config_.aggregator ? aggregator_.get() : nullptr);
-        }
-        ledger_.record(round, report);
-        record.round_reward_total = report.total_reward();
-        record.low_contribution_clients = report.low_clients();
-        record.detection_rate =
-            detection_rate(record.attacker_clients,
-                           record.low_contribution_clients);
-        if (reward_->benches_low_contributors()) {
-            for (const auto client : record.low_contribution_clients)
-                benched_clients_.push_back(client);
-        }
-    } else {
-        weights_ = provisional;
-        record.detection_rate = record.attacker_clients.empty() ? 1.0 : 0.0;
-    }
+    // --- Procedure IV over the on-time set.  weights_ still holds w_r
+    // here, so it is Algorithm 2's reference.
+    settle_round(round, final_updates, weights_, /*amend=*/false, record);
+    const std::size_t clustered_points =
+        config_.enable_incentive ? final_updates.size() + 1 : 0;
     record.delay.t_gl = delays.t_gl(final_updates.size(), clustered_points);
 
     // --- Procedure V: the winner packs the block; consensus accepts it.
@@ -482,39 +439,8 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
             settled_set.add(updates[idx]);
         settled_set.canonicalize();
         const auto& all_updates = settled_set.updates();
-        std::vector<float> provisional_all;
-        {
-            const telemetry::Span span(telemetry::labels::round_aggregate());
-            provisional_all = aggregator_->aggregate(all_updates);
-        }
-        if (config_.enable_incentive) {
-            incentive::ContributionReport report;
-            {
-                const telemetry::Span span(
-                    telemetry::labels::round_cluster());
-                report = contribution_->identify(all_updates, provisional_all,
-                                                 round_start_weights);
-            }
-            {
-                const telemetry::Span span(
-                    telemetry::labels::round_aggregate());
-                weights_ = reward_->settle(
-                    all_updates, report,
-                    config_.aggregator ? aggregator_.get() : nullptr);
-            }
-            ledger_.amend_round(round, report);
-            record.round_reward_total = report.total_reward();
-            record.low_contribution_clients = report.low_clients();
-            record.detection_rate = detection_rate(
-                record.attacker_clients, record.low_contribution_clients);
-            if (reward_->benches_low_contributors()) {
-                benched_clients_.clear();
-                for (const auto client : record.low_contribution_clients)
-                    benched_clients_.push_back(client);
-            }
-        } else {
-            weights_ = provisional_all;
-        }
+        settle_round(round, all_updates, round_start_weights,
+                     /*amend=*/true, record);
         record.fl.participants = all_updates.size();
         record.fl.participant_ids.clear();
         for (const auto& u : all_updates)
@@ -537,6 +463,52 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
     for (const auto& u : metric_updates) loss_sum += u.local_loss;
     record.fl.mean_local_loss =
         loss_sum / static_cast<double>(metric_updates.size());
+}
+
+void FairBfl::settle_round(std::uint64_t round,
+                           std::span<const fl::GradientUpdate> updates,
+                           std::span<const float> reference, bool amend,
+                           BflRoundRecord& record) {
+    // Provisional combine (line 24), Algorithm 2 (line 26), reward
+    // settlement (line 27 / Eq. 1) -- each stage behind its strategy
+    // object.
+    std::vector<float> provisional;
+    {
+        const telemetry::Span span(telemetry::labels::round_aggregate());
+        provisional = aggregator_->aggregate(updates);
+    }
+    if (!config_.enable_incentive) {
+        weights_ = std::move(provisional);
+        record.detection_rate = record.attacker_clients.empty() ? 1.0 : 0.0;
+        return;
+    }
+    // Cluster on effective gradients against w_r.  The index-build /
+    // shard-pass / root-pass sub-spans and the index-bytes counter are
+    // emitted inside identify's callees (cluster::IndexRegistry::build,
+    // incentive/hierarchical.cpp).
+    incentive::ContributionReport report;
+    {
+        const telemetry::Span span(telemetry::labels::round_cluster());
+        report = contribution_->identify(updates, provisional, reference);
+    }
+    // An explicitly configured aggregator governs the settlement combine
+    // as well; the default keeps Eq. 1 exactly.
+    {
+        const telemetry::Span span(telemetry::labels::round_aggregate());
+        weights_ = reward_->settle(
+            updates, report, config_.aggregator ? aggregator_.get() : nullptr);
+    }
+    if (amend)
+        ledger_.amend_round(round, report);
+    else
+        ledger_.record(round, report);
+    record.round_reward_total = report.total_reward();
+    record.low_contribution_clients = report.low_clients();
+    record.detection_rate = detection_rate(record.attacker_clients,
+                                           record.low_contribution_clients);
+    if (reward_->benches_low_contributors())
+        benched_clients_.assign(record.low_contribution_clients.begin(),
+                                record.low_contribution_clients.end());
 }
 
 std::vector<BflRoundRecord> FairBfl::run(std::size_t rounds) {

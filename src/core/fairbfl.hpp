@@ -96,10 +96,6 @@ struct FairBflConfig {
 struct BflRoundRecord {
     fl::RoundRecord fl;                      ///< accuracy / loss / counts
     RoundDelay delay;                        ///< paper's T components
-    /// The round's telemetry harvest: measured host seconds per stage span
-    /// ("round.local", "round.cluster", "cluster.index_build", ...) and
-    /// the round's counters.  Empty when FAIRBFL_TELEMETRY is off.
-    telemetry::RoundStats stats;
     std::vector<fl::NodeId> attacker_clients;
     std::vector<fl::NodeId> low_contribution_clients;  ///< Table 2 "Drop Index"
     double detection_rate = 1.0;             ///< Table 2 row metric
@@ -148,8 +144,8 @@ public:
         return clients_;
     }
     /// The system's telemetry session (one per instance; its id tags every
-    /// record this system emits).  Exposed so tests and tools can harvest
-    /// or cross-check against a captured dump.
+    /// record this system emits).  Exposed so tests and tools can slice a
+    /// captured dump per system (telemetry::dump_round_stats).
     [[nodiscard]] const telemetry::Session& telemetry_session()
         const noexcept {
         return telemetry_;
@@ -160,9 +156,20 @@ private:
     [[nodiscard]] std::size_t batch_steps_of(std::size_t client_id) const;
 
     /// The five procedures of one round, executed under the round's
-    /// telemetry context; run_round() wraps it and stores the harvest in
-    /// record.stats.
+    /// telemetry context that run_round() installs.
     void round_body(std::uint64_t round, BflRoundRecord& record);
+
+    /// Procedure IV over `updates`: the provisional combine, Algorithm 2
+    /// against `reference` (w_r; may alias weights_, which is replaced
+    /// only after it is read), the settlement into weights_, the ledger
+    /// write (`amend` re-settles the round's entries in place), the
+    /// record's reward, low-client and detection fields, and the discard
+    /// strategy's bench.  The on-time pass and the retroactive
+    /// re-settlement of late gradients both run it.
+    void settle_round(std::uint64_t round,
+                      std::span<const fl::GradientUpdate> updates,
+                      std::span<const float> reference, bool amend,
+                      BflRoundRecord& record);
 
     const ml::Model* model_;
     std::vector<fl::Client> clients_;
@@ -180,9 +187,9 @@ private:
     incentive::RewardLedger ledger_;
     /// Quorum-or-deadline collection state machine + carryover store.
     RoundEngine engine_;
-    /// Event-log session: all of this system's spans/counters route here,
-    /// harvested once per round (keeps concurrent run_suite systems'
-    /// events separated).
+    /// Event-log session: its id tags all of this system's spans/counters
+    /// (keeps concurrent run_suite systems' events separable in a
+    /// capture).
     telemetry::Session telemetry_;
     std::vector<float> weights_;
     std::uint64_t round_ = 0;

@@ -110,12 +110,11 @@ public:
           system_(*env.model, env.make_clients(), env.test, config) {}
 
     SeriesPoint step() override {
-        BflRoundRecord record = system_.run_round();
+        const BflRoundRecord record = system_.run_round();
         SeriesPoint point;
         point.round = record.fl.round;
         point.accuracy = record.fl.test_accuracy;
         point.delay_seconds = record.delay.total();
-        point.stats = std::move(record.stats);
         return point;
     }
 

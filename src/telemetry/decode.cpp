@@ -1,17 +1,15 @@
 #include "telemetry/decode.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
 #include <string_view>
+#include <unordered_map>
 
 namespace fairbfl::telemetry {
 
 namespace {
-
-std::string_view dump_name(Label id, const void* arg) {
-    return static_cast<const Dump*>(arg)->name_of(id);
-}
 
 const char* kind_name(RecordKind kind) {
     switch (kind) {
@@ -72,9 +70,61 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> rounds_of(
     return rounds;
 }
 
+double RoundStats::seconds_of(std::string_view label) const {
+    const auto it = labels.find(label);
+    return it == labels.end() ? 0.0 : it->second.span_seconds;
+}
+
+std::uint64_t RoundStats::sum_of(std::string_view label) const {
+    const auto it = labels.find(label);
+    return it == labels.end() ? 0 : it->second.counter_sum;
+}
+
+std::uint64_t RoundStats::max_of(std::string_view label) const {
+    const auto it = labels.find(label);
+    return it == labels.end() ? 0 : it->second.counter_max;
+}
+
 RoundStats dump_round_stats(const Dump& dump, std::uint32_t session,
                             std::uint32_t round) {
-    return round_stats(dump.records, &dump_name, &dump, session, round);
+    RoundStats stats;
+    stats.session = session;
+    stats.round = round;
+    // Open spans: begin time by span id, consumed by the matching end.
+    std::unordered_map<std::uint64_t, std::uint64_t> begins;
+    for (const Record& record : dump.records) {
+        if (record.session != session || record.round != round) continue;
+        ++stats.records;
+        LabelStats& label =
+            stats.labels[std::string(dump.name_of(record.label))];
+        ++label.events;
+        switch (record.kind) {
+            case RecordKind::kSpanBegin:
+                begins.emplace(record.value, record.time_ns);
+                break;
+            case RecordKind::kSpanEnd: {
+                const auto it = begins.find(record.value);
+                if (it == begins.end()) break;  // begin predates this slice
+                // Named duration so the accumulation is not an
+                // FMA-eligible expression (fp-determinism).
+                const double span_s =
+                    static_cast<double>(record.time_ns - it->second) * 1e-9;
+                label.span_seconds += span_s;
+                ++label.spans;
+                begins.erase(it);
+                break;
+            }
+            case RecordKind::kCounterAdd:
+                label.counter_sum += record.value;
+                break;
+            case RecordKind::kCounterMax:
+                label.counter_max =
+                    std::max(label.counter_max, record.value);
+                break;
+        }
+    }
+    stats.open_spans = begins.size();
+    return stats;
 }
 
 std::string to_text(const Dump& dump) {
@@ -124,8 +174,6 @@ std::string to_json(const Dump& dump) {
     for (std::size_t i = 0; i < rounds.size(); ++i) {
         const RoundStats stats =
             dump_round_stats(dump, rounds[i].first, rounds[i].second);
-        // The same stage derivation bench_perf_round applies to a live
-        // harvest -- keep the two sites in sync.
         const double local = stats.seconds_of("round.local");
         const double cluster = stats.seconds_of("round.cluster");
         const double aggregate = stats.seconds_of("round.aggregate");

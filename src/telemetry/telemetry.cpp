@@ -93,8 +93,8 @@ public:
     /// Consumer side: routes the drained range straight into the
     /// collector (no intermediate copies).  The REQUIRES contract is the
     /// ring's consumer invariant -- `tail_` is advanced only under the
-    /// collector mutex, so concurrent drains (harvest vs. a buffer-full
-    /// self-flush vs. TLS-exit retire) serialize.
+    /// collector mutex, so concurrent drains (a capture boundary vs. a
+    /// buffer-full self-flush vs. TLS-exit retire) serialize.
     void drain_locked(Collector& collector) REQUIRES(g_collector_mutex);
 
 private:
@@ -152,30 +152,6 @@ public:
         drain_all_locked();
     }
 
-    std::uint32_t open_session() EXCLUDES(g_collector_mutex) {
-        MutexLock lock(g_collector_mutex);
-        const std::uint32_t id = next_session_++;
-        sessions_.emplace(id, std::vector<Record>{});
-        return id;
-    }
-
-    void close_session(std::uint32_t id) EXCLUDES(g_collector_mutex) {
-        MutexLock lock(g_collector_mutex);
-        sessions_.erase(id);
-    }
-
-    /// drain_all + move the session's pending records out.
-    std::vector<Record> harvest_session(std::uint32_t id)
-        EXCLUDES(g_collector_mutex) {
-        MutexLock lock(g_collector_mutex);
-        drain_all_locked();
-        const auto it = sessions_.find(id);
-        if (it == sessions_.end()) return {};
-        std::vector<Record> taken = std::move(it->second);
-        it->second.clear();
-        return taken;
-    }
-
     void capture_begin() EXCLUDES(g_collector_mutex) {
         MutexLock lock(g_collector_mutex);
         // Flush stale records first: the capture holds only records
@@ -192,30 +168,20 @@ public:
         return std::move(capture_);
     }
 
-    [[nodiscard]] bool capture_active() EXCLUDES(g_collector_mutex) {
-        MutexLock lock(g_collector_mutex);
-        return capturing_;
-    }
-
     [[nodiscard]] std::uint64_t dropped() EXCLUDES(g_collector_mutex) {
         MutexLock lock(g_collector_mutex);
         return dropped_;
     }
 
-    /// Routing, under the mutex: capture first (preserves global order),
-    /// then the owning session's pending list; otherwise count and drop.
-    /// Public only for ThreadBuffer::drain_locked (same TU); the REQUIRES
-    /// contract keeps outside callers honest.
+    /// Routing, under the mutex: into the capture in drain order when one
+    /// is active; otherwise count and drop.  Public only for
+    /// ThreadBuffer::drain_locked (same TU); the REQUIRES contract keeps
+    /// outside callers honest.
     void route(const Record& record) REQUIRES(g_collector_mutex) {
-        if (capturing_) capture_.push_back(record);
-        if (record.session != 0) {
-            const auto it = sessions_.find(record.session);
-            if (it != sessions_.end()) {
-                it->second.push_back(record);
-                return;
-            }
-        }
-        if (!capturing_) ++dropped_;
+        if (capturing_)
+            capture_.push_back(record);
+        else
+            ++dropped_;
     }
 
 private:
@@ -225,12 +191,9 @@ private:
 
     std::vector<std::unique_ptr<ThreadBuffer>> buffers_
         GUARDED_BY(g_collector_mutex);
-    std::unordered_map<std::uint32_t, std::vector<Record>> sessions_
-        GUARDED_BY(g_collector_mutex);
     std::vector<Record> capture_ GUARDED_BY(g_collector_mutex);
     bool capturing_ GUARDED_BY(g_collector_mutex) = false;
     std::uint64_t dropped_ GUARDED_BY(g_collector_mutex) = 0;
-    std::uint32_t next_session_ GUARDED_BY(g_collector_mutex) = 1;
     std::uint16_t next_slot_ GUARDED_BY(g_collector_mutex) = 1;
     Clock::time_point epoch_;  ///< immutable after construction
 };
@@ -402,85 +365,12 @@ void counter_max(Label label, std::uint64_t value) noexcept {
                            tls.open_span, tls.depth, buffer.slot()));
 }
 
-// --- Statistics ------------------------------------------------------------
-
-double RoundStats::seconds_of(std::string_view label) const {
-    const auto it = labels.find(label);
-    return it == labels.end() ? 0.0 : it->second.span_seconds;
-}
-
-std::uint64_t RoundStats::sum_of(std::string_view label) const {
-    const auto it = labels.find(label);
-    return it == labels.end() ? 0 : it->second.counter_sum;
-}
-
-std::uint64_t RoundStats::max_of(std::string_view label) const {
-    const auto it = labels.find(label);
-    return it == labels.end() ? 0 : it->second.counter_max;
-}
-
-RoundStats round_stats(std::span<const Record> records,
-                       std::string_view (*name_of)(Label, const void* arg),
-                       const void* arg, std::uint32_t session,
-                       std::uint32_t round) {
-    RoundStats stats;
-    stats.session = session;
-    stats.round = round;
-    // Open spans: begin time by span id, consumed by the matching end.
-    std::unordered_map<std::uint64_t, std::uint64_t> begins;
-    for (const Record& record : records) {
-        if (record.session != session || record.round != round) continue;
-        ++stats.records;
-        LabelStats& label =
-            stats.labels[std::string(name_of(record.label, arg))];
-        ++label.events;
-        switch (record.kind) {
-            case RecordKind::kSpanBegin:
-                begins.emplace(record.value, record.time_ns);
-                break;
-            case RecordKind::kSpanEnd: {
-                const auto it = begins.find(record.value);
-                if (it == begins.end()) break;  // begin predates this slice
-                // Named duration so the accumulation is not an
-                // FMA-eligible expression (fp-determinism).
-                const double span_s =
-                    static_cast<double>(record.time_ns - it->second) * 1e-9;
-                label.span_seconds += span_s;
-                ++label.spans;
-                begins.erase(it);
-                break;
-            }
-            case RecordKind::kCounterAdd:
-                label.counter_sum += record.value;
-                break;
-            case RecordKind::kCounterMax:
-                label.counter_max =
-                    std::max(label.counter_max, record.value);
-                break;
-        }
-    }
-    stats.open_spans = begins.size();
-    return stats;
-}
-
-RoundStats round_stats(std::span<const Record> records, std::uint32_t session,
-                       std::uint32_t round) {
-    return round_stats(
-        records,
-        [](Label id, const void*) { return label_name(id); }, nullptr,
-        session, round);
-}
-
 // --- Sessions --------------------------------------------------------------
 
-Session::Session() : id_(Collector::instance().open_session()) {}
-
-Session::~Session() { Collector::instance().close_session(id_); }
-
-RoundStats Session::harvest(std::uint32_t round) {
-    const std::vector<Record> records =
-        Collector::instance().harvest_session(id_);
-    return round_stats(records, id_, round);
+Session::Session() {
+    // Id 0 is the ambient context; ids are never reused within a process.
+    static std::atomic<std::uint32_t> next_id{1};
+    id_ = next_id.fetch_add(1, std::memory_order_relaxed);
 }
 
 // --- Dump ------------------------------------------------------------------
@@ -604,10 +494,6 @@ Dump capture_end() {
             {static_cast<Label>(i + 1), *registry.names[i]});
     }
     return dump;
-}
-
-bool capture_active() noexcept {
-    return Collector::instance().capture_active();
 }
 
 }  // namespace fairbfl::telemetry

@@ -10,25 +10,20 @@
 //     is lock-free and allocation-free: one 48-byte slot store plus a
 //     release store of the ring head, nothing else;
 //   * each ring is a single-producer/single-consumer queue.  The owning
-//     thread is the producer; every consumer (a buffer-full self-flush, a
-//     round-end harvest, a thread-exit retire) drains under the central
+//     thread is the producer; every drain (a buffer-full self-flush, a
+//     capture boundary, a thread-exit retire) runs under the central
 //     collector's mutex, so exactly one consumer mutates the tail at a
 //     time;
-//   * drained records are routed by their session id to the Session that
-//     will harvest them, and -- when a trace capture is active -- appended
-//     to the capture log.  Records belonging to no open session and no
-//     capture are counted and dropped, so ambient instrumentation (systems
-//     that never harvest) cannot grow memory without bound.
+//   * the one consumer is the trace capture: while capture_begin() ..
+//     capture_end() is open, drained records are appended to the capture
+//     log; otherwise they are counted and dropped, so instrumentation
+//     nobody captures cannot grow memory without bound.
 //
-// Consumers:
-//
-//   * core::FairBfl opens one Session per system instance, harvests it
-//     every round and hands the statistics out as BflRoundRecord::stats;
-//     bench_perf_round derives every `seconds.*` key of perf_round.json
-//     from them;
-//   * telemetry::capture_begin()/capture_end() snapshot *everything* into
-//     a telemetry::Dump -- the binary trace `fairbfl_sim --trace` writes
-//     and telemetry/decode.hpp renders as text or JSON.
+// capture_end() returns the log as a telemetry::Dump -- the binary trace
+// `fairbfl_sim --trace` writes.  telemetry/decode.hpp computes per-round
+// statistics over a Dump and renders it as text or JSON; every stage time
+// the project reports (the trace JSON's `seconds.*`, perfbench's
+// per-layer metrics, the tests' stage checks) is derived there.
 //
 // Context (which session/round/shard a record belongs to) travels through
 // a thread-local Context that fan-out sites propagate into pool workers
@@ -41,7 +36,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -80,7 +74,7 @@ struct Record {
     std::uint64_t time_ns = 0;  ///< steady-clock ns since collector epoch
     std::uint64_t value = 0;    ///< span id / counter amount
     std::uint64_t parent = 0;   ///< SpanBegin: enclosing span id (0 = root)
-    std::uint32_t session = 0;  ///< owning Session (0 = ambient, droppable)
+    std::uint32_t session = 0;  ///< owning Session (0 = ambient)
     std::uint32_t round = 0;    ///< communication round from the context
     std::uint32_t item = kNoItem;  ///< shard / client ordinal, kNoItem = none
     Label label = 0;            ///< interned label id
@@ -100,12 +94,12 @@ static_assert(sizeof(Record) == 48, "records are fixed 48-byte slots");
 /// Programmatic override of the environment switch (tests, benches).
 void set_enabled(bool on) noexcept;
 
-/// Records dropped because they belonged to no open session and no active
-/// capture (diagnostics; monotonic).
+/// Records dropped because no capture was active when they were drained
+/// (diagnostics; monotonic).
 [[nodiscard]] std::uint64_t dropped_records() noexcept;
 
-/// Drains every thread buffer into the collector (the round-end flush that
-/// Session::harvest and capture_end perform, exposed for tests).
+/// Drains every thread buffer into the collector (the flush capture_begin
+/// and capture_end perform, exposed for tests and bench_telemetry).
 void flush_all();
 
 // --- Context ---------------------------------------------------------------
@@ -161,7 +155,7 @@ public:
     Span& operator=(const Span&) = delete;
 
     /// Emits the end record (idempotent) ahead of destruction.  The span's
-    /// seconds are read back from the harvested log, never kept here.
+    /// seconds are read back from a captured log, never kept here.
     void close() noexcept;
 
 private:
@@ -179,9 +173,8 @@ void counter_add(Label label, std::uint64_t value) noexcept;
 void counter_max(Label label, std::uint64_t value) noexcept;
 
 // --- Canonical labels ------------------------------------------------------
-// The well-known names the FAIR-BFL pipeline emits.
-// bench/bench_perf_round.cpp and telemetry/decode.cpp map them onto the
-// perf_round.json keys; keep the three sites in sync.
+// The well-known names the FAIR-BFL pipeline emits.  telemetry/decode.cpp
+// maps them onto the trace JSON's `seconds.*` keys.
 
 namespace labels {
 inline Label round_local() {
@@ -201,8 +194,8 @@ inline Label round_mine() {
     return id;
 }
 /// Procedure II: signing, verification, hybrid round trip and upload
-/// pricing of every update.  Trace only: no perf_round.json key is derived
-/// from it.
+/// pricing of every update.  No `seconds.*` key is derived from it; it
+/// shows in the trace JSON's per-label stats.
 inline Label round_upload() {
     static const Label id = intern("round.upload");
     return id;
@@ -262,12 +255,12 @@ inline Label engine_virtual_ns() {
     return id;
 }
 /// Virtual ns the aggregation trigger waited for quorum after the first
-/// arrival (perf JSON `seconds.wait_quorum`).
+/// arrival (trace JSON `seconds.wait_quorum`).
 inline Label wait_quorum_ns() {
     static const Label id = intern("round.wait_quorum_ns");
     return id;
 }
-/// Updates that arrived after the aggregation trigger (perf JSON
+/// Updates that arrived after the aggregation trigger (trace JSON
 /// `late_updates`).
 inline Label late_updates() {
     static const Label id = intern("round.late_updates");
@@ -275,57 +268,15 @@ inline Label late_updates() {
 }
 }  // namespace labels
 
-// --- Statistics ------------------------------------------------------------
-
-/// Per-label aggregates of one (session, round) slice of the log.
-struct LabelStats {
-    double span_seconds = 0.0;      ///< total of matched begin/end pairs
-    std::uint64_t spans = 0;        ///< completed spans
-    std::uint64_t counter_sum = 0;  ///< sum of kCounterAdd values
-    std::uint64_t counter_max = 0;  ///< max of kCounterMax values
-    std::uint64_t events = 0;       ///< records of any kind
-};
-
-/// Statistics of one harvested round, keyed by label *name* (so consumers
-/// survive label-id differences between a live process and a decoded
-/// dump).
-struct RoundStats {
-    std::uint32_t session = 0;
-    std::uint32_t round = 0;
-    std::uint64_t records = 0;     ///< records matching (session, round)
-    std::uint64_t open_spans = 0;  ///< begins without a matching end
-    std::map<std::string, LabelStats, std::less<>> labels;
-
-    [[nodiscard]] double seconds_of(std::string_view label) const;
-    [[nodiscard]] std::uint64_t sum_of(std::string_view label) const;
-    [[nodiscard]] std::uint64_t max_of(std::string_view label) const;
-};
-
-/// Computes RoundStats over `records`, keeping only those whose session
-/// and round match.  `name_of` resolves label ids (live registry or a
-/// Dump's table).  Deterministic: identical record sequences produce
-/// bit-identical double sums, which is what lets a decoded dump reproduce
-/// a live harvest exactly (pinned in tests/test_telemetry.cpp).
-[[nodiscard]] RoundStats round_stats(
-    std::span<const Record> records,
-    std::string_view (*name_of)(Label, const void* arg), const void* arg,
-    std::uint32_t session, std::uint32_t round);
-
-/// Convenience overload resolving names from the live registry.
-[[nodiscard]] RoundStats round_stats(std::span<const Record> records,
-                                     std::uint32_t session,
-                                     std::uint32_t round);
-
 // --- Sessions --------------------------------------------------------------
 
-/// One consumer of the log: opens a routing slot in the collector, tags
-/// records via Context.session, and harvests its slice once per round.
-/// core::FairBfl owns one per system instance, which is what keeps
-/// concurrent run_suite systems' events separated.
+/// A process-unique session id that tags records via Context.session, so a
+/// capture holding several systems' events can be sliced per system.
+/// core::FairBfl owns one per instance, which is what keeps concurrent
+/// run_suite systems' events separated.
 class Session {
 public:
     Session();
-    ~Session();
     Session(const Session&) = delete;
     Session& operator=(const Session&) = delete;
 
@@ -335,12 +286,6 @@ public:
     [[nodiscard]] Context context(std::uint32_t round) const noexcept {
         return Context{.session = id_, .round = round};
     }
-
-    /// Round-end flush: drains every thread buffer, consumes this
-    /// session's pending records, and returns their statistics for
-    /// `round`.  Call after all of the round's spans have closed (i.e.
-    /// after every fan-out joined).
-    [[nodiscard]] RoundStats harvest(std::uint32_t round);
 
 private:
     std::uint32_t id_;
@@ -371,15 +316,13 @@ struct Dump {
     [[nodiscard]] static std::optional<Dump> load(const std::string& path);
 };
 
-/// Starts retaining a copy of every drained record (all sessions and the
-/// ambient stream) until capture_end().  One capture at a time.
+/// Starts retaining every drained record (all sessions and the ambient
+/// stream) until capture_end().  One capture at a time.
 void capture_begin();
 
 /// Flushes all buffers, stops capturing, and returns the captured log
 /// with the current label table.  Returns an empty Dump when no capture
 /// was active.
 [[nodiscard]] Dump capture_end();
-
-[[nodiscard]] bool capture_active() noexcept;
 
 }  // namespace fairbfl::telemetry

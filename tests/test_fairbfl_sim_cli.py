@@ -1,20 +1,31 @@
 #!/usr/bin/env python3
-"""fairbfl_sim fails loudly on bad input.
+"""fairbfl_sim fails loudly on bad input, and its trace carries what CI reads.
 
 Every unknown name exits 1 and lists the known ones; a non-finite or
 out-of-range number exits 1 like a malformed one; a setting the library
 rejects with an exception (zero clients) exits 1 with one line naming the
 reason instead of aborting.  A valid small run is the control.
 
+CI's perf steps run fairbfl_sim with --trace-format=json and read per-round
+`seconds.*` keys and `index_peak_bytes` from the trace, and `wall_s=` from
+the summary line; a traced run must provide all of them.
+
 Usage: test_fairbfl_sim_cli.py PATH/TO/fairbfl_sim
 """
 
+import json
+import os
+import re
 import subprocess
 import sys
+import tempfile
 import unittest
 
 SIM = None
 SMALL = ["--rounds=1", "--samples=200"]
+# The per-round stage keys the CI perf steps read from a JSON trace.
+CI_STAGE_KEYS = ("local", "cluster", "index_build", "shard_cluster",
+                 "root_cluster", "aggregate", "mine", "wait_quorum", "total")
 
 
 def run_sim(*flags):
@@ -67,6 +78,27 @@ class BadInput(unittest.TestCase):
                          "--partition=iid", "--model=mlp")
         self.assertEqual(result.returncode, 0, result.stderr)
         self.assertIn("# FAIR:", result.stdout)
+
+
+class TracedRun(unittest.TestCase):
+    def test_json_trace_carries_ci_keys_and_wall_time(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.json")
+            result = run_sim("--clients=8", "--ratio=1", "--index=exact",
+                             f"--trace={path}", "--trace-format=json")
+            self.assertEqual(result.returncode, 0, result.stderr)
+            with open(path, encoding="utf-8") as handle:
+                rounds = json.load(handle)["rounds"]
+        self.assertTrue(rounds)
+        for entry in rounds:
+            for key in CI_STAGE_KEYS:
+                self.assertIn(key, entry["seconds"])
+        self.assertGreater(max(entry["index_peak_bytes"] for entry in rounds),
+                           0)
+        summary = re.search(r"^# FAIR: .* wall_s=([0-9.]+)$", result.stdout,
+                            re.MULTILINE)
+        self.assertIsNotNone(summary, result.stdout)
+        self.assertGreater(float(summary.group(1)), 0.0)
 
 
 if __name__ == "__main__":

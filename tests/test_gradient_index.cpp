@@ -28,6 +28,7 @@
 #include "support/projection.hpp"
 #include "support/rng.hpp"
 #include "support/vecmath.hpp"
+#include "telemetry/decode.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -589,6 +590,7 @@ TEST(IdentifyContributions, RaggedWidthsThrowBeforeAnyIndexIsBuilt) {
     tel::set_enabled(true);
     tel::Session session;
     const tel::ContextScope scope(session.context(0));
+    tel::capture_begin();
 
     for (const std::size_t n : {std::size_t{20}, std::size_t{120}}) {
         const auto points = grouped_gradients(2, n / 2, kWide, 41);
@@ -630,7 +632,8 @@ TEST(IdentifyContributions, RaggedWidthsThrowBeforeAnyIndexIsBuilt) {
             }
         }
     }
-    const tel::RoundStats stats = session.harvest(0);
+    const tel::Dump dump = tel::capture_end();
+    const tel::RoundStats stats = tel::dump_round_stats(dump, session.id(), 0);
     EXPECT_EQ(stats.labels.count("cluster.index_build"), 0U);
     EXPECT_EQ(stats.labels.count("cluster.identify"), 0U);
 }

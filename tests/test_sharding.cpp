@@ -20,6 +20,7 @@
 #include "ml/partition.hpp"
 #include "ml/synthetic_mnist.hpp"
 #include "support/rng.hpp"
+#include "telemetry/decode.hpp"
 
 namespace {
 
@@ -27,6 +28,7 @@ namespace core = fairbfl::core;
 namespace inc = fairbfl::incentive;
 namespace fl = fairbfl::fl;
 namespace ml = fairbfl::ml;
+namespace tel = fairbfl::telemetry;
 using fairbfl::support::Rng;
 using fairbfl::support::ThreadPool;
 
@@ -307,14 +309,20 @@ TEST(ShardTreeFairBfl, ShardedRoundsRunDetectAndRecordPerLevelTiming) {
     config.incentive.sharding.shards = 4;
     core::FairBfl system(*model, fl::make_clients(*model, shards),
                          split.test, config);
+    tel::set_enabled(true);
+    tel::capture_begin();
     const auto records = system.run();
+    const tel::Dump dump = tel::capture_end();
     ASSERT_EQ(records.size(), 2U);
     for (const auto& record : records) {
         // Per-level timings ride inside the cluster stage.
-        EXPECT_GT(record.stats.seconds_of("round.cluster"), 0.0);
-        EXPECT_GT(record.stats.seconds_of("cluster.shard_pass"), 0.0);
-        EXPECT_GT(record.stats.seconds_of("cluster.root_pass"), 0.0);
-        EXPECT_GT(record.stats.max_of("cluster.index_bytes"), 0U);
+        const tel::RoundStats stats = tel::dump_round_stats(
+            dump, system.telemetry_session().id(),
+            static_cast<std::uint32_t>(record.fl.round));
+        EXPECT_GT(stats.seconds_of("round.cluster"), 0.0);
+        EXPECT_GT(stats.seconds_of("cluster.shard_pass"), 0.0);
+        EXPECT_GT(stats.seconds_of("cluster.root_pass"), 0.0);
+        EXPECT_GT(stats.max_of("cluster.index_bytes"), 0U);
         // The hierarchy still pays the full budget each round.
         EXPECT_NEAR(record.round_reward_total, 1.0, 1e-9);
         EXPECT_EQ(record.detection_rate, 1.0);

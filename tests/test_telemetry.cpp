@@ -4,9 +4,8 @@
 //     per-thread rings, zero lost or duplicated events, correct nesting;
 //   * the hot path allocates nothing (global operator new/delete counters
 //     around an emit window that stays inside one ring);
-//   * fixed-seed pin: FairBfl's live per-round harvest matches the
-//     decoded trace dump *exactly*, label by label (bit-identical
-//     doubles), so perf JSON derived live and offline agree;
+//   * fixed-seed pin: a FairBfl run's captured dump, round-tripped through
+//     the binary format, carries every stage span and counter per round;
 //   * JSON schema pin for the decoder export;
 //   * Dump binary round-trip (encode/decode and save/load);
 //   * FAIRBFL_TELEMETRY off emits nothing.
@@ -68,6 +67,7 @@ TEST(TelemetryStress, ManyThreadsLoseNothing) {
     constexpr unsigned kThreads = 8;
     constexpr unsigned kSpans = 1500;
     tel::Session session;
+    tel::capture_begin();
     {
         std::vector<std::thread> workers;
         workers.reserve(kThreads);
@@ -86,7 +86,8 @@ TEST(TelemetryStress, ManyThreadsLoseNothing) {
         for (auto& worker : workers) worker.join();
     }
 
-    const tel::RoundStats stats = session.harvest(3);
+    const tel::Dump dump = tel::capture_end();
+    const tel::RoundStats stats = tel::dump_round_stats(dump, session.id(), 3);
     // Zero lost events: every span's begin AND end arrived (a lost end
     // leaves an open span; a lost begin leaves an unmatched end that never
     // counts as a span), and every counter increment arrived.
@@ -159,8 +160,8 @@ TEST(TelemetryHotPath, EmitsWithoutAllocating) {
     tel::flush_all();  // empty the ring: the window below cannot overflow
 
     // 1000 spans + 1000 counters = 3000 records < 4096 ring slots, so no
-    // self-flush and -- with no session and no capture -- no consumer
-    // runs.  Every event is a plain slot store: zero allocations.
+    // self-flush and -- with no capture -- no consumer runs.  Every event
+    // is a plain slot store: zero allocations.
     const std::uint64_t before =
         g_allocations.load(std::memory_order_relaxed);
     for (int i = 0; i < 1000; ++i) {
@@ -171,7 +172,7 @@ TEST(TelemetryHotPath, EmitsWithoutAllocating) {
     EXPECT_EQ(after - before, 0U);
 }
 
-// --- Fixed-seed pin: live harvest == decoded dump --------------------------
+// --- Fixed-seed pin: every stage reaches the decoded dump -----------------
 
 struct World {
     ml::Dataset data;
@@ -215,7 +216,7 @@ core::FairBflConfig pin_config() {
     return config;
 }
 
-TEST(TelemetryPin, LiveWallMatchesDecodedDumpExactly) {
+TEST(TelemetryPin, DecodedDumpCarriesEveryStage) {
     tel::set_enabled(true);
     World world;
     core::FairBfl system(*world.model, world.clients(), world.test,
@@ -224,57 +225,28 @@ TEST(TelemetryPin, LiveWallMatchesDecodedDumpExactly) {
 
     tel::capture_begin();
     const auto history = system.run();
-    const tel::Dump live = tel::capture_end();
+    const tel::Dump captured = tel::capture_end();
     ASSERT_EQ(history.size(), 3U);
-    ASSERT_FALSE(live.records.empty());
+    ASSERT_FALSE(captured.records.empty());
 
     // Round-trip through the binary format: the offline path is the
     // decoded file, not the in-memory capture.
-    const tel::Dump dump = tel::Dump::decode(live.encode());
+    const tel::Dump dump = tel::Dump::decode(captured.encode());
 
     for (std::size_t r = 0; r < history.size(); ++r) {
-        const tel::RoundStats& live_stats = history[r].stats;
-        const tel::RoundStats dump_stats =
+        const tel::RoundStats stats =
             tel::dump_round_stats(dump, sid, static_cast<std::uint32_t>(r));
-        // Exactly equal, not approximately: the capture and the session
-        // harvest route the same records in the same order, and
-        // round_stats sums deterministically, so live and offline must be
-        // bit-identical for every label.
-        EXPECT_EQ(live_stats.session, dump_stats.session) << "round " << r;
-        EXPECT_EQ(live_stats.round, dump_stats.round) << "round " << r;
-        EXPECT_EQ(live_stats.records, dump_stats.records) << "round " << r;
-        EXPECT_EQ(live_stats.open_spans, dump_stats.open_spans)
+        EXPECT_EQ(stats.open_spans, 0U) << "round " << r;
+        // Every watched stage ran and was timed.
+        EXPECT_GT(stats.seconds_of("round.local"), 0.0) << "round " << r;
+        EXPECT_GT(stats.seconds_of("round.cluster"), 0.0) << "round " << r;
+        EXPECT_GT(stats.seconds_of("cluster.index_build"), 0.0)
             << "round " << r;
-        ASSERT_EQ(live_stats.labels.size(), dump_stats.labels.size())
+        EXPECT_GT(stats.seconds_of("cluster.shard_pass"), 0.0)
             << "round " << r;
-        for (const auto& [name, live] : live_stats.labels) {
-            const auto it = dump_stats.labels.find(name);
-            ASSERT_NE(it, dump_stats.labels.end())
-                << "round " << r << " label " << name;
-            const tel::LabelStats& offline = it->second;
-            EXPECT_EQ(live.span_seconds, offline.span_seconds)
-                << "round " << r << " label " << name;
-            EXPECT_EQ(live.spans, offline.spans)
-                << "round " << r << " label " << name;
-            EXPECT_EQ(live.counter_sum, offline.counter_sum)
-                << "round " << r << " label " << name;
-            EXPECT_EQ(live.counter_max, offline.counter_max)
-                << "round " << r << " label " << name;
-            EXPECT_EQ(live.events, offline.events)
-                << "round " << r << " label " << name;
-        }
-        // And the stages really ran: every watched stage is positive.
-        EXPECT_GT(live_stats.seconds_of("round.local"), 0.0) << "round " << r;
-        EXPECT_GT(live_stats.seconds_of("round.cluster"), 0.0)
+        EXPECT_GT(stats.seconds_of("cluster.root_pass"), 0.0)
             << "round " << r;
-        EXPECT_GT(live_stats.seconds_of("cluster.index_build"), 0.0)
-            << "round " << r;
-        EXPECT_GT(live_stats.seconds_of("cluster.shard_pass"), 0.0)
-            << "round " << r;
-        EXPECT_GT(live_stats.seconds_of("cluster.root_pass"), 0.0)
-            << "round " << r;
-        EXPECT_GT(live_stats.max_of("cluster.index_bytes"), 0U)
-            << "round " << r;
+        EXPECT_GT(stats.max_of("cluster.index_bytes"), 0U) << "round " << r;
     }
 
     // Simulated delay components ride along as counters.
@@ -301,9 +273,9 @@ TEST(TelemetryDecode, JsonSchemaIsPinned) {
     const tel::Dump dump = tel::capture_end();
     const std::string json = tel::to_json(dump);
 
-    // The export is the bench_perf_round shape: schema_version plus the
-    // per-round `seconds.*` stage keys -- renaming any of these breaks
-    // scripts/compare_perf.py, so the strings are pinned here.
+    // schema_version plus the per-round `seconds.*` stage keys: CI's perf
+    // steps read these from `fairbfl_sim --trace-format=json`, so the
+    // strings are pinned here.
     for (const char* needle :
          {"\"trace\": \"fairbfl_telemetry\"", "\"schema_version\": 2",
           "\"rounds\": [", "\"seconds\": {", "\"local\":", "\"cluster\":",
@@ -356,24 +328,31 @@ TEST(TelemetryDump, BinaryRoundTripAndFile) {
 // --- Disabled switch --------------------------------------------------------
 
 TEST(TelemetrySwitch, DisabledEmitsNothing) {
+    const tel::Label span_label = tel::intern("off.span");
+    const tel::Label counter_label = tel::intern("off.counter");
     tel::set_enabled(false);
     tel::Session session;
+    tel::capture_begin();
     {
         const tel::ContextScope scope(session.context(1));
-        tel::Span span(tel::intern("off.span"));
-        tel::counter_add(tel::intern("off.counter"), 1);
+        tel::Span span(span_label);
+        tel::counter_add(counter_label, 1);
     }
-    const tel::RoundStats stats = session.harvest(1);
-    EXPECT_EQ(stats.records, 0U);
+    const tel::Dump off = tel::capture_end();
+    EXPECT_EQ(tel::dump_round_stats(off, session.id(), 1).records, 0U);
     tel::set_enabled(true);
 
     // Re-enabled: the same code path emits again.
-    tel::Session session2;
+    tel::capture_begin();
     {
-        const tel::ContextScope scope(session2.context(1));
-        tel::Span span(tel::intern("off.span"));
+        const tel::ContextScope scope(session.context(1));
+        tel::Span span(span_label);
     }
-    EXPECT_EQ(session2.harvest(1).labels.at("off.span").spans, 1U);
+    const tel::Dump on = tel::capture_end();
+    EXPECT_EQ(tel::dump_round_stats(on, session.id(), 1)
+                  .labels.at("off.span")
+                  .spans,
+              1U);
 }
 
 }  // namespace

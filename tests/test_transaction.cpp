@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "chain/transaction.hpp"
 
 namespace {
@@ -84,6 +86,26 @@ TEST(Transaction, RewardAmountQuantizedToMillis) {
     EXPECT_DOUBLE_EQ(ch::parse_reward_tx(tx).amount, 0.0);
     const auto tx2 = ch::make_reward_tx(0, 0, 1, 0.0006);
     EXPECT_DOUBLE_EQ(ch::parse_reward_tx(tx2).amount, 0.001);
+}
+
+// The payload is an unsigned milli-token count: a cast of a negative,
+// non-finite or too-large amount would wrap or be undefined (-5.0 used to
+// read back as 1.8e16 tokens), so each is rejected.
+TEST(Transaction, RewardRejectsAmountsWithNoEncoding) {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad : {-5.0, -0.0004, nan, inf, -inf, 1.9e16, 1e300}) {
+        EXPECT_THROW((void)ch::make_reward_tx(0, 0, 1, bad),
+                     std::invalid_argument)
+            << bad;
+    }
+    // The largest representable amounts still encode.
+    EXPECT_DOUBLE_EQ(ch::parse_reward_tx(ch::make_reward_tx(0, 0, 1, 1e15))
+                         .amount,
+                     1e15);
+    EXPECT_DOUBLE_EQ(ch::parse_reward_tx(ch::make_reward_tx(0, 0, 1, -0.0))
+                         .amount,
+                     0.0);
 }
 
 TEST(Transaction, SignatureVerifiesAndTamperFails) {
