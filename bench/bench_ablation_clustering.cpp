@@ -16,9 +16,9 @@ using namespace fairbfl;
 
 namespace {
 
-// Each case is one ContributionPolicy configuration (clustering registry
-// key x metric); detection rates come from per-round BflRoundRecords, so
-// the FairBfl class is driven directly.
+// Each case is one FairBflConfig::incentive configuration (clustering
+// registry key x metric); detection rates come from per-round
+// BflRoundRecords, so the FairBfl class is driven directly.
 double run_case(bool iid, const std::string& algo, cluster::Metric metric,
                 std::size_t rounds, std::uint64_t seed) {
     core::EnvironmentConfig env_config;

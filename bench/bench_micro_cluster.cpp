@@ -5,7 +5,7 @@
 
 #include "cluster/dbscan.hpp"
 #include "cluster/kmeans.hpp"
-#include "core/strategies.hpp"
+#include "fl/aggregation.hpp"
 #include "incentive/contribution.hpp"
 #include "support/rng.hpp"
 #include "support/vecmath.hpp"
@@ -126,29 +126,6 @@ void BM_Algorithm2EndToEnd(benchmark::State& state) {
 BENCHMARK(BM_Algorithm2EndToEnd)
     ->Arg(10)
     ->Arg(50)
-    ->Arg(100)
-    ->Unit(benchmark::kMillisecond);
-
-/// Same workload through the ContributionPolicy strategy interface; the
-/// delta vs BM_Algorithm2EndToEnd is the cost of the virtual dispatch the
-/// pluggable API adds (it should be noise).
-void BM_ContributionPolicy(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const auto points = gradient_like_points(n, 650);
-    std::vector<fl::GradientUpdate> updates(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        updates[i].client = static_cast<fl::NodeId>(i);
-        updates[i].weights = points[i];
-    }
-    const auto provisional = fl::simple_average(updates);
-    const auto policy =
-        core::make_contribution_policy(incentive::ContributionConfig{});
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(policy->identify(updates, provisional, {}));
-    }
-}
-BENCHMARK(BM_ContributionPolicy)
-    ->Arg(10)
     ->Arg(100)
     ->Unit(benchmark::kMillisecond);
 

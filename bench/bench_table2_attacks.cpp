@@ -31,8 +31,8 @@ std::string ids_to_string(const std::vector<fl::NodeId>& ids) {
 
 // Table 2 needs per-round attacker/drop-index records (BflRoundRecord),
 // which the SystemRun series does not carry, so this bench drives the
-// FairBfl class directly; its clustering/reward knobs configure the
-// ContributionPolicy and RewardPolicy strategies of core/strategies.hpp.
+// FairBfl class directly; its clustering/reward knobs are the
+// FairBflConfig::incentive fields that Algorithm 2 and Eq. 1 read.
 double run_distribution(bool iid, std::size_t rounds, std::uint64_t seed,
                         double eps_scale, double magnitude, bool quiet,
                         bool euclidean = false,

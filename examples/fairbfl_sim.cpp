@@ -240,7 +240,7 @@ int run(int argc, char** argv) {
         std::fprintf(stderr,
                      "--clustering: unknown backend '%s' (known: %s)\n",
                      clustering.c_str(),
-                     core::detail::join_names(
+                     support::join_names(
                          cluster::ClusteringRegistry::global().names())
                          .c_str());
         return 1;
@@ -250,7 +250,7 @@ int run(int argc, char** argv) {
         std::fprintf(
             stderr, "--index: unknown backend '%s' (known: %s)\n",
             index.c_str(),
-            core::detail::join_names(cluster::IndexRegistry::global().names())
+            support::join_names(cluster::IndexRegistry::global().names())
                 .c_str());
         return 1;
     }

@@ -36,6 +36,12 @@ double DelayModel::t_local_client(std::size_t client_id,
            hetero_factor(client_id, seed);
 }
 
+std::size_t batch_steps(std::size_t samples,
+                        const ml::SgdParams& sgd) noexcept {
+    const std::size_t batch = std::max<std::size_t>(sgd.batch_size, 1);
+    return sgd.epochs * ((samples + batch - 1) / batch);
+}
+
 double DelayModel::t_local(std::span<const std::size_t> client_ids,
                            std::span<const std::size_t> batch_steps,
                            std::uint64_t seed) const {

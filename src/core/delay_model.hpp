@@ -14,6 +14,7 @@
 
 #include "chain/mining_race.hpp"
 #include "chain/network.hpp"
+#include "ml/optimizer.hpp"
 #include "support/rng.hpp"
 
 namespace fairbfl::core {
@@ -63,6 +64,12 @@ struct RoundDelay {
         return t_local + t_up + t_ex + t_gl + t_bl;
     }
 };
+
+/// E * ceil(|D_i| / B): the mini-batch steps one client's local SGD takes
+/// per round, i.e. the `batch_steps` that DelayModel::t_local prices.  A
+/// batch size of 0 counts as 1.
+[[nodiscard]] std::size_t batch_steps(std::size_t samples,
+                                      const ml::SgdParams& sgd) noexcept;
 
 class DelayModel {
 public:

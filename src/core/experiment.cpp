@@ -97,11 +97,8 @@ double fl_round_delay(const DelayModel& delays, const Environment& env,
                       std::uint64_t seed) {
     std::vector<std::size_t> steps;
     steps.reserve(participants.size());
-    const std::size_t batch = std::max<std::size_t>(sgd.batch_size, 1);
-    for (const std::size_t id : participants) {
-        const std::size_t samples = env.shards[id].size();
-        steps.push_back(sgd.epochs * ((samples + batch - 1) / batch));
-    }
+    for (const std::size_t id : participants)
+        steps.push_back(batch_steps(env.shards[id].size(), sgd));
     auto rng = support::Rng::fork(seed, /*stream=*/0xFAFA, round);
     const std::size_t payload =
         env.model->param_count() * sizeof(float) + 24;

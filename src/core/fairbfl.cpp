@@ -7,6 +7,7 @@
 #include "chain/mempool.hpp"
 #include "crypto/hybrid.hpp"
 #include "fl/sampling.hpp"
+#include "incentive/hierarchical.hpp"
 #include "support/logging.hpp"
 #include "support/parallel.hpp"
 
@@ -87,11 +88,6 @@ FairBfl::FairBfl(const ml::Model& model, std::vector<fl::Client> clients,
       aggregator_(config.aggregator ? config.aggregator
                                     : make_aggregator("simple")),
       consensus_(make_consensus(config.consensus)),
-      contribution_(config.contribution
-                        ? config.contribution
-                        : make_contribution_policy(config.incentive)),
-      reward_(config.reward ? config.reward
-                            : make_reward_policy(config.incentive.strategy)),
       keys_(config.fl.seed, config.key_bits),
       chain_(config.chain_id, config.key_bits != 0 ? &keys_ : nullptr),
       engine_(config.round),
@@ -111,12 +107,6 @@ FairBfl::FairBfl(const ml::Model& model, std::vector<fl::Client> clients,
 
     auto rng = support::Rng::fork(config_.fl.seed, /*stream=*/0x1417);
     model_->init_params(weights_, rng);
-}
-
-std::size_t FairBfl::batch_steps_of(std::size_t client_id) const {
-    const std::size_t samples = clients_[client_id].num_samples();
-    const std::size_t batch = std::max<std::size_t>(config_.fl.sgd.batch_size, 1);
-    return config_.fl.sgd.epochs * ((samples + batch - 1) / batch);
 }
 
 BflRoundRecord FairBfl::run_round() {
@@ -157,7 +147,9 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
     const DelayModel delays(config_.delay);
     std::vector<std::size_t> steps;
     steps.reserve(selected.size());
-    for (const std::size_t id : selected) steps.push_back(batch_steps_of(id));
+    for (const std::size_t id : selected)
+        steps.push_back(
+            batch_steps(clients_[id].num_samples(), config_.fl.sgd));
     // Per-client compute times, needed up front: each client's arrival
     // event fires at its *own* t_local + t_up slice, not the round max.
     std::vector<double> local_seconds;
@@ -470,8 +462,7 @@ void FairBfl::settle_round(std::uint64_t round,
                            std::span<const float> reference, bool amend,
                            BflRoundRecord& record) {
     // Provisional combine (line 24), Algorithm 2 (line 26), reward
-    // settlement (line 27 / Eq. 1) -- each stage behind its strategy
-    // object.
+    // settlement (line 27 / Eq. 1).
     std::vector<float> provisional;
     {
         const telemetry::Span span(telemetry::labels::round_aggregate());
@@ -482,21 +473,35 @@ void FairBfl::settle_round(std::uint64_t round,
         record.detection_rate = record.attacker_clients.empty() ? 1.0 : 0.0;
         return;
     }
-    // Cluster on effective gradients against w_r.  The index-build /
+    // Cluster on effective gradients against w_r -- flat, or the shard
+    // tree when config_.incentive.sharding asks for one.  The index-build /
     // shard-pass / root-pass sub-spans and the index-bytes counter are
-    // emitted inside identify's callees (cluster::IndexRegistry::build,
+    // emitted inside the callees (cluster::IndexRegistry::build,
     // incentive/hierarchical.cpp).
+    const incentive::LowContributionStrategy strategy =
+        config_.incentive.strategy;
     incentive::ContributionReport report;
     {
         const telemetry::Span span(telemetry::labels::round_cluster());
-        report = contribution_->identify(updates, provisional, reference);
+        report = incentive::identify_contributions_hierarchical(
+            updates, provisional, config_.incentive, reference,
+            pool_of(config_));
     }
-    // An explicitly configured aggregator governs the settlement combine
-    // as well; the default keeps Eq. 1 exactly.
     {
         const telemetry::Span span(telemetry::labels::round_aggregate());
-        weights_ = reward_->settle(
-            updates, report, config_.aggregator ? aggregator_.get() : nullptr);
+        if (!config_.aggregator) {
+            // Eq. 1 exactly (a shard tree's report arrives pre-settled).
+            weights_ = incentive::apply_strategy(updates, report, strategy);
+        } else {
+            // The configured rule combines the same survivors, with the
+            // same degenerate-theta fallback, in its score-weighted form.
+            const incentive::SurvivorSelection selection =
+                incentive::select_survivors(updates, report, strategy);
+            weights_ = selection.degenerate()
+                           ? aggregator_->aggregate(selection.updates)
+                           : aggregator_->aggregate_weighted(
+                                 selection.updates, selection.theta);
+        }
     }
     if (amend)
         ledger_.amend_round(round, report);
@@ -506,7 +511,7 @@ void FairBfl::settle_round(std::uint64_t round,
     record.low_contribution_clients = report.low_clients();
     record.detection_rate = detection_rate(record.attacker_clients,
                                            record.low_contribution_clients);
-    if (reward_->benches_low_contributors())
+    if (strategy == incentive::LowContributionStrategy::kDiscard)
         benched_clients_.assign(record.low_contribution_clients.begin(),
                                 record.low_contribution_clients.end());
 }

@@ -27,7 +27,7 @@
 #include "core/delay_model.hpp"
 #include "core/round_engine.hpp"
 #include "core/strategies.hpp"
-#include "fl/fedavg.hpp"
+#include "fl/fedprox.hpp"
 #include "fl/local_trainer.hpp"
 #include "incentive/contribution.hpp"
 #include "incentive/reward.hpp"
@@ -60,23 +60,20 @@ struct FairBflConfig {
     bool record_local_gradients = false; ///< violate Assumption 2
     std::uint64_t chain_id = 0x7A1B;
 
-    // --- Strategy overrides (core/strategies.hpp).  Null / empty fields
-    // fall back to the paper's defaults, so a default-constructed config
-    // reproduces Algorithm 1 exactly; setting one swaps that stage without
-    // touching the round loop.
+    // --- Strategy overrides (core/strategies.hpp).  Defaults reproduce
+    // Algorithm 1 exactly; setting one swaps that stage without touching
+    // the round loop.
     /// Combine rule.  Null = the paper's combines exactly: "simple" for
     /// the provisional update (line 24) and Eq. 1 for the settlement.
     /// When set, the rule shapes the provisional *and* (via its weighted
-    /// form) the incentive settlement, so robust rules ("trimmed_mean",
-    /// "median") defend whether Algorithm 2 is on or off.
+    /// form, over the strategy's survivors) the incentive settlement, so
+    /// robust rules ("trimmed_mean", "median") defend whether Algorithm 2
+    /// is on or off.  Under the shard tree it overrides the tree's Eq. 1
+    /// root settlement and combines the hierarchical survivors flat.
     std::shared_ptr<const Aggregator> aggregator;
     /// Consensus engine name: "sync_pow" (the paper's Assumption 1) or
     /// "async_pow" (violates it; see header comment).
     std::string consensus = "sync_pow";
-    /// Algorithm 2 replacement.  Null = clustering per `incentive`.
-    std::shared_ptr<const ContributionPolicy> contribution;
-    /// Low-contribution handling.  Null = from `incentive.strategy`.
-    std::shared_ptr<const RewardPolicy> reward;
 
     // --- Async round engine (core/round_engine.hpp).
     /// Quorum-or-deadline collection contract.  The default (full
@@ -87,8 +84,9 @@ struct FairBflConfig {
     /// Optional fault-injection plan (dropout / straggler / duplicate /
     /// churn) applied to the round's deliveries.  Null = no faults.
     std::shared_ptr<const support::FaultPlan> fault_plan;
-    /// Pool carrying the round's training fan-out; null = the process
-    /// global pool.  Results are identical for any pool size.
+    /// Pool carrying the round's fan-outs (training, uploads, accuracy,
+    /// the shard tree's passes); null = the process global pool.  Results
+    /// are identical for any pool size.
     support::ThreadPool* pool = nullptr;
 };
 
@@ -152,17 +150,15 @@ public:
     }
 
 private:
-    /// E * ceil(|D_i| / B) batch steps for the delay model.
-    [[nodiscard]] std::size_t batch_steps_of(std::size_t client_id) const;
-
     /// The five procedures of one round, executed under the round's
     /// telemetry context that run_round() installs.
     void round_body(std::uint64_t round, BflRoundRecord& record);
 
     /// Procedure IV over `updates`: the provisional combine, Algorithm 2
-    /// against `reference` (w_r; may alias weights_, which is replaced
-    /// only after it is read), the settlement into weights_, the ledger
-    /// write (`amend` re-settles the round's entries in place), the
+    /// (flat or shard tree, per config_.incentive) against `reference`
+    /// (w_r; may alias weights_, which is replaced only after it is read),
+    /// the settlement into weights_ (Eq. 1, or config_.aggregator), the
+    /// ledger write (`amend` re-settles the round's entries in place), the
     /// record's reward, low-client and detection fields, and the discard
     /// strategy's bench.  The on-time pass and the retroactive
     /// re-settlement of late gradients both run it.
@@ -180,8 +176,6 @@ private:
     /// Resolved strategy objects (config overrides or defaults).
     std::shared_ptr<const Aggregator> aggregator_;
     std::shared_ptr<const ConsensusEngine> consensus_;
-    std::shared_ptr<const ContributionPolicy> contribution_;
-    std::shared_ptr<const RewardPolicy> reward_;
     crypto::KeyStore keys_;
     chain::Blockchain chain_;
     incentive::RewardLedger ledger_;

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "incentive/hierarchical.hpp"
+#include "support/cli.hpp"
 
 namespace fairbfl::core {
 
@@ -168,99 +168,6 @@ public:
     }
 };
 
-// --- Incentive policies ----------------------------------------------------
-
-/// Shard-tree Algorithm 2 (incentive/hierarchical.hpp): S independent
-/// shard-level passes plus a root pass over the survivor summaries.  The
-/// returned report is flat-compatible and carries the root-level
-/// settlement, which the default (Eq. 1) reward path returns directly.
-/// An explicitly configured Aggregator still governs the combine instead
-/// (see RewardPolicy::settle): a robust rule like trimmed_mean must not
-/// be bypassed by the tree, so it runs flat over the hierarchical
-/// survivors while detection and rewards keep the hierarchical labels.
-class ShardTreeContribution final : public ContributionPolicy {
-public:
-    explicit ShardTreeContribution(incentive::ContributionConfig config)
-        : config_(std::move(config)),
-          name_("shard_tree(" + config_.clustering + "/" + config_.index +
-                "/x" + std::to_string(config_.sharding.shards) + ")") {}
-
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return name_;
-    }
-
-    [[nodiscard]] incentive::ContributionReport identify(
-        std::span<const fl::GradientUpdate> updates,
-        std::span<const float> provisional_global,
-        std::span<const float> reference) const override {
-        return incentive::identify_contributions_hierarchical(
-            updates, provisional_global, config_, reference);
-    }
-
-private:
-    incentive::ContributionConfig config_;
-    std::string name_;
-};
-
-class ClusteredContribution final : public ContributionPolicy {
-public:
-    explicit ClusteredContribution(incentive::ContributionConfig config)
-        : config_(std::move(config)),
-          name_("clustered(" + config_.clustering + "/" + config_.index +
-                ")") {}
-
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return name_;
-    }
-
-    [[nodiscard]] incentive::ContributionReport identify(
-        std::span<const fl::GradientUpdate> updates,
-        std::span<const float> provisional_global,
-        std::span<const float> reference) const override {
-        return incentive::identify_contributions(updates, provisional_global,
-                                                 config_, reference);
-    }
-
-private:
-    incentive::ContributionConfig config_;
-    std::string name_;
-};
-
-class StrategyRewardPolicy final : public RewardPolicy {
-public:
-    explicit StrategyRewardPolicy(incentive::LowContributionStrategy strategy)
-        : strategy_(strategy) {}
-
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return strategy_ == incentive::LowContributionStrategy::kDiscard
-                   ? "discard"
-                   : "keep_all";
-    }
-
-    [[nodiscard]] std::vector<float> settle(
-        std::span<const fl::GradientUpdate> updates,
-        const incentive::ContributionReport& report,
-        const Aggregator* aggregator) const override {
-        if (aggregator == nullptr)
-            return incentive::apply_strategy(updates, report, strategy_);
-        // Same survivor selection and degenerate-theta fallback as
-        // apply_strategy, with the configured rule doing the combine.
-        const incentive::SurvivorSelection selection =
-            incentive::select_survivors(updates, report, strategy_);
-        if (selection.degenerate())
-            return aggregator->aggregate(selection.updates);
-        return aggregator->aggregate_weighted(selection.updates,
-                                              selection.theta);
-    }
-
-    [[nodiscard]] bool benches_low_contributors() const noexcept override {
-        return strategy_ == incentive::LowContributionStrategy::kDiscard;
-    }
-
-private:
-    incentive::LowContributionStrategy strategy_;
-};
-
 /// Single source of truth for the registered rules: make_aggregator and
 /// aggregator_names both read this table, so a new rule cannot appear in
 /// one and be missing from the other.
@@ -301,7 +208,7 @@ std::shared_ptr<const Aggregator> make_aggregator(std::string_view name,
     }
     throw std::invalid_argument("unknown aggregator '" + std::string(name) +
                                 "' (known: " +
-                                detail::join_names(aggregator_names()) + ")");
+                                support::join_names(aggregator_names()) + ")");
 }
 
 std::vector<std::string_view> aggregator_names() {
@@ -333,20 +240,8 @@ std::shared_ptr<const ConsensusEngine> make_consensus(std::string_view name) {
     for (const auto& entry : kEngines) known.push_back(entry.name);
     throw std::invalid_argument("unknown consensus engine '" +
                                 std::string(name) +
-                                "' (known: " + detail::join_names(known) +
+                                "' (known: " + support::join_names(known) +
                                 ")");
-}
-
-std::shared_ptr<const ContributionPolicy> make_contribution_policy(
-    const incentive::ContributionConfig& config) {
-    if (config.sharding.shards > 1)
-        return std::make_shared<ShardTreeContribution>(config);
-    return std::make_shared<ClusteredContribution>(config);
-}
-
-std::shared_ptr<const RewardPolicy> make_reward_policy(
-    incentive::LowContributionStrategy strategy) {
-    return std::make_shared<StrategyRewardPolicy>(strategy);
 }
 
 }  // namespace fairbfl::core

@@ -2,13 +2,13 @@
 // Pluggable strategy interfaces for the orchestration layer.
 //
 // The paper's flexibility claim (Figure 3, §4.6) is that FAIR-BFL is a
-// pipeline of swappable stages: how gradients are combined (Algorithm 1
-// line 24 / Eq. 1), how blocks are mined (Assumption 1 on or off), and how
-// contributions are scored and rewarded (Algorithm 2 + the two
-// low-contribution strategies).  These interfaces make each stage an
-// object, so a new aggregation rule, consensus discipline, or incentive
-// scheme drops into FairBfl -- and into the SystemRegistry of
-// core/system.hpp -- without editing the round loop.
+// pipeline of swappable stages.  Two of them are objects here: how
+// gradients are combined (Algorithm 1 line 24 / Eq. 1) and how blocks are
+// mined (Assumption 1 on or off), so a new aggregation rule or consensus
+// discipline drops into FairBfl -- and into the SystemRegistry of
+// core/system.hpp -- without editing the round loop.  Contribution scoring
+// and its settlement (Algorithm 2 + the two low-contribution strategies)
+// are FairBflConfig::incentive fields that FairBfl calls directly.
 //
 // Every built-in implementation wraps the corresponding free function and
 // consumes randomness in exactly the same order, so swapping a bool-driven
@@ -23,8 +23,6 @@
 
 #include "core/delay_model.hpp"
 #include "fl/aggregation.hpp"
-#include "incentive/contribution.hpp"
-#include "support/cli.hpp"
 
 namespace fairbfl::core {
 
@@ -99,69 +97,5 @@ public:
 /// std::invalid_argument for an unknown name.
 [[nodiscard]] std::shared_ptr<const ConsensusEngine> make_consensus(
     std::string_view name);
-
-// ---------------------------------------------------------------------------
-// Incentive (Algorithm 2 + the low-contribution strategies).
-
-/// Scores one round's updates against the provisional global update.
-class ContributionPolicy {
-public:
-    virtual ~ContributionPolicy() = default;
-
-    [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-
-    /// `reference` is the previous round's global weights (may be empty);
-    /// see incentive::identify_contributions for why deltas matter.
-    [[nodiscard]] virtual incentive::ContributionReport identify(
-        std::span<const fl::GradientUpdate> updates,
-        std::span<const float> provisional_global,
-        std::span<const float> reference) const = 0;
-};
-
-/// Algorithm 2: clustering (DBSCAN or k-means per `config`) + cosine
-/// scores.  With `config.sharding.shards > 1` the returned policy is the
-/// hierarchical shard tree (incentive/hierarchical.hpp): per-shard passes
-/// plus a root pass, reported flat-compatibly with the settlement
-/// precomputed.
-[[nodiscard]] std::shared_ptr<const ContributionPolicy>
-make_contribution_policy(const incentive::ContributionConfig& config);
-
-/// Decides what a contribution report is worth: the final aggregation of
-/// the round and whether flagged clients sit out the next one.
-class RewardPolicy {
-public:
-    virtual ~RewardPolicy() = default;
-
-    [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-
-    /// Applies the strategy to pick the surviving updates, then combines
-    /// them: with `aggregator == nullptr` via Eq. 1 exactly
-    /// (incentive::apply_strategy -- which returns a shard tree's
-    /// precomputed root settlement when the report carries one); with an
-    /// explicit aggregator via its score-weighted form, so a robust rule
-    /// governs the final global update too -- including under sharding,
-    /// where it intentionally overrides the tree's Eq. 1 settlement and
-    /// combines the hierarchical survivors flat.
-    [[nodiscard]] virtual std::vector<float> settle(
-        std::span<const fl::GradientUpdate> updates,
-        const incentive::ContributionReport& report,
-        const Aggregator* aggregator = nullptr) const = 0;
-
-    /// True when low-contribution clients are benched for the next round
-    /// (the paper's discarding strategy read as client selection).
-    [[nodiscard]] virtual bool benches_low_contributors() const noexcept = 0;
-};
-
-/// "keep_all" or "discard", matching incentive::LowContributionStrategy.
-[[nodiscard]] std::shared_ptr<const RewardPolicy> make_reward_policy(
-    incentive::LowContributionStrategy strategy);
-
-namespace detail {
-/// Comma-joins a name list for "(known: ...)" error messages -- shared by
-/// the aggregator/consensus factories and the SystemRegistry.  The one
-/// implementation lives in support/cli.hpp (the cluster registries use it
-/// too); this alias keeps the historic core::detail spelling working.
-using support::join_names;
-}  // namespace detail
 
 }  // namespace fairbfl::core

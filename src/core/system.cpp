@@ -43,35 +43,8 @@ private:
     std::size_t default_rounds_;
 };
 
-/// FedAvg under the shared delay model (delay = T_local + T_up + T_gl).
-class FedAvgSystem final : public RecordedSystem {
-public:
-    FedAvgSystem(const Environment& env, const fl::FlConfig& config,
-                 const DelayParams& delay, std::string name)
-        : RecordedSystem(std::move(name), config.rounds),
-          env_(&env),
-          config_(config),
-          delays_(delay),
-          trainer_(*env.model, env.make_clients(), env.test, config) {}
-
-    SeriesPoint step() override {
-        const fl::RoundRecord record = trainer_.run_round();
-        SeriesPoint point;
-        point.round = record.round;
-        point.accuracy = record.test_accuracy;
-        point.delay_seconds =
-            fl_round_delay(delays_, *env_, record.participant_ids,
-                           config_.sgd, record.round, config_.seed);
-        return point;
-    }
-
-private:
-    const Environment* env_;
-    fl::FlConfig config_;
-    DelayModel delays_;
-    fl::FedAvg trainer_;
-};
-
+/// FedProx -- and FedAvg, which is FedProx at mu = 0 without stragglers
+/// -- under the shared delay model (delay = T_local + T_up + T_gl).
 class FedProxSystem final : public RecordedSystem {
 public:
     FedProxSystem(const Environment& env, const fl::FedProxConfig& config,
@@ -186,8 +159,12 @@ std::string label_or(const SystemSpec& spec, const char* fallback) {
 
 void register_builtins(SystemRegistry& registry) {
     registry.add("fedavg", [](const Environment& env, const SystemSpec& spec) {
-        return std::make_unique<FedAvgSystem>(env, spec.fl, spec.delay,
-                                              label_or(spec, "FedAvg"));
+        return std::make_unique<FedProxSystem>(
+            env,
+            fl::FedProxConfig{.base = spec.fl,
+                              .prox_mu = spec.fl.sgd.prox_mu,
+                              .drop_percent = 0.0},
+            spec.delay, label_or(spec, "FedAvg"));
     });
     registry.add("fedprox",
                  [](const Environment& env, const SystemSpec& spec) {
@@ -203,8 +180,6 @@ void register_builtins(SystemRegistry& registry) {
     registry.add("fairbfl_discard",
                  [](const Environment& env, const SystemSpec& spec) {
                      FairBflConfig config = spec.fair;
-                     // An explicit reward override wins, like every other
-                     // strategy field; only the derived default changes.
                      config.incentive.strategy =
                          incentive::LowContributionStrategy::kDiscard;
                      return std::make_unique<FairBflSystem>(

@@ -25,13 +25,6 @@ VanillaBfl::VanillaBfl(const ml::Model& model, std::vector<fl::Client> clients,
     model_->init_params(weights_, rng);
 }
 
-std::size_t VanillaBfl::batch_steps_of(std::size_t client_id) const {
-    const std::size_t samples = clients_[client_id].num_samples();
-    const std::size_t batch =
-        std::max<std::size_t>(config_.fl.sgd.batch_size, 1);
-    return config_.fl.sgd.epochs * ((samples + batch - 1) / batch);
-}
-
 std::vector<float> VanillaBfl::compute_global_from_chain(
     std::uint64_t round, std::size_t* txs_found) const {
     std::vector<fl::GradientUpdate> from_chain;
@@ -68,7 +61,9 @@ VanillaRoundRecord VanillaBfl::run_round() {
                                 config_.fl.sgd, round, config_.fl.seed);
     std::vector<std::size_t> steps;
     steps.reserve(selected.size());
-    for (const std::size_t id : selected) steps.push_back(batch_steps_of(id));
+    for (const std::size_t id : selected)
+        steps.push_back(
+            batch_steps(clients_[id].num_samples(), config_.fl.sgd));
     record.delay.t_local = delays.t_local(selected, steps, config_.fl.seed);
 
     const AttackReport attack = apply_attack(updates, weights_, config_.attack,

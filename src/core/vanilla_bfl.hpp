@@ -26,7 +26,7 @@
 #include "core/attacker.hpp"
 #include "core/delay_model.hpp"
 #include "core/strategies.hpp"
-#include "fl/fedavg.hpp"
+#include "fl/fedprox.hpp"
 #include "fl/local_trainer.hpp"
 
 namespace fairbfl::core {
@@ -72,8 +72,6 @@ private:
     /// them -- the worker-side global computation of vanilla BFL.
     [[nodiscard]] std::vector<float> compute_global_from_chain(
         std::uint64_t round, std::size_t* txs_found) const;
-
-    [[nodiscard]] std::size_t batch_steps_of(std::size_t client_id) const;
 
     const ml::Model* model_;
     std::vector<fl::Client> clients_;

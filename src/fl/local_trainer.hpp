@@ -36,7 +36,7 @@ public:
     explicit LocalTrainer(Options options) noexcept : options_(options) {}
 
     /// Runs the selected clients' local updates in parallel and returns
-    /// them in selection order.  Bit-identical to fl::run_local_updates.
+    /// them in selection order.
     /// \param clients        the full client population (stable ids).
     /// \param selected       ids of this round's participants.
     /// \param global_weights w_r, the weights every client starts from.

@@ -192,28 +192,18 @@ ContributionReport identify_contributions(
     return report;
 }
 
-std::vector<std::size_t> surviving_indices(std::size_t update_count,
-                                           const ContributionReport& report,
-                                           LowContributionStrategy strategy) {
-    std::vector<std::size_t> survivors;
-    if (strategy == LowContributionStrategy::kKeepAll ||
-        report.high_indices.empty()) {
-        survivors.resize(update_count);
-        for (std::size_t i = 0; i < update_count; ++i) survivors[i] = i;
-        return survivors;
-    }
-    return report.high_indices;
-}
-
 SurvivorSelection select_survivors(
     std::span<const fl::GradientUpdate> updates,
     const ContributionReport& report, LowContributionStrategy strategy) {
-    const auto survivors =
-        surviving_indices(updates.size(), report, strategy);
+    const bool keep_all = strategy == LowContributionStrategy::kKeepAll ||
+                          report.high_indices.empty();
+    const std::size_t count =
+        keep_all ? updates.size() : report.high_indices.size();
     SurvivorSelection selection;
-    selection.updates.reserve(survivors.size());
-    selection.theta.reserve(survivors.size());
-    for (const std::size_t i : survivors) {
+    selection.updates.reserve(count);
+    selection.theta.reserve(count);
+    for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t i = keep_all ? k : report.high_indices[k];
         selection.updates.push_back(updates[i]);
         selection.theta.push_back(report.entries[i].theta);
         selection.theta_sum += report.entries[i].theta;

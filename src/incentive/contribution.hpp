@@ -110,8 +110,8 @@ struct ContributionReport {
     std::size_t shard_count = 1;
     /// Root-level settled global update: Eq. 1 over the shard summaries
     /// with the hierarchical weights already folded in.  When non-empty,
-    /// apply_strategy (and the default reward policy) return it directly
-    /// instead of re-running flat Eq. 1 over individual updates.
+    /// apply_strategy returns it directly instead of re-running flat Eq. 1
+    /// over individual updates.
     std::vector<float> settled_weights;
 
     /// Client ids labelled low contribution (the "drop index" of Table 2).
@@ -151,8 +151,8 @@ void check_contribution_inputs(std::span<const fl::GradientUpdate> updates,
 inline constexpr double kDegenerateThetaSum = 1e-12;
 
 /// The strategy's surviving updates paired with their theta weights --
-/// the shared selection step of apply_strategy and any custom combine
-/// (core::RewardPolicy implementations).
+/// the shared selection step of apply_strategy and of a settlement by an
+/// explicitly configured combine rule (core::FairBflConfig::aggregator).
 struct SurvivorSelection {
     std::vector<fl::GradientUpdate> updates;
     std::vector<double> theta;
@@ -165,7 +165,8 @@ struct SurvivorSelection {
 };
 
 /// Applies the strategy to pick the surviving updates and collects their
-/// theta scores.
+/// theta scores, in update order: every update under kKeepAll, the
+/// high-contribution ones under kDiscard (all of them when none is high).
 [[nodiscard]] SurvivorSelection select_survivors(
     std::span<const fl::GradientUpdate> updates,
     const ContributionReport& report, LowContributionStrategy strategy);
@@ -181,11 +182,5 @@ struct SurvivorSelection {
 [[nodiscard]] std::vector<float> apply_strategy(
     std::span<const fl::GradientUpdate> updates,
     const ContributionReport& report, LowContributionStrategy strategy);
-
-/// Indices (into `updates`) that survive the strategy -- used by the BFL
-/// core to know which clients still participate.
-[[nodiscard]] std::vector<std::size_t> surviving_indices(
-    std::size_t update_count, const ContributionReport& report,
-    LowContributionStrategy strategy);
 
 }  // namespace fairbfl::incentive

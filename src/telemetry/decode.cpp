@@ -54,21 +54,50 @@ std::string json_escape(std::string_view text) {
     return out;
 }
 
-}  // namespace
+/// Open spans of one slice: begin time by span id, consumed by the
+/// matching end.
+using OpenSpans = std::unordered_map<std::uint64_t, std::uint64_t>;
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>> rounds_of(
-    const Dump& dump) {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> rounds;
-    for (const Record& record : dump.records) {
-        const std::pair<std::uint32_t, std::uint32_t> key{record.session,
-                                                          record.round};
-        bool seen = false;
-        for (const auto& existing : rounds)
-            if (existing == key) { seen = true; break; }
-        if (!seen) rounds.push_back(key);
-    }
-    return rounds;
+/// The slice's statistics for `name`; the key is allocated only the first
+/// time the name appears in the slice.
+LabelStats& label_slot(RoundStats& stats, std::string_view name) {
+    const auto it = stats.labels.find(name);
+    if (it != stats.labels.end()) return it->second;
+    return stats.labels.emplace(std::string(name), LabelStats{})
+        .first->second;
 }
+
+/// Folds one record of a slice into that slice's stats.
+void accumulate(const Record& record, RoundStats& stats, LabelStats& label,
+                OpenSpans& begins) {
+    ++stats.records;
+    ++label.events;
+    switch (record.kind) {
+        case RecordKind::kSpanBegin:
+            begins.emplace(record.value, record.time_ns);
+            break;
+        case RecordKind::kSpanEnd: {
+            const auto it = begins.find(record.value);
+            if (it == begins.end()) break;  // begin predates this slice
+            // Named duration so the accumulation is not an FMA-eligible
+            // expression (fp-determinism).
+            const double span_s =
+                static_cast<double>(record.time_ns - it->second) * 1e-9;
+            label.span_seconds += span_s;
+            ++label.spans;
+            begins.erase(it);
+            break;
+        }
+        case RecordKind::kCounterAdd:
+            label.counter_sum += record.value;
+            break;
+        case RecordKind::kCounterMax:
+            label.counter_max = std::max(label.counter_max, record.value);
+            break;
+    }
+}
+
+}  // namespace
 
 double RoundStats::seconds_of(std::string_view label) const {
     const auto it = labels.find(label);
@@ -90,41 +119,46 @@ RoundStats dump_round_stats(const Dump& dump, std::uint32_t session,
     RoundStats stats;
     stats.session = session;
     stats.round = round;
-    // Open spans: begin time by span id, consumed by the matching end.
-    std::unordered_map<std::uint64_t, std::uint64_t> begins;
+    OpenSpans begins;
     for (const Record& record : dump.records) {
         if (record.session != session || record.round != round) continue;
-        ++stats.records;
-        LabelStats& label =
-            stats.labels[std::string(dump.name_of(record.label))];
-        ++label.events;
-        switch (record.kind) {
-            case RecordKind::kSpanBegin:
-                begins.emplace(record.value, record.time_ns);
-                break;
-            case RecordKind::kSpanEnd: {
-                const auto it = begins.find(record.value);
-                if (it == begins.end()) break;  // begin predates this slice
-                // Named duration so the accumulation is not an
-                // FMA-eligible expression (fp-determinism).
-                const double span_s =
-                    static_cast<double>(record.time_ns - it->second) * 1e-9;
-                label.span_seconds += span_s;
-                ++label.spans;
-                begins.erase(it);
-                break;
-            }
-            case RecordKind::kCounterAdd:
-                label.counter_sum += record.value;
-                break;
-            case RecordKind::kCounterMax:
-                label.counter_max =
-                    std::max(label.counter_max, record.value);
-                break;
-        }
+        accumulate(record, stats,
+                   label_slot(stats, dump.name_of(record.label)), begins);
     }
     stats.open_spans = begins.size();
     return stats;
+}
+
+std::vector<RoundStats> dump_all_round_stats(const Dump& dump) {
+    // Each label id's name, resolved once; the first entry wins, as in
+    // Dump::name_of.
+    std::unordered_map<Label, std::string_view> names;
+    for (const Dump::LabelEntry& entry : dump.labels)
+        names.emplace(entry.id, entry.name);
+    std::vector<RoundStats> slices;
+    std::vector<OpenSpans> begins;  // parallel to `slices`
+    std::unordered_map<std::uint64_t, std::size_t> slice_of;
+    for (const Record& record : dump.records) {
+        const std::uint64_t key =
+            (std::uint64_t{record.session} << 32) | record.round;
+        const auto [it, added] = slice_of.try_emplace(key, slices.size());
+        if (added) {
+            RoundStats& slice = slices.emplace_back();
+            slice.session = record.session;
+            slice.round = record.round;
+            begins.emplace_back();
+        }
+        const auto name = names.find(record.label);
+        RoundStats& stats = slices[it->second];
+        accumulate(record, stats,
+                   label_slot(stats, name == names.end()
+                                         ? std::string_view("?")
+                                         : name->second),
+                   begins[it->second]);
+    }
+    for (std::size_t i = 0; i < slices.size(); ++i)
+        slices[i].open_spans = begins[i].size();
+    return slices;
 }
 
 std::string to_text(const Dump& dump) {
@@ -170,10 +204,9 @@ std::string to_json(const Dump& dump) {
     append_format(out, "  \"records\": %zu,\n  \"labels\": %zu,\n",
                   dump.records.size(), dump.labels.size());
     out += "  \"rounds\": [\n";
-    const auto rounds = rounds_of(dump);
+    const std::vector<RoundStats> rounds = dump_all_round_stats(dump);
     for (std::size_t i = 0; i < rounds.size(); ++i) {
-        const RoundStats stats =
-            dump_round_stats(dump, rounds[i].first, rounds[i].second);
+        const RoundStats& stats = rounds[i];
         const double local = stats.seconds_of("round.local");
         const double cluster = stats.seconds_of("round.cluster");
         const double aggregate = stats.seconds_of("round.aggregate");

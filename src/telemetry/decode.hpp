@@ -26,6 +26,8 @@ struct LabelStats {
     std::uint64_t counter_sum = 0;  ///< sum of kCounterAdd values
     std::uint64_t counter_max = 0;  ///< max of kCounterMax values
     std::uint64_t events = 0;       ///< records of any kind
+
+    bool operator==(const LabelStats&) const = default;
 };
 
 /// Statistics of one (session, round) slice, keyed by label *name* (so
@@ -40,12 +42,9 @@ struct RoundStats {
     [[nodiscard]] double seconds_of(std::string_view label) const;
     [[nodiscard]] std::uint64_t sum_of(std::string_view label) const;
     [[nodiscard]] std::uint64_t max_of(std::string_view label) const;
-};
 
-/// Unique (session, round) pairs present in the dump, in first-appearance
-/// order -- the slices to_json() summarizes.
-[[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint32_t>> rounds_of(
-    const Dump& dump);
+    bool operator==(const RoundStats&) const = default;
+};
 
 /// RoundStats of one (session, round) slice, resolving label names from
 /// the dump's own table (a decoded file needs no live registry).  Span
@@ -54,6 +53,11 @@ struct RoundStats {
 [[nodiscard]] RoundStats dump_round_stats(const Dump& dump,
                                           std::uint32_t session,
                                           std::uint32_t round);
+
+/// dump_round_stats of every (session, round) slice present in the dump,
+/// in first-appearance order -- the slices to_json() summarizes -- built
+/// in one pass over the records.
+[[nodiscard]] std::vector<RoundStats> dump_all_round_stats(const Dump& dump);
 
 /// Human-readable listing: label table, then one line per record with the
 /// span tree indented by nesting depth.

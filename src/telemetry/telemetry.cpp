@@ -437,7 +437,13 @@ Dump Dump::decode(std::span<const std::byte> bytes) {
     if (read_pod<std::uint16_t>(bytes, offset) != sizeof(Record))
         throw std::invalid_argument("telemetry dump: record size mismatch");
     Dump dump;
+    // Both counts come from the input: check each against the bytes left
+    // before reserving anything (a label entry is an id and a length at
+    // least, a record is a fixed slot).
     const std::uint32_t label_count = read_pod<std::uint32_t>(bytes, offset);
+    if (label_count > (bytes.size() - offset) /
+                          (sizeof(Label) + sizeof(std::uint16_t)))
+        throw std::invalid_argument("telemetry dump: truncated labels");
     dump.labels.reserve(label_count);
     for (std::uint32_t i = 0; i < label_count; ++i) {
         LabelEntry entry;
@@ -451,7 +457,7 @@ Dump Dump::decode(std::span<const std::byte> bytes) {
         dump.labels.push_back(std::move(entry));
     }
     const std::uint64_t record_count = read_pod<std::uint64_t>(bytes, offset);
-    if (offset + record_count * sizeof(Record) > bytes.size())
+    if (record_count > (bytes.size() - offset) / sizeof(Record))
         throw std::invalid_argument("telemetry dump: truncated records");
     dump.records.resize(record_count);
     std::memcpy(dump.records.data(), bytes.data() + offset,

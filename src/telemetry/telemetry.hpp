@@ -310,7 +310,9 @@ struct Dump {
 
     [[nodiscard]] std::string_view name_of(Label id) const;
     [[nodiscard]] std::vector<std::byte> encode() const;
-    /// Throws std::invalid_argument on a malformed byte stream.
+    /// Throws std::invalid_argument on a malformed byte stream, including
+    /// a label or record count the remaining bytes cannot hold (checked
+    /// before anything is allocated).
     [[nodiscard]] static Dump decode(std::span<const std::byte> bytes);
     [[nodiscard]] bool save(const std::string& path) const;
     [[nodiscard]] static std::optional<Dump> load(const std::string& path);

@@ -12,7 +12,8 @@
 #include <cmath>
 
 #include "fl/aggregation.hpp"
-#include "fl/fedavg.hpp"
+#include "fl/local_trainer.hpp"
+#include "fl/sampling.hpp"
 #include "ml/optimizer.hpp"
 #include "ml/partition.hpp"
 #include "ml/synthetic_mnist.hpp"
@@ -58,6 +59,7 @@ TEST(ConvergenceTheory, GapDecreasesUnderDecreasingStepSchedule) {
 
     const ml::DecreasingStepSchedule schedule{.mu = 0.5, .L = 4.0, .E = 2};
 
+    fl::LocalTrainer trainer;
     std::vector<float> weights(world.model->param_count(), 0.0F);
     std::vector<double> gaps;
     for (std::size_t round = 0; round < 60; ++round) {
@@ -67,7 +69,7 @@ TEST(ConvergenceTheory, GapDecreasesUnderDecreasingStepSchedule) {
         sgd.epochs = schedule.E;
         sgd.batch_size = 10;
         const auto updates =
-            fl::run_local_updates(clients, selected, weights, sgd, round, 42);
+            trainer.run(clients, selected, weights, sgd, round, 42);
         weights = fl::simple_average(updates);
         gaps.push_back(world.model->loss(weights, world.all) - f_star);
     }
@@ -104,6 +106,7 @@ TEST(ConvergenceTheory, GapNonIncreasingOnAverage) {
     auto clients = fl::make_clients(*world.model, shards);
     const ml::DecreasingStepSchedule schedule{.mu = 0.5, .L = 4.0, .E = 2};
 
+    fl::LocalTrainer trainer;
     std::vector<float> weights(world.model->param_count(), 0.0F);
     std::vector<double> gaps;
     for (std::size_t round = 0; round < 45; ++round) {
@@ -113,7 +116,7 @@ TEST(ConvergenceTheory, GapNonIncreasingOnAverage) {
         sgd.epochs = schedule.E;
         sgd.batch_size = 10;
         const auto updates =
-            fl::run_local_updates(clients, selected, weights, sgd, round, 7);
+            trainer.run(clients, selected, weights, sgd, round, 7);
         weights = fl::simple_average(updates);
         gaps.push_back(world.model->loss(weights, world.all) - f_star);
     }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "core/fairbfl.hpp"
 #include "crypto/sha256.hpp"
@@ -57,6 +58,35 @@ core::FairBflConfig fast_config() {
     config.fl.seed = 42;
     config.miners = 2;
     return config;
+}
+
+/// Weights SHA-256 / ledger total / chain tip: everything a run settled,
+/// in one comparable string.
+std::string outcome_digest(const core::FairBfl& system) {
+    const auto weights = system.weights();
+    char ledger_total[40];
+    std::snprintf(ledger_total, sizeof ledger_total, "%.17g",
+                  system.ledger().grand_total());
+    return fairbfl::crypto::to_hex(fairbfl::crypto::Sha256::hash(std::span(
+               reinterpret_cast<const std::uint8_t*>(weights.data()),
+               weights.size_bytes()))) +
+           "/" + ledger_total + "/" +
+           fairbfl::crypto::to_hex(system.blockchain().tip().header.hash());
+}
+
+/// Runs `config` for four rounds over `clients` clients on a pool of
+/// `threads` workers and returns outcome_digest; `flagged` accumulates
+/// the low-contribution labels so a pin can show Algorithm 2 engaged.
+std::string pinned_run(core::FairBflConfig config, std::size_t clients,
+                       unsigned threads, std::size_t& flagged) {
+    World world(clients);
+    fairbfl::support::ThreadPool pool(threads);
+    config.pool = &pool;
+    core::FairBfl system(*world.model, world.clients(), world.test, config);
+    for (const auto& record : system.run(4))
+        flagged += record.low_contribution_clients.size();
+    EXPECT_TRUE(system.blockchain().validate_full_chain());
+    return outcome_digest(system);
 }
 
 /// Variant that learns slowly enough to observe progress across rounds.
@@ -363,20 +393,50 @@ TEST(FairBfl, SecureRoundsAreThreadCountIndependentAndPinned) {
             EXPECT_EQ(record.fl.participants, 8U) << threads << " threads";
             accuracy.back().push_back(record.fl.test_accuracy);
         }
-        const auto weights = system.weights();
-        char ledger_total[40];
-        std::snprintf(ledger_total, sizeof ledger_total, "%.17g",
-                      system.ledger().grand_total());
-        const std::string digest =
-            fairbfl::crypto::to_hex(fairbfl::crypto::Sha256::hash(std::span(
-                reinterpret_cast<const std::uint8_t*>(weights.data()),
-                weights.size_bytes()))) +
-            "/" + ledger_total + "/" +
-            fairbfl::crypto::to_hex(system.blockchain().tip().header.hash());
-        EXPECT_EQ(digest, kDigest) << threads << " threads";
+        EXPECT_EQ(outcome_digest(system), kDigest) << threads << " threads";
         EXPECT_TRUE(system.blockchain().validate_full_chain());
     }
     EXPECT_EQ(accuracy[0], accuracy[1]);
+}
+
+TEST(FairBfl, ShardTreeUnderSignFlipIsThreadCountIndependentAndPinned) {
+    // 32 clients split into four shard-level Algorithm 2 passes plus the
+    // root pass, fanned out on the system's own pool, against two to four
+    // sign-flip attackers per round.
+    static constexpr const char* kDigest =
+        "92367fc1cc91e92d9f8dba5c2c27594bfba8fe08c2e85f4a63511c5af875f9f2/4/"
+        "78e4f5ba628c34ac102fd0e30bb412fd5b56267eb817438fcf81ebc8cc312ca8";
+    auto config = fast_config();
+    config.fl.client_ratio = 1.0;
+    config.incentive.sharding.shards = 4;
+    config.attack.kind = core::AttackKind::kSignFlip;
+    config.attack.min_attackers = 2;
+    config.attack.max_attackers = 4;
+    for (const unsigned threads : {1U, 4U}) {
+        std::size_t flagged = 0;
+        EXPECT_EQ(pinned_run(config, 32, threads, flagged), kDigest)
+            << threads << " threads";
+        EXPECT_GT(flagged, 0U) << threads << " threads";
+    }
+}
+
+TEST(FairBfl, MedianSettlementWithAlgorithm2IsThreadCountIndependentAndPinned) {
+    // An explicit robust rule settles the round: Algorithm 2 picks the
+    // survivors (discard strategy, so flagged clients are also benched)
+    // and the coordinate-wise median combines them.
+    static constexpr const char* kDigest =
+        "f08e1ad0fe3cb8190d23b1a499722cfd1fbfaa298b3ac5fc0d2c39e4b338852e/4/"
+        "8f7f6d82b47142648e05686fcdd5101f438e0bddb0372ec61c640e3503511c94";
+    auto config = fast_config();
+    config.aggregator = core::make_aggregator("median");
+    config.incentive.strategy = inc::LowContributionStrategy::kDiscard;
+    config.attack.kind = core::AttackKind::kSignFlip;
+    for (const unsigned threads : {1U, 4U}) {
+        std::size_t flagged = 0;
+        EXPECT_EQ(pinned_run(config, 10, threads, flagged), kDigest)
+            << threads << " threads";
+        EXPECT_GT(flagged, 0U) << threads << " threads";
+    }
 }
 
 TEST(FairBfl, IncentiveDisabledStillAggregates) {

@@ -1,10 +1,10 @@
 // FedAvg / FedProx trainers: learning progress, determinism, straggler
-// handling.
+// handling.  FedAvg is the FedProx loop at mu = 0 without stragglers.
 
 #include <gtest/gtest.h>
 
-#include "fl/fedavg.hpp"
 #include "fl/fedprox.hpp"
+#include "fl/local_trainer.hpp"
 #include "ml/partition.hpp"
 #include "ml/synthetic_mnist.hpp"
 
@@ -54,10 +54,18 @@ fl::FlConfig fast_config() {
     return config;
 }
 
+/// FedAvg: the FedProx loop at the base config's own mu, no stragglers
+/// (what the "fedavg" system runs).
+fl::FedProx fedavg(const World& world, const fl::FlConfig& config) {
+    return fl::FedProx(*world.model, world.clients(), world.test,
+                       fl::FedProxConfig{.base = config,
+                                         .prox_mu = config.sgd.prox_mu,
+                                         .drop_percent = 0.0});
+}
+
 TEST(FedAvg, AccuracyImprovesOverRounds) {
     World world;
-    fl::FedAvg trainer(*world.model, world.clients(), world.test,
-                       fast_config());
+    auto trainer = fedavg(world, fast_config());
     const auto history = trainer.run();
     ASSERT_EQ(history.size(), 15U);
     EXPECT_GT(history.back().test_accuracy,
@@ -67,8 +75,7 @@ TEST(FedAvg, AccuracyImprovesOverRounds) {
 
 TEST(FedAvg, RecordsAreCoherent) {
     World world;
-    fl::FedAvg trainer(*world.model, world.clients(), world.test,
-                       fast_config());
+    auto trainer = fedavg(world, fast_config());
     const auto record = trainer.run_round();
     EXPECT_EQ(record.round, 0U);
     EXPECT_EQ(record.selected, 5U);  // 0.5 * 10
@@ -81,8 +88,8 @@ TEST(FedAvg, RecordsAreCoherent) {
 TEST(FedAvg, DeterministicAcrossInstances) {
     World a;
     World b;
-    fl::FedAvg ta(*a.model, a.clients(), a.test, fast_config());
-    fl::FedAvg tb(*b.model, b.clients(), b.test, fast_config());
+    auto ta = fedavg(a, fast_config());
+    auto tb = fedavg(b, fast_config());
     const auto ha = ta.run(5);
     const auto hb = tb.run(5);
     for (std::size_t r = 0; r < 5; ++r)
@@ -96,8 +103,8 @@ TEST(FedAvg, NonIidIsHarderThanIid) {
     World skew(10, 52, ml::PartitionScheme::kLabelShards);
     auto config = fast_config();
     config.rounds = 8;
-    fl::FedAvg ti(*iid.model, iid.clients(), iid.test, config);
-    fl::FedAvg ts(*skew.model, skew.clients(), skew.test, config);
+    auto ti = fedavg(iid, config);
+    auto ts = fedavg(skew, config);
     const double acc_iid = ti.run().back().test_accuracy;
     const double acc_skew = ts.run().back().test_accuracy;
     EXPECT_GE(acc_iid, acc_skew - 0.02);  // non-IID never meaningfully wins
@@ -168,14 +175,14 @@ TEST(FedProx, NeverLosesWholeRound) {
     EXPECT_GE(record.participants, 1U);
 }
 
-TEST(RunLocalUpdates, ParallelMatchesSerialOrdering) {
+TEST(LocalTrainer, ParallelMatchesSerialOrdering) {
     World world;
     const auto clients = world.clients();
     std::vector<float> global(world.model->param_count(), 0.01F);
     const std::vector<std::size_t> selected{1, 3, 5, 7};
     ml::SgdParams sgd;
-    const auto updates =
-        fl::run_local_updates(clients, selected, global, sgd, 0, 42);
+    fl::LocalTrainer trainer;
+    const auto updates = trainer.run(clients, selected, global, sgd, 0, 42);
     ASSERT_EQ(updates.size(), 4U);
     for (std::size_t i = 0; i < 4; ++i) {
         EXPECT_EQ(updates[i].client, selected[i]);

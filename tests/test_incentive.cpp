@@ -181,9 +181,9 @@ TEST(Strategy, KeepAllUsesEveryUpdate) {
     const auto provisional = fl::simple_average(updates);
     const auto report =
         inc::identify_contributions(updates, provisional, default_config());
-    const auto survivors = inc::surviving_indices(
-        updates.size(), report, inc::LowContributionStrategy::kKeepAll);
-    EXPECT_EQ(survivors.size(), updates.size());
+    const auto survivors = inc::select_survivors(
+        updates, report, inc::LowContributionStrategy::kKeepAll);
+    EXPECT_EQ(survivors.updates.size(), updates.size());
 }
 
 TEST(Strategy, DiscardDropsLowContributors) {
@@ -191,10 +191,10 @@ TEST(Strategy, DiscardDropsLowContributors) {
     const auto provisional = fl::simple_average(updates);
     const auto report =
         inc::identify_contributions(updates, provisional, default_config());
-    const auto survivors = inc::surviving_indices(
-        updates.size(), report, inc::LowContributionStrategy::kDiscard);
-    EXPECT_EQ(survivors.size(), 6U);
-    for (const auto i : survivors) EXPECT_LT(i, 6U);
+    const auto survivors = inc::select_survivors(
+        updates, report, inc::LowContributionStrategy::kDiscard);
+    EXPECT_EQ(survivors.updates.size(), 6U);
+    for (const auto& u : survivors.updates) EXPECT_LT(u.client, 6U);
 }
 
 TEST(Strategy, DiscardYieldsCleanerGlobalUnderAttack) {
@@ -227,9 +227,9 @@ TEST(Strategy, DiscardWithNoHighFallsBackToAll) {
         report.entries[i].high = false;
         report.low_indices.push_back(i);
     }
-    const auto survivors = inc::surviving_indices(
-        4, report, inc::LowContributionStrategy::kDiscard);
-    EXPECT_EQ(survivors.size(), 4U);
+    const auto survivors = inc::select_survivors(
+        updates, report, inc::LowContributionStrategy::kDiscard);
+    EXPECT_EQ(survivors.updates.size(), 4U);
     const auto aggregated = inc::apply_strategy(
         updates, report, inc::LowContributionStrategy::kDiscard);
     EXPECT_EQ(aggregated.size(), updates[0].weights.size());

@@ -178,10 +178,14 @@ TEST(Equivalence, FedAvgSpecReproducesLegacyRunFedavg) {
     const auto config = small_fl();
     const core::DelayParams delay;
 
+    // FedAvg is the FedProx loop at mu = 0 without stragglers.
     core::SystemRun manual;
     manual.name = "FedAvg";
     const core::DelayModel delays(delay);
-    fl::FedAvg trainer(*env.model, env.make_clients(), env.test, config);
+    fl::FedProx trainer(*env.model, env.make_clients(), env.test,
+                        fl::FedProxConfig{.base = config,
+                                          .prox_mu = config.sgd.prox_mu,
+                                          .drop_percent = 0.0});
     for (std::size_t r = 0; r < config.rounds; ++r) {
         const fl::RoundRecord record = trainer.run_round();
         manual.series.push_back(
@@ -194,6 +198,32 @@ TEST(Equivalence, FedAvgSpecReproducesLegacyRunFedavg) {
 
     expect_identical(core::run_system(env, core::fedavg_spec(config, delay)),
                      manual);
+}
+
+TEST(Equivalence, FedAvgSeriesIsPinned) {
+    // Per-round accuracy and delay of the "fedavg" system, bit for bit.
+    struct Point {
+        double accuracy;
+        double delay_seconds;
+    };
+    static constexpr Point kSeries[] = {
+        {0x1.49f49f49f49f5p-2, 0x1.53e386f199672p+2},
+        {0x1.49f49f49f49f5p-1, 0x1.3a2727a4775e3p+2},
+        {0x1.3e93e93e93e94p-1, 0x1.49bfb0ccfcc66p+2},
+        {0x1.5b05b05b05b06p-1, 0x1.3a611b4c090efp+2},
+        {0x1.a4fa4fa4fa4fap-1, 0x1.59cceda8d9013p+2},
+        {0x1.0b60b60b60b61p-1, 0x1.53be5467159a8p+2},
+        {0x1.e93e93e93e93fp-2, 0x1.3a3e0695fdc9ep+2},
+        {0x1.7d27d27d27d28p-1, 0x1.46e2b740f6ef3p+2},
+    };
+    const auto env = core::build_environment(small_env());
+    const auto run =
+        core::run_system(env, core::fedavg_spec(small_fl(), {}));
+    ASSERT_EQ(run.series.size(), std::size(kSeries));
+    for (std::size_t r = 0; r < run.series.size(); ++r) {
+        EXPECT_EQ(run.series[r].accuracy, kSeries[r].accuracy) << r;
+        EXPECT_EQ(run.series[r].delay_seconds, kSeries[r].delay_seconds) << r;
+    }
 }
 
 TEST(Equivalence, BlockchainSpecReproducesLegacyRunBlockchain) {

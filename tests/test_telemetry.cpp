@@ -6,8 +6,10 @@
 //     around an emit window that stays inside one ring);
 //   * fixed-seed pin: a FairBfl run's captured dump, round-tripped through
 //     the binary format, carries every stage span and counter per round;
-//   * JSON schema pin for the decoder export;
-//   * Dump binary round-trip (encode/decode and save/load);
+//   * JSON schema pin for the decoder export, and the one-pass per-round
+//     statistics it renders equal to the per-slice ones;
+//   * Dump binary round-trip (encode/decode and save/load), and hostile
+//     counts rejected as malformed input;
 //   * FAIRBFL_TELEMETRY off emits nothing.
 
 #include <gtest/gtest.h>
@@ -15,6 +17,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <new>
 #include <string>
 #include <thread>
@@ -291,6 +295,63 @@ TEST(TelemetryDecode, JsonSchemaIsPinned) {
     EXPECT_NE(text.find("cluster.index_bytes"), std::string::npos);
 }
 
+TEST(TelemetryDecode, OnePassStatsEqualPerSliceStats) {
+    // Two sessions x three rounds, interleaved record by record, with one
+    // span per round left open, an end whose begin is missing, a late
+    // record revisiting the first slice, and an id the label table lacks.
+    tel::Dump dump;
+    dump.labels = {{1, "stage.a"}, {2, "stage.b"}, {3, "count"}};
+    std::uint64_t time_ns = 0;
+    auto push = [&](std::uint32_t session, std::uint32_t round,
+                    tel::Label label, tel::RecordKind kind,
+                    std::uint64_t value) {
+        tel::Record record;
+        time_ns += 1000 + 37 * dump.records.size();
+        record.time_ns = time_ns;
+        record.session = session;
+        record.round = round;
+        record.label = label;
+        record.kind = kind;
+        record.value = value;
+        dump.records.push_back(record);
+    };
+    constexpr std::uint32_t kSessions[] = {7, 9};
+    std::uint64_t span_id = 0;
+    for (std::uint32_t round = 0; round < 3; ++round) {
+        for (const std::uint32_t s : kSessions)
+            push(s, round, 1, tel::RecordKind::kSpanBegin, ++span_id + s);
+        for (const std::uint32_t s : kSessions)
+            push(s, round, 3, tel::RecordKind::kCounterAdd, round + s);
+        for (const std::uint32_t s : kSessions)
+            push(s, round, 3, tel::RecordKind::kCounterMax, 10 * round + s);
+        for (const std::uint32_t s : kSessions)
+            push(s, round, 1, tel::RecordKind::kSpanEnd,
+                 span_id - (s == 7 ? 1 : 0) + s);
+        for (const std::uint32_t s : kSessions)
+            push(s, round, 2, tel::RecordKind::kSpanBegin, 1000 + round + s);
+        ++span_id;
+    }
+    push(9, 0, 2, tel::RecordKind::kSpanEnd, 12345);
+    push(7, 0, 4, tel::RecordKind::kCounterAdd, 5);
+
+    const std::vector<tel::RoundStats> all = tel::dump_all_round_stats(dump);
+    ASSERT_EQ(all.size(), 6U);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        EXPECT_EQ(all[i].session, kSessions[i % 2]) << i;
+        EXPECT_EQ(all[i].round, i / 2) << i;
+        EXPECT_TRUE(all[i] == tel::dump_round_stats(dump, all[i].session,
+                                                    all[i].round))
+            << "slice " << i;
+        EXPECT_EQ(all[i].labels.at("stage.a").spans, 1U) << i;
+        EXPECT_GT(all[i].seconds_of("stage.a"), 0.0) << i;
+        EXPECT_EQ(all[i].open_spans, 1U) << i;
+    }
+    EXPECT_EQ(all[0].records, 6U);
+    EXPECT_EQ(all[0].sum_of("?"), 5U);
+    EXPECT_EQ(all[1].labels.at("stage.b").events, 2U);
+    EXPECT_EQ(all[5].max_of("count"), 29U);
+}
+
 // --- Dump round-trip --------------------------------------------------------
 
 TEST(TelemetryDump, BinaryRoundTripAndFile) {
@@ -323,6 +384,39 @@ TEST(TelemetryDump, BinaryRoundTripAndFile) {
 
     // Corrupt stream: load refuses instead of throwing across main.
     EXPECT_THROW((void)tel::Dump::decode({}), std::invalid_argument);
+}
+
+TEST(TelemetryDump, HostileCountsAreRejectedBeforeAllocating) {
+    // An empty dump: magic, version, record size, label count at byte 8,
+    // record count at byte 12.
+    const std::vector<std::byte> empty = tel::Dump{}.encode();
+    ASSERT_EQ(empty.size(), 20U);
+    auto patched = [&](std::size_t offset, auto count, std::size_t size) {
+        std::vector<std::byte> bytes = empty;
+        std::memcpy(bytes.data() + offset, &count, sizeof count);
+        bytes.resize(size);
+        return bytes;
+    };
+    const std::vector<std::byte> hostile[] = {
+        // 16 bytes that claim 2^32 - 1 labels.
+        patched(8, std::uint32_t{0xFFFFFFFFU}, 16),
+        // A record count whose byte size wraps to 32 bytes, so it fits
+        // the 32 bytes that follow it.
+        patched(12, std::uint64_t{0x0555555555555556ULL}, 52),
+    };
+    const std::string path = ::testing::TempDir() + "telemetry_hostile.fbtl";
+    for (std::size_t i = 0; i < std::size(hostile); ++i) {
+        EXPECT_THROW((void)tel::Dump::decode(hostile[i]),
+                     std::invalid_argument)
+            << "input " << i;
+        {
+            std::ofstream file(path, std::ios::binary);
+            file.write(reinterpret_cast<const char*>(hostile[i].data()),
+                       static_cast<std::streamsize>(hostile[i].size()));
+        }
+        EXPECT_FALSE(tel::Dump::load(path).has_value()) << "input " << i;
+    }
+    std::remove(path.c_str());
 }
 
 // --- Disabled switch --------------------------------------------------------
