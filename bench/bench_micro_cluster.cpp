@@ -69,7 +69,7 @@ void BM_IndexBuild(benchmark::State& state) {
 }
 /// The exact build takes (points, dim): 193 x 7850 is the cluster_heavy
 /// round's shape (192 updates plus the provisional global, the logistic
-/// model's 7850 weights), where the four-pair kernel does the work.
+/// model's 7850 weights), where the 3x4 distance tile does the work.
 template <>
 void BM_IndexBuild<cluster::ExactIndex>(benchmark::State& state) {
     const auto points =
@@ -107,26 +107,36 @@ BENCHMARK(BM_CosineDistancesTo)
     ->Args({192, 7850})
     ->Unit(benchmark::kMillisecond);
 
+/// Full contribution identification on a round's update set: the point
+/// fill, the index build, the scan and theta.  Args are (updates, dim,
+/// reference): with a reference (the previous global w_r, one honest draw
+/// around the same base) the points are the effective gradients
+/// w_i - w_r, as in a FairBfl round; 192 x 7850 with a reference is the
+/// cluster_heavy round's shape.
 void BM_Algorithm2EndToEnd(benchmark::State& state) {
-    // Full contribution identification on a round's update set.
     const auto n = static_cast<std::size_t>(state.range(0));
-    const auto points = gradient_like_points(n, 650);
+    const auto dim = static_cast<std::size_t>(state.range(1));
+    const auto points = gradient_like_points(n, dim);
     std::vector<fl::GradientUpdate> updates(n);
     for (std::size_t i = 0; i < n; ++i) {
         updates[i].client = static_cast<fl::NodeId>(i);
         updates[i].weights = points[i];
     }
     const auto provisional = fl::simple_average(updates);
+    const std::vector<float> reference =
+        state.range(2) != 0 ? gradient_like_points(1, dim).front()
+                            : std::vector<float>{};
     const incentive::ContributionConfig config;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            incentive::identify_contributions(updates, provisional, config));
+        benchmark::DoNotOptimize(incentive::identify_contributions(
+            updates, provisional, config, reference));
     }
 }
 BENCHMARK(BM_Algorithm2EndToEnd)
-    ->Arg(10)
-    ->Arg(50)
-    ->Arg(100)
+    ->Args({10, 650, 0})
+    ->Args({50, 650, 0})
+    ->Args({100, 650, 0})
+    ->Args({192, 7850, 1})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

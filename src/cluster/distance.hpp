@@ -29,20 +29,21 @@ enum class Metric : std::uint8_t {
 
 /// Symmetric n x n pairwise distance matrix (row-major, zero diagonal).
 ///
-/// Construction fans the row range out over the thread pool; every entry
-/// is computed independently and written exactly once, so the values are
+/// Construction fans row triples out over the thread pool; every entry is
+/// computed independently and written exactly once, so the values are
 /// identical under any thread count.  Under the cosine metric the per-point
 /// L2 norms are computed once and cached (one dot per pair instead of
 /// three), bit-identical to pairwise cosine_distance.  Under the Euclidean
 /// metric the blocked kernel is used: entries may differ from the exact
 /// kernel in the last ulps, which is safe because every consumer compares
 /// distances (eps thresholds, nearest-neighbour argmins) rather than
-/// feeding them into reward or training arithmetic.  Each Euclidean row
-/// task walks its pairs four at a time through
-/// support::squared_distance_blocked_x4 (one pass over point i feeds four
-/// independent accumulator chains) and finishes the remainder pair by
-/// pair; every entry is still bitwise
-/// sqrt(squared_distance_blocked(p_i, p_j)).
+/// feeding them into reward or training arithmetic.  Each Euclidean task
+/// owns three rows and walks the columns past them four at a time through
+/// support::squared_distance_blocked_3x4 (a register tile of twelve
+/// independent accumulator chains, each point widened once per block);
+/// the pairs inside the triple, the column tail and a last short triple
+/// go pair by pair.  Every entry is still bitwise
+/// sqrt(squared_distance_blocked(p_i, p_j)) for i < j.
 class DistanceMatrix {
 public:
     /// Empty matrix (size() == 0).
@@ -50,7 +51,9 @@ public:
 
     /// `pool` carries the row fan-out; the default shares the process
     /// pool.  Values are identical for any pool size (the test seam for
-    /// the parallel-vs-serial determinism check).
+    /// the parallel-vs-serial determinism check).  Throws
+    /// std::invalid_argument, before any row task, when a point's width
+    /// differs from the first point's.
     DistanceMatrix(Metric metric, std::span<const std::vector<float>> points,
                    support::ThreadPool& pool = support::ThreadPool::global());
 

@@ -115,9 +115,9 @@ RandomProjectionIndex::RandomProjectionIndex(
         return;
     }
     for (const auto& point : points) {
-        if (point.size() < dim)
+        if (point.size() != dim)
             throw std::invalid_argument(
-                "RandomProjectionIndex: point narrower than the first");
+                "RandomProjectionIndex: point widths differ from the first's");
     }
     sketch_dims_ = k;
     projection_ = support::gaussian_projection(dim, k, params.seed);

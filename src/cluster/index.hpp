@@ -135,7 +135,8 @@ public:
 class ExactIndex final : public GradientIndex {
 public:
     /// Builds the pairwise matrix over `points` (the O(n^2 d) job, row
-    /// fan-out on `pool`).
+    /// fan-out on `pool`).  Throws std::invalid_argument when the point
+    /// widths differ.
     /// \param metric geometry of every stored distance.
     /// \param points the round's point set; not borrowed (values copied
     ///               into the matrix during the build).
@@ -240,8 +241,8 @@ private:
 class RandomProjectionIndex final : public GradientIndex {
 public:
     /// Projects the points to sketches (or, below break-even, builds the
-    /// dense exact matrix).  Throws std::invalid_argument when a point is
-    /// narrower than the first.
+    /// dense exact matrix).  Throws std::invalid_argument when a point's
+    /// width differs from the first's.
     /// \param points the round's point set; not borrowed after the build.
     /// \param params projection_dims (k), seed, and the query metric.
     /// \param pool   carries the projection fan-out.

@@ -317,9 +317,11 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
     // --- Procedure III: miners exchange gradient sets until identical.
     // Membership is whatever actually arrived on time, plus prior rounds'
     // late joiners (GradientSet::add keeps the first copy per client, so
-    // a fresh update beats a stale carryover).
+    // a fresh update beats a stale carryover).  An on-time update is never
+    // read from `updates` again, so it moves into the set.
     fl::GradientSet full_set;
-    for (const std::size_t idx : outcome.on_time) full_set.add(updates[idx]);
+    for (const std::size_t idx : outcome.on_time)
+        full_set.add(std::move(updates[idx]));
     for (auto& carried : engine_.take_carryovers())
         if (full_set.add(std::move(carried))) ++record.carried_in_updates;
     full_set.canonicalize();
@@ -425,10 +427,12 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
         // and amend the ledger in place, preserving per-round budget
         // conservation.  The on-time block already sealed this round's
         // chain entry; the amended rewards are the ledger's (off-chain
-        // settlement) view.
-        settled_set = full_set;
+        // settlement) view.  The on-time set and the late updates move
+        // in; on this path neither `final_updates` nor `updates` is read
+        // again.
+        settled_set = std::move(full_set);
         for (const std::size_t idx : outcome.late)
-            settled_set.add(updates[idx]);
+            settled_set.add(std::move(updates[idx]));
         settled_set.canonicalize();
         const auto& all_updates = settled_set.updates();
         settle_round(round, all_updates, round_start_weights,
@@ -495,12 +499,22 @@ void FairBfl::settle_round(std::uint64_t round,
         } else {
             // The configured rule combines the same survivors, with the
             // same degenerate-theta fallback, in its score-weighted form.
+            // It takes whole updates, so the survivors are gathered only
+            // when the strategy dropped one.
             const incentive::SurvivorSelection selection =
                 incentive::select_survivors(updates, report, strategy);
+            std::vector<fl::GradientUpdate> gathered;
+            std::span<const fl::GradientUpdate> survivors = updates;
+            if (selection.indices.size() != updates.size()) {
+                gathered.reserve(selection.indices.size());
+                for (const std::size_t i : selection.indices)
+                    gathered.push_back(updates[i]);
+                survivors = gathered;
+            }
             weights_ = selection.degenerate()
-                           ? aggregator_->aggregate(selection.updates)
+                           ? aggregator_->aggregate(survivors)
                            : aggregator_->aggregate_weighted(
-                                 selection.updates, selection.theta);
+                                 survivors, selection.theta);
         }
     }
     if (amend)

@@ -29,19 +29,29 @@ std::vector<support::RowView> rows_of(
     return rows;
 }
 
+/// check_updates over row views.
+void check_rows(std::span<const support::RowView> rows) {
+    if (rows.empty())
+        throw std::invalid_argument("aggregate: empty update set");
+    for (const auto& row : rows) {
+        if (row.size() != rows[0].size())
+            throw std::invalid_argument("aggregate: ragged update widths");
+    }
+}
+
 }  // namespace
 
-std::vector<float> simple_average(std::span<const GradientUpdate> updates) {
-    check_updates(updates);
-    std::vector<float> out(updates[0].weights.size(), 0.0F);
-    support::mean_of(rows_of(updates), out);
+std::vector<float> simple_average(std::span<const support::RowView> rows) {
+    check_rows(rows);
+    std::vector<float> out(rows[0].size(), 0.0F);
+    support::mean_of(rows, out);
     return out;
 }
 
-std::vector<float> weighted_aggregate(std::span<const GradientUpdate> updates,
+std::vector<float> weighted_aggregate(std::span<const support::RowView> rows,
                                       std::span<const double> weights) {
-    check_updates(updates);
-    if (weights.size() != updates.size())
+    check_rows(rows);
+    if (weights.size() != rows.size())
         throw std::invalid_argument("aggregate: weight count mismatch");
     double sum = 0.0;
     for (const double w : weights) {
@@ -55,9 +65,18 @@ std::vector<float> weighted_aggregate(std::span<const GradientUpdate> updates,
     std::vector<double> normalized(weights.size());
     for (std::size_t i = 0; i < weights.size(); ++i)
         normalized[i] = weights[i] / sum;
-    std::vector<float> out(updates[0].weights.size(), 0.0F);
-    support::weighted_sum(rows_of(updates), normalized, out);
+    std::vector<float> out(rows[0].size(), 0.0F);
+    support::weighted_sum(rows, normalized, out);
     return out;
+}
+
+std::vector<float> simple_average(std::span<const GradientUpdate> updates) {
+    return simple_average(rows_of(updates));
+}
+
+std::vector<float> weighted_aggregate(std::span<const GradientUpdate> updates,
+                                      std::span<const double> weights) {
+    return weighted_aggregate(rows_of(updates), weights);
 }
 
 std::vector<float> sample_weighted_average(

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "fl/gradient.hpp"
+#include "support/vecmath.hpp"
 
 namespace fairbfl::fl {
 
@@ -38,5 +39,17 @@ void check_updates(std::span<const GradientUpdate> updates);
 /// normalization, matching the paper's p_i = theta_i / sum theta_k.
 [[nodiscard]] std::vector<float> fair_aggregate(
     std::span<const GradientUpdate> updates, std::span<const double> theta);
+
+// --- Row-view entries --------------------------------------------------------
+// The same rules over borrowed weight rows, so a caller combining a subset
+// of an update set (Algorithm 2's survivors) copies no payload.  The
+// GradientUpdate overloads above call these; each throws
+// std::invalid_argument on an empty set or ragged widths, like
+// check_updates.
+
+[[nodiscard]] std::vector<float> simple_average(
+    std::span<const support::RowView> rows);
+[[nodiscard]] std::vector<float> weighted_aggregate(
+    std::span<const support::RowView> rows, std::span<const double> weights);
 
 }  // namespace fairbfl::fl

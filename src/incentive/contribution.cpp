@@ -8,6 +8,15 @@
 
 namespace fairbfl::incentive {
 
+namespace {
+
+/// Points filled per pool task: a chunk amortizes the fork, and a round of
+/// at most this many points (a few clients) is filled on the calling
+/// thread without one.
+constexpr std::size_t kPointGrain = 8;
+
+}  // namespace
+
 std::vector<fl::NodeId> ContributionReport::low_clients() const {
     std::vector<fl::NodeId> clients;
     clients.reserve(low_indices.size());
@@ -40,8 +49,8 @@ void check_contribution_inputs(std::span<const fl::GradientUpdate> updates,
 ContributionReport identify_contributions(
     std::span<const fl::GradientUpdate> updates,
     std::span<const float> provisional_global,
-    const ContributionConfig& config,
-    std::span<const float> reference) {
+    const ContributionConfig& config, std::span<const float> reference,
+    support::ThreadPool& pool) {
     ContributionReport report;
     if (updates.empty()) return report;
     check_contribution_inputs(updates, provisional_global, reference);
@@ -54,20 +63,24 @@ ContributionReport identify_contributions(
     // Points = all updates followed by the provisional global update, so a
     // single clustering call implements "w_{r+1} in l_i" membership tests.
     // With a reference (previous global) the points are the round's
-    // effective gradients w - w_r.
-    const auto to_point = [&](std::span<const float> w) {
-        std::vector<float> point(w.begin(), w.end());
-        if (!reference.empty()) {
-            for (std::size_t d = 0; d < point.size(); ++d)
-                point[d] -= reference[d];
-        }
-        return point;
-    };
-    std::vector<std::vector<float>> points;
-    points.reserve(updates.size() + 1);
-    for (const auto& update : updates) points.push_back(to_point(update.weights));
-    points.push_back(to_point(provisional_global));
+    // effective gradients w - w_r.  Each point is filled on its own, in
+    // chunks of kPointGrain across the pool.
+    std::vector<std::vector<float>> points(updates.size() + 1);
     const std::size_t global_index = points.size() - 1;
+    support::parallel_for(
+        0, points.size(),
+        [&](std::size_t i) {
+            const std::span<const float> w =
+                i == global_index ? provisional_global
+                                  : std::span<const float>(updates[i].weights);
+            std::vector<float>& point = points[i];
+            point.assign(w.begin(), w.end());
+            if (!reference.empty()) {
+                for (std::size_t d = 0; d < point.size(); ++d)
+                    point[d] -= reference[d];
+            }
+        },
+        pool, kPointGrain);
 
     // Resolve the clustering algorithm by registry key; its configuration
     // decides the geometry the shared index is built in and -- under the
@@ -93,7 +106,7 @@ ContributionReport identify_contributions(
                                            : std::string_view(config.index);
     const std::unique_ptr<cluster::GradientIndex> index =
         cluster::IndexRegistry::global().build(index_key, points,
-                                               index_params);
+                                               index_params, pool);
     report.index_backend = index->name();
     report.index_peak_bytes = index->storage_bytes();
 
@@ -151,7 +164,7 @@ ContributionReport identify_contributions(
     std::vector<double> theta(updates.size());
     support::cosine_distances_to(
         std::span<const std::vector<float>>(points).first(updates.size()),
-        points[global_index], theta);
+        points[global_index], theta, pool);
 
     report.entries.resize(updates.size());
     double high_theta_sum = 0.0;
@@ -200,11 +213,11 @@ SurvivorSelection select_survivors(
     const std::size_t count =
         keep_all ? updates.size() : report.high_indices.size();
     SurvivorSelection selection;
-    selection.updates.reserve(count);
+    selection.indices.reserve(count);
     selection.theta.reserve(count);
     for (std::size_t k = 0; k < count; ++k) {
         const std::size_t i = keep_all ? k : report.high_indices[k];
-        selection.updates.push_back(updates[i]);
+        selection.indices.push_back(i);
         selection.theta.push_back(report.entries[i].theta);
         selection.theta_sum += report.entries[i].theta;
     }
@@ -221,12 +234,19 @@ std::vector<float> apply_strategy(std::span<const fl::GradientUpdate> updates,
     if (!report.settled_weights.empty()) return report.settled_weights;
     const SurvivorSelection selection =
         select_survivors(updates, report, strategy);
+    // The survivors combine from views of the caller's rows: no payload
+    // is copied, under either strategy.
+    std::vector<support::RowView> rows;
+    rows.reserve(selection.indices.size());
+    for (const std::size_t i : selection.indices)
+        rows.emplace_back(updates[i].weights);
     if (selection.degenerate()) {
         // Degenerate geometry: every surviving update coincides with the
         // global; Eq. 1 is undefined, use the simple average.
-        return fl::simple_average(selection.updates);
+        return fl::simple_average(rows);
     }
-    return fl::fair_aggregate(selection.updates, selection.theta);
+    // Eq. 1: p_i = theta_i / sum theta_k (fl::fair_aggregate's rule).
+    return fl::weighted_aggregate(rows, selection.theta);
 }
 
 }  // namespace fairbfl::incentive

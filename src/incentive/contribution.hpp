@@ -27,6 +27,7 @@
 #include "fl/aggregation.hpp"
 #include "fl/gradient.hpp"
 #include "fl/sharding.hpp"
+#include "support/parallel.hpp"
 
 namespace fairbfl::incentive {
 
@@ -133,11 +134,14 @@ struct ContributionReport {
 /// A non-empty update set is validated first (check_contribution_inputs).
 /// Wall time is in the "cluster.identify" and "cluster.index_build"
 /// telemetry spans, not in the report.
+///
+/// `pool` carries the pass's fan-outs: the point fill, the index build and
+/// the theta rows.  The report is bit-identical for any pool size.
 [[nodiscard]] ContributionReport identify_contributions(
     std::span<const fl::GradientUpdate> updates,
     std::span<const float> provisional_global,
-    const ContributionConfig& config,
-    std::span<const float> reference = {});
+    const ContributionConfig& config, std::span<const float> reference = {},
+    support::ThreadPool& pool = support::ThreadPool::global());
 
 /// Throws std::invalid_argument unless the updates share one width
 /// (fl::check_updates) and the provisional global and a non-empty
@@ -150,12 +154,14 @@ void check_contribution_inputs(std::span<const fl::GradientUpdate> updates,
 /// surviving update coincides with the global) and Eq. 1 is undefined.
 inline constexpr double kDegenerateThetaSum = 1e-12;
 
-/// The strategy's surviving updates paired with their theta weights --
-/// the shared selection step of apply_strategy and of a settlement by an
-/// explicitly configured combine rule (core::FairBflConfig::aggregator).
+/// The strategy's surviving updates, as ascending indices into the update
+/// set, paired with their theta weights -- the shared selection step of
+/// apply_strategy and of a settlement by an explicitly configured combine
+/// rule (core::FairBflConfig::aggregator).  Indices, not copies: the
+/// caller combines from its own rows.
 struct SurvivorSelection {
-    std::vector<fl::GradientUpdate> updates;
-    std::vector<double> theta;
+    std::vector<std::size_t> indices;
+    std::vector<double> theta;  ///< theta[k] belongs to indices[k]
     double theta_sum = 0.0;
 
     /// True when theta carries no usable signal (see kDegenerateThetaSum).
@@ -165,7 +171,7 @@ struct SurvivorSelection {
 };
 
 /// Applies the strategy to pick the surviving updates and collects their
-/// theta scores, in update order: every update under kKeepAll, the
+/// theta scores, in update order: every index under kKeepAll, the
 /// high-contribution ones under kDiscard (all of them when none is high).
 [[nodiscard]] SurvivorSelection select_survivors(
     std::span<const fl::GradientUpdate> updates,
@@ -176,7 +182,9 @@ struct SurvivorSelection {
 ///  * kDiscard  -> fair-aggregate the high-contribution updates only
 ///    (falls back to all updates if none were labelled high).
 /// Degenerate theta (all ~0, e.g. every update identical) falls back to the
-/// simple average.  A report carrying a hierarchical settlement
+/// simple average.  The survivors combine from row views of `updates`,
+/// so no payload is copied; an empty or ragged set throws
+/// std::invalid_argument.  A report carrying a hierarchical settlement
 /// (`settled_weights` non-empty) short-circuits to it: the shard tree has
 /// already combined per level.
 [[nodiscard]] std::vector<float> apply_strategy(

@@ -29,7 +29,7 @@ ContributionReport identify_contributions_hierarchical(
         // split.  Identical call, identical arithmetic -- the shards=1
         // configuration is the flat pipeline bit-for-bit.
         return identify_contributions(updates, provisional_global, config,
-                                      reference);
+                                      reference, pool);
     }
     // Reject a malformed round here, before S shard passes build indexes.
     check_contribution_inputs(updates, provisional_global, reference);
@@ -54,7 +54,7 @@ ContributionReport identify_contributions_hierarchical(
                 updates.subspan(plan[s].begin, plan[s].size());
             ShardOutcome& outcome = outcomes[s];
             outcome.report = identify_contributions(
-                shard_updates, provisional_global, config, reference);
+                shard_updates, provisional_global, config, reference, pool);
             outcome.summary = apply_strategy(shard_updates, outcome.report,
                                              config.strategy);
         },
@@ -72,7 +72,7 @@ ContributionReport identify_contributions_hierarchical(
         summaries[s].num_samples = plan[s].size();
     }
     ContributionReport root = identify_contributions(
-        summaries, provisional_global, config, reference);
+        summaries, provisional_global, config, reference, pool);
     std::vector<float> settled =
         apply_strategy(summaries, root, config.strategy);
     root_span.close();

@@ -69,8 +69,9 @@ namespace fairbfl::incentive {
 /// \param reference          previous round's global weights (may be
 ///                           empty); both levels cluster effective
 ///                           gradients against it, like the flat pass.
-/// \param pool               carries the shard fan-out; results are
-///                           identical for any pool size.
+/// \param pool               carries the shard fan-out and every pass's
+///                           own fan-outs (the flat fallback's too);
+///                           results are identical for any pool size.
 [[nodiscard]] ContributionReport identify_contributions_hierarchical(
     std::span<const fl::GradientUpdate> updates,
     std::span<const float> provisional_global,

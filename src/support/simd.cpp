@@ -25,11 +25,12 @@ void axpy_portable(float alpha, const float* x, float* y, std::size_t n) {
     for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
-void squared_distance_blocked_x4_portable(const float* x,
-                                          const float* const* ys,
-                                          std::size_t n, double* out) {
-    for (std::size_t p = 0; p < 4; ++p)
-        out[p] = squared_distance_blocked(x, ys[p], n);
+void squared_distance_blocked_3x4_portable(const float* const* xs,
+                                           const float* const* ys,
+                                           std::size_t n, double* out) {
+    for (std::size_t r = 0; r < 3; ++r)
+        for (std::size_t c = 0; c < 4; ++c)
+            out[r * 4 + c] = squared_distance_blocked(xs[r], ys[c], n);
 }
 
 void gemv_rows_portable(const float* a, std::size_t rows, std::size_t cols,
@@ -117,13 +118,14 @@ double squared_distance_blocked(const float* x, const float* y,
     return acc;
 }
 
-void squared_distance_blocked_x4(const float* x, const float* const* ys,
-                                 std::size_t n, double* out) noexcept {
+void squared_distance_blocked_3x4(const float* const* xs,
+                                  const float* const* ys, std::size_t n,
+                                  double* out) noexcept {
     // Decided once per process, on first use.
-    static const SquaredDistanceX4 kernel =
-        lane_exact_or(detail::lane_exact_squared_distance_blocked_x4(),
-                      squared_distance_blocked_x4_portable);
-    kernel(x, ys, n, out);
+    static const SquaredDistance3x4 kernel =
+        lane_exact_or(detail::lane_exact_squared_distance_blocked_3x4(),
+                      squared_distance_blocked_3x4_portable);
+    kernel(xs, ys, n, out);
 }
 
 void axpy(float alpha, const float* x, float* y, std::size_t n) noexcept {
@@ -273,8 +275,8 @@ const char* active_name() noexcept { return "scalar"; }
 
 namespace detail {
 Axpy portable_axpy() noexcept { return axpy_portable; }
-SquaredDistanceX4 portable_squared_distance_blocked_x4() noexcept {
-    return squared_distance_blocked_x4_portable;
+SquaredDistance3x4 portable_squared_distance_blocked_3x4() noexcept {
+    return squared_distance_blocked_3x4_portable;
 }
 GemvRows portable_gemv_rows() noexcept { return gemv_rows_portable; }
 OuterAccumulateRows portable_outer_accumulate_rows() noexcept {

@@ -8,7 +8,7 @@
 // order.  There is one kernel set and nothing that selects another.
 //
 // Four kernels have a *lane-exact* AVX2 encoding in simd_avx2.cpp, the one
-// TU built with -mavx2: axpy, squared_distance_blocked_x4, gemv_rows and
+// TU built with -mavx2: axpy, squared_distance_blocked_3x4, gemv_rows and
 // outer_accumulate_rows.  Each lane performs the portable loop's IEEE
 // operations in its order -- separate multiply and add, never FMA -- so
 // the results are the portable bits.  Each encoding is chosen once per
@@ -32,10 +32,12 @@ namespace fairbfl::support::simd {
 /// y[i] += alpha * x[i] for i in [0, n).  The signature of axpy.
 using Axpy = void (*)(float alpha, const float* x, float* y, std::size_t n);
 
-/// Four blocked squared distances sharing x: out[p] for ys[p], p in
-/// [0, 4).  The signature of squared_distance_blocked_x4.
-using SquaredDistanceX4 = void (*)(const float* x, const float* const* ys,
-                                   std::size_t n, double* out);
+/// A register tile of twelve blocked squared distances: out[r * 4 + c] for
+/// the pair (xs[r], ys[c]), r in [0, 3), c in [0, 4).  The signature of
+/// squared_distance_blocked_3x4.
+using SquaredDistance3x4 = void (*)(const float* const* xs,
+                                    const float* const* ys, std::size_t n,
+                                    double* out);
 
 /// Batched forward over `count` samples sharing one row-major rows x cols
 /// matrix: out[s * rows + r] is row r of gemv(a, ..., xs[s], bias).  The
@@ -74,10 +76,12 @@ using Sha256Blocks = void (*)(std::uint32_t* state, const std::uint8_t* data,
 /// Blocked squared distance, same block structure as dot_blocked.
 [[nodiscard]] double squared_distance_blocked(const float* x, const float* y,
                                               std::size_t n) noexcept;
-/// out[p] is bitwise squared_distance_blocked(x, ys[p], n), p in [0, 4).
-/// Lane-exact encoding when available.
-void squared_distance_blocked_x4(const float* x, const float* const* ys,
-                                 std::size_t n, double* out) noexcept;
+/// out[r * 4 + c] is bitwise squared_distance_blocked(xs[r], ys[c], n) for
+/// r in [0, 3) and c in [0, 4): three rows by four columns, every point
+/// read at width n.  Lane-exact encoding when available.
+void squared_distance_blocked_3x4(const float* const* xs,
+                                  const float* const* ys, std::size_t n,
+                                  double* out) noexcept;
 /// y[i] += alpha * x[i], one float multiply then one float add per
 /// element.  Lane-exact encoding when available.
 void axpy(float alpha, const float* x, float* y, std::size_t n) noexcept;
@@ -122,19 +126,21 @@ namespace detail {
 /// ones are per-sample portable gemv calls and per-row portable axpy
 /// calls, samples in order.
 [[nodiscard]] Axpy portable_axpy() noexcept;
-[[nodiscard]] SquaredDistanceX4 portable_squared_distance_blocked_x4() noexcept;
+[[nodiscard]] SquaredDistance3x4
+portable_squared_distance_blocked_3x4() noexcept;
 [[nodiscard]] GemvRows portable_gemv_rows() noexcept;
 [[nodiscard]] OuterAccumulateRows portable_outer_accumulate_rows() noexcept;
 /// The lane-exact AVX2 encodings (defined in simd_avx2.cpp), or nullptr
 /// when the build lacks that TU's ISA.  In axpy, each float lane of an
-/// 8-wide span is one element's multiply then add.  In the four-pair
-/// distance, lane k of pair p's accumulator is the portable kernel's
+/// 8-wide span is one element's multiply then add.  In the 3x4 distance
+/// tile, lane k of pair (r, c)'s accumulator is the portable kernel's
 /// accumulator a_k.  The forward keeps row r0 + k's strict double chain in
 /// lane k, columns in order; the backward adds each sample's float product
 /// to an 8-float span in order of s.  Callers must also check
 /// cpu_supports_avx2().
 [[nodiscard]] Axpy lane_exact_axpy() noexcept;
-[[nodiscard]] SquaredDistanceX4 lane_exact_squared_distance_blocked_x4() noexcept;
+[[nodiscard]] SquaredDistance3x4
+lane_exact_squared_distance_blocked_3x4() noexcept;
 [[nodiscard]] GemvRows lane_exact_gemv_rows() noexcept;
 [[nodiscard]] OuterAccumulateRows lane_exact_outer_accumulate_rows() noexcept;
 /// The SHA-NI SHA-256 compressor (defined in simd_sha.cpp), or nullptr

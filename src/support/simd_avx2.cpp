@@ -6,11 +6,11 @@
 // Every kernel here is bit-pinned: each lane performs the portable loop's
 // IEEE operations in its order.  In axpy, each float lane of an 8-wide
 // span is one element's multiply then add (separate _mm256_mul_ps,
-// _mm256_add_ps).  In the four-pair squared distance, lane k of each
-// pair's accumulator is the portable kernel's accumulator a_k (separate
-// _mm256_sub_pd, _mm256_mul_pd, _mm256_add_pd).  In the batched forward,
-// lane k of a sample's accumulator is row r0 + k's strict double chain
-// (separate _mm256_mul_pd, _mm256_add_pd, columns in order).  In the
+// _mm256_add_ps).  In the 3x4 squared-distance tile, lane k of each of
+// the twelve pairs' accumulators is the portable kernel's accumulator a_k
+// (separate _mm256_sub_pd, _mm256_mul_pd, _mm256_add_pd).  In the batched
+// forward, lane k of a sample's accumulator is row r0 + k's strict double
+// chain (separate _mm256_mul_pd, _mm256_add_pd, columns in order).  In the
 // batched backward, each float of an 8-wide span of the gradient receives
 // every sample's product in sample order (separate _mm256_mul_ps,
 // _mm256_add_ps).  The TU is built without -mfma, so no fused
@@ -37,43 +37,65 @@ inline __m256d load4d(const float* p) noexcept {
     return _mm256_cvtps_pd(_mm_loadu_ps(p));
 }
 
-/// Lane-exact encoding of the portable squared_distance_blocked, four pairs
-/// sharing x.  Each pair's __m256d accumulator holds the portable kernel's
-/// (a0, a1, a2, a3) in lanes (0, 1, 2, 3); one block of four elements is
-/// d = x - y, a += d * d per lane, exactly as the portable loop does it.
-/// The four accumulators are independent add chains, which is the whole
-/// win: the portable kernel is bound by one pair's add latency.
-void lane_exact_x4(const float* x, const float* const* ys, std::size_t n,
-                   double* out) {
-    const float* y0 = ys[0];
-    const float* y1 = ys[1];
-    const float* y2 = ys[2];
-    const float* y3 = ys[3];
-    __m256d a0 = _mm256_setzero_pd();
-    __m256d a1 = _mm256_setzero_pd();
-    __m256d a2 = _mm256_setzero_pd();
-    __m256d a3 = _mm256_setzero_pd();
+/// One block of four elements of one pair: d = x - y, a += d * d per lane,
+/// exactly the portable loop's subtract, multiply and add.
+inline __m256d accumulate_block(__m256d a, __m256d x, __m256d y) noexcept {
+    const __m256d d = _mm256_sub_pd(x, y);
+    return _mm256_add_pd(a, _mm256_mul_pd(d, d));
+}
+
+/// Lane-exact encoding of the portable squared_distance_blocked over a
+/// register tile: rows xs[0..2] against columns ys[0..3].  Pair (r, c)'s
+/// __m256d accumulator holds the portable kernel's (a0, a1, a2, a3) in
+/// lanes (0, 1, 2, 3).  Each block of four elements widens the three row
+/// spans and the four column spans once, then feeds twelve independent add
+/// chains -- the win over one pair at a time, which is bound by one add
+/// chain's latency and widens both operands for every pair.
+void lane_exact_3x4(const float* const* xs, const float* const* ys,
+                    std::size_t n, double* out) {
+    const float* x0 = xs[0];
+    const float* x1 = xs[1];
+    const float* x2 = xs[2];
+    __m256d a00 = _mm256_setzero_pd(), a01 = _mm256_setzero_pd();
+    __m256d a02 = _mm256_setzero_pd(), a03 = _mm256_setzero_pd();
+    __m256d a10 = _mm256_setzero_pd(), a11 = _mm256_setzero_pd();
+    __m256d a12 = _mm256_setzero_pd(), a13 = _mm256_setzero_pd();
+    __m256d a20 = _mm256_setzero_pd(), a21 = _mm256_setzero_pd();
+    __m256d a22 = _mm256_setzero_pd(), a23 = _mm256_setzero_pd();
     std::size_t i = 0;
     for (; i + 4 <= n; i += 4) {
-        const __m256d xv = load4d(x + i);
-        const __m256d d0 = _mm256_sub_pd(xv, load4d(y0 + i));
-        const __m256d d1 = _mm256_sub_pd(xv, load4d(y1 + i));
-        const __m256d d2 = _mm256_sub_pd(xv, load4d(y2 + i));
-        const __m256d d3 = _mm256_sub_pd(xv, load4d(y3 + i));
-        a0 = _mm256_add_pd(a0, _mm256_mul_pd(d0, d0));
-        a1 = _mm256_add_pd(a1, _mm256_mul_pd(d1, d1));
-        a2 = _mm256_add_pd(a2, _mm256_mul_pd(d2, d2));
-        a3 = _mm256_add_pd(a3, _mm256_mul_pd(d3, d3));
+        const __m256d u0 = load4d(x0 + i);
+        const __m256d u1 = load4d(x1 + i);
+        const __m256d u2 = load4d(x2 + i);
+        __m256d v = load4d(ys[0] + i);
+        a00 = accumulate_block(a00, u0, v);
+        a10 = accumulate_block(a10, u1, v);
+        a20 = accumulate_block(a20, u2, v);
+        v = load4d(ys[1] + i);
+        a01 = accumulate_block(a01, u0, v);
+        a11 = accumulate_block(a11, u1, v);
+        a21 = accumulate_block(a21, u2, v);
+        v = load4d(ys[2] + i);
+        a02 = accumulate_block(a02, u0, v);
+        a12 = accumulate_block(a12, u1, v);
+        a22 = accumulate_block(a22, u2, v);
+        v = load4d(ys[3] + i);
+        a03 = accumulate_block(a03, u0, v);
+        a13 = accumulate_block(a13, u1, v);
+        a23 = accumulate_block(a23, u2, v);
     }
-    const __m256d acc[4] = {a0, a1, a2, a3};
-    for (std::size_t p = 0; p < 4; ++p) {
+    const __m256d acc[12] = {a00, a01, a02, a03, a10, a11,
+                             a12, a13, a20, a21, a22, a23};
+    for (std::size_t p = 0; p < 12; ++p) {
+        const float* x = xs[p / 4];
+        const float* y = ys[p % 4];
         alignas(32) double lane[4];
         _mm256_store_pd(lane, acc[p]);
         // The portable combine, then the tail added one element at a time.
         double sum = (lane[0] + lane[1]) + (lane[2] + lane[3]);
         for (std::size_t t = i; t < n; ++t) {
             const double d =
-                static_cast<double>(x[t]) - static_cast<double>(ys[p][t]);
+                static_cast<double>(x[t]) - static_cast<double>(y[t]);
             sum += d * d;
         }
         out[p] = sum;
@@ -270,8 +292,8 @@ void axpy_lane_exact(float alpha, const float* x, float* y, std::size_t n) {
 
 namespace detail {
 Axpy lane_exact_axpy() noexcept { return axpy_lane_exact; }
-SquaredDistanceX4 lane_exact_squared_distance_blocked_x4() noexcept {
-    return lane_exact_x4;
+SquaredDistance3x4 lane_exact_squared_distance_blocked_3x4() noexcept {
+    return lane_exact_3x4;
 }
 GemvRows lane_exact_gemv_rows() noexcept { return gemv_rows_lane_exact; }
 OuterAccumulateRows lane_exact_outer_accumulate_rows() noexcept {
@@ -285,7 +307,7 @@ OuterAccumulateRows lane_exact_outer_accumulate_rows() noexcept {
 
 namespace fairbfl::support::simd::detail {
 Axpy lane_exact_axpy() noexcept { return nullptr; }
-SquaredDistanceX4 lane_exact_squared_distance_blocked_x4() noexcept {
+SquaredDistance3x4 lane_exact_squared_distance_blocked_3x4() noexcept {
     return nullptr;
 }
 GemvRows lane_exact_gemv_rows() noexcept { return nullptr; }

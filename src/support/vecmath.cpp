@@ -62,15 +62,18 @@ double squared_distance_blocked(std::span<const float> x,
     return simd::squared_distance_blocked(x.data(), y.data(), x.size());
 }
 
-void squared_distance_blocked_x4(std::span<const float> x,
-                                 std::span<const std::vector<float>, 4> ys,
-                                 std::span<double, 4> out) noexcept {
+void squared_distance_blocked_3x4(std::span<const std::vector<float>, 3> xs,
+                                  std::span<const std::vector<float>, 4> ys,
+                                  std::span<double, 12> out) noexcept {
+    const std::size_t n = xs[0].size();
 #ifndef NDEBUG
-    for (const auto& y : ys) assert(y.size() == x.size());
+    for (const auto& x : xs) assert(x.size() == n);
+    for (const auto& y : ys) assert(y.size() == n);
 #endif
-    const float* const rows[4] = {ys[0].data(), ys[1].data(), ys[2].data(),
+    const float* const rows[3] = {xs[0].data(), xs[1].data(), xs[2].data()};
+    const float* const cols[4] = {ys[0].data(), ys[1].data(), ys[2].data(),
                                   ys[3].data()};
-    simd::squared_distance_blocked_x4(x.data(), rows, x.size(), out.data());
+    simd::squared_distance_blocked_3x4(rows, cols, n, out.data());
 }
 
 void gemv(std::span<const float> a, std::size_t rows, std::size_t cols,

@@ -56,12 +56,14 @@ void fill(std::span<float> x, float value) noexcept;
 [[nodiscard]] double squared_distance_blocked(
     std::span<const float> x, std::span<const float> y) noexcept;
 
-/// Four blocked squared distances sharing x: out[p] is bitwise
-/// squared_distance_blocked(x, ys[p]).  One pass over x feeds four
-/// independent accumulator chains -- the pairwise distance build's kernel.
-void squared_distance_blocked_x4(std::span<const float> x,
-                                 std::span<const std::vector<float>, 4> ys,
-                                 std::span<double, 4> out) noexcept;
+/// A register tile of twelve blocked squared distances: out[r * 4 + c] is
+/// bitwise squared_distance_blocked(xs[r], ys[c]) for three rows and four
+/// columns of one width.  One pass over the seven points feeds twelve
+/// independent accumulator chains and widens each point once per block of
+/// four elements -- the pairwise distance build's kernel.
+void squared_distance_blocked_3x4(std::span<const std::vector<float>, 3> xs,
+                                  std::span<const std::vector<float>, 4> ys,
+                                  std::span<double, 12> out) noexcept;
 
 /// Dense row-major matrix-vector product: out[r] = bias[r] + dot(row r of
 /// a, x) for r in [0, rows), where `a` is rows x cols.  This is the

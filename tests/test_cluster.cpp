@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 
 #include "cluster/dbscan.hpp"
 #include "cluster/index.hpp"
@@ -191,17 +192,21 @@ TEST(Distance, ParallelBuildBitIdenticalToSerial) {
     }
 }
 
-TEST(Distance, FourPairBuildBitIdenticalToPairKernelAtRealShapes) {
-    // The Euclidean build walks each row four pairs at a time and finishes
-    // the remainder pair by pair.  At the model's width (7850) and at
-    // widths with a 1- and a 3-element tail, every entry must be bitwise
-    // the single-pair kernel's, on one worker and on four.  n = 5 gives
-    // row 0 exactly one four-pair step; n = 33 mixes steps and remainders.
+TEST(Distance, TileBuildBitIdenticalToPairKernelAtRealShapes) {
+    // The Euclidean build walks row triples against four columns at a time
+    // (the 3x4 tile) and finishes the pairs inside each triple, the column
+    // tail and a last short triple pair by pair.  At the model's width
+    // (7850) and at widths with a 1- and a 3-element tail, every entry
+    // must be bitwise the single-pair kernel's, on one worker and on four.
+    // n = 33, 34, 35 end on a full triple, a lone row and a pair; n = 2-5
+    // and 7 have no tile, one tile and a tile plus tails, and across the
+    // triples of n = 33-35 the column tail takes every length 0-3.
     fairbfl::support::ThreadPool serial(1);
     fairbfl::support::ThreadPool parallel(4);
     Rng rng(20);
     for (const std::size_t dim : {7850UL, 4UL * 25 + 1, 4UL * 25 + 3}) {
-        for (const std::size_t n : {5UL, 33UL}) {
+        for (const std::size_t n :
+             {2UL, 3UL, 4UL, 5UL, 7UL, 33UL, 34UL, 35UL}) {
             std::vector<std::vector<float>> points(n);
             for (auto& p : points) {
                 p.resize(dim);
@@ -225,6 +230,52 @@ TEST(Distance, FourPairBuildBitIdenticalToPairKernelAtRealShapes) {
                 }
             }
         }
+    }
+}
+
+TEST(Distance, RaggedWidthsAreRejectedBeforeTheBuild) {
+    // Every exact build reads both points of a pair at one width, so a
+    // narrower or a wider point must be rejected with a typed error, not
+    // read past its end: through the matrix itself and through the entry
+    // points that reach it without Algorithm 2's width check.
+    for (const std::size_t odd_width : {3UL, 17UL}) {
+        std::vector<std::vector<float>> points(9,
+                                               std::vector<float>(16, 1.0F));
+        points[4].assign(odd_width, 2.0F);
+        for (const auto metric :
+             {cl::Metric::kEuclidean, cl::Metric::kCosine}) {
+            EXPECT_THROW(cl::DistanceMatrix(metric, points),
+                         std::invalid_argument)
+                << odd_width;
+            EXPECT_THROW(cl::ExactIndex(metric, points), std::invalid_argument)
+                << odd_width;
+            EXPECT_THROW((void)cl::suggest_eps(points, 3, metric),
+                         std::invalid_argument)
+                << odd_width;
+            EXPECT_THROW((void)cl::Dbscan({.eps = 0.3, .min_pts = 3,
+                                           .metric = metric})
+                             .cluster(points),
+                         std::invalid_argument)
+                << odd_width;
+            // Below its break-even the sketch index is the dense matrix.
+            EXPECT_THROW(cl::RandomProjectionIndex(
+                             points, cl::IndexParams{.metric = metric}),
+                         std::invalid_argument)
+                << odd_width;
+        }
+    }
+    // Engaged (122 points > 2 x 48 sketch dims, width 96 > 48), the sketch
+    // reads every point at the first's width too: a narrower point would
+    // be read past its end and a wider one silently truncated.
+    for (const std::size_t odd_width : {95UL, 97UL}) {
+        std::vector<std::vector<float>> points(122,
+                                               std::vector<float>(96, 1.0F));
+        points[50].assign(odd_width, 2.0F);
+        EXPECT_THROW(cl::RandomProjectionIndex(
+                         points,
+                         cl::IndexParams{.metric = cl::Metric::kEuclidean}),
+                     std::invalid_argument)
+            << odd_width;
     }
 }
 

@@ -128,7 +128,12 @@ TEST(Aggregation, FairMatchesEquationOne) {
 }
 
 TEST(Aggregation, ErrorsOnBadInput) {
-    EXPECT_THROW((void)fl::simple_average({}), std::invalid_argument);
+    EXPECT_THROW(
+        (void)fl::simple_average(std::span<const fl::GradientUpdate>{}),
+        std::invalid_argument);
+    EXPECT_THROW(
+        (void)fl::simple_average(std::span<const fairbfl::support::RowView>{}),
+        std::invalid_argument);
     std::vector<fl::GradientUpdate> ragged{update_of(0, {1.0F}),
                                            update_of(1, {1.0F, 2.0F})};
     EXPECT_THROW((void)fl::simple_average(ragged), std::invalid_argument);

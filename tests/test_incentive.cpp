@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 
 #include "incentive/contribution.hpp"
 #include "incentive/reward.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/vecmath.hpp"
 
@@ -183,7 +187,9 @@ TEST(Strategy, KeepAllUsesEveryUpdate) {
         inc::identify_contributions(updates, provisional, default_config());
     const auto survivors = inc::select_survivors(
         updates, report, inc::LowContributionStrategy::kKeepAll);
-    EXPECT_EQ(survivors.updates.size(), updates.size());
+    EXPECT_EQ(survivors.indices.size(), updates.size());
+    for (std::size_t k = 0; k < survivors.indices.size(); ++k)
+        EXPECT_EQ(survivors.indices[k], k);
 }
 
 TEST(Strategy, DiscardDropsLowContributors) {
@@ -193,8 +199,9 @@ TEST(Strategy, DiscardDropsLowContributors) {
         inc::identify_contributions(updates, provisional, default_config());
     const auto survivors = inc::select_survivors(
         updates, report, inc::LowContributionStrategy::kDiscard);
-    EXPECT_EQ(survivors.updates.size(), 6U);
-    for (const auto& u : survivors.updates) EXPECT_LT(u.client, 6U);
+    EXPECT_EQ(survivors.indices.size(), 6U);
+    for (const std::size_t i : survivors.indices)
+        EXPECT_LT(updates[i].client, 6U);
 }
 
 TEST(Strategy, DiscardYieldsCleanerGlobalUnderAttack) {
@@ -229,10 +236,88 @@ TEST(Strategy, DiscardWithNoHighFallsBackToAll) {
     }
     const auto survivors = inc::select_survivors(
         updates, report, inc::LowContributionStrategy::kDiscard);
-    EXPECT_EQ(survivors.updates.size(), 4U);
+    EXPECT_EQ(survivors.indices.size(), 4U);
     const auto aggregated = inc::apply_strategy(
         updates, report, inc::LowContributionStrategy::kDiscard);
     EXPECT_EQ(aggregated.size(), updates[0].weights.size());
+}
+
+TEST(Strategy, ApplyStrategyRejectsEmptyAndRaggedSets) {
+    // The survivors combine from row views of the caller's updates; the
+    // row-view combine must still reject what the copied set was rejected
+    // for, under both strategies.
+    inc::ContributionReport empty_report;
+    for (const auto strategy : {inc::LowContributionStrategy::kKeepAll,
+                                inc::LowContributionStrategy::kDiscard}) {
+        EXPECT_THROW((void)inc::apply_strategy({}, empty_report, strategy),
+                     std::invalid_argument);
+    }
+    auto updates = make_round(4, 0, 10);
+    updates[2].weights.pop_back();
+    inc::ContributionReport report;
+    report.entries.resize(updates.size());
+    for (std::size_t i = 0; i < updates.size(); ++i) {
+        report.entries[i].client = updates[i].client;
+        report.entries[i].theta = 0.1 * static_cast<double>(i + 1);
+        report.entries[i].high = true;
+        report.high_indices.push_back(i);
+    }
+    for (const auto strategy : {inc::LowContributionStrategy::kKeepAll,
+                                inc::LowContributionStrategy::kDiscard}) {
+        EXPECT_THROW((void)inc::apply_strategy(updates, report, strategy),
+                     std::invalid_argument);
+        // Degenerate theta takes the simple-average path; it rejects too.
+        inc::ContributionReport flat = report;
+        for (auto& entry : flat.entries) entry.theta = 0.0;
+        EXPECT_THROW((void)inc::apply_strategy(updates, flat, strategy),
+                     std::invalid_argument);
+    }
+}
+
+TEST(Contribution, ReportIsBitIdenticalOnOneAndFourThreadPools) {
+    // The point fill, the index build and the theta rows run on the pool
+    // the caller passes.  Labels, theta, high flags and rewards must not
+    // depend on its size, under the exact build and under the engaged
+    // random-projection sketch (122 points > 2 x 48 sketch dims, each of
+    // width 96 > 48).
+    const auto updates = make_round(110, 11, 31, /*dim=*/96);
+    const auto provisional = fl::simple_average(updates);
+    std::vector<float> reference(96);
+    Rng rng(32);
+    for (auto& v : reference) v = static_cast<float>(0.1 * rng.normal());
+    fairbfl::support::ThreadPool serial(1);
+    fairbfl::support::ThreadPool parallel(4);
+    for (const char* index : {"exact", "random_projection"}) {
+        inc::ContributionConfig config = default_config();
+        config.index = index;
+        const auto a = inc::identify_contributions(updates, provisional,
+                                                   config, reference, serial);
+        const auto b = inc::identify_contributions(
+            updates, provisional, config, reference, parallel);
+        EXPECT_EQ(a.index_backend, index);
+        EXPECT_EQ(a.index_backend, b.index_backend);
+        EXPECT_EQ(a.index_peak_bytes, b.index_peak_bytes);
+        EXPECT_EQ(a.clustering.labels, b.clustering.labels) << index;
+        EXPECT_EQ(a.clustering.num_clusters, b.clustering.num_clusters);
+        EXPECT_EQ(a.global_cluster, b.global_cluster) << index;
+        EXPECT_EQ(a.high_indices, b.high_indices) << index;
+        EXPECT_EQ(a.low_indices, b.low_indices) << index;
+        ASSERT_EQ(a.entries.size(), updates.size());
+        ASSERT_EQ(b.entries.size(), updates.size());
+        for (std::size_t i = 0; i < updates.size(); ++i) {
+            EXPECT_EQ(a.entries[i].client, b.entries[i].client);
+            EXPECT_EQ(a.entries[i].high, b.entries[i].high) << index << i;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.entries[i].theta),
+                      std::bit_cast<std::uint64_t>(b.entries[i].theta))
+                << index << " theta " << i;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.entries[i].reward),
+                      std::bit_cast<std::uint64_t>(b.entries[i].reward))
+                << index << " reward " << i;
+        }
+        // The forged tail must actually be separated, or the labels pin
+        // nothing.
+        EXPECT_FALSE(a.low_indices.empty()) << index;
+    }
 }
 
 TEST(RewardLedger, AccumulatesAcrossRounds) {

@@ -3,7 +3,7 @@
 // Every kernel is *bit-pinned*: its loops must match the strict reference
 // accumulation orders that produced every committed fixed-seed series, so
 // the first test re-states those loops locally and demands exact
-// equality.  The four-pair entry must equal four single calls, the batched
+// equality.  The 3x4 tile entry must equal twelve single calls, the batched
 // gemv_rows / outer_accumulate_rows entries must equal per-sample gemv
 // calls / per-row axpy calls in sample order, and axpy must equal the
 // one-multiply-one-add loop, bit for bit -- including the lane-exact AVX2
@@ -159,114 +159,166 @@ void salt(std::vector<float>& v, std::size_t offset) {
     }
 }
 
-/// One x and four ys of width n.  Plain cases are normal draws, where any
-/// reordered or fused accumulation shows in the last bits.  Salted cases
-/// add the values a kernel could mishandle: signed zeros, float
-/// denormals, magnitudes whose float square overflows (finite in double)
-/// and one infinity in pair 3.  The large magnitudes swamp every rounding
-/// difference, which is why the plain cases exist.
-struct FourPairCase {
-    std::vector<float> x;
+/// How a tile case draws its values.
+///  * kPlain: normal draws, where any reordered accumulation -- a changed
+///    combine, a chain split differently -- shows in the last bits.  Their
+///    differences are mostly short enough for the squares to be exact, so
+///    a fused multiply-add mostly rounds the same.
+///  * kSpread: the columns at a 2^-13 scale, so nearly every difference
+///    carries 37 or more significant bits and its square rounds.  One
+///    rounding (FMA) instead of two then shows wherever it flips a running
+///    sum's last bit, which gets rarer as the sum grows, so each width
+///    takes kSpreadDraws of them.
+///  * kSalted: the values a kernel could mishandle -- signed zeros, float
+///    denormals, magnitudes whose float square overflows (finite in
+///    double), one infinity in row 1 and one in column 3.  The large
+///    magnitudes swamp every rounding difference, which is why the other
+///    draws exist.
+enum class Draw { kPlain, kSpread, kSalted };
+
+/// Spread cases per width: enough that an FMA in any one of the twelve
+/// pairs fails the pin.
+constexpr int kSpreadDraws = 8;
+
+/// Three rows and four columns of width n.
+struct TileCase {
+    std::vector<std::vector<float>> xs;
     std::vector<std::vector<float>> ys;
 };
 
-FourPairCase four_pair_case(std::size_t n, Rng& rng, bool salted) {
-    FourPairCase c{random_vector(n, rng), {}};
-    for (int p = 0; p < 4; ++p) c.ys.push_back(random_vector(n, rng));
-    if (!salted) return c;
-    salt(c.x, 0);
-    for (std::size_t p = 0; p < 4; ++p) salt(c.ys[p], p);
-    if (n > 2) c.ys[3][n / 2] = std::numeric_limits<float>::infinity();
+TileCase tile_case(std::size_t n, Rng& rng, Draw draw) {
+    TileCase c;
+    for (std::size_t r = 0; r < 3; ++r) c.xs.push_back(random_vector(n, rng));
+    for (std::size_t col = 0; col < 4; ++col)
+        c.ys.push_back(random_vector(n, rng));
+    if (draw == Draw::kSpread) {
+        for (auto& y : c.ys)
+            for (float& v : y) v = std::ldexp(v, -13);
+    }
+    if (draw != Draw::kSalted) return c;
+    for (std::size_t r = 0; r < 3; ++r) salt(c.xs[r], r);
+    for (std::size_t col = 0; col < 4; ++col) salt(c.ys[col], col + 1);
+    if (n > 2) {
+        const float inf = std::numeric_limits<float>::infinity();
+        c.xs[1][n - 1] = inf;
+        c.ys[3][n / 2] = inf;
+    }
     return c;
 }
 
-/// Runs `kernel` on the case and returns its four outputs.
-std::array<double, 4> run_x4(simd::SquaredDistanceX4 kernel,
-                             const FourPairCase& c) {
+/// Runs `kernel` on the case and returns its twelve outputs, row-major.
+std::array<double, 12> run_tile(simd::SquaredDistance3x4 kernel,
+                                const TileCase& c) {
+    const float* const xs[3] = {c.xs[0].data(), c.xs[1].data(),
+                                c.xs[2].data()};
     const float* const ys[4] = {c.ys[0].data(), c.ys[1].data(),
                                 c.ys[2].data(), c.ys[3].data()};
-    std::array<double, 4> out{};
-    kernel(c.x.data(), ys, c.x.size(), out.data());
+    std::array<double, 12> out{};
+    kernel(xs, ys, c.xs[0].size(), out.data());
     return out;
 }
 
-/// Four single calls of the blocked kernel: the x4 contract.
-std::array<double, 4> four_singles(const FourPairCase& c) {
-    std::array<double, 4> out{};
-    for (std::size_t p = 0; p < 4; ++p)
-        out[p] = simd::squared_distance_blocked(c.x.data(), c.ys[p].data(),
-                                                c.x.size());
+/// Twelve single calls of the blocked kernel: the 3x4 contract.
+std::array<double, 12> twelve_singles(const TileCase& c) {
+    std::array<double, 12> out{};
+    for (std::size_t k = 0; k < 12; ++k)
+        out[k] = simd::squared_distance_blocked(
+            c.xs[k / 4].data(), c.ys[k % 4].data(), c.xs[0].size());
     return out;
 }
 
-/// Bitwise equality of two four-pair results (memcmp: no -0 == +0).
-void expect_same_bits(const std::array<double, 4>& got,
-                      const std::array<double, 4>& want, std::size_t n,
+/// Bitwise equality of two tiles (memcmp: no -0 == +0, and NaN bits
+/// count).
+void expect_same_bits(const std::array<double, 12>& got,
+                      const std::array<double, 12>& want, std::size_t n,
                       const char* body) {
-    EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(got)), 0)
-        << body << " n=" << n << ": " << got[0] << " " << got[1] << " "
-        << got[2] << " " << got[3] << " vs " << want[0] << " " << want[1]
-        << " " << want[2] << " " << want[3];
+    for (std::size_t k = 0; k < 12; ++k)
+        EXPECT_EQ(std::memcmp(&got[k], &want[k], sizeof(double)), 0)
+            << body << " n=" << n << " pair (" << k / 4 << "," << k % 4
+            << "): " << got[k] << " vs " << want[k];
 }
 
-/// NaN in x reaches every pair; NaN in one y reaches only that pair.
-void expect_nan_propagation(simd::SquaredDistanceX4 kernel, std::size_t n,
+/// NaN in row r reaches only that row's four entries, NaN in column c only
+/// that column's three; every other entry keeps the clean case's bits.
+/// The NaN sits at the start, the middle and the end of the rows, and at
+/// the end, two thirds and one third of the columns, so it lands in the
+/// blocked part and in the tail.
+void expect_nan_propagation(simd::SquaredDistance3x4 kernel, std::size_t n,
                             const char* body) {
     Rng rng(24);
-    const FourPairCase c = four_pair_case(n, rng, /*salted=*/false);
+    const TileCase clean = tile_case(n, rng, Draw::kPlain);
+    const auto want = twelve_singles(clean);
     const float nan = std::numeric_limits<float>::quiet_NaN();
-    FourPairCase in_y = c;
-    in_y.ys[2][n - 1] = nan;
-    const auto got_y = run_x4(kernel, in_y);
-    const auto want_y = four_singles(in_y);
-    for (std::size_t p = 0; p < 4; ++p) {
-        if (p == 2) {
-            EXPECT_TRUE(std::isnan(got_y[p])) << body << " n=" << n;
-        } else {
-            EXPECT_EQ(std::memcmp(&got_y[p], &want_y[p], sizeof(double)), 0)
-                << body << " n=" << n << " pair " << p;
+    for (std::size_t r = 0; r < 3; ++r) {
+        TileCase c = clean;
+        c.xs[r][r * (n - 1) / 2] = nan;
+        const auto got = run_tile(kernel, c);
+        for (std::size_t k = 0; k < 12; ++k) {
+            if (k / 4 == r) {
+                EXPECT_TRUE(std::isnan(got[k]))
+                    << body << " n=" << n << " NaN row " << r;
+            } else {
+                EXPECT_EQ(std::memcmp(&got[k], &want[k], sizeof(double)), 0)
+                    << body << " n=" << n << " NaN row " << r << " pair ("
+                    << k / 4 << "," << k % 4 << ")";
+            }
         }
     }
-    FourPairCase in_x = c;
-    in_x.x[0] = nan;
-    for (const double v : run_x4(kernel, in_x))
-        EXPECT_TRUE(std::isnan(v)) << body << " n=" << n;
+    for (std::size_t col = 0; col < 4; ++col) {
+        TileCase c = clean;
+        c.ys[col][(n - 1) - col * (n - 1) / 3] = nan;
+        const auto got = run_tile(kernel, c);
+        for (std::size_t k = 0; k < 12; ++k) {
+            if (k % 4 == col) {
+                EXPECT_TRUE(std::isnan(got[k]))
+                    << body << " n=" << n << " NaN column " << col;
+            } else {
+                EXPECT_EQ(std::memcmp(&got[k], &want[k], sizeof(double)), 0)
+                    << body << " n=" << n << " NaN column " << col
+                    << " pair (" << k / 4 << "," << k % 4 << ")";
+            }
+        }
+    }
 }
 
-TEST(ScalarTable, FourPairEntryBitIdenticalToFourSingleCalls) {
-    const simd::SquaredDistanceX4 portable =
-        simd::detail::portable_squared_distance_blocked_x4();
+/// Every kSizes width, in every draw, bitwise against twelve single
+/// calls; then the NaN reach.
+void expect_tile_contract(simd::SquaredDistance3x4 kernel,
+                          const char* body) {
     Rng rng(23);
     for (const std::size_t n : kSizes) {
-        for (const bool salted : {false, true}) {
-            const FourPairCase c = four_pair_case(n, rng, salted);
-            const auto want = four_singles(c);
-            if (salted && n > 2) EXPECT_TRUE(std::isinf(want[3])) << n;
-            expect_same_bits(run_x4(simd::squared_distance_blocked_x4, c),
-                             want, n, "table entry");
-            expect_same_bits(run_x4(portable, c), want, n, "portable");
+        std::vector<Draw> draws(kSpreadDraws, Draw::kSpread);
+        draws.insert(draws.begin(), Draw::kPlain);
+        draws.push_back(Draw::kSalted);
+        for (const Draw draw : draws) {
+            SCOPED_TRACE(::testing::Message()
+                         << "draw " << static_cast<int>(draw));
+            const TileCase c = tile_case(n, rng, draw);
+            const auto want = twelve_singles(c);
+            if (draw == Draw::kSalted && n > 2) {
+                for (std::size_t k = 0; k < 12; ++k)
+                    if (k / 4 == 1 || k % 4 == 3)
+                        EXPECT_TRUE(std::isinf(want[k])) << n << " " << k;
+            }
+            expect_same_bits(run_tile(kernel, c), want, n, body);
         }
-        expect_nan_propagation(simd::squared_distance_blocked_x4, n,
-                               "table entry");
-        expect_nan_propagation(portable, n, "portable");
+        expect_nan_propagation(kernel, n, body);
     }
 }
 
-TEST(ScalarTable, LaneExactEncodingBitIdenticalToFourSingleCalls) {
-    const simd::SquaredDistanceX4 lane_exact =
-        simd::detail::lane_exact_squared_distance_blocked_x4();
+TEST(ScalarTable, TileEntryBitIdenticalToTwelveSingleCalls) {
+    expect_tile_contract(simd::squared_distance_blocked_3x4, "table entry");
+    expect_tile_contract(simd::detail::portable_squared_distance_blocked_3x4(),
+                         "portable");
+}
+
+TEST(ScalarTable, LaneExactTileBitIdenticalToTwelveSingleCalls) {
+    const simd::SquaredDistance3x4 lane_exact =
+        simd::detail::lane_exact_squared_distance_blocked_3x4();
     if (lane_exact == nullptr || !simd::cpu_supports_avx2())
         GTEST_SKIP() << "lane-exact AVX encoding unavailable on this "
                         "build/CPU";
-    Rng rng(23);
-    for (const std::size_t n : kSizes) {
-        for (const bool salted : {false, true}) {
-            const FourPairCase c = four_pair_case(n, rng, salted);
-            expect_same_bits(run_x4(lane_exact, c), four_singles(c), n,
-                             "lane-exact");
-        }
-        expect_nan_propagation(lane_exact, n, "lane-exact");
-    }
+    expect_tile_contract(lane_exact, "lane-exact");
 }
 
 // --- Batched forward / backward entries -------------------------------------
@@ -274,7 +326,7 @@ TEST(ScalarTable, LaneExactEncodingBitIdenticalToFourSingleCalls) {
 /// One batch for gemv_rows / outer_accumulate_rows: a rows x cols matrix
 /// (the weights for the forward, the gradient for the backward), `count`
 /// samples of cols features, a bias and count x rows backward
-/// coefficients.  Salted cases add the four-pair salts -- signed zeros,
+/// coefficients.  Salted cases add the tile cases' salts -- signed zeros,
 /// float denormals, magnitudes whose float square overflows and one
 /// infinity -- to the matrix, the samples and the coefficients.
 struct BatchCase {
@@ -484,7 +536,7 @@ std::vector<float> reference_axpy(float alpha, const std::vector<float>& x,
     return y;
 }
 
-/// Every size, plain and salted (the four-pair salts plus one infinity in
+/// Every size, plain and salted (the tile cases' salts plus one infinity in
 /// x), at alphas that reach signed zeros, denormal products and overflow:
 /// `kernel` must equal the reference loop bit for bit.  Then a NaN in x
 /// must reach only its own element.
