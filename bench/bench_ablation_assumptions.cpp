@@ -15,8 +15,7 @@ using namespace fairbfl;
 namespace {
 
 // The variants need per-round block/fork counts, which the SystemRun
-// series does not carry, so this bench drives the FairBfl class directly
-// (the class itself runs on the pluggable strategy objects).
+// series does not carry, so this bench drives the FairBfl class directly.
 struct AblationResult {
     std::string name;
     double avg_delay = 0.0;
@@ -69,9 +68,9 @@ int main(int argc, char** argv) {
     // multi-block rounds -- the queuing Assumption 2 eliminates.
     base.delay.max_block_bytes = 8192;
 
-    // Assumption 1 off = swap the consensus engine, not a bool: the
-    // "async_pow" ConsensusEngine (core/strategies.hpp) prices forking and
-    // idle-block waste where "sync_pow" models the tightly-coupled race.
+    // Assumption 1 off = consensus "async_pow": FairBfl prices forking and
+    // idle-block waste (DelayModel::t_bl_vanilla) where "sync_pow" models
+    // the tightly-coupled race (DelayModel::t_bl_fair).
     auto no_a1 = base;
     no_a1.consensus = "async_pow";
 

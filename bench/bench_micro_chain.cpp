@@ -6,7 +6,7 @@
 #include "chain/chain.hpp"
 #include "chain/mempool.hpp"
 #include "chain/pow.hpp"
-#include "core/strategies.hpp"
+#include "core/delay_model.hpp"
 
 namespace {
 
@@ -104,22 +104,19 @@ void BM_MempoolPack(benchmark::State& state) {
 }
 BENCHMARK(BM_MempoolPack)->Arg(100)->Arg(500);
 
-/// Pricing one round of block production through the ConsensusEngine
-/// strategy API: the synchronized race vs the forking ablation, across
-/// miner counts.
-void BM_ConsensusEnginePricing(benchmark::State& state) {
+/// Pricing one round of block production through the delay model: the
+/// synchronized race (Assumption 1) vs the forking ablation, across miner
+/// counts.
+void BM_ConsensusPricing(benchmark::State& state) {
     const core::DelayModel delays;
-    const auto sync_pow = core::make_consensus("sync_pow");
-    const auto async_pow = core::make_consensus("async_pow");
     const auto miners = static_cast<std::size_t>(state.range(0));
     fairbfl::support::Rng rng(9);
     for (auto _ : state) {
+        benchmark::DoNotOptimize(delays.t_bl_fair(miners, 4096, rng));
         benchmark::DoNotOptimize(
-            sync_pow->mine(delays, miners, /*blocks=*/1, 4096, rng));
-        benchmark::DoNotOptimize(
-            async_pow->mine(delays, miners, /*blocks=*/1, 4096, rng));
+            delays.t_bl_vanilla(miners, /*blocks=*/1, 4096, rng));
     }
 }
-BENCHMARK(BM_ConsensusEnginePricing)->Arg(2)->Arg(10);
+BENCHMARK(BM_ConsensusPricing)->Arg(2)->Arg(10);
 
 }  // namespace

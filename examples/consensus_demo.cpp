@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "chain/consensus.hpp"
-#include "core/strategies.hpp"
+#include "core/delay_model.hpp"
 #include "support/cli.hpp"
 
 namespace ch = fairbfl::chain;
@@ -87,21 +87,19 @@ int main(int argc, char** argv) {
                 sim.replica(0).height(), sim.replica(0).orphaned_blocks(),
                 sim.replica(0).reorg_count());
 
-    // The same story, priced: the two ConsensusEngine strategies of
-    // core/strategies.hpp charge this fork behaviour in simulated seconds.
+    // The same story, priced: the delay model charges this fork behaviour
+    // in simulated seconds, with Assumption 1 (sync_pow) and without it
+    // (async_pow).
     const core::DelayModel delays;
     fairbfl::support::Rng price_rng(7);
     double sync_s = 0.0;
     double async_s = 0.0;
     std::size_t async_forks = 0;
-    const auto sync_pow = core::make_consensus("sync_pow");
-    const auto async_pow = core::make_consensus("async_pow");
     for (std::size_t r = 0; r < rounds; ++r) {
-        sync_s += sync_pow->mine(delays, miners, 1, 4096, price_rng).seconds;
-        const auto mined =
-            async_pow->mine(delays, miners, 1, 4096, price_rng);
-        async_s += mined.seconds;
-        async_forks += mined.forks;
+        sync_s += delays.t_bl_fair(miners, 4096, price_rng);
+        std::size_t forks = 0;
+        async_s += delays.t_bl_vanilla(miners, 1, 4096, price_rng, &forks);
+        async_forks += forks;
     }
     std::printf("\nengine pricing over %zu blocks, m=%zu: sync_pow %.1f s "
                 "(0 forks by construction), async_pow %.1f s (%zu forks)\n",

@@ -25,8 +25,9 @@ Blockchain::Blockchain(std::uint64_t chain_id, const crypto::KeyStore* keys)
     : keys_(keys) {
     Block genesis = make_genesis(chain_id);
     const std::string key = crypto::to_hex(genesis.header.hash());
-    blocks_by_hash_.emplace(key, StoredBlock{genesis, 1});
-    best_chain_.push_back(std::move(genesis));
+    const auto stored =
+        blocks_by_hash_.emplace(key, StoredBlock{std::move(genesis), 1}).first;
+    best_chain_.push_back(&stored->second.block);
 }
 
 BlockVerdict Blockchain::validate_against_parent(
@@ -58,12 +59,14 @@ BlockVerdict Blockchain::submit(const Block& block) {
     if (verdict != BlockVerdict::kAccepted) return verdict;
 
     const std::size_t branch_length = parent_it->second.branch_length + 1;
-    blocks_by_hash_.emplace(hash_key, StoredBlock{block, branch_length});
+    const auto stored =
+        blocks_by_hash_.emplace(hash_key, StoredBlock{block, branch_length})
+            .first;
 
     const bool extends_tip =
-        block.header.prev_hash == best_chain_.back().header.hash();
+        block.header.prev_hash == best_chain_.back()->header.hash();
     if (extends_tip) {
-        best_chain_.push_back(block);
+        best_chain_.push_back(&stored->second.block);
         return BlockVerdict::kAccepted;
     }
     if (branch_length > best_chain_.size()) {
@@ -75,12 +78,12 @@ BlockVerdict Blockchain::submit(const Block& block) {
 }
 
 void Blockchain::rebuild_best_chain(const crypto::Digest& new_tip_hash) {
-    std::vector<Block> chain;
+    std::vector<const Block*> chain;
     crypto::Digest cursor = new_tip_hash;
     for (;;) {
         const auto it = blocks_by_hash_.find(crypto::to_hex(cursor));
         if (it == blocks_by_hash_.end()) break;  // reached above genesis
-        chain.push_back(it->second.block);
+        chain.push_back(&it->second.block);
         if (it->second.block.header.index == 0) break;
         cursor = it->second.block.header.prev_hash;
     }
@@ -89,12 +92,12 @@ void Blockchain::rebuild_best_chain(const crypto::Digest& new_tip_hash) {
 }
 
 const Block& Blockchain::at(std::size_t index) const {
-    return best_chain_.at(index);
+    return *best_chain_.at(index);
 }
 
 std::optional<std::vector<float>> Blockchain::latest_global_gradient() const {
     for (std::size_t i = best_chain_.size(); i-- > 0;) {
-        for (const auto& tx : best_chain_[i].transactions) {
+        for (const auto& tx : best_chain_[i]->transactions) {
             if (tx.kind == TxKind::kGlobalUpdate) return parse_gradient_tx(tx);
         }
     }
@@ -107,8 +110,8 @@ std::size_t Blockchain::orphaned_blocks() const noexcept {
 
 bool Blockchain::validate_full_chain() const {
     for (std::size_t i = 1; i < best_chain_.size(); ++i) {
-        const Block& block = best_chain_[i];
-        const Block& parent = best_chain_[i - 1];
+        const Block& block = *best_chain_[i];
+        const Block& parent = *best_chain_[i - 1];
         if (block.header.prev_hash != parent.header.hash()) return false;
         if (block.header.index != parent.header.index + 1) return false;
         if (!block.merkle_consistent()) return false;

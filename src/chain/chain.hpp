@@ -33,8 +33,14 @@ enum class BlockVerdict {
 
 [[nodiscard]] std::string to_string(BlockVerdict verdict);
 
-/// Validated blockchain.  Not thread-safe; each simulated miner owns a copy
-/// (consensus is modelled at the simulation layer).
+/// Validated blockchain.  Not thread-safe; each simulated miner owns its
+/// own replica (consensus is modelled at the simulation layer).
+///
+/// Every accepted block is stored once, in the block map; the best chain
+/// points into the map's nodes.  Those nodes never move -- not on insert,
+/// not when the chain is moved -- so moves are allowed, and copies, which
+/// would leave the copy's best chain pointing into the original's map,
+/// are deleted.
 class Blockchain {
 public:
     /// Starts from the deterministic genesis for `chain_id`.  When a
@@ -42,6 +48,11 @@ public:
     /// carry valid signatures.
     explicit Blockchain(std::uint64_t chain_id = 0,
                         const crypto::KeyStore* keys = nullptr);
+
+    Blockchain(const Blockchain&) = delete;
+    Blockchain& operator=(const Blockchain&) = delete;
+    Blockchain(Blockchain&&) = default;
+    Blockchain& operator=(Blockchain&&) = default;
 
     /// Validates and stores a block.  Accepts side branches and reorganizes
     /// to the heaviest (longest; ties keep the incumbent) branch.
@@ -52,7 +63,7 @@ public:
     void set_check_pow(bool check) noexcept { check_pow_ = check; }
 
     [[nodiscard]] const Block& genesis() const { return at(0); }
-    [[nodiscard]] const Block& tip() const { return best_chain_.back(); }
+    [[nodiscard]] const Block& tip() const { return *best_chain_.back(); }
     /// Number of blocks on the best chain (genesis included).
     [[nodiscard]] std::size_t height() const noexcept {
         return best_chain_.size();
@@ -87,7 +98,8 @@ private:
     void rebuild_best_chain(const crypto::Digest& new_tip_hash);
 
     std::map<std::string, StoredBlock> blocks_by_hash_;  // key: hex digest
-    std::vector<Block> best_chain_;
+    /// Genesis first; points at blocks stored in blocks_by_hash_.
+    std::vector<const Block*> best_chain_;
     const crypto::KeyStore* keys_;
     bool check_pow_ = true;
     std::size_t reorgs_ = 0;

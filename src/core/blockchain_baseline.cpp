@@ -7,7 +7,6 @@ namespace fairbfl::core {
 
 BlockchainBaseline::BlockchainBaseline(BlockchainBaselineConfig config)
     : config_(config),
-      consensus_(make_consensus("async_pow")),
       keys_(config.seed, config.key_bits),
       chain_(config.chain_id, config.key_bits != 0 ? &keys_ : nullptr),
       mempool_(config.delay.max_block_bytes) {
@@ -57,12 +56,9 @@ BlockchainRoundRecord BlockchainBaseline::run_round() {
     // transactions exceed the block size).
     const std::size_t blocks = mempool_.blocks_to_drain();
     record.blocks_mined = blocks;
-    const MiningOutcome mined =
-        consensus_->mine(delays, config_.miners, blocks,
-                         config_.delay.max_block_bytes, bl_rng);
-    record.delay.t_bl = mined.seconds;
-    record.forks = mined.forks;
-    record.fork_merge_seconds = mined.fork_merge_seconds;
+    record.delay.t_bl = delays.t_bl_vanilla(
+        config_.miners, blocks, config_.delay.max_block_bytes, bl_rng,
+        &record.forks, &record.fork_merge_seconds);
 
     // Commit the blocks to the actual ledger.
     for (std::size_t b = 0; b < blocks; ++b) {

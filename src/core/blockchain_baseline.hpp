@@ -2,17 +2,16 @@
 // Pure-blockchain baseline: FAIR-BFL with Procedures I and IV removed
 // (Figure 3's purple rectangle).  Workers submit opaque payload
 // transactions; miners compete asynchronously with forks, empty-block
-// waste, and block-size-limited queuing.  This is the "Blockchain" curve
-// of Figures 4a, 6a and 6b.
+// waste, and block-size-limited queuing, priced by
+// DelayModel::t_bl_vanilla.  This is the "Blockchain" curve of Figures 4a,
+// 6a and 6b.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "chain/chain.hpp"
 #include "chain/mempool.hpp"
 #include "core/delay_model.hpp"
-#include "core/strategies.hpp"
 #include "crypto/keystore.hpp"
 
 namespace fairbfl::core {
@@ -56,8 +55,6 @@ public:
 
 private:
     BlockchainBaselineConfig config_;
-    /// Vanilla discipline: concurrent mining, forks and idle waste priced.
-    std::shared_ptr<const ConsensusEngine> consensus_;
     crypto::KeyStore keys_;
     chain::Blockchain chain_;
     chain::Mempool mempool_;

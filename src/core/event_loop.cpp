@@ -7,62 +7,30 @@
 
 namespace fairbfl::core {
 
-EventLoop::EventId EventLoop::schedule_at(VirtualTime when, Callback fn) {
+void EventLoop::schedule_at(VirtualTime when, Callback fn) {
     // Monotone clock: an event scheduled "in the past" (e.g. a retry
     // computed from a stale timestamp) fires immediately-next instead of
     // rewinding time.
     when = std::max(when, now_);
-    const std::uint64_t seq = next_seq_++;
-    heap_.push_back(Entry{when, seq, std::move(fn)});
+    heap_.push_back(Entry{when, next_seq_++, std::move(fn)});
     std::push_heap(heap_.begin(), heap_.end(), later);
-    ++live_;
-    return EventId{seq};
 }
 
-EventLoop::EventId EventLoop::schedule_after(VirtualTime delay, Callback fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-}
-
-bool EventLoop::cancel(EventId id) {
-    if (id.seq == 0 || id.seq >= next_seq_) return false;
-    if (!cancelled_.insert(id.seq).second) return false;
-    if (live_ == 0) {
-        // Nothing pending: the event must have fired already.
-        cancelled_.erase(id.seq);
-        return false;
-    }
-    const bool pending = std::any_of(
-        heap_.begin(), heap_.end(),
-        [&](const Entry& e) { return e.seq == id.seq; });
-    if (!pending) {
-        cancelled_.erase(id.seq);
-        return false;
-    }
-    --live_;
-    return true;
-}
-
-std::optional<EventLoop::Entry> EventLoop::pop_live() {
-    while (!heap_.empty()) {
-        std::pop_heap(heap_.begin(), heap_.end(), later);
-        Entry entry = std::move(heap_.back());
-        heap_.pop_back();
-        if (cancelled_.erase(entry.seq) > 0) continue;  // lazily dropped
-        --live_;
-        return entry;
-    }
-    return std::nullopt;
+void EventLoop::schedule_after(VirtualTime delay, Callback fn) {
+    schedule_at(now_ + delay, std::move(fn));
 }
 
 bool EventLoop::step() {
-    auto entry = pop_live();
-    if (!entry) return false;
-    now_ = std::max(now_, entry->when);
+    if (heap_.empty()) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    Entry entry = std::move(heap_.back());
+    heap_.pop_back();
+    now_ = std::max(now_, entry.when);
     ++processed_;
     {
         const telemetry::Span span(telemetry::labels::engine_event());
         telemetry::counter_max(telemetry::labels::engine_virtual_ns(), now_);
-        entry->fn(*this);
+        entry.fn(*this);
     }
     return true;
 }
@@ -71,30 +39,6 @@ std::size_t EventLoop::run_until_idle() {
     std::size_t fired = 0;
     while (step()) ++fired;
     return fired;
-}
-
-std::size_t EventLoop::run_until(VirtualTime deadline) {
-    std::size_t fired = 0;
-    while (true) {
-        const auto next = next_time();
-        if (!next || *next > deadline) break;
-        if (step()) ++fired;
-    }
-    now_ = std::max(now_, deadline);
-    return fired;
-}
-
-std::optional<VirtualTime> EventLoop::next_time() const {
-    // The heap front is the earliest entry, but it may be a lazily
-    // cancelled one; scan for the earliest live entry instead (cancel is
-    // rare, and the queue is per-round small).
-    std::optional<VirtualTime> best;
-    for (const auto& entry : heap_) {
-        if (cancelled_.contains(entry.seq)) continue;
-        const VirtualTime when = std::max(entry.when, now_);
-        if (!best || when < *best) best = when;
-    }
-    return best;
 }
 
 }  // namespace fairbfl::core

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <stdexcept>
+#include <utility>
 
 #include "chain/mempool.hpp"
 #include "crypto/hybrid.hpp"
@@ -76,6 +78,15 @@ Upload make_upload(const fl::GradientUpdate& update, std::uint64_t round,
     return upload;
 }
 
+/// FairBflConfig::consensus: false for "sync_pow" (Assumption 1), true
+/// for "async_pow"; any other name throws.
+bool is_async_pow(const std::string& consensus) {
+    if (consensus == "sync_pow") return false;
+    if (consensus == "async_pow") return true;
+    throw std::invalid_argument("unknown consensus engine '" + consensus +
+                                "' (known: sync_pow, async_pow)");
+}
+
 }  // namespace
 
 FairBfl::FairBfl(const ml::Model& model, std::vector<fl::Client> clients,
@@ -87,7 +98,7 @@ FairBfl::FairBfl(const ml::Model& model, std::vector<fl::Client> clients,
       trainer_(fl::LocalTrainer::Options{.pool = config.pool}),
       aggregator_(config.aggregator ? config.aggregator
                                     : make_aggregator("simple")),
-      consensus_(make_consensus(config.consensus)),
+      async_pow_(is_async_pow(config.consensus)),
       keys_(config.fl.seed, config.key_bits),
       chain_(config.chain_id, config.key_bits != 0 ? &keys_ : nullptr),
       engine_(config.round),
@@ -165,46 +176,39 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
         config_.round.late_policy == LatePolicy::kRetroactive)
         round_start_weights = weights_;
 
-    // --- Procedures I + II as engine phases: local learning runs eagerly
-    // in parallel (the physics), then the driving thread forges / signs /
-    // prices the uploads and turns each deliverable update into an
-    // arrival event on the virtual clock.
-    std::vector<fl::GradientUpdate> updates(selected.size());
-    trainer_.ensure_capacity(clients_.size());
-    const auto work = [&](std::size_t slot) {
-        const std::size_t id = selected[slot];
-        const telemetry::ContextScope scope(
-            telemetry::current_context().with_item(
-                static_cast<std::uint32_t>(id)));
-        updates[slot] = trainer_.train_one(clients_, id, weights_,
-                                           config_.fl.sgd, round,
-                                           config_.fl.seed);
-    };
+    // --- Procedure I: local learning, fanned out over the pool.  Each
+    // client's result only joins the round through its arrival event
+    // below; per-client determinism (every client draws from its own Rng
+    // fork) keeps the virtual schedule thread-count independent.
+    std::vector<fl::GradientUpdate> updates;
+    if (!selected.empty()) {
+        const telemetry::Span span(telemetry::labels::round_local());
+        updates = trainer_.run(clients_, selected, weights_, config_.fl.sgd,
+                               round, config_.fl.seed);
+    }
+    record.delay.t_local = delays.t_local(selected, steps, config_.fl.seed);
 
-    const bool encrypting =
-        config_.encrypt_gradients && keys_.crypto_enabled();
-    std::size_t payload = 0;
+    // --- Adversary: forge some updates before they leave the clients.
+    const AttackReport attack = apply_attack(updates, weights_, config_.attack,
+                                             round, config_.fl.seed);
+    record.attacker_clients = attack.attacker_clients;
+
+    // --- Procedure II: sign and upload to a uniformly random miner,
+    // optionally under hybrid encryption to that miner, and turn each
+    // deliverable update into a scheduled arrival on the virtual clock.
+    // Every ordering decision stays on this thread: the miner associations
+    // are drawn in update order (one draw per update, whatever its
+    // verdict, as in the lockstep series), the per-update crypto fans out
+    // across the pool into per-update slots, and the merge walks the slots
+    // in update order.  Logging happens only in the merge.
+    const std::size_t payload =
+        updates.empty() ? 0 : updates[0].payload_bytes();
     std::vector<chain::Transaction> gradient_txs;
-    const auto prepare = [&]() {
-        record.delay.t_local =
-            delays.t_local(selected, steps, config_.fl.seed);
-
-        // --- Adversary: forge some updates before they leave the clients.
-        const AttackReport attack = apply_attack(
-            updates, weights_, config_.attack, round, config_.fl.seed);
-        record.attacker_clients = attack.attacker_clients;
-
-        payload = updates.empty() ? 0 : updates[0].payload_bytes();
-        std::size_t wire_payload = payload;
-
-        // --- Procedure II: sign and upload to a uniformly random miner,
-        // optionally under hybrid encryption to that miner.  Every ordering
-        // decision stays on this thread: the miner associations are drawn
-        // in update order (one draw per update, whatever its verdict, as
-        // in the lockstep series), the per-update crypto fans out across
-        // the pool into per-update slots, and the merge walks the slots in
-        // update order.  Logging happens only in the merge.
+    std::vector<PendingDelivery> deliveries;
+    {
         const telemetry::Span upload_span(telemetry::labels::round_upload());
+        const bool encrypting =
+            config_.encrypt_gradients && keys_.crypto_enabled();
         const std::size_t miner_count =
             std::max<std::size_t>(config_.miners, 1);
         std::vector<crypto::NodeId> miners;
@@ -232,6 +236,7 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
 
         // An undecryptable or altered upload is dropped, like a bad
         // signature.
+        std::size_t wire_payload = payload;
         gradient_txs.reserve(updates.size());
         std::vector<bool> deliverable(updates.size(), false);
         for (std::size_t i = 0; i < updates.size(); ++i) {
@@ -263,9 +268,8 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
             slowest_up = std::max(slowest_up, s);
         record.delay.t_up = slowest_up;
 
-        // --- The delivery schedule, fault plan applied.
+        // The delivery schedule, fault plan applied.
         const support::FaultPlan* faults = config_.fault_plan.get();
-        std::vector<PendingDelivery> deliveries;
         deliveries.reserve(updates.size());
         for (std::size_t i = 0; i < updates.size(); ++i) {
             if (!deliverable[i]) continue;
@@ -288,15 +292,13 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
                 deliveries.push_back({i, sim_ns(replay), true});
             }
         }
-        return deliveries;
-    };
+    }
 
     // Async mining races collection when the engine is engaged: empty
     // blocks are minted while the round's content is still in flight.
     MiningRaceSpec race;
     const MiningRaceSpec* race_ptr = nullptr;
-    if (config_.stage_mining && config_.round.engaged() &&
-        consensus_->name() == "async_pow") {
+    if (config_.stage_mining && config_.round.engaged() && async_pow_) {
         race.mean_solve_seconds =
             static_cast<double>(config_.delay.difficulty) /
             config_.delay.miner_hashes_per_second;
@@ -304,8 +306,7 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
         race_ptr = &race;
     }
 
-    const CollectOutcome outcome = engine_.collect(
-        selected.size(), work, prepare, config_.pool, race_ptr);
+    const CollectOutcome outcome = engine_.collect(deliveries, race_ptr);
     record.on_time_updates = outcome.on_time.size();
     record.late_updates = outcome.late.size();
     record.duplicate_updates_dropped = outcome.duplicates_dropped;
@@ -322,7 +323,7 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
     fl::GradientSet full_set;
     for (const std::size_t idx : outcome.on_time)
         full_set.add(std::move(updates[idx]));
-    for (auto& carried : engine_.take_carryovers())
+    for (auto& carried : std::exchange(carryovers_, {}))
         if (full_set.add(std::move(carried))) ++record.carried_in_updates;
     full_set.canonicalize();
     if (config_.stage_exchange && config_.miners > 1) {
@@ -337,13 +338,8 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
     if (final_updates.empty()) {
         // Nothing arrived on time (all clients benched / dropped): keep
         // the weights; late stragglers still join the next round.
-        if (!outcome.late.empty()) {
-            std::vector<fl::GradientUpdate> late;
-            late.reserve(outcome.late.size());
-            for (const std::size_t idx : outcome.late)
-                late.push_back(std::move(updates[idx]));
-            engine_.carry(std::move(late));
-        }
+        for (const std::size_t idx : outcome.late)
+            carryovers_.push_back(std::move(updates[idx]));
         record.fl.test_accuracy =
             model_->accuracy(weights_, test_set_, pool_of(config_));
         record.chain_height = chain_.height();
@@ -402,11 +398,19 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
             record.blocks_this_round = 1;
         }
 
-        const MiningOutcome mined = consensus_->mine(
-            delays, config_.miners, record.blocks_this_round,
-            std::min(block_bytes, config_.delay.max_block_bytes), bl_rng);
-        record.delay.t_bl = mined.seconds;
-        record.forks_this_round = mined.forks;
+        // Assumption 1 prices one synchronized race per block; without
+        // it miners race concurrently, with forks and idle-block waste.
+        const std::size_t mined_bytes =
+            std::min(block_bytes, config_.delay.max_block_bytes);
+        if (async_pow_) {
+            record.delay.t_bl = delays.t_bl_vanilla(
+                config_.miners, record.blocks_this_round, mined_bytes,
+                bl_rng, &record.forks_this_round);
+        } else {
+            for (std::size_t b = 0; b < record.blocks_this_round; ++b)
+                record.delay.t_bl +=
+                    delays.t_bl_fair(config_.miners, mined_bytes, bl_rng);
+        }
 
         const chain::BlockVerdict verdict = chain_.submit(block);
         if (verdict != chain::BlockVerdict::kAccepted) {
@@ -442,12 +446,9 @@ void FairBfl::round_body(std::uint64_t round, BflRoundRecord& record) {
         for (const auto& u : all_updates)
             record.fl.participant_ids.push_back(u.client);
         resettled = true;
-    } else if (!outcome.late.empty()) {
-        std::vector<fl::GradientUpdate> late;
-        late.reserve(outcome.late.size());
+    } else {
         for (const std::size_t idx : outcome.late)
-            late.push_back(std::move(updates[idx]));
-        engine_.carry(std::move(late));
+            carryovers_.push_back(std::move(updates[idx]));
     }
 
     // --- Metrics (over the set that actually shaped weights_).

@@ -9,11 +9,17 @@
 //                                           fair aggregation, Eq. 1)
 //   V.   Block Mining and Consensus        (PoW race, one block per round)
 //
+// round_body() calls the procedures in this order.  Procedures I and II
+// run directly (training fanned out through LocalTrainer, then the
+// upload schedule built on the driving thread); the RoundEngine only
+// orders that schedule on its virtual clock and reports who was on time.
+//
 // Flexibility by design (Figure 3): stages III and V can be switched off,
 // degrading FAIR-BFL to pure FL; the pure-blockchain degradation (drop I
 // and IV) lives in blockchain_baseline.hpp.  Two ablation switches undo
 // the paper's Assumptions for comparison: `consensus = "async_pow"`
-// (violates Assumption 1 -> forking + empty-block waste) and
+// (violates Assumption 1 -> forking + empty-block waste, priced by
+// DelayModel::t_bl_vanilla instead of one t_bl_fair race per block) and
 // `record_local_gradients` (violates Assumption 2 -> every local gradient
 // becomes a block transaction, re-introducing block-size queuing).
 
@@ -60,9 +66,8 @@ struct FairBflConfig {
     bool record_local_gradients = false; ///< violate Assumption 2
     std::uint64_t chain_id = 0x7A1B;
 
-    // --- Strategy overrides (core/strategies.hpp).  Defaults reproduce
-    // Algorithm 1 exactly; setting one swaps that stage without touching
-    // the round loop.
+    // --- Stage overrides.  Defaults reproduce Algorithm 1 exactly;
+    // setting one swaps that stage without touching the round loop.
     /// Combine rule.  Null = the paper's combines exactly: "simple" for
     /// the provisional update (line 24) and Eq. 1 for the settlement.
     /// When set, the rule shapes the provisional *and* (via its weighted
@@ -71,8 +76,9 @@ struct FairBflConfig {
     /// is on or off.  Under the shard tree it overrides the tree's Eq. 1
     /// root settlement and combines the hierarchical survivors flat.
     std::shared_ptr<const Aggregator> aggregator;
-    /// Consensus engine name: "sync_pow" (the paper's Assumption 1) or
-    /// "async_pow" (violates it; see header comment).
+    /// Consensus discipline: "sync_pow" (the paper's Assumption 1) or
+    /// "async_pow" (violates it; see header comment).  Any other name
+    /// makes the FairBfl constructor throw std::invalid_argument.
     std::string consensus = "sync_pow";
 
     // --- Async round engine (core/round_engine.hpp).
@@ -173,14 +179,20 @@ private:
     FairBflConfig config_;
     /// Procedure-I engine (per-client pack/workspace caches).
     fl::LocalTrainer trainer_;
-    /// Resolved strategy objects (config overrides or defaults).
+    /// The combine rule (config override or "simple").
     std::shared_ptr<const Aggregator> aggregator_;
-    std::shared_ptr<const ConsensusEngine> consensus_;
+    /// config.consensus == "async_pow": Procedure V prices through
+    /// DelayModel::t_bl_vanilla and an engaged round races empty blocks;
+    /// otherwise one DelayModel::t_bl_fair race per block.
+    bool async_pow_;
     crypto::KeyStore keys_;
     chain::Blockchain chain_;
     incentive::RewardLedger ledger_;
-    /// Quorum-or-deadline collection state machine + carryover store.
+    /// Quorum-or-deadline collection state machine.
     RoundEngine engine_;
+    /// Late updates of the last round under LatePolicy::kNextRound; they
+    /// join the next round's gradient set and are cleared on take.
+    std::vector<fl::GradientUpdate> carryovers_;
     /// Event-log session: its id tags all of this system's spans/counters
     /// (keeps concurrent run_suite systems' events separable in a
     /// capture).

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
+#include <functional>
 
 #include "telemetry/telemetry.hpp"
 
@@ -43,33 +43,9 @@ std::size_t RoundConfig::quorum_count(std::size_t expected) const noexcept {
 }
 
 CollectOutcome RoundEngine::collect(
-    std::size_t work_items, const std::function<void(std::size_t)>& work,
-    const PrepareFn& prepare, support::ThreadPool* pool,
-    const MiningRaceSpec* race) {
+    std::span<const PendingDelivery> deliveries, const MiningRaceSpec* race) {
     loop_ = EventLoop{};
     CollectOutcome out;
-
-    // --- Phase 1: physics.  The work items run *now*, in parallel, on
-    // the pool; each item's result only becomes visible to the round via
-    // its arrival event below.  Per-item determinism (every client draws
-    // from its own Rng fork) is what lets real compute overlap freely
-    // while the virtual schedule stays thread-count independent.
-    if (work_items > 0 && work) {
-        const telemetry::Span span(telemetry::labels::round_local());
-        const telemetry::Context ctx = telemetry::current_context();
-        support::parallel_for(
-            0, work_items,
-            [&](std::size_t item) {
-                const telemetry::ContextScope scope(ctx);
-                work(item);
-            },
-            pool != nullptr ? *pool : support::ThreadPool::global());
-    }
-
-    // --- Phase 2: the delivery schedule (forging, signing, upload
-    // pricing -- all sequential, on the driving thread).
-    std::vector<PendingDelivery> deliveries;
-    if (prepare) deliveries = prepare();
 
     std::size_t deliverable = 0;
     std::size_t max_index = 0;
@@ -79,8 +55,8 @@ CollectOutcome RoundEngine::collect(
     }
     out.quorum_needed = config_.quorum_count(deliverable);
 
-    // --- Phase 3: the event loop.  Collection state lives on this frame;
-    // callbacks only run inside run_until_idle() below.
+    // Collection state lives on this frame; callbacks only run inside
+    // run_until_idle() below.
     std::vector<bool> seen(deliveries.empty() ? 0 : max_index + 1, false);
     std::size_t remaining = deliveries.size();
     bool triggered = false;
@@ -152,22 +128,6 @@ CollectOutcome RoundEngine::collect(
     telemetry::counter_add(telemetry::labels::late_updates(),
                            out.late.size());
     return out;
-}
-
-CollectOutcome RoundEngine::collect(std::vector<PendingDelivery> deliveries,
-                                    const MiningRaceSpec* race) {
-    return collect(
-        0, {}, [&deliveries]() { return std::move(deliveries); }, nullptr,
-        race);
-}
-
-void RoundEngine::carry(std::vector<fl::GradientUpdate> late_updates) {
-    for (auto& update : late_updates)
-        carryovers_.push_back(std::move(update));
-}
-
-std::vector<fl::GradientUpdate> RoundEngine::take_carryovers() {
-    return std::exchange(carryovers_, {});
 }
 
 }  // namespace fairbfl::core

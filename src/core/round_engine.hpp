@@ -2,11 +2,12 @@
 // Async, straggler-tolerant round state machine on the virtual clock.
 //
 // The lockstep round loop waited for every selected client; this engine
-// makes the round a discrete-event simulation instead.  Each deliverable
-// client update becomes a PendingDelivery -- its virtual arrival time is
-// the client's own slice of the paper's T(n, m) decomposition
-// (t_local(i) + t_up(i), times any injected straggler factor) -- and
-// aggregation fires on **quorum-or-deadline**:
+// makes the round a discrete-event simulation instead.  FairBfl hands it
+// the round's delivery schedule -- one PendingDelivery per deliverable
+// client update, whose virtual arrival time is the client's own slice of
+// the paper's T(n, m) decomposition (t_local(i) + t_up(i), times any
+// injected straggler factor) -- and aggregation fires on
+// **quorum-or-deadline**:
 //
 //   quorum   -- ceil(quorum_fraction x deliverable) distinct updates have
 //               arrived;
@@ -15,8 +16,8 @@
 //               (dropouts) and no deadline is set: aggregate what exists.
 //
 // Arrivals after the trigger are *late*; FairBfl either carries them into
-// the next round (LatePolicy::kNextRound, via the engine's carryover
-// store) or re-settles the round retroactively (kRetroactive).  Replayed
+// the next round (LatePolicy::kNextRound, in its own carryover store) or
+// re-settles the round retroactively (kRetroactive).  Replayed
 // deliveries of an already-collected update are deduplicated and counted.
 //
 // The degenerate configuration -- quorum_fraction >= 1 and no deadline --
@@ -25,29 +26,28 @@
 // case, so the engine reproduces the pre-engine fixed-seed series
 // bit-for-bit (pinned in tests/test_round_engine.cpp).
 //
-// Real compute (LocalTrainer work items) is *posted to the thread pool
-// before the loop runs* and only completes, logically, via the arrival
-// events: the physics is deterministic per item, and every timing /
-// membership decision happens in (time, sequence) event order on the
-// driving thread.  That split is what makes any schedule -- including
-// injected faults -- replay identically under any thread count.
+// The engine only orders the schedule it is handed.  Real compute
+// (Procedure I's local training) and the schedule itself (Procedure II's
+// forging, signing and upload pricing) are done by FairBfl before
+// collect() runs; every timing / membership decision then happens in
+// (time, sequence) event order on the driving thread.  That split is what
+// makes any schedule -- including injected faults -- replay identically
+// under any thread count.
 //
-// Async mining races collection as a first-class event source: when the
-// config is engaged and the consensus engine is "async_pow", a solve
-// event chain fires on the same clock, minting one empty block per solve
-// that lands before the round's content is ready.
+// Async mining races collection as a first-class event source: when
+// FairBfl's config is engaged and its consensus is "async_pow", it passes
+// a MiningRaceSpec, and a solve event chain fires on the same clock,
+// minting one empty block per solve that lands before the round's
+// content is ready.
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
 #include "core/event_loop.hpp"
-#include "fl/gradient.hpp"
-#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace fairbfl::core {
@@ -134,43 +134,16 @@ public:
     /// The current round's loop (reset by collect); exposed for tests.
     [[nodiscard]] const EventLoop& loop() const noexcept { return loop_; }
 
-    /// Builds the round's delivery schedule once the physics is done
-    /// (FairBfl forges, signs, and prices the uploads here).
-    using PrepareFn = std::function<std::vector<PendingDelivery>()>;
-
-    /// Runs one round's collection state machine.
-    ///
-    /// Phase 1 (physics): `work(i)` performs work-item i's real compute
-    /// (one LocalTrainer client) for i in [0, work_items), fanned out
-    /// over `pool` (null = the global pool) under a "round.local" span;
-    /// pass work_items == 0 to skip (engine unit tests).  Phase 2:
-    /// `prepare()` runs on the driving thread and returns the delivery
-    /// schedule.  Phase 3: the event loop fires arrivals, the deadline,
-    /// and the optional mining race in (time, sequence) order.  Emits the
-    /// round's "round.wait_quorum_ns" / "round.late_updates" counters.
-    CollectOutcome collect(std::size_t work_items,
-                           const std::function<void(std::size_t)>& work,
-                           const PrepareFn& prepare,
-                           support::ThreadPool* pool = nullptr,
+    /// Runs one round's collection state machine over `deliveries`: the
+    /// event loop fires arrivals, the deadline, and the optional mining
+    /// race in (time, sequence) order.  Emits the round's
+    /// "round.wait_quorum_ns" / "round.late_updates" counters.
+    CollectOutcome collect(std::span<const PendingDelivery> deliveries,
                            const MiningRaceSpec* race = nullptr);
-
-    /// Schedule-only convenience (no physics phase): collects a fixed
-    /// delivery list.
-    CollectOutcome collect(std::vector<PendingDelivery> deliveries,
-                           const MiningRaceSpec* race = nullptr);
-
-    /// Stores this round's late updates for the next round (kNextRound).
-    void carry(std::vector<fl::GradientUpdate> late_updates);
-    /// Claims (and clears) the carryover store.
-    [[nodiscard]] std::vector<fl::GradientUpdate> take_carryovers();
-    [[nodiscard]] std::size_t carryover_count() const noexcept {
-        return carryovers_.size();
-    }
 
 private:
     RoundConfig config_;
     EventLoop loop_;
-    std::vector<fl::GradientUpdate> carryovers_;
 };
 
 }  // namespace fairbfl::core

@@ -129,45 +129,6 @@ public:
     }
 };
 
-// --- Consensus engines -----------------------------------------------------
-
-/// Assumption 1: every block is one synchronized competition; the fastest
-/// miner wins, everyone extends the same tip, forks cannot happen.
-class SynchronizedPow final : public ConsensusEngine {
-public:
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "sync_pow";
-    }
-    [[nodiscard]] MiningOutcome mine(const DelayModel& delays,
-                                     std::size_t miners, std::size_t blocks,
-                                     std::size_t block_bytes,
-                                     support::Rng& rng) const override {
-        MiningOutcome outcome;
-        for (std::size_t b = 0; b < blocks; ++b)
-            outcome.seconds += delays.t_bl_fair(miners, block_bytes, rng);
-        return outcome;
-    }
-};
-
-/// No Assumption 1: miners race concurrently, forks and idle-block waste
-/// are priced in (vanilla BFL / the async-mining ablation).
-class AsyncPow final : public ConsensusEngine {
-public:
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "async_pow";
-    }
-    [[nodiscard]] MiningOutcome mine(const DelayModel& delays,
-                                     std::size_t miners, std::size_t blocks,
-                                     std::size_t block_bytes,
-                                     support::Rng& rng) const override {
-        MiningOutcome outcome;
-        outcome.seconds =
-            delays.t_bl_vanilla(miners, blocks, block_bytes, rng,
-                                &outcome.forks, &outcome.fork_merge_seconds);
-        return outcome;
-    }
-};
-
 /// Single source of truth for the registered rules: make_aggregator and
 /// aggregator_names both read this table, so a new rule cannot appear in
 /// one and be missing from the other.
@@ -216,32 +177,6 @@ std::vector<std::string_view> aggregator_names() {
     names.reserve(std::size(kAggregators));
     for (const auto& entry : kAggregators) names.push_back(entry.name);
     return names;
-}
-
-std::shared_ptr<const ConsensusEngine> make_consensus(std::string_view name) {
-    struct ConsensusEntry {
-        std::string_view name;
-        std::shared_ptr<const ConsensusEngine> (*make)();
-    };
-    static constexpr ConsensusEntry kEngines[] = {
-        {"sync_pow",
-         []() -> std::shared_ptr<const ConsensusEngine> {
-             return std::make_shared<SynchronizedPow>();
-         }},
-        {"async_pow",
-         []() -> std::shared_ptr<const ConsensusEngine> {
-             return std::make_shared<AsyncPow>();
-         }},
-    };
-    for (const auto& entry : kEngines) {
-        if (entry.name == name) return entry.make();
-    }
-    std::vector<std::string_view> known;
-    for (const auto& entry : kEngines) known.push_back(entry.name);
-    throw std::invalid_argument("unknown consensus engine '" +
-                                std::string(name) +
-                                "' (known: " + support::join_names(known) +
-                                ")");
 }
 
 }  // namespace fairbfl::core

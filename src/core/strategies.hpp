@@ -1,19 +1,18 @@
 #pragma once
-// Pluggable strategy interfaces for the orchestration layer.
+// The pluggable combine rule of the orchestration layer.
 //
 // The paper's flexibility claim (Figure 3, §4.6) is that FAIR-BFL is a
-// pipeline of swappable stages.  Two of them are objects here: how
-// gradients are combined (Algorithm 1 line 24 / Eq. 1) and how blocks are
-// mined (Assumption 1 on or off), so a new aggregation rule or consensus
-// discipline drops into FairBfl -- and into the SystemRegistry of
-// core/system.hpp -- without editing the round loop.  Contribution scoring
-// and its settlement (Algorithm 2 + the two low-contribution strategies)
-// are FairBflConfig::incentive fields that FairBfl calls directly.
+// pipeline of swappable stages.  The one stage that is an object here is
+// how gradients are combined (Algorithm 1 line 24 / Eq. 1), so a new
+// aggregation rule drops into FairBfl -- and into the SystemRegistry of
+// core/system.hpp -- without editing the round loop.  The other stages are
+// direct calls: contribution scoring and its settlement (Algorithm 2 + the
+// two low-contribution strategies) are FairBflConfig::incentive fields
+// that FairBfl hands to incentive/, and Procedure V (Assumption 1 on or
+// off) prices its blocks through DelayModel::t_bl_fair / t_bl_vanilla.
 //
-// Every built-in implementation wraps the corresponding free function and
-// consumes randomness in exactly the same order, so swapping a bool-driven
-// configuration for its strategy object reproduces the legacy series
-// bit-for-bit.
+// Every built-in rule wraps the corresponding fl/ combine, so choosing
+// "simple" or "fair" reproduces the paper's series bit-for-bit.
 
 #include <memory>
 #include <span>
@@ -21,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/delay_model.hpp"
 #include "fl/aggregation.hpp"
 
 namespace fairbfl::core {
@@ -63,39 +61,5 @@ public:
 
 /// Names accepted by make_aggregator, for error messages and CLIs.
 [[nodiscard]] std::vector<std::string_view> aggregator_names();
-
-// ---------------------------------------------------------------------------
-// Consensus (Procedure V).
-
-/// What one round of mining produced, in simulated seconds.
-struct MiningOutcome {
-    double seconds = 0.0;
-    std::size_t forks = 0;
-    double fork_merge_seconds = 0.0;
-};
-
-/// Prices one round's block production.  `blocks` sequential blocks of
-/// `block_bytes` each are mined by `miners`.  Implementations must draw
-/// from `rng` exactly as their legacy code path did (common-random-numbers
-/// discipline across configurations).
-class ConsensusEngine {
-public:
-    virtual ~ConsensusEngine() = default;
-
-    [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-
-    [[nodiscard]] virtual MiningOutcome mine(const DelayModel& delays,
-                                             std::size_t miners,
-                                             std::size_t blocks,
-                                             std::size_t block_bytes,
-                                             support::Rng& rng) const = 0;
-};
-
-/// Registered engines: "sync_pow" (Assumption 1: one tightly-coupled race
-/// per block, no forks) and "async_pow" (the ablation/vanilla discipline:
-/// concurrent mining with forking and idle-block waste).  Throws
-/// std::invalid_argument for an unknown name.
-[[nodiscard]] std::shared_ptr<const ConsensusEngine> make_consensus(
-    std::string_view name);
 
 }  // namespace fairbfl::core

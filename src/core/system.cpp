@@ -241,22 +241,6 @@ SystemSpec pure_fl_spec(const FairBflConfig& config, std::string label) {
     return spec;
 }
 
-SystemSpec fairbfl_discard_spec(const FairBflConfig& config,
-                                std::string label) {
-    SystemSpec spec = fairbfl_spec(config, std::move(label));
-    spec.system = "fairbfl_discard";
-    return spec;
-}
-
-SystemSpec vanilla_bfl_spec(const VanillaBflConfig& config,
-                            std::string label) {
-    SystemSpec spec;
-    spec.system = "vanilla_bfl";
-    spec.label = std::move(label);
-    spec.vanilla = config;
-    return spec;
-}
-
 SystemSpec blockchain_spec(const BlockchainBaselineConfig& config,
                            std::string label) {
     SystemSpec spec;

@@ -82,16 +82,6 @@ struct SystemSpec {
 /// \param label  run name; empty = the factory default.
 [[nodiscard]] SystemSpec pure_fl_spec(const FairBflConfig& config,
                                       std::string label = "");
-/// FAIR-BFL with the discarding strategy (§5.3).
-/// \param config the complete FAIR-BFL configuration.
-/// \param label  run name; empty = the factory default.
-[[nodiscard]] SystemSpec fairbfl_discard_spec(const FairBflConfig& config,
-                                              std::string label = "");
-/// Spec for vanilla (non-fair, forking) BFL.
-/// \param config the vanilla-BFL configuration.
-/// \param label  run name; empty = the factory default.
-[[nodiscard]] SystemSpec vanilla_bfl_spec(const VanillaBflConfig& config,
-                                          std::string label = "");
 /// Spec for the pure-blockchain baseline (no learning).
 /// \param config the baseline's workload configuration.
 /// \param label  run name; empty = the factory default.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "fl/aggregation.hpp"
 #include "fl/sampling.hpp"
 
 namespace fairbfl::core {
@@ -12,7 +13,6 @@ VanillaBfl::VanillaBfl(const ml::Model& model, std::vector<fl::Client> clients,
       clients_(std::move(clients)),
       test_set_(std::move(test_set)),
       config_(config),
-      consensus_(make_consensus("async_pow")),
       keys_(config.fl.seed, config.key_bits),
       chain_(config.chain_id, config.key_bits != 0 ? &keys_ : nullptr),
       mempool_(config.delay.max_block_bytes),
@@ -90,11 +90,9 @@ VanillaRoundRecord VanillaBfl::run_round() {
     // Miners race asynchronously until the round's backlog is on-chain.
     const std::size_t blocks = mempool_.blocks_to_drain();
     record.blocks_this_round = blocks;
-    const MiningOutcome mined =
-        consensus_->mine(delays, config_.miners, blocks,
-                         config_.delay.max_block_bytes, bl_rng);
-    record.delay.t_bl = mined.seconds;
-    record.forks_this_round = mined.forks;
+    record.delay.t_bl = delays.t_bl_vanilla(
+        config_.miners, blocks, config_.delay.max_block_bytes, bl_rng,
+        &record.forks_this_round);
     for (std::size_t b = 0; b < blocks; ++b) {
         chain::Block block;
         block.header.index = chain_.tip().header.index + 1;

@@ -5,7 +5,7 @@
 //  * every client's local gradient becomes an on-chain transaction
 //    (no Assumption 2 -- block capacity forces multi-block rounds);
 //  * miners mine asynchronously (no Assumption 1 -- forking and
-//    empty-block waste are possible, priced by the delay model);
+//    empty-block waste are possible, priced by DelayModel::t_bl_vanilla);
 //  * there is no miner-side aggregation: each worker reads the round's
 //    local-gradient transactions back *from the chain* and computes the
 //    global update itself ("workers read the block's information to
@@ -14,18 +14,17 @@
 //    exactly the incentive mismatch FAIR-BFL's Algorithm 2 fixes.
 //
 // The FairBfl ablation switches (consensus "async_pow",
-// record_local_gradients) emulate vanilla costs inside the FAIR pipeline; this class is the
-// stand-alone protocol, useful as an end-to-end baseline and as a
-// cross-check that the ablation prices the same behaviour.
+// record_local_gradients) emulate vanilla costs inside the FAIR pipeline
+// through the same DelayModel::t_bl_vanilla; this class is the stand-alone
+// protocol, useful as an end-to-end baseline and as a cross-check that the
+// ablation prices the same behaviour.
 
-#include <memory>
 #include <vector>
 
 #include "chain/chain.hpp"
 #include "chain/mempool.hpp"
 #include "core/attacker.hpp"
 #include "core/delay_model.hpp"
-#include "core/strategies.hpp"
 #include "fl/fedprox.hpp"
 #include "fl/local_trainer.hpp"
 
@@ -79,8 +78,6 @@ private:
     VanillaBflConfig config_;
     /// Procedure-I engine (per-client pack/workspace caches).
     fl::LocalTrainer trainer_;
-    /// Always the forking discipline: vanilla BFL has no Assumption 1.
-    std::shared_ptr<const ConsensusEngine> consensus_;
     crypto::KeyStore keys_;
     chain::Blockchain chain_;
     chain::Mempool mempool_;

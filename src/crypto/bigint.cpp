@@ -93,12 +93,6 @@ bool BigUint::bit(std::size_t i) const noexcept {
     return (limbs_[limb] >> (i % 32)) & 1U;
 }
 
-std::uint64_t BigUint::low_u64() const noexcept {
-    std::uint64_t v = limbs_.empty() ? 0 : limbs_[0];
-    if (limbs_.size() > 1) v |= static_cast<std::uint64_t>(limbs_[1]) << 32;
-    return v;
-}
-
 std::strong_ordering BigUint::operator<=>(const BigUint& rhs) const noexcept {
     if (limbs_.size() != rhs.limbs_.size())
         return limbs_.size() <=> rhs.limbs_.size();

@@ -61,8 +61,6 @@ public:
     [[nodiscard]] std::size_t bit_length() const noexcept;
     /// Value of bit i (0 = least significant).
     [[nodiscard]] bool bit(std::size_t i) const noexcept;
-    /// Low 64 bits.
-    [[nodiscard]] std::uint64_t low_u64() const noexcept;
 
     [[nodiscard]] std::strong_ordering operator<=>(const BigUint& rhs) const noexcept;
     [[nodiscard]] bool operator==(const BigUint& rhs) const noexcept = default;

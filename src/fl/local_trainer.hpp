@@ -1,7 +1,8 @@
 #pragma once
 // The Procedure-I engine: one object per system that drives the selected
 // clients' local SGD (Algorithm 1 lines 6-11) through the thread pool on
-// the batched ml kernels.
+// the batched ml kernels.  FairBfl, VanillaBfl and the FedProx loop all
+// call run(); FairBfl wraps the call in its "round.local" span.
 //
 // The trainer owns, per client, a PackedBatch (the shard gathered once
 // into contiguous rows -- shards never change across rounds) and a
@@ -55,8 +56,8 @@ public:
     /// itself.
     void ensure_capacity(std::size_t population);
 
-    /// Trains exactly one client -- the work item the round engine posts
-    /// to the pool, whose completion becomes an arrival event.  Identical
+    /// Trains exactly one client -- the body of run()'s fan-out, also
+    /// timed on its own by perfbench's fl.train_one probe.  Identical
     /// math to the matching run() slot (same Rng fork, same kernels).
     /// Safe to call concurrently for *distinct* client ids once
     /// ensure_capacity(clients.size()) has run; emits a "local.client"

@@ -42,8 +42,7 @@ SgdResult sgd_train(const Model& model, std::span<float> params,
     const auto eta = static_cast<float>(sgd.learning_rate);
 
     for (std::size_t epoch = 0; epoch < sgd.epochs; ++epoch) {
-        if (sgd.shuffle_each_epoch)
-            rng.shuffle(std::span<std::size_t>(ws.order));
+        rng.shuffle(std::span<std::size_t>(ws.order));
         DatasetView epoch_view(shard.parent(), ws.order);
         double epoch_loss = 0.0;
         std::size_t batches_seen = 0;
@@ -76,8 +75,7 @@ SgdResult sgd_train(const Model& model, std::span<float> params,
     const std::size_t batch_size = std::max<std::size_t>(sgd.batch_size, 1);
 
     for (std::size_t epoch = 0; epoch < sgd.epochs; ++epoch) {
-        if (sgd.shuffle_each_epoch)
-            rng.shuffle(std::span<std::size_t>(ws.order));
+        rng.shuffle(std::span<std::size_t>(ws.order));
         // Only the last epoch's mean loss survives into SgdResult, so
         // earlier epochs may skip loss-only arithmetic entirely.
         const bool last_epoch = epoch + 1 == sgd.epochs;

@@ -18,7 +18,6 @@ struct SgdParams {
     double learning_rate = 0.01;  ///< eta
     std::size_t epochs = 5;       ///< E
     std::size_t batch_size = 10;  ///< B
-    bool shuffle_each_epoch = true;
     /// FedProx proximal coefficient mu_prox (0 disables the proximal term).
     double prox_mu = 0.0;
 };

@@ -1,7 +1,11 @@
 // Blockchain: validation verdicts, side branches, longest-chain reorgs,
-// signature enforcement, and global-gradient lookup.
+// signature enforcement, global-gradient lookup, and moves of a chain
+// whose best chain points into its block map.
 
 #include <gtest/gtest.h>
+
+#include <type_traits>
+#include <utility>
 
 #include "chain/chain.hpp"
 
@@ -151,6 +155,64 @@ TEST(Chain, LatestGlobalGradientFindsNewest) {
     const auto gradient = chain.latest_global_gradient();
     ASSERT_TRUE(gradient.has_value());
     EXPECT_EQ(*gradient, (std::vector<float>{3.0F, 4.0F}));
+}
+
+/// The best chain holds `expected` block hashes, genesis first.
+void expect_best_chain(const ch::Blockchain& chain,
+                       const std::vector<fairbfl::crypto::Digest>& expected) {
+    ASSERT_EQ(chain.height(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        EXPECT_EQ(chain.at(i).header.hash(), expected[i]) << "height " << i;
+    EXPECT_EQ(chain.tip().header.hash(), expected.back());
+    EXPECT_TRUE(chain.validate_full_chain());
+}
+
+TEST(Chain, MovedChainKeepsItsBestChainAfterAReorg) {
+    // The best chain points into the block map, so a copy would dangle;
+    // only moves, which keep the map's nodes, are allowed.
+    static_assert(!std::is_copy_constructible_v<ch::Blockchain>);
+    static_assert(!std::is_copy_assignable_v<ch::Blockchain>);
+    static_assert(std::is_move_constructible_v<ch::Blockchain>);
+    static_assert(std::is_move_assignable_v<ch::Blockchain>);
+
+    ch::Blockchain chain(7);
+    const ch::Block genesis = chain.genesis();
+    // Main: g -> a1; fork: g -> b1 -> b2 overtakes it.
+    const ch::Block a1 = child_of(genesis, 1);
+    ASSERT_EQ(chain.submit(a1), ch::BlockVerdict::kAccepted);
+    const ch::Block b1 = child_of(genesis, 2);
+    ASSERT_EQ(chain.submit(b1), ch::BlockVerdict::kAcceptedSideBranch);
+    const ch::Block b2 = child_of(b1, 3);
+    ASSERT_EQ(chain.submit(b2), ch::BlockVerdict::kAcceptedReorg);
+    std::vector<fairbfl::crypto::Digest> expected{
+        genesis.header.hash(), b1.header.hash(), b2.header.hash()};
+    expect_best_chain(chain, expected);
+
+    ch::Blockchain moved(std::move(chain));
+    expect_best_chain(moved, expected);
+    EXPECT_EQ(moved.reorg_count(), 1U);
+    EXPECT_EQ(moved.orphaned_blocks(), 1U);  // a1
+
+    // The moved chain keeps growing on its stored tip, and reorgs back
+    // onto the abandoned branch it carried over.
+    const ch::Block b3 = child_of(moved.tip(), 4);
+    ASSERT_EQ(moved.submit(b3), ch::BlockVerdict::kAccepted);
+    expected.push_back(b3.header.hash());
+    expect_best_chain(moved, expected);
+
+    ch::Blockchain assigned(9);
+    assigned = std::move(moved);
+    expect_best_chain(assigned, expected);
+    const ch::Block a2 = child_of(a1, 5);
+    const ch::Block a3 = child_of(a2, 6);
+    const ch::Block a4 = child_of(a3, 7);
+    ASSERT_EQ(assigned.submit(a2), ch::BlockVerdict::kAcceptedSideBranch);
+    ASSERT_EQ(assigned.submit(a3), ch::BlockVerdict::kAcceptedSideBranch);
+    ASSERT_EQ(assigned.submit(a4), ch::BlockVerdict::kAcceptedReorg);
+    expect_best_chain(assigned,
+                      {genesis.header.hash(), a1.header.hash(),
+                       a2.header.hash(), a3.header.hash(), a4.header.hash()});
+    EXPECT_EQ(assigned.reorg_count(), 2U);
 }
 
 }  // namespace

@@ -275,8 +275,8 @@ TEST(Strategy, ApplyStrategyRejectsEmptyAndRaggedSets) {
 }
 
 TEST(Contribution, ReportIsBitIdenticalOnOneAndFourThreadPools) {
-    // The point fill, the index build and the theta rows run on the pool
-    // the caller passes.  Labels, theta, high flags and rewards must not
+    // The index build and the theta rows run on the pool the caller
+    // passes.  Labels, theta, high flags and rewards must not
     // depend on its size, under the exact build and under the engaged
     // random-projection sketch (122 points > 2 x 48 sketch dims, each of
     // width 96 > 48).

@@ -308,6 +308,22 @@ TEST(SystemInterface, LedgerAccessorsMatchTheSystemKind) {
     EXPECT_EQ(chainless->reward_ledger(), nullptr);
 }
 
+TEST(SystemInterface, FairBflAcceptsExactlyTheTwoConsensusNames) {
+    const auto env = core::build_environment(small_env());
+    core::FairBflConfig config;
+    config.fl = small_fl();
+    for (const char* name : {"sync_pow", "async_pow"}) {
+        config.consensus = name;
+        EXPECT_NO_THROW(core::FairBfl(*env.model, env.make_clients(),
+                                      env.test, config))
+            << name;
+    }
+    config.consensus = "nope";
+    EXPECT_THROW(core::FairBfl(*env.model, env.make_clients(), env.test,
+                               config),
+                 std::invalid_argument);
+}
+
 // --- Robust aggregators ----------------------------------------------------
 
 std::vector<fl::GradientUpdate> column_updates(
@@ -367,7 +383,6 @@ TEST(RobustAggregators, FactoryRejectsBadArguments) {
     EXPECT_THROW((void)core::make_aggregator("nope"), std::invalid_argument);
     EXPECT_THROW((void)core::make_aggregator("trimmed_mean", 0.5),
                  std::invalid_argument);
-    EXPECT_THROW((void)core::make_consensus("nope"), std::invalid_argument);
 }
 
 TEST(RobustAggregators, FairAggregatorUsesScoresWhenGiven) {
