@@ -295,22 +295,78 @@ BigUintDivMod BigUint::divmod(const BigUint& divisor) const {
 // ---------------------------------------------------------------------------
 // Montgomery arithmetic (odd modulus), used by mod_pow and Miller-Rabin.
 
+namespace {
+
+using Limb = std::uint64_t;
+__extension__ typedef unsigned __int128 Wide;
+
+/// 192-bit column accumulator of the product-scanning multiply.  A column
+/// of k-limb operands sums at most 2k products below 2^128 plus the carry
+/// out of the column before, which fits for any k below 2^63.
+struct Column {
+    Wide low = 0;   // bits 0..127
+    Limb high = 0;  // bits 128..191
+
+    void add(Limb x, Limb y) noexcept {
+        const Wide p = static_cast<Wide>(x) * y;
+        low += p;
+        high += low < p;
+    }
+    [[nodiscard]] Limb bottom() const noexcept {
+        return static_cast<Limb>(low);
+    }
+    /// Returns the bottom limb and shifts the rest down into the next
+    /// column's carry.
+    Limb shift() noexcept {
+        const Limb out = bottom();
+        low = (low >> 64) | (static_cast<Wide>(high) << 64);
+        high = 0;
+        return out;
+    }
+};
+
+/// out = T mod N for T = top * 2^(64k) + r < 2N: one conditional
+/// subtraction.  out may alias neither r nor n.
+inline void subtract_if_ge(const Limb* r, Limb top, const Limb* n,
+                           std::size_t k, Limb* out) noexcept {
+    bool ge = top != 0;
+    if (!ge) {
+        ge = true;
+        for (std::size_t j = k; j-- > 0;) {
+            if (r[j] != n[j]) {
+                ge = r[j] > n[j];
+                break;
+            }
+        }
+    }
+    if (ge) {
+        Limb borrow = 0;
+        for (std::size_t j = 0; j < k; ++j) {
+            const Wide diff = static_cast<Wide>(r[j]) - n[j] - borrow;
+            out[j] = static_cast<Limb>(diff);
+            borrow = static_cast<Limb>(diff >> 64) & 1U;
+        }
+    } else {
+        std::copy(r, r + k, out);
+    }
+}
+
+}  // namespace
+
 /// Montgomery context for a fixed odd modulus N with R = 2^(64*k).  The
-/// modulus, R^2 mod N and the product accumulator are k-limb buffers sized
-/// here once; every product of an exponentiation reuses them, so the
-/// kernel never allocates.  Operands are fully reduced (< N), which makes
+/// modulus, R^2 mod N and the multiply's scratch are buffers sized here
+/// once; every product of an exponentiation reuses them, so the kernel
+/// never allocates.  Operands are fully reduced (< N), which makes
 /// Montgomery representations unique and comparable limb by limb.  The
-/// scratch accumulator makes a context single-threaded.
+/// scratch makes a context single-threaded.
 class Montgomery {
 public:
-    using Limb = std::uint64_t;
-
     explicit Montgomery(const BigUint& modulus)
         : modulus_(modulus),
           k_((modulus.limbs_.size() + 1) / 2),
           n_(k_),
           r2_(k_),
-          t_(k_ + 1) {
+          scratch_(2 * k_) {
         load(modulus, n_.data());
         // -N^{-1} mod 2^64 by Newton iteration: an odd n0 is its own
         // inverse mod 8, and each step doubles the correct low bits.
@@ -322,50 +378,13 @@ public:
 
     [[nodiscard]] std::size_t limbs() const noexcept { return k_; }
 
-    /// out = a * b * R^{-1} mod N.  a, b < N; out may alias either.
+    /// out = a * b * R^{-1} mod N.  a, b < N; out may alias either.  8
+    /// limbs, the CRT halves of 1024-bit keys that carry every private-key
+    /// operation, run an instance of fixed width; every other width runs
+    /// the same body at k_.
     void mul(const Limb* a, const Limb* b, Limb* out) noexcept {
-        const Limb* n = n_.data();
-        Limb* t = t_.data();
-        std::fill(t, t + k_ + 1, Limb{0});
-        // Row i: t = (t + a[i] * b + m * N) / 2^64, with m chosen so the low
-        // limb cancels.  The product and the reduction run in one pass on
-        // two independent carry chains; t < 2N stays within k + 1 limbs.
-        for (std::size_t i = 0; i < k_; ++i) {
-            const Limb ai = a[i];
-            Limb carry = 0;
-            Limb red_carry = 0;
-            const Limb low = mac(ai, b[0], t[0], 0, carry);
-            const Limb m = low * ninv_;
-            (void)mac(m, n[0], low, 0, red_carry);
-            for (std::size_t j = 1; j < k_; ++j) {
-                const Limb x = mac(ai, b[j], t[j], carry, carry);
-                t[j - 1] = mac(m, n[j], x, red_carry, red_carry);
-            }
-            const Wide top = static_cast<Wide>(t[k_]) + carry + red_carry;
-            t[k_ - 1] = static_cast<Limb>(top);
-            t[k_] = static_cast<Limb>(top >> 64);
-        }
-        // t < 2N: one conditional subtraction reduces it fully.
-        bool ge = t[k_] != 0;
-        if (!ge) {
-            ge = true;
-            for (std::size_t j = k_; j-- > 0;) {
-                if (t[j] != n[j]) {
-                    ge = t[j] > n[j];
-                    break;
-                }
-            }
-        }
-        if (ge) {
-            Limb borrow = 0;
-            for (std::size_t j = 0; j < k_; ++j) {
-                const Wide diff = static_cast<Wide>(t[j]) - n[j] - borrow;
-                out[j] = static_cast<Limb>(diff);
-                borrow = static_cast<Limb>(diff >> 64) & 1U;
-            }
-        } else {
-            std::copy(t, t + k_, out);
-        }
+        if (k_ == 8) return mul_k<8>(a, b, out);
+        mul_k<0>(a, b, out);
     }
 
     /// out = (x mod N) * R mod N.
@@ -430,14 +449,37 @@ public:
     }
 
 private:
-    __extension__ typedef unsigned __int128 Wide;
-
-    /// Low limb of x * y + c + d (which cannot overflow 128 bits); the
-    /// high limb goes to `hi`, which may be c or d itself.
-    static Limb mac(Limb x, Limb y, Limb c, Limb d, Limb& hi) noexcept {
-        const Wide p = static_cast<Wide>(x) * y + c + d;
-        hi = static_cast<Limb>(p >> 64);
-        return static_cast<Limb>(p);
+    /// Product-scanning (column by column) Montgomery multiply at K limbs,
+    /// or at k_ for K == 0.  Column i of the 2k-limb sum a * b + m * N
+    /// gathers every a[j] * b[i - j] and m[j] * n[i - j]; in the low k
+    /// columns m[i] is chosen so the column's bottom limb cancels, and the
+    /// high k columns are a * b * R^{-1}, below 2N.
+    template <std::size_t K>
+    void mul_k(const Limb* a, const Limb* b, Limb* out) noexcept {
+        const std::size_t k = K != 0 ? K : k_;
+        Limb* m = scratch_.data();
+        Limb* r = m + k;
+        const Limb* n = n_.data();
+        Column t;
+        for (std::size_t i = 0; i < k; ++i) {
+            for (std::size_t j = 0; j < i; ++j) {
+                t.add(a[j], b[i - j]);
+                t.add(m[j], n[i - j]);
+            }
+            t.add(a[i], b[0]);
+            m[i] = t.bottom() * ninv_;
+            t.add(m[i], n[0]);
+            (void)t.shift();
+        }
+        for (std::size_t i = k; i < 2 * k - 1; ++i) {
+            for (std::size_t j = i - k + 1; j < k; ++j) {
+                t.add(a[j], b[i - j]);
+                t.add(m[j], n[i - j]);
+            }
+            r[i - k] = t.shift();
+        }
+        r[k - 1] = t.shift();
+        subtract_if_ge(r, t.bottom(), n, k, out);
     }
 
     /// Window width from the exponent's bit length (the usual break-even
@@ -473,8 +515,8 @@ private:
     std::size_t k_;
     std::vector<Limb> n_;
     std::vector<Limb> r2_;
-    std::vector<Limb> t_;  // k + 1 limbs of product accumulator
-    Limb ninv_ = 0;        // -N^{-1} mod 2^64
+    std::vector<Limb> scratch_;  // 2k limbs: mul's m and its result
+    Limb ninv_ = 0;              // -N^{-1} mod 2^64
 };
 
 BigUint BigUint::mod_pow(const BigUint& base, const BigUint& exponent,

@@ -6,11 +6,15 @@
 // and Knuth Algorithm D division can use 64-bit intermediates.
 //
 // Modular exponentiation with an odd modulus (always the case for RSA and
-// Miller-Rabin) runs on a fixed-width Montgomery kernel: the operands are
-// converted once into k-limb buffers of 64-bit limbs (products through
-// unsigned __int128), every Montgomery product reuses one accumulator sized
-// for the modulus, and nothing allocates between the conversion into and out
-// of Montgomery form.  The exponent is scanned left to right in sliding
+// Miller-Rabin) runs in Montgomery form: the operands are converted once
+// into k-limb buffers of 64-bit limbs, and nothing allocates between the
+// conversion into and out of Montgomery form.  One product-scanning kernel
+// does every Montgomery product, squarings included: it sums the 2k-limb
+// a * b + m * N column by column in a 192-bit accumulator (portable
+// unsigned __int128), with its scratch in buffers sized once per modulus.
+// The kernel is one template body; 8 limbs (the CRT halves of 1024-bit
+// keys) run an instance of fixed width, every other width the same body
+// at runtime width.  The exponent is scanned left to right in sliding
 // windows over a table of odd powers base^1, base^3, .., base^(2^w - 1);
 // the width w follows the exponent's bit length: 1 (no table) up to 23
 // bits -- so e = 65537 builds none -- then 3, 4, 5 and 6 above 23, 79,

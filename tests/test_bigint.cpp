@@ -130,6 +130,71 @@ TEST(BigUint, ModPowMatchesNaiveOnRandomInputs) {
     }
 }
 
+// Left-to-right square-and-multiply through BigUint * and %, i.e. long
+// division: the reference for the Montgomery kernel that owes it nothing.
+BigUint reference_pow(const BigUint& base, const BigUint& exponent,
+                      const BigUint& modulus) {
+    const BigUint b = base % modulus;
+    BigUint result(1);
+    for (std::size_t i = exponent.bit_length(); i-- > 0;) {
+        result = (result * result) % modulus;
+        if (exponent.bit(i)) result = (result * b) % modulus;
+    }
+    return result;
+}
+
+// Every odd-modulus width from 1 to 40 64-bit limbs, and 70, against the
+// division reference.  The all-ones modulus 2^(64k) - 1 with bases near it
+// gives the largest column sums of the product-scanning kernel (where a
+// 192-bit accumulator would lose a carry); 2^(64k-1) + 1 is the smallest
+// modulus of its width.  Exponent 1 runs no product, 2 one squaring, 3 a
+// squaring then a multiply, 65537 the verify and encrypt shape (no window
+// table), and the 130-bit ones a 4-bit window table.
+TEST(BigUint, ModPowMatchesDivisionReferenceAtEveryWidth) {
+    Rng rng(2718);
+    std::vector<std::size_t> widths;
+    for (std::size_t k = 1; k <= 40; ++k) widths.push_back(k);
+    widths.push_back(70);
+    for (const std::size_t k : widths) {
+        const std::size_t bits = 64 * k;
+        const BigUint moduli[] = {
+            (BigUint::random_bits(bits - 1, rng) << 1) + BigUint(1),
+            (BigUint(1) << bits) - BigUint(1),
+            (BigUint(1) << (bits - 1)) + BigUint(1),
+        };
+        for (const BigUint& n : moduli) {
+            ASSERT_TRUE(n.is_odd());
+            ASSERT_EQ(n.bit_length(), bits);
+            const BigUint bases[] = {
+                BigUint{},
+                BigUint(1),
+                BigUint(2),
+                n - BigUint(1),
+                n,
+                n + BigUint(1),
+                n * BigUint(3) + BigUint::random_below(n, rng),
+                BigUint::random_below(n, rng),
+                BigUint::random_below(n, rng),
+            };
+            const BigUint exponents[] = {
+                BigUint(1),
+                BigUint(2),
+                BigUint(3),
+                BigUint(65537),
+                BigUint::random_bits(130, rng),
+            };
+            for (const BigUint& base : bases) {
+                for (const BigUint& e : exponents) {
+                    ASSERT_EQ(BigUint::mod_pow(base, e, n),
+                              reference_pow(base, e, n))
+                        << "limbs " << k << ", n " << n.to_hex() << ", base "
+                        << base.to_hex() << ", exponent " << e.to_hex();
+                }
+            }
+        }
+    }
+}
+
 TEST(BigUint, Gcd) {
     EXPECT_EQ(BigUint::gcd(BigUint(48), BigUint(36)), BigUint(12));
     EXPECT_EQ(BigUint::gcd(BigUint(17), BigUint(5)), BigUint(1));
