@@ -89,6 +89,23 @@ BENCHMARK(BM_IndexBuild<cluster::RandomProjectionIndex>)
     ->Arg(250)
     ->Unit(benchmark::kMillisecond);
 
+/// Algorithm 2's scan over a prebuilt 193 x 7850 exact index (the
+/// cluster_heavy pass's shape) under the round's default DBSCAN
+/// configuration: suggest_eps's k-distance queries for the adaptive eps,
+/// then the neighbourhood queries and the cluster expansion.  Both query
+/// loops fan out over the global pool; the expansion is serial.
+void BM_DbscanScan(benchmark::State& state) {
+    const auto points =
+        gradient_like_points(static_cast<std::size_t>(state.range(0)), 7850);
+    const cluster::Dbscan dbscan(incentive::ContributionConfig{}.dbscan);
+    const cluster::ExactIndex index(dbscan.params().metric, points);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(dbscan.cluster_with(
+            index, points, support::ThreadPool::global()));
+    }
+}
+BENCHMARK(BM_DbscanScan)->Arg(193)->Unit(benchmark::kMillisecond);
+
 /// Algorithm 2's theta scores: every update's cosine distance to the
 /// provisional global, (rows, dim) = the cluster_heavy shape.
 void BM_CosineDistancesTo(benchmark::State& state) {

@@ -256,12 +256,17 @@ BENCHMARK(BM_AccuracyEval)
     ->Args({64, 100})->Args({64, 1000})->Args({784, 564})
     ->Unit(benchmark::kMicrosecond);
 
+/// A round's two combines, the provisional mean and Eq. 1, over Args =
+/// {updates, width}.  Width 7850 is the logistic model's on 784 features:
+/// 4 updates is secure_upload's round and 32 train_heavy's (one inline
+/// chunk each), 192 cluster_heavy's (six chunks across the global pool).
 void BM_Aggregation(benchmark::State& state) {
     std::vector<fl::GradientUpdate> updates(
         static_cast<std::size_t>(state.range(0)));
     for (std::size_t i = 0; i < updates.size(); ++i) {
         updates[i].client = static_cast<fl::NodeId>(i);
-        updates[i].weights.assign(650, static_cast<float>(i));
+        updates[i].weights.assign(static_cast<std::size_t>(state.range(1)),
+                                  static_cast<float>(i));
         updates[i].num_samples = 60;
     }
     std::vector<double> theta(updates.size(), 0.5);
@@ -270,7 +275,13 @@ void BM_Aggregation(benchmark::State& state) {
         benchmark::DoNotOptimize(fl::fair_aggregate(updates, theta));
     }
 }
-BENCHMARK(BM_Aggregation)->Arg(10)->Arg(100);
+BENCHMARK(BM_Aggregation)
+    ->Args({10, 650})
+    ->Args({100, 650})
+    ->Args({4, 7850})
+    ->Args({32, 7850})
+    ->Args({192, 7850})
+    ->Unit(benchmark::kMicrosecond);
 
 /// The robust rules of the Aggregator strategy API: per-coordinate sorting
 /// (trimmed mean) vs selection (median) over a round's update set -- the

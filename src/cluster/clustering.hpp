@@ -44,10 +44,17 @@ public:
     /// lazy per-query distances, or random-projection sketch -- and
     /// shares it across every stage).  Implementations use `index` only
     /// when its metric matches their own; the default ignores it.
+    ///
+    /// `pool` is the pass's pool: an implementation may fan its per-point
+    /// index queries out on it (the index promises thread-safe queries),
+    /// but its labels must be bit-identical for any pool size.  It has no
+    /// default, because a default argument on a virtual binds to the
+    /// static type of the call.
     [[nodiscard]] virtual ClusterResult cluster_with(
-        const GradientIndex& index,
-        std::span<const std::vector<float>> points) const {
+        const GradientIndex& index, std::span<const std::vector<float>> points,
+        support::ThreadPool& pool) const {
         (void)index;
+        (void)pool;
         return cluster(points);
     }
 

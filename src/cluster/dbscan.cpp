@@ -3,38 +3,54 @@
 #include <algorithm>
 #include <deque>
 
+#include "support/parallel.hpp"
+
 namespace fairbfl::cluster {
+
+namespace {
+
+/// Points per pool task in the per-point query loops: a chunk amortizes
+/// the fork, and a pass of at most this many points (a small round)
+/// queries on the calling thread.
+constexpr std::size_t kQueryGrain = 16;
+
+}  // namespace
 
 ClusterResult Dbscan::cluster(
     std::span<const std::vector<float>> points) const {
     if (points.empty()) return {};
-    return cluster_index(ExactIndex(params_.metric, points));
+    return cluster_index(ExactIndex(params_.metric, points),
+                         support::ThreadPool::global());
 }
 
-ClusterResult Dbscan::cluster_with(
-    const GradientIndex& index,
-    std::span<const std::vector<float>> points) const {
+ClusterResult Dbscan::cluster_with(const GradientIndex& index,
+                                   std::span<const std::vector<float>> points,
+                                   support::ThreadPool& pool) const {
     if (points.empty()) return {};
     if (index.metric() != params_.metric || index.size() != points.size())
-        return cluster(points);
-    return cluster_index(index);
+        return cluster_index(ExactIndex(params_.metric, points, pool), pool);
+    return cluster_index(index, pool);
 }
 
-ClusterResult Dbscan::cluster_index(const GradientIndex& index) const {
+ClusterResult Dbscan::cluster_index(const GradientIndex& index,
+                                    support::ThreadPool& pool) const {
     ClusterResult result;
     const std::size_t n = index.size();
     result.labels.assign(n, ClusterResult::kNoise);
     if (n == 0) return result;
 
-    const double eps =
-        params_.adaptive_eps
-            ? params_.adaptive_eps_scale * suggest_eps(index, params_.min_pts)
-            : params_.eps;
+    const double eps = params_.adaptive_eps
+                           ? params_.adaptive_eps_scale *
+                                 suggest_eps(index, params_.min_pts, pool)
+                           : params_.eps;
 
-    // Neighbourhoods (self included, matching the classic formulation).
+    // Neighbourhoods (self included, matching the classic formulation),
+    // each query writing only its own slot.
     std::vector<std::vector<std::size_t>> neighbours(n);
-    for (std::size_t i = 0; i < n; ++i)
-        neighbours[i] = index.neighbors_within(i, eps);
+    support::parallel_for(
+        0, n,
+        [&](std::size_t i) { neighbours[i] = index.neighbors_within(i, eps); },
+        pool, kQueryGrain);
 
     constexpr int kUnvisited = -2;
     std::vector<int> label(n, kUnvisited);
@@ -77,18 +93,20 @@ double suggest_eps(std::span<const std::vector<float>> points,
     return suggest_eps(ExactIndex(metric, points), min_pts);
 }
 
-double suggest_eps(const GradientIndex& index, std::size_t min_pts) {
+double suggest_eps(const GradientIndex& index, std::size_t min_pts,
+                   support::ThreadPool& pool) {
     const std::size_t n = index.size();
     if (n <= min_pts) return 0.0;
     // Per-point k-distance through the index's own query: backends with a
     // pruned search (the banded sketch index) answer in o(n) per point,
     // and the contract on kth_distance (an order statistic is a value,
     // not a scan order) keeps the median bit-identical to the old
-    // materialize-the-row path for every backend.
-    std::vector<double> kth;
-    kth.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        kth.push_back(index.kth_distance(i, min_pts));
+    // materialize-the-row path for every backend.  Each query writes its
+    // own slot, so the sample is the same for any pool size.
+    std::vector<double> kth(n);
+    support::parallel_for(
+        0, n, [&](std::size_t i) { kth[i] = index.kth_distance(i, min_pts); },
+        pool, kQueryGrain);
     std::nth_element(kth.begin(),
                      kth.begin() + static_cast<std::ptrdiff_t>(kth.size() / 2),
                      kth.end());

@@ -40,10 +40,11 @@ public:
         std::span<const std::vector<float>> points) const override;
     /// Reuses a prebuilt index when its metric matches params().metric
     /// (else rebuilds an exact one under the configured metric --
-    /// correctness over reuse).
+    /// correctness over reuse).  The k-distance and neighbourhood queries
+    /// fan out over `pool`; the cluster expansion stays serial.
     [[nodiscard]] ClusterResult cluster_with(
-        const GradientIndex& index,
-        std::span<const std::vector<float>> points) const override;
+        const GradientIndex& index, std::span<const std::vector<float>> points,
+        support::ThreadPool& pool) const override;
     [[nodiscard]] Metric preferred_metric() const noexcept override {
         return params_.metric;
     }
@@ -56,7 +57,7 @@ public:
 private:
     /// The scan itself; `index` must cover exactly the point set.
     [[nodiscard]] ClusterResult cluster_index(
-        const GradientIndex& index) const;
+        const GradientIndex& index, support::ThreadPool& pool) const;
 
     DbscanParams params_;
 };
@@ -75,8 +76,11 @@ private:
 
 /// Same heuristic reading a prebuilt index: the k-distance sample lives in
 /// the index's own geometry, so the suggested eps is always consistent
-/// with the distances the scan will threshold against.
-[[nodiscard]] double suggest_eps(const GradientIndex& index,
-                                 std::size_t min_pts);
+/// with the distances the scan will threshold against.  The per-point
+/// queries fan out over `pool`, each into its own slot, so the result is
+/// bit-identical for any pool size.
+[[nodiscard]] double suggest_eps(
+    const GradientIndex& index, std::size_t min_pts,
+    support::ThreadPool& pool = support::ThreadPool::global());
 
 }  // namespace fairbfl::cluster

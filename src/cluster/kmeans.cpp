@@ -13,9 +13,9 @@ ClusterResult KMeans::cluster(
     return cluster_impl(points, nullptr);
 }
 
-ClusterResult KMeans::cluster_with(
-    const GradientIndex& index,
-    std::span<const std::vector<float>> points) const {
+ClusterResult KMeans::cluster_with(const GradientIndex& index,
+                                   std::span<const std::vector<float>> points,
+                                   support::ThreadPool& /*pool*/) const {
     if (index.metric() != params_.metric || index.size() != points.size())
         return cluster_impl(points, nullptr);
     return cluster_impl(points, &index);

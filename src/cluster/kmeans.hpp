@@ -40,9 +40,12 @@ public:
     /// partition differently.  Use it for throughput when a matching
     /// index already exists, not when exact reproduction of the
     /// points-path labels matters.
+    ///
+    /// Seeding and Lloyd iterations run on the calling thread; `pool` is
+    /// not used.
     [[nodiscard]] ClusterResult cluster_with(
-        const GradientIndex& index,
-        std::span<const std::vector<float>> points) const override;
+        const GradientIndex& index, std::span<const std::vector<float>> points,
+        support::ThreadPool& pool) const override;
     [[nodiscard]] Metric preferred_metric() const noexcept override {
         return params_.metric;
     }

@@ -3,10 +3,20 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "support/parallel.hpp"
 #include "support/vecmath.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fairbfl::incentive {
+
+namespace {
+
+/// Points filled per pool task: a chunk amortizes the fork, and a pass of
+/// at most this many points (a few clients) is filled on the calling
+/// thread without one.
+constexpr std::size_t kPointGrain = 8;
+
+}  // namespace
 
 std::vector<fl::NodeId> ContributionReport::low_clients() const {
     std::vector<fl::NodeId> clients;
@@ -54,21 +64,27 @@ ContributionReport identify_contributions(
     // Points = all updates followed by the provisional global update, so a
     // single clustering call implements "w_{r+1} in l_i" membership tests.
     // With a reference (previous global) the points are the round's
-    // effective gradients w - w_r.
-    const auto to_point = [&](std::span<const float> w) {
-        std::vector<float> point(w.begin(), w.end());
-        if (!reference.empty()) {
-            for (std::size_t d = 0; d < point.size(); ++d)
-                point[d] -= reference[d];
-        }
-        return point;
-    };
-    std::vector<std::vector<float>> points;
-    points.reserve(updates.size() + 1);
-    for (const auto& update : updates)
-        points.push_back(to_point(update.weights));
-    points.push_back(to_point(provisional_global));
+    // effective gradients w - w_r.  The buffers are reserved here, on the
+    // calling thread, and filled in chunks of kPointGrain across the pool:
+    // the fill is a memory-bound pass over rows that Procedure I's workers
+    // have just written.
+    std::vector<std::vector<float>> points(updates.size() + 1);
+    for (auto& point : points) point.reserve(provisional_global.size());
     const std::size_t global_index = points.size() - 1;
+    support::parallel_for(
+        0, points.size(),
+        [&](std::size_t i) {
+            const std::span<const float> w =
+                i == global_index ? provisional_global
+                                  : std::span<const float>(updates[i].weights);
+            std::vector<float>& point = points[i];
+            point.assign(w.begin(), w.end());
+            if (!reference.empty()) {
+                for (std::size_t d = 0; d < point.size(); ++d)
+                    point[d] -= reference[d];
+            }
+        },
+        pool, kPointGrain);
 
     // Resolve the clustering algorithm by registry key; its configuration
     // decides the geometry the shared index is built in and -- under the
@@ -98,7 +114,7 @@ ContributionReport identify_contributions(
     report.index_backend = index->name();
     report.index_peak_bytes = index->storage_bytes();
 
-    report.clustering = algorithm->cluster_with(*index, points);
+    report.clustering = algorithm->cluster_with(*index, points, pool);
     report.global_cluster = report.clustering.labels[global_index];
 
     // Attackers can drag the provisional average off the honest cluster,

@@ -135,9 +135,9 @@ struct ContributionReport {
 /// Wall time is in the "cluster.identify" and "cluster.index_build"
 /// telemetry spans, not in the report.
 ///
-/// `pool` carries the pass's fan-outs: the index build and the theta rows
-/// (the points are filled on the calling thread).  The report is
-/// bit-identical for any pool size.
+/// `pool` carries the pass's fan-outs: the point fill, the index build,
+/// the clustering's per-point queries (ClusteringAlgorithm::cluster_with)
+/// and the theta rows.  The report is bit-identical for any pool size.
 [[nodiscard]] ContributionReport identify_contributions(
     std::span<const fl::GradientUpdate> updates,
     std::span<const float> provisional_global,

@@ -48,6 +48,13 @@ void outer_accumulate_rows_portable(const float* d, const float* const* xs,
             axpy_portable(d[s * rows + r], xs[s], y + r * cols, cols);
 }
 
+void dot_and_norm_rows_portable(const float* const* xs, std::size_t count,
+                                const float* y, std::size_t n, double* dot,
+                                double* norm2) {
+    for (std::size_t r = 0; r < count; ++r)
+        dot_and_norm(xs[r], y, n, dot + r, norm2 + r);
+}
+
 /// The lane-exact body when the CPU and the build allow it (CPUID plus
 /// the TU's ISA guard, a null accessor), else `portable`.  Either body
 /// yields the same bits, so this is a speed choice, never a behaviour one.
@@ -250,6 +257,15 @@ void dot_and_norm(const float* x, const float* y, std::size_t n,
     *x_norm2_out = xx;
 }
 
+void dot_and_norm_rows(const float* const* xs, std::size_t count,
+                       const float* y, std::size_t n, double* dot,
+                       double* norm2) noexcept {
+    static const DotAndNormRows kernel =
+        lane_exact_or(detail::lane_exact_dot_and_norm_rows(),
+                      dot_and_norm_rows_portable);
+    kernel(xs, count, y, n, dot, norm2);
+}
+
 bool cpu_supports_avx2() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
     return __builtin_cpu_supports("avx2");
@@ -281,6 +297,9 @@ SquaredDistance3x4 portable_squared_distance_blocked_3x4() noexcept {
 GemvRows portable_gemv_rows() noexcept { return gemv_rows_portable; }
 OuterAccumulateRows portable_outer_accumulate_rows() noexcept {
     return outer_accumulate_rows_portable;
+}
+DotAndNormRows portable_dot_and_norm_rows() noexcept {
+    return dot_and_norm_rows_portable;
 }
 }  // namespace detail
 

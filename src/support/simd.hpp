@@ -1,20 +1,20 @@
 #pragma once
 // The bit-pinned vector kernels behind support/vecmath, and the ISA bodies
-// that run four of them at hardware width with the same bits.
+// that run five of them at hardware width with the same bits.
 //
 // Every kernel here is bit-pinned: fixed-seed series, the batched ==
 // reference training equivalence, the reward hex pins and every replica's
 // re-derivation of Algorithm 2 and Eq. 1 depend on its exact accumulation
 // order.  There is one kernel set and nothing that selects another.
 //
-// Four kernels have a *lane-exact* AVX2 encoding in simd_avx2.cpp, the one
-// TU built with -mavx2: axpy, squared_distance_blocked_3x4, gemv_rows and
-// outer_accumulate_rows.  Each lane performs the portable loop's IEEE
-// operations in its order -- separate multiply and add, never FMA -- so
-// the results are the portable bits.  Each encoding is chosen once per
-// process, on first use, when cpu_supports_avx2() holds and the TU was
-// built with its ISA; test_kernel_parity pins each one bitwise to its
-// portable body.
+// Five kernels have a *lane-exact* AVX2 encoding in simd_avx2.cpp, the one
+// TU built with -mavx2: axpy, squared_distance_blocked_3x4, gemv_rows,
+// outer_accumulate_rows and dot_and_norm_rows.  Each lane performs the
+// portable loop's IEEE operations in its order -- separate multiply and
+// add, never FMA -- so the results are the portable bits.  Each encoding
+// is chosen once per process, on first use, when cpu_supports_avx2()
+// holds and the TU was built with its ISA; test_kernel_parity pins each
+// one bitwise to its portable body.
 //
 // The SHA-256 block compressor has an ISA body too: simd_sha.cpp, built
 // with -msha -msse4.1 in its own TU.  crypto/sha256.cpp picks it once per
@@ -52,6 +52,13 @@ using GemvRows = void (*)(const float* a, std::size_t rows, std::size_t cols,
 using OuterAccumulateRows = void (*)(const float* d, const float* const* xs,
                                      std::size_t count, std::size_t rows,
                                      std::size_t cols, float* y);
+
+/// Fused dot and norm of `count` rows against one vector: dot[r] and
+/// norm2[r] are dot_and_norm(xs[r], y, n).  The signature of
+/// dot_and_norm_rows.
+using DotAndNormRows = void (*)(const float* const* xs, std::size_t count,
+                                const float* y, std::size_t n, double* dot,
+                                double* norm2);
 
 /// SHA-256 compression of `blocks` consecutive 64-byte blocks at `data`
 /// into the eight-word state a..h (FIPS 180-4, section 6.2.2, steps 1-4
@@ -107,6 +114,14 @@ void outer_accumulate_rows(const float* d, const float* const* xs,
 /// carried through one traversal of x.
 void dot_and_norm(const float* x, const float* y, std::size_t n,
                   double* dot_out, double* x_norm2_out) noexcept;
+/// dot_and_norm(xs[r], y, n, dot + r, norm2 + r) for r in [0, count): the
+/// theta rows' two strict chains per row.  Lane-exact encoding when
+/// available; it carries kDotAndNormGroup rows per pass, so callers that
+/// split rows across tasks group them by that count.
+inline constexpr std::size_t kDotAndNormGroup = 8;
+void dot_and_norm_rows(const float* const* xs, std::size_t count,
+                       const float* y, std::size_t n, double* dot,
+                       double* norm2) noexcept;
 
 /// True when this CPU runs AVX2, which the lane-exact encodings need
 /// (always false off x86).
@@ -121,28 +136,31 @@ void dot_and_norm(const float* x, const float* y, std::size_t n,
 [[nodiscard]] const char* active_name() noexcept;
 
 namespace detail {
-/// The portable bodies of the four kernels with a lane-exact encoding:
+/// The portable bodies of the five kernels with a lane-exact encoding:
 /// what runs without it, and the reference it is pinned to.  The batched
-/// ones are per-sample portable gemv calls and per-row portable axpy
-/// calls, samples in order.
+/// ones are per-sample portable gemv calls, per-row portable axpy calls,
+/// samples in order, and per-row dot_and_norm calls.
 [[nodiscard]] Axpy portable_axpy() noexcept;
 [[nodiscard]] SquaredDistance3x4
 portable_squared_distance_blocked_3x4() noexcept;
 [[nodiscard]] GemvRows portable_gemv_rows() noexcept;
 [[nodiscard]] OuterAccumulateRows portable_outer_accumulate_rows() noexcept;
+[[nodiscard]] DotAndNormRows portable_dot_and_norm_rows() noexcept;
 /// The lane-exact AVX2 encodings (defined in simd_avx2.cpp), or nullptr
 /// when the build lacks that TU's ISA.  In axpy, each float lane of an
 /// 8-wide span is one element's multiply then add.  In the 3x4 distance
 /// tile, lane k of pair (r, c)'s accumulator is the portable kernel's
 /// accumulator a_k.  The forward keeps row r0 + k's strict double chain in
 /// lane k, columns in order; the backward adds each sample's float product
-/// to an 8-float span in order of s.  Callers must also check
-/// cpu_supports_avx2().
+/// to an 8-float span in order of s.  The theta rows keep row r0 + k's two
+/// strict chains (x·y and x·x) in lane k of two accumulators, columns in
+/// order.  Callers must also check cpu_supports_avx2().
 [[nodiscard]] Axpy lane_exact_axpy() noexcept;
 [[nodiscard]] SquaredDistance3x4
 lane_exact_squared_distance_blocked_3x4() noexcept;
 [[nodiscard]] GemvRows lane_exact_gemv_rows() noexcept;
 [[nodiscard]] OuterAccumulateRows lane_exact_outer_accumulate_rows() noexcept;
+[[nodiscard]] DotAndNormRows lane_exact_dot_and_norm_rows() noexcept;
 /// The SHA-NI SHA-256 compressor (defined in simd_sha.cpp), or nullptr
 /// when the build lacks that TU's -msha -msse4.1.  Its digests equal the
 /// portable round loop's (crypto::detail::portable_sha256_blocks).

@@ -1,4 +1,4 @@
-// The lane-exact AVX2 encodings of four pinned kernels -- the only TU in
+// The lane-exact AVX2 encodings of five pinned kernels -- the only TU in
 // the tree compiled with -mavx2 (CMake sets the flag on exactly this
 // file), and one of the src/support/simd* files the simd-isolation
 // analyzer rule lets spell intrinsics.
@@ -13,10 +13,12 @@
 // chain (separate _mm256_mul_pd, _mm256_add_pd, columns in order).  In the
 // batched backward, each float of an 8-wide span of the gradient receives
 // every sample's product in sample order (separate _mm256_mul_ps,
-// _mm256_add_ps).  The TU is built without -mfma, so no fused
-// multiply-add exists to be chosen, and the project-wide -ffp-contract=off
-// would forbid the fusion anyway.  test_kernel_parity demands bitwise
-// equality with the portable loops.
+// _mm256_add_ps).  In the theta rows, lane k of two accumulator pairs
+// carries row r0 + k's x·y and x·x strict chains (separate
+// _mm256_mul_pd, _mm256_add_pd, columns in order).  The TU is built
+// without -mfma, so no fused multiply-add exists to be chosen, and the
+// project-wide -ffp-contract=off would forbid the fusion anyway.
+// test_kernel_parity demands bitwise equality with the portable loops.
 //
 // When the build cannot enable AVX2 (non-x86 target, flag rejected), the
 // guard below compiles this TU down to null accessors and the kernels stay
@@ -288,6 +290,87 @@ void axpy_lane_exact(float alpha, const float* x, float* y, std::size_t n) {
     for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+/// Rows one theta pass carries: four in the lanes of each of two (x·y,
+/// x·x) accumulator pairs.
+constexpr std::size_t kThetaRows = kDotAndNormGroup;
+static_assert(kThetaRows == 8, "two pairs of four-lane accumulators");
+
+/// One column of four rows: lane k of xy gains t_k * y and lane k of xx
+/// gains t_k * t_k, a separate multiply and add each -- the portable
+/// kernel's two chains for row k, one product each.
+inline void theta_step(__m256d t, __m256d y, __m256d& xy,
+                       __m256d& xx) noexcept {
+    xy = _mm256_add_pd(xy, _mm256_mul_pd(t, y));
+    xx = _mm256_add_pd(xx, _mm256_mul_pd(t, t));
+}
+
+/// Lane-exact encoding of the portable per-row dot_and_norm calls.  Rows
+/// go in groups of kThetaRows: rows r0..r0+3 in the lanes of one (x·y,
+/// x·x) accumulator pair and r0+4..r0+7 in the other.  Per block of four
+/// columns, each half's 4x4 tile is loaded once, transposed in registers
+/// and widened, so column vector t_i holds x_{r0+k}[j+i] in lane k; then,
+/// for i in order, both halves take theta_step against y[j+i] widened and
+/// broadcast.  Lane k of each accumulator is thus row r0 + k's strict
+/// chain, the portable kernel's products in its order.  Tail columns go
+/// one at a time.  A group with fewer than eight rows repeats its last row
+/// in the spare lanes and drops them at the store.
+void dot_and_norm_rows_lane_exact(const float* const* xs, std::size_t count,
+                                  const float* y, std::size_t n, double* dot,
+                                  double* norm2) {
+    for (std::size_t r0 = 0; r0 < count; r0 += kThetaRows) {
+        const std::size_t live =
+            count - r0 < kThetaRows ? count - r0 : kThetaRows;
+        const float* row[kThetaRows];
+        for (std::size_t k = 0; k < kThetaRows; ++k)
+            row[k] = xs[r0 + (k < live ? k : live - 1)];
+        __m256d xy0 = _mm256_setzero_pd(), xx0 = _mm256_setzero_pd();
+        __m256d xy1 = _mm256_setzero_pd(), xx1 = _mm256_setzero_pd();
+        std::size_t j = 0;
+        for (; j + 4 <= n; j += 4) {
+            __m128 a0 = _mm_loadu_ps(row[0] + j);
+            __m128 a1 = _mm_loadu_ps(row[1] + j);
+            __m128 a2 = _mm_loadu_ps(row[2] + j);
+            __m128 a3 = _mm_loadu_ps(row[3] + j);
+            _MM_TRANSPOSE4_PS(a0, a1, a2, a3);
+            __m128 b0 = _mm_loadu_ps(row[4] + j);
+            __m128 b1 = _mm_loadu_ps(row[5] + j);
+            __m128 b2 = _mm_loadu_ps(row[6] + j);
+            __m128 b3 = _mm_loadu_ps(row[7] + j);
+            _MM_TRANSPOSE4_PS(b0, b1, b2, b3);
+            __m256d v = _mm256_set1_pd(static_cast<double>(y[j]));
+            theta_step(_mm256_cvtps_pd(a0), v, xy0, xx0);
+            theta_step(_mm256_cvtps_pd(b0), v, xy1, xx1);
+            v = _mm256_set1_pd(static_cast<double>(y[j + 1]));
+            theta_step(_mm256_cvtps_pd(a1), v, xy0, xx0);
+            theta_step(_mm256_cvtps_pd(b1), v, xy1, xx1);
+            v = _mm256_set1_pd(static_cast<double>(y[j + 2]));
+            theta_step(_mm256_cvtps_pd(a2), v, xy0, xx0);
+            theta_step(_mm256_cvtps_pd(b2), v, xy1, xx1);
+            v = _mm256_set1_pd(static_cast<double>(y[j + 3]));
+            theta_step(_mm256_cvtps_pd(a3), v, xy0, xx0);
+            theta_step(_mm256_cvtps_pd(b3), v, xy1, xx1);
+        }
+        for (; j < n; ++j) {
+            const __m256d v = _mm256_set1_pd(static_cast<double>(y[j]));
+            theta_step(_mm256_cvtps_pd(_mm_setr_ps(row[0][j], row[1][j],
+                                                   row[2][j], row[3][j])),
+                       v, xy0, xx0);
+            theta_step(_mm256_cvtps_pd(_mm_setr_ps(row[4][j], row[5][j],
+                                                   row[6][j], row[7][j])),
+                       v, xy1, xx1);
+        }
+        alignas(32) double lane[kThetaRows * 2];
+        _mm256_store_pd(lane, xy0);
+        _mm256_store_pd(lane + 4, xy1);
+        _mm256_store_pd(lane + 8, xx0);
+        _mm256_store_pd(lane + 12, xx1);
+        for (std::size_t k = 0; k < live; ++k) {
+            dot[r0 + k] = lane[k];
+            norm2[r0 + k] = lane[kThetaRows + k];
+        }
+    }
+}
+
 }  // namespace
 
 namespace detail {
@@ -298,6 +381,9 @@ SquaredDistance3x4 lane_exact_squared_distance_blocked_3x4() noexcept {
 GemvRows lane_exact_gemv_rows() noexcept { return gemv_rows_lane_exact; }
 OuterAccumulateRows lane_exact_outer_accumulate_rows() noexcept {
     return outer_accumulate_rows_lane_exact;
+}
+DotAndNormRows lane_exact_dot_and_norm_rows() noexcept {
+    return dot_and_norm_rows_lane_exact;
 }
 }  // namespace detail
 
@@ -314,6 +400,7 @@ GemvRows lane_exact_gemv_rows() noexcept { return nullptr; }
 OuterAccumulateRows lane_exact_outer_accumulate_rows() noexcept {
     return nullptr;
 }
+DotAndNormRows lane_exact_dot_and_norm_rows() noexcept { return nullptr; }
 }  // namespace fairbfl::support::simd::detail
 
 #endif

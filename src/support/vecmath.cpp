@@ -1,7 +1,9 @@
 #include "support/vecmath.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "support/parallel.hpp"
 #include "support/simd.hpp"
@@ -15,10 +17,31 @@ namespace fairbfl::support {
 
 namespace {
 
-/// Dimension-chunk width for the parallel reduction kernels: big enough
-/// that a chunk amortizes the fork overhead, small enough to split a
-/// production-scale model across every core.
-constexpr std::size_t kDimChunk = 8192;
+/// Row-elements one chunk of a combine carries at least (1 MB of rows):
+/// enough to pay for waking a sleeping pool worker.  At the model's 7850
+/// weights a combine of up to 33 rows stays one inline chunk on the
+/// calling thread; 128 rows split in four, 192 in six.
+constexpr std::size_t kChunkWork = std::size_t{1} << 18;
+/// Narrowest dimension chunk: many rows never cut a model finer than this.
+constexpr std::size_t kMinChunk = 1024;
+
+/// Dimension-chunk width of a combine over `rows` rows, sized by the work
+/// it carries: rows x chunk >= kChunkWork row-elements.
+std::size_t combine_chunk(std::size_t rows) noexcept {
+    return std::max(kMinChunk, kChunkWork / std::max<std::size_t>(rows, 1));
+}
+
+/// Rows per theta task: one lane-exact dot_and_norm_rows pass.
+constexpr std::size_t kThetaGroup = simd::kDotAndNormGroup;
+
+/// Throws std::invalid_argument unless every row is `width` floats wide;
+/// the kernels would otherwise read past a short row's end.
+template <typename Rows>
+void require_width(const Rows& rows, std::size_t width, const char* what) {
+    for (const auto& row : rows) {
+        if (row.size() != width) throw std::invalid_argument(what);
+    }
+}
 
 }  // namespace
 
@@ -160,28 +183,39 @@ std::vector<double> norms_of(std::span<const std::vector<float>> rows,
 void cosine_distances_to(std::span<const std::vector<float>> rows,
                          std::span<const float> query, std::span<double> out,
                          ThreadPool& pool) {
-    assert(rows.size() == out.size());
+    if (out.size() != rows.size())
+        throw std::invalid_argument(
+            "cosine_distances_to: output size differs from the row count");
+    require_width(rows, query.size(),
+                  "cosine_distances_to: a row's width differs from the "
+                  "query's");
     const double query_norm = norm2(query);
+    // Groups of kThetaGroup rows fan out over the pool; each group is one
+    // fused dot+norm pass carrying every row's two strict chains, so each
+    // slot stays bit-identical to cosine_distance under any thread count.
     parallel_for(
-        0, rows.size(),
-        [&](std::size_t i) {
-            // Fused dot+norm: one traversal of the row instead of the
-            // separate norm2() and dot() passes.  The fused kernel carries
-            // two strict chains, so this stays bit-identical to
-            // cosine_distance.
-            double d = 0.0;
-            double row_norm2 = 0.0;
-            simd::dot_and_norm(rows[i].data(), query.data(), rows[i].size(),
-                               &d, &row_norm2);
-            const double row_norm = std::sqrt(row_norm2);
-            if (row_norm == 0.0 || query_norm == 0.0) {
-                out[i] = 1.0;
-                return;
+        0, (rows.size() + kThetaGroup - 1) / kThetaGroup,
+        [&](std::size_t group) {
+            const std::size_t lo = group * kThetaGroup;
+            const std::size_t count = std::min(kThetaGroup, rows.size() - lo);
+            const float* xs[kThetaGroup] = {};
+            for (std::size_t k = 0; k < count; ++k)
+                xs[k] = rows[lo + k].data();
+            double dots[kThetaGroup] = {};
+            double norms2[kThetaGroup] = {};
+            simd::dot_and_norm_rows(xs, count, query.data(), query.size(),
+                                    dots, norms2);
+            for (std::size_t k = 0; k < count; ++k) {
+                const double row_norm = std::sqrt(norms2[k]);
+                if (row_norm == 0.0 || query_norm == 0.0) {
+                    out[lo + k] = 1.0;
+                    continue;
+                }
+                double cosine = dots[k] / (row_norm * query_norm);
+                if (cosine > 1.0) cosine = 1.0;
+                if (cosine < -1.0) cosine = -1.0;
+                out[lo + k] = 1.0 - cosine;
             }
-            double cosine = d / (row_norm * query_norm);
-            if (cosine > 1.0) cosine = 1.0;
-            if (cosine < -1.0) cosine = -1.0;
-            out[i] = 1.0 - cosine;
         },
         pool);
 }
@@ -189,15 +223,16 @@ void cosine_distances_to(std::span<const std::vector<float>> rows,
 void weighted_sum(std::span<const RowView> rows,
                   std::span<const double> weights, std::span<float> out,
                   ThreadPool& pool) {
-    assert(rows.size() == weights.size());
-#ifndef NDEBUG
-    for (const auto& row : rows) assert(row.size() == out.size());
-#endif
+    if (weights.size() != rows.size())
+        throw std::invalid_argument(
+            "weighted_sum: weight count differs from the row count");
+    require_width(rows, out.size(),
+                  "weighted_sum: a row's width differs from the output's");
     // Dimension-split: each output element accumulates its rows strictly
     // in order inside one chunk, so the result matches the serial
     // row-major axpy loop bit-for-bit under any thread count.
     parallel_chunks(
-        0, out.size(), kDimChunk,
+        0, out.size(), combine_chunk(rows.size()),
         [&](std::size_t lo, std::size_t hi) {
             const auto slice = out.subspan(lo, hi - lo);
             fill(slice, 0.0F);
@@ -215,12 +250,11 @@ void mean_of(std::span<const RowView> rows, std::span<float> out,
         fill(out, 0.0F);
         return;
     }
-#ifndef NDEBUG
-    for (const auto& row : rows) assert(row.size() == out.size());
-#endif
+    require_width(rows, out.size(),
+                  "mean_of: a row's width differs from the output's");
     const float inv = 1.0F / static_cast<float>(rows.size());
     parallel_chunks(
-        0, out.size(), kDimChunk,
+        0, out.size(), combine_chunk(rows.size()),
         [&](std::size_t lo, std::size_t hi) {
             const auto slice = out.subspan(lo, hi - lo);
             fill(slice, 0.0F);

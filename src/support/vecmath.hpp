@@ -137,9 +137,12 @@ void add_scaled_diff(float alpha, std::span<const float> x,
 
 /// Fused norms-then-cosine batch kernel: out[i] = cosine_distance(rows[i],
 /// query), computing the query norm once and each row's dot and norm in
-/// one traversal.  Rows fan out over `pool`; each writes only its own
+/// one traversal.  Groups of eight rows fan out over `pool`, each one
+/// lane-exact simd::dot_and_norm_rows pass; every row writes only its own
 /// slot, so the result is bit-identical to calling cosine_distance per
-/// row under any thread count.
+/// row under any thread count.  Throws std::invalid_argument, before any
+/// task runs, when out.size() != rows.size() or a row's width differs
+/// from the query's.
 void cosine_distances_to(std::span<const std::vector<float>> rows,
                          std::span<const float> query, std::span<double> out,
                          ThreadPool& pool = ThreadPool::global());
@@ -149,11 +152,14 @@ void cosine_distances_to(std::span<const std::vector<float>> rows,
 /// without copying the payloads.
 using RowView = std::span<const float>;
 
-/// out = sum_i weights[i] * rows[i].  All rows must share out's size;
-/// weights.size() must equal rows.size().  For large vectors the dimension
-/// range is split across `pool`; each output element still accumulates its
-/// rows strictly in order, so the result is bit-identical to the serial
-/// loop under any thread count.
+/// out = sum_i weights[i] * rows[i].  All rows must share out's size and
+/// weights.size() must equal rows.size(), else std::invalid_argument is
+/// thrown before any task runs.  The dimension range is split across
+/// `pool` in chunks sized by the work they carry (rows x chunk of at least
+/// 2^18 row-elements, chunks of at least 1024 floats), so a combine of a
+/// few rows runs as one chunk on the calling thread.  Each output element
+/// still accumulates its rows strictly in order, so the result is
+/// bit-identical to the serial loop under any thread count.
 void weighted_sum(std::span<const RowView> rows,
                   std::span<const double> weights, std::span<float> out,
                   ThreadPool& pool = ThreadPool::global());
@@ -161,7 +167,8 @@ void weighted_sum(std::span<const std::vector<float>> rows,
                   std::span<const double> weights, std::span<float> out,
                   ThreadPool& pool = ThreadPool::global());
 
-/// out = (1/n) * sum_i rows[i].  Parallelized like weighted_sum.
+/// out = (1/n) * sum_i rows[i].  Checked and parallelized like
+/// weighted_sum.
 void mean_of(std::span<const RowView> rows, std::span<float> out,
              ThreadPool& pool = ThreadPool::global());
 void mean_of(std::span<const std::vector<float>> rows, std::span<float> out,

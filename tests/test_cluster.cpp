@@ -19,6 +19,7 @@ namespace {
 
 namespace cl = fairbfl::cluster;
 using fairbfl::support::Rng;
+using fairbfl::support::ThreadPool;
 
 /// Two well-separated Gaussian blobs in 2D plus optional far outliers.
 std::vector<std::vector<float>> two_blobs(std::size_t per_blob,
@@ -301,7 +302,8 @@ TEST(Dbscan, PrebuiltIndexMatchesPointsPath) {
     const cl::Dbscan dbscan(params);
     const cl::ExactIndex index(params.metric, points);
     const auto direct = dbscan.cluster(points);
-    const auto reused = dbscan.cluster_with(index, points);
+    const auto reused =
+        dbscan.cluster_with(index, points, ThreadPool::global());
     EXPECT_EQ(direct.labels, reused.labels);
     EXPECT_EQ(direct.num_clusters, reused.num_clusters);
 }
@@ -312,7 +314,8 @@ TEST(Dbscan, MismatchedIndexMetricFallsBackToRebuild) {
         {.eps = 0.3, .min_pts = 3, .metric = cl::Metric::kEuclidean});
     // Wrong-metric index: correctness demands a rebuild, not reuse.
     const cl::ExactIndex cosine(cl::Metric::kCosine, points);
-    const auto reused = dbscan.cluster_with(cosine, points);
+    const auto reused =
+        dbscan.cluster_with(cosine, points, ThreadPool::global());
     EXPECT_EQ(reused.labels, dbscan.cluster(points).labels);
 }
 
@@ -367,12 +370,15 @@ TEST(KMeans, PrebuiltIndexSeedingSeparatesBlobsDeterministically) {
                              .metric = cl::Metric::kEuclidean,
                              .seed = 5});
     const cl::ExactIndex index(cl::Metric::kEuclidean, points);
-    const auto result = kmeans.cluster_with(index, points);
+    const auto result =
+        kmeans.cluster_with(index, points, ThreadPool::global());
     EXPECT_EQ(result.num_clusters, 2);
     EXPECT_TRUE(result.same_cluster(0, 1));
     EXPECT_TRUE(result.same_cluster(20, 25));
     EXPECT_FALSE(result.same_cluster(0, 20));
-    EXPECT_EQ(result.labels, kmeans.cluster_with(index, points).labels);
+    EXPECT_EQ(result.labels,
+              kmeans.cluster_with(index, points, ThreadPool::global())
+                  .labels);
 }
 
 TEST(KMeans, CosineIndexSeedingStillSeparatesDirections) {
@@ -387,7 +393,8 @@ TEST(KMeans, CosineIndexSeedingStillSeparatesDirections) {
     const cl::KMeans kmeans({.k = 2, .metric = cl::Metric::kCosine,
                              .seed = 3});
     const cl::ExactIndex index(cl::Metric::kCosine, points);
-    const auto result = kmeans.cluster_with(index, points);
+    const auto result =
+        kmeans.cluster_with(index, points, ThreadPool::global());
     EXPECT_EQ(result.num_clusters, 2);
     EXPECT_TRUE(result.same_cluster(0, 5));
     EXPECT_FALSE(result.same_cluster(0, 15));

@@ -3,7 +3,8 @@
 // detection within 2% of exact), the sketch's small-n break-even fallback,
 // the sketch path's bit pins (shared Gaussian matrix, chunked projection,
 // sketch contents against a per-point reference), the sketch index's
-// behaviour on non-finite points, and Algorithm 2's rejection of ragged
+// behaviour on non-finite points, DBSCAN's pooled queries under every
+// backend on 1- and 4-thread pools, and Algorithm 2's rejection of ragged
 // point sets before any index is built.
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "cluster/dbscan.hpp"
@@ -136,8 +138,10 @@ TEST(LazyIndex, KMeansSeedingBitIdenticalToPointsPathUnderEuclidean) {
                                            .metric = cl::Metric::kEuclidean,
                                            .seed = 5});
     const cl::LazyIndex lazy(cl::Metric::kEuclidean, points);
-    EXPECT_EQ(kmeans.cluster_with(lazy, points).labels,
-              kmeans.cluster(points).labels);
+    EXPECT_EQ(
+        kmeans.cluster_with(lazy, points, support::ThreadPool::global())
+            .labels,
+        kmeans.cluster(points).labels);
 }
 
 TEST(AutoIndex, ResolvesPerClusteringAlgorithm) {
@@ -253,6 +257,50 @@ TEST(ApproximateIndexes, SmallRoundsFallBackToExactGeometry) {
     EXPECT_EQ(row, truth);
 }
 
+TEST(Dbscan, PooledQueriesBitIdenticalOnOneAndFourThreadPools) {
+    // suggest_eps's k-distance queries and the scan's neighbourhood queries
+    // fan out over the pass's pool, each into its own slot.  Above the
+    // query grain (200 points) and below it (5), under every backend --
+    // the sketch engaged at 200 points (n > 2k) -- and both metrics, the
+    // suggested eps and the labels must not depend on the pool size.
+    support::ThreadPool serial(1);
+    support::ThreadPool parallel(4);
+    for (const std::size_t per_group : {50UL, 1UL}) {
+        const std::size_t groups = per_group == 1 ? 5 : 4;
+        const auto points = grouped_gradients(groups, per_group, 64, 21);
+        for (const auto metric :
+             {cl::Metric::kEuclidean, cl::Metric::kCosine}) {
+            cl::IndexParams params;
+            params.metric = metric;
+            for (const char* key : {"exact", "lazy", "random_projection"}) {
+                SCOPED_TRACE(::testing::Message()
+                             << key << " n=" << points.size() << " metric "
+                             << static_cast<int>(metric));
+                const auto index =
+                    cl::IndexRegistry::global().build(key, points, params);
+                if (std::string_view(key) == "random_projection") {
+                    const auto& sketch =
+                        dynamic_cast<const cl::RandomProjectionIndex&>(*index);
+                    EXPECT_EQ(sketch.sketch_dims(),
+                              points.size() > 96 ? 48U : 64U);
+                }
+                const double eps1 = cl::suggest_eps(*index, 3, serial);
+                const double eps4 = cl::suggest_eps(*index, 3, parallel);
+                EXPECT_EQ(std::memcmp(&eps1, &eps4, sizeof(double)), 0);
+                const cl::Dbscan dbscan({.min_pts = 3,
+                                         .metric = metric,
+                                         .adaptive_eps = true});
+                const auto one = dbscan.cluster_with(*index, points, serial);
+                const auto four =
+                    dbscan.cluster_with(*index, points, parallel);
+                EXPECT_EQ(one.labels, four.labels);
+                EXPECT_EQ(one.num_clusters, four.num_clusters);
+                if (points.size() > 96) EXPECT_GE(one.num_clusters, 1);
+            }
+        }
+    }
+}
+
 TEST(ApproximateIndexes, DbscanLabelsMatchExactOnSeparatedGroups) {
     // End-to-end through the scan: adaptive eps from each index's own
     // geometry must recover the same well-separated partition.
@@ -267,7 +315,8 @@ TEST(ApproximateIndexes, DbscanLabelsMatchExactOnSeparatedGroups) {
         const double eps = 2.0 * cl::suggest_eps(index, 3);
         const cl::Dbscan dbscan(
             {.eps = eps, .min_pts = 3, .metric = cl::Metric::kEuclidean});
-        return dbscan.cluster_with(index, points);
+        return dbscan.cluster_with(index, points,
+                                   support::ThreadPool::global());
     };
     const auto truth = scan(exact);
     ASSERT_EQ(truth.num_clusters, 4);

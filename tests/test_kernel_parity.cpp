@@ -5,11 +5,11 @@
 // the first test re-states those loops locally and demands exact
 // equality.  The 3x4 tile entry must equal twelve single calls, the batched
 // gemv_rows / outer_accumulate_rows entries must equal per-sample gemv
-// calls / per-row axpy calls in sample order, and axpy must equal the
-// one-multiply-one-add loop, bit for bit -- including the lane-exact AVX2
-// encodings that serve those four kernels on capable CPUs, over salted
-// inputs (signed zeros, denormals, overflowing magnitudes, infinities and
-// NaNs).
+// calls / per-row axpy calls in sample order, the theta rows must equal
+// per-row dot_and_norm calls, and axpy must equal the one-multiply-one-add
+// loop, bit for bit -- including the lane-exact AVX2 encodings that serve
+// those five kernels on capable CPUs, over salted inputs (signed zeros,
+// denormals, overflowing magnitudes, infinities and NaNs).
 
 #include <gtest/gtest.h>
 
@@ -516,6 +516,126 @@ TEST(ScalarTable, LaneExactBatchEncodingsBitIdenticalToPerSampleCalls) {
         GTEST_SKIP() << "lane-exact AVX encodings unavailable on this "
                         "build/CPU";
     expect_batch_contracts(forward, backward, "lane-exact");
+}
+
+// --- Theta rows -------------------------------------------------------------
+
+/// Counts reach one short group of eight rows, exactly one group, one row
+/// past it, two groups and one, and the cluster_heavy pass's 193 rows;
+/// widths reach the empty row, every column-tail length and the model's
+/// 7850 weights.
+const std::size_t kThetaCounts[] = {1, 7, 8, 9, 17, 193};
+const std::size_t kThetaWidths[] = {0, 1, 3, 4, 5, 783, 7850};
+
+/// `count` rows and one query of width n.  Salted cases add the tile
+/// cases' salts (signed zeros, float denormals, magnitudes whose float
+/// square overflows) and +-1e38 to every row and the query, +inf to the
+/// middle row and -inf to the last one.
+struct ThetaCase {
+    std::vector<std::vector<float>> xs;
+    std::vector<float> y;
+
+    [[nodiscard]] std::vector<const float*> pointers() const {
+        std::vector<const float*> out;
+        for (const auto& x : xs) out.push_back(x.data());
+        return out;
+    }
+};
+
+ThetaCase theta_case(std::size_t count, std::size_t n, Rng& rng,
+                     bool salted) {
+    ThetaCase c;
+    for (std::size_t r = 0; r < count; ++r)
+        c.xs.push_back(random_vector(n, rng));
+    c.y = random_vector(n, rng);
+    if (!salted) return c;
+    const auto add_salts = [](std::vector<float>& v, std::size_t offset) {
+        salt(v, offset);
+        for (std::size_t i = offset + 3; i < v.size(); i += 7)
+            v[i] = (i % 2 == 0) ? 1e38F : -1e38F;
+    };
+    for (std::size_t r = 0; r < count; ++r) add_salts(c.xs[r], r % 5);
+    add_salts(c.y, 2);
+    if (n > 0) {
+        const float inf = std::numeric_limits<float>::infinity();
+        c.xs[count / 2][n / 2] = inf;
+        c.xs[count - 1][n - 1] = -inf;
+    }
+    return c;
+}
+
+/// One body's (dot, norm2) per row, concatenated: dots then norms.
+std::vector<double> run_theta(simd::DotAndNormRows kernel,
+                              const ThetaCase& c) {
+    const auto xs = c.pointers();
+    std::vector<double> out(2 * xs.size());
+    kernel(xs.data(), xs.size(), c.y.data(), c.y.size(), out.data(),
+           out.data() + xs.size());
+    return out;
+}
+
+/// Per-row dot_and_norm calls: the dot_and_norm_rows contract.
+std::vector<double> per_row_dot_and_norm(const ThetaCase& c) {
+    const std::size_t count = c.xs.size();
+    std::vector<double> out(2 * count);
+    for (std::size_t r = 0; r < count; ++r)
+        simd::dot_and_norm(c.xs[r].data(), c.y.data(), c.y.size(),
+                           out.data() + r, out.data() + count + r);
+    return out;
+}
+
+/// Every count and width, plain and salted: `kernel` must equal per-row
+/// dot_and_norm bit for bit.  Then a NaN in one row (one lane of its
+/// group) must reach only that row's dot and norm, with every other row's
+/// bits unchanged.
+void expect_theta_contract(simd::DotAndNormRows kernel, const char* body) {
+    Rng rng(28);
+    for (const std::size_t count : kThetaCounts) {
+        for (const std::size_t n : kThetaWidths) {
+            for (const bool salted : {false, true}) {
+                const ThetaCase c = theta_case(count, n, rng, salted);
+                const auto got = run_theta(kernel, c);
+                const auto want = per_row_dot_and_norm(c);
+                EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                      got.size() * sizeof(double)),
+                          0)
+                    << body << " count=" << count << " n=" << n
+                    << " salted=" << salted;
+            }
+            if (n == 0) continue;
+            ThetaCase c = theta_case(count, n, rng, false);
+            const auto clean = per_row_dot_and_norm(c);
+            const std::size_t bad = (count - 1) / 2;
+            c.xs[bad][n / 3] = std::numeric_limits<float>::quiet_NaN();
+            const auto got = run_theta(kernel, c);
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                if (i % count == bad) {
+                    EXPECT_TRUE(std::isnan(got[i]))
+                        << body << " NaN row, count=" << count << " n=" << n;
+                } else {
+                    EXPECT_EQ(std::memcmp(&got[i], &clean[i], sizeof(double)),
+                              0)
+                        << body << " clean row " << i % count
+                        << ", count=" << count << " n=" << n;
+                }
+            }
+        }
+    }
+}
+
+TEST(ScalarTable, ThetaRowsEntryBitIdenticalToPerRowDotAndNorm) {
+    expect_theta_contract(simd::dot_and_norm_rows, "table entry");
+    expect_theta_contract(simd::detail::portable_dot_and_norm_rows(),
+                          "portable");
+}
+
+TEST(ScalarTable, LaneExactThetaRowsBitIdenticalToPerRowDotAndNorm) {
+    const simd::DotAndNormRows lane_exact =
+        simd::detail::lane_exact_dot_and_norm_rows();
+    if (lane_exact == nullptr || !simd::cpu_supports_avx2())
+        GTEST_SKIP() << "lane-exact AVX encoding unavailable on this "
+                        "build/CPU";
+    expect_theta_contract(lane_exact, "lane-exact");
 }
 
 // --- axpy -------------------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "support/vecmath.hpp"
@@ -154,26 +156,74 @@ TEST(VecMath, CachedCosineBitIdenticalToPlain) {
 
 TEST(VecMath, BatchCosineBitIdenticalToPairwise) {
     // The model's real width (7850) and a zero row (the 1.0 branch), on
-    // one worker and on four: rows fan out over the pool, and every slot
-    // must still equal the pairwise kernel bit for bit.
+    // one worker and on four: groups of eight rows fan out over the pool,
+    // and every slot must still equal the pairwise kernel bit for bit.
+    // 9 and 17 rows end in a short group; 193 is the cluster_heavy pass.
     fairbfl::support::ThreadPool serial(1);
     fairbfl::support::ThreadPool parallel(4);
     std::uint32_t state = 5;
     for (const std::size_t dim : {33UL, 7850UL}) {
-        std::vector<std::vector<float>> rows;
-        for (int i = 0; i < 9; ++i) rows.push_back(random_vec(dim, state));
-        rows[4].assign(dim, 0.0F);
-        const auto query = random_vec(dim, state);
-        for (auto* pool : {&serial, &parallel}) {
-            std::vector<double> out(rows.size());
-            vm::cosine_distances_to(rows, query, out, *pool);
-            for (std::size_t i = 0; i < rows.size(); ++i)
-                EXPECT_EQ(out[i], vm::cosine_distance(rows[i], query))
-                    << "dim=" << dim << " threads=" << pool->size()
-                    << " row=" << i;
-            EXPECT_EQ(out[4], 1.0);
+        for (const std::size_t count : {9UL, 17UL, 193UL}) {
+            std::vector<std::vector<float>> rows;
+            for (std::size_t i = 0; i < count; ++i)
+                rows.push_back(random_vec(dim, state));
+            rows[4].assign(dim, 0.0F);
+            const auto query = random_vec(dim, state);
+            for (auto* pool : {&serial, &parallel}) {
+                std::vector<double> out(rows.size());
+                vm::cosine_distances_to(rows, query, out, *pool);
+                for (std::size_t i = 0; i < rows.size(); ++i)
+                    EXPECT_EQ(out[i], vm::cosine_distance(rows[i], query))
+                        << "dim=" << dim << " count=" << count
+                        << " threads=" << pool->size() << " row=" << i;
+                EXPECT_EQ(out[4], 1.0);
+            }
         }
     }
+}
+
+TEST(VecMath, ThetaAndCombineKernelsRejectRaggedWidths) {
+    // A row narrower or wider than the query or the output would be read
+    // past its end (or only in part); each kernel throws before any task
+    // runs, on a serial pool and on a parallel one.
+    fairbfl::support::ThreadPool serial(1);
+    fairbfl::support::ThreadPool parallel(4);
+    std::uint32_t state = 15;
+    std::vector<std::vector<float>> rows;
+    for (int i = 0; i < 12; ++i) rows.push_back(random_vec(64, state));
+    const auto query = random_vec(64, state);
+    const std::vector<double> weights(rows.size(), 1.0 / 12.0);
+    for (const std::size_t bad_width : {0UL, 63UL, 65UL}) {
+        auto ragged = rows;
+        ragged[9] = random_vec(bad_width, state);
+        for (auto* pool : {&serial, &parallel}) {
+            std::vector<double> theta(ragged.size());
+            EXPECT_THROW(vm::cosine_distances_to(ragged, query, theta, *pool),
+                         std::invalid_argument)
+                << "width " << bad_width;
+            std::vector<float> out(64);
+            EXPECT_THROW(vm::weighted_sum(ragged, weights, out, *pool),
+                         std::invalid_argument)
+                << "width " << bad_width;
+            EXPECT_THROW(vm::mean_of(ragged, out, *pool),
+                         std::invalid_argument)
+                << "width " << bad_width;
+        }
+    }
+    // A short output (the rows are right, the destination is not) and a
+    // count mismatch between rows and their slots or weights.
+    std::vector<float> short_out(63);
+    EXPECT_THROW(vm::weighted_sum(rows, weights, short_out),
+                 std::invalid_argument);
+    EXPECT_THROW(vm::mean_of(rows, short_out), std::invalid_argument);
+    std::vector<double> few_slots(rows.size() - 1);
+    EXPECT_THROW(vm::cosine_distances_to(rows, query, few_slots),
+                 std::invalid_argument);
+    std::vector<float> out(64);
+    EXPECT_THROW(vm::weighted_sum(rows,
+                                  std::span<const double>(weights).first(11),
+                                  out),
+                 std::invalid_argument);
 }
 
 TEST(VecMath, NormsOfMatchesNorm2) {
@@ -272,40 +322,65 @@ TEST(VecMath, AddScaledDiffBitIdenticalToScalarLoop) {
     }
 }
 
-// The parallel determinism contract of the combine kernels: a
-// multi-threaded pool must reproduce the serial accumulation bit-for-bit
-// (each element sums its rows in row order regardless of chunking).
+// The parallel determinism contract of the combine kernels: any pool must
+// reproduce the serial axpy loop bit-for-bit (each element sums its rows in
+// row order regardless of chunking).  The model's width (7850) at 4 and 32
+// rows is one inline chunk and at 192 rows six chunks; the wider case
+// splits in four with a short tail, and 300 rows reach the 1024-float
+// floor.
+struct CombineShape {
+    std::size_t dim;
+    std::size_t rows;
+};
+const CombineShape kCombineShapes[] = {{7850, 4},
+                                       {7850, 32},
+                                       {7850, 192},
+                                       {3 * 8192 + 17, 40},
+                                       {2100, 300}};
+
 TEST(VecMath, WeightedSumParallelBitIdenticalToSerial) {
     std::uint32_t state = 7;
-    const std::size_t dim = 3 * 8192 + 17;  // spans several chunks
-    std::vector<std::vector<float>> rows;
-    for (int r = 0; r < 6; ++r) rows.push_back(random_vec(dim, state));
-    const std::vector<double> weights{0.1, 0.3, 0.05, 0.25, 0.2, 0.1};
+    for (const CombineShape shape : kCombineShapes) {
+        std::vector<std::vector<float>> rows;
+        std::vector<double> weights;
+        for (std::size_t r = 0; r < shape.rows; ++r) {
+            rows.push_back(random_vec(shape.dim, state));
+            weights.push_back(0.05 + 0.5 * static_cast<double>(r % 7) / 7.0);
+        }
 
-    std::vector<float> serial(dim, 0.0F);
-    for (std::size_t r = 0; r < rows.size(); ++r)
-        vm::axpy(static_cast<float>(weights[r]), rows[r], serial);
+        std::vector<float> serial(shape.dim, 0.0F);
+        for (std::size_t r = 0; r < rows.size(); ++r)
+            vm::axpy(static_cast<float>(weights[r]), rows[r], serial);
 
-    fairbfl::support::ThreadPool pool(4);
-    std::vector<float> parallel(dim, 0.0F);
-    vm::weighted_sum(rows, weights, parallel, pool);
-    EXPECT_EQ(parallel, serial);
+        for (const unsigned threads : {1U, 2U, 4U}) {
+            fairbfl::support::ThreadPool pool(threads);
+            std::vector<float> parallel(shape.dim, 0.0F);
+            vm::weighted_sum(rows, weights, parallel, pool);
+            EXPECT_EQ(parallel, serial)
+                << shape.rows << "x" << shape.dim << " threads=" << threads;
+        }
+    }
 }
 
 TEST(VecMath, MeanOfParallelBitIdenticalToSerial) {
     std::uint32_t state = 8;
-    const std::size_t dim = 2 * 8192 + 5;
-    std::vector<std::vector<float>> rows;
-    for (int r = 0; r < 5; ++r) rows.push_back(random_vec(dim, state));
+    for (const CombineShape shape : kCombineShapes) {
+        std::vector<std::vector<float>> rows;
+        for (std::size_t r = 0; r < shape.rows; ++r)
+            rows.push_back(random_vec(shape.dim, state));
 
-    std::vector<float> serial(dim, 0.0F);
-    for (const auto& row : rows) vm::axpy(1.0F, row, serial);
-    vm::scale(serial, 1.0F / static_cast<float>(rows.size()));
+        std::vector<float> serial(shape.dim, 0.0F);
+        for (const auto& row : rows) vm::axpy(1.0F, row, serial);
+        vm::scale(serial, 1.0F / static_cast<float>(rows.size()));
 
-    fairbfl::support::ThreadPool pool(4);
-    std::vector<float> parallel(dim, 0.0F);
-    vm::mean_of(rows, parallel, pool);
-    EXPECT_EQ(parallel, serial);
+        for (const unsigned threads : {1U, 2U, 4U}) {
+            fairbfl::support::ThreadPool pool(threads);
+            std::vector<float> parallel(shape.dim, 0.0F);
+            vm::mean_of(rows, parallel, pool);
+            EXPECT_EQ(parallel, serial)
+                << shape.rows << "x" << shape.dim << " threads=" << threads;
+        }
+    }
 }
 
 }  // namespace
