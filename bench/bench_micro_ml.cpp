@@ -17,11 +17,12 @@ namespace {
 using namespace fairbfl;
 
 /// CPU-feature report in the JSON header, so an artifact records whether
-/// the lane-exact AVX2 encodings could serve the kernel rows on the
+/// the lane-exact AVX2 + FMA encodings could serve the kernel rows on the
 /// producing host.
 const bool kContextRegistered = [] {
     benchmark::AddCustomContext(
-        "cpu_avx2", support::simd::cpu_supports_avx2() ? "true" : "false");
+        "cpu_avx2_fma",
+        support::simd::cpu_supports_avx2_fma() ? "true" : "false");
     return true;
 }();
 
@@ -113,20 +114,25 @@ void BM_KernelGemvRows(benchmark::State& state) {
 BENCHMARK(BM_KernelGemvRows)->Arg(784);
 
 void BM_KernelOuterRows(benchmark::State& state) {
-    // The batched logistic backward: one call per mini-batch.
+    // The batched logistic backward, one sweep per mini-batch: the weight
+    // gradient written with its L2 term, and with range(1) = 1 the L2 loss
+    // chain dot(w, w) carried too (the last epoch's steps).
     const auto dim = static_cast<std::size_t>(state.range(0));
     MiniBatch batch(dim);
-    std::vector<float> grad(MiniBatch::kClasses * dim, 0.0F);
+    std::vector<float> grad(MiniBatch::kClasses * dim);
+    double w_norm2 = 0.0;
+    double* const norm_out = state.range(1) != 0 ? &w_norm2 : nullptr;
     for (auto _ : state) {
-        support::outer_accumulate_rows(batch.d, batch.xs, MiniBatch::kClasses,
-                                       dim, grad);
+        support::outer_rows_l2(batch.d, batch.xs, MiniBatch::kClasses, dim,
+                               1e-4F, batch.w, grad, norm_out);
         benchmark::DoNotOptimize(grad.data());
+        benchmark::DoNotOptimize(w_norm2);
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(MiniBatch::kSamples));
 }
-BENCHMARK(BM_KernelOuterRows)->Arg(784);
+BENCHMARK(BM_KernelOuterRows)->Args({784, 0})->Args({784, 1});
 
 void BM_KernelSketch(benchmark::State& state) {
     // The GradientIndex build step: project range(1) gradient rows of

@@ -72,17 +72,22 @@ public:
     }
 
     /// Batched path over packed rows: one X·Wᵀ forward for the whole
-    /// mini-batch (support::gemv_rows), softmax per sample, then one
-    /// dlogitsᵀ·X backward (support::outer_accumulate_rows).  Every logit
-    /// is a strict per-row chain and every gradient element receives its
-    /// per-sample adds in sample order, so results are bit-identical to
-    /// the reference loop.
+    /// mini-batch (support::gemv_rows), softmax per sample, then one sweep
+    /// that writes dlogitsᵀ·X + l2·W (support::outer_rows_l2) and, when
+    /// the loss is kept, carries the L2 term's dot(w, w).  Every logit is a
+    /// strict per-row chain and every gradient element starts at +0.0f and
+    /// receives its per-sample adds in sample order and its L2 add last, so
+    /// results are bit-identical to the reference loop on a zeroed
+    /// gradient.
     double loss_and_gradient_batch(std::span<const float> params,
                                    const PackedBatch& data,
                                    std::span<const std::size_t> rows,
                                    TrainWorkspace& ws,
                                    std::span<float> grad) const override {
-        if (rows.empty()) return 0.0;
+        if (rows.empty()) {
+            support::fill(grad, 0.0F);
+            return 0.0;
+        }
         const std::size_t n = rows.size();
         const auto logits = TrainWorkspace::ensure(ws.logits, n * classes_);
         const auto dlogits = TrainWorkspace::ensure(ws.dlogits, n * classes_);
@@ -103,16 +108,18 @@ public:
                 dl);
             for (float& g : dl) g *= inv_n;
         }
-        support::outer_accumulate_rows(dlogits, ws.samples, classes_, dim_,
-                                       grad_w);
+        // The L2 *gradient* is always applied; its loss chain is carried
+        // only when the caller keeps the value (ws.want_loss).
+        double w_norm2 = 0.0;
+        support::outer_rows_l2(dlogits, ws.samples, classes_, dim_,
+                               static_cast<float>(l2_), w, grad_w,
+                               ws.want_loss ? &w_norm2 : nullptr);
+        support::fill(grad_b, 0.0F);
         for (std::size_t i = 0; i < n; ++i)
             for (std::size_t c = 0; c < classes_; ++c)
                 grad_b[c] += dlogits[i * classes_ + c];
-        // The L2 *gradient* is always applied; its full-width loss dot is
-        // skipped when the caller discards the value (ws.want_loss).
-        support::axpy(static_cast<float>(l2_), w, grad_w);
-        double loss = loss_sum / static_cast<double>(rows.size());
-        if (ws.want_loss) loss += 0.5 * l2_ * support::dot(w, w);
+        double loss = loss_sum / static_cast<double>(n);
+        if (ws.want_loss) loss += 0.5 * l2_ * w_norm2;
         return loss;
     }
 

@@ -108,13 +108,15 @@ public:
 
     /// Batched path: both forward layers run as blocked gemv kernels and
     /// dh = W2ᵀ·dlogits as the transposed-accumulate kernel, over packed
-    /// rows.  Accumulation order per parameter matches the reference loop,
-    /// so results are bit-identical.
+    /// rows.  The gradient is zeroed first and written, and accumulation
+    /// order per parameter matches the reference loop, so results are
+    /// bit-identical to it on a zeroed gradient.
     double loss_and_gradient_batch(std::span<const float> params,
                                    const PackedBatch& data,
                                    std::span<const std::size_t> rows,
                                    TrainWorkspace& ws,
                                    std::span<float> grad) const override {
+        support::fill(grad, 0.0F);
         if (rows.empty()) return 0.0;
         const Layout p(*this, params);
         const LayoutMut g(*this, grad);

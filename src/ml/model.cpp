@@ -19,7 +19,9 @@ double Model::loss_and_gradient_batch(std::span<const float> params,
                                       TrainWorkspace& ws,
                                       std::span<float> grad) const {
     // Reference fallback: reconstruct the mini-batch as a DatasetView over
-    // the pack's parent.  Allocates per call -- models that care override.
+    // the pack's parent and accumulate into a zeroed gradient.  Allocates
+    // per call -- models that care override.
+    std::fill(grad.begin(), grad.end(), 0.0F);
     std::vector<std::size_t> parent_indices;
     parent_indices.reserve(rows.size());
     for (const std::size_t r : rows)

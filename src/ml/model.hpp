@@ -47,15 +47,16 @@ public:
                                      TrainWorkspace& ws,
                                      std::span<float> grad) const;
 
-    /// Batched kernel: mean loss and accumulated gradient over the samples
-    /// at packed positions `rows` of `data` (in that order), using `ws`
-    /// for scratch.  Contract: bit-identical to calling the per-sample
-    /// loss_and_gradient on the same samples in the same order -- batched
-    /// implementations must preserve per-sample accumulation order inside
-    /// their kernels (see support::gemv_rows / outer_accumulate_rows).  The
-    /// base implementation gathers the rows back into a DatasetView and
-    /// runs the reference path; built-in models override with blocked
-    /// kernels.
+    /// Batched kernel: mean loss over the samples at packed positions
+    /// `rows` of `data` (in that order), and their gradient *written* into
+    /// `grad` (whatever it held before is overwritten; an empty `rows`
+    /// writes zeros), using `ws` for scratch.  Contract: bit-identical to
+    /// calling the per-sample loss_and_gradient on the same samples in the
+    /// same order with `grad` zeroed first -- batched implementations must
+    /// preserve per-sample accumulation order inside their kernels (see
+    /// support::gemv_rows / outer_rows_l2).  The base implementation zeroes
+    /// `grad`, gathers the rows back into a DatasetView and runs the
+    /// reference path; built-in models override with blocked kernels.
     virtual double loss_and_gradient_batch(std::span<const float> params,
                                            const PackedBatch& data,
                                            std::span<const std::size_t> rows,

@@ -88,7 +88,7 @@ SgdResult sgd_train(const Model& model, std::span<float> params,
                 std::min(batch_size, shard.size() - start);
             const std::span<const std::size_t> rows(ws.order.data() + start,
                                                     len);
-            support::fill(grad, 0.0F);
+            // loss_and_gradient_batch writes all of grad.
             const double batch_loss =
                 model.loss_and_gradient_batch(params, shard, rows, ws, grad);
             if (last_epoch) epoch_loss += batch_loss;

@@ -72,14 +72,15 @@ private:
 struct TrainWorkspace {
     // --- SGD driver scratch (ml::sgd_train).
     std::vector<std::size_t> order;  ///< per-epoch sample order
-    std::vector<float> grad;         ///< param-sized gradient accumulator
+    std::vector<float> grad;         ///< param-sized gradient buffer
 
     /// Batched-path hint: when false, the model may skip arithmetic that
     /// only feeds the *returned loss value* (e.g. the L2 term's full-width
-    /// dot) -- the return value is then unspecified.  Gradients are never
-    /// affected.  The batched SGD driver clears this for non-final epochs,
-    /// whose epoch loss is discarded; the reference path always wants the
-    /// loss.
+    /// dot(w, w), which the logistic model otherwise carries through its
+    /// one-sweep backward) -- the return value is then unspecified.
+    /// Gradients are never affected.  The batched SGD driver clears this
+    /// for non-final epochs, whose epoch loss is discarded; the reference
+    /// path always wants the loss.
     bool want_loss = true;
 
     // --- Model scratch (linear + MLP kernels).

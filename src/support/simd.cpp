@@ -40,12 +40,17 @@ void gemv_rows_portable(const float* a, std::size_t rows, std::size_t cols,
         gemv(a, rows, cols, xs[s], bias, out + s * rows);
 }
 
-void outer_accumulate_rows_portable(const float* d, const float* const* xs,
-                                    std::size_t count, std::size_t rows,
-                                    std::size_t cols, float* y) {
+void outer_rows_l2_portable(const float* d, const float* const* xs,
+                            std::size_t count, std::size_t rows,
+                            std::size_t cols, float l2, const float* w,
+                            float* g, double* w_norm2) {
+    const std::size_t n = rows * cols;
+    for (std::size_t i = 0; i < n; ++i) g[i] = 0.0F;
     for (std::size_t s = 0; s < count; ++s)
         for (std::size_t r = 0; r < rows; ++r)
-            axpy_portable(d[s * rows + r], xs[s], y + r * cols, cols);
+            axpy_portable(d[s * rows + r], xs[s], g + r * cols, cols);
+    axpy_portable(l2, w, g, n);
+    if (w_norm2 != nullptr) *w_norm2 = dot(w, w, n);
 }
 
 void dot_and_norm_rows_portable(const float* const* xs, std::size_t count,
@@ -60,8 +65,8 @@ void dot_and_norm_rows_portable(const float* const* xs, std::size_t count,
 /// yields the same bits, so this is a speed choice, never a behaviour one.
 template <typename Kernel>
 Kernel lane_exact_or(Kernel lane_exact, Kernel portable) noexcept {
-    return lane_exact != nullptr && cpu_supports_avx2() ? lane_exact
-                                                        : portable;
+    return lane_exact != nullptr && cpu_supports_avx2_fma() ? lane_exact
+                                                            : portable;
 }
 
 }  // namespace
@@ -232,13 +237,12 @@ void gemv_transpose_accumulate(const float* a, std::size_t rows,
     }
 }
 
-void outer_accumulate_rows(const float* d, const float* const* xs,
-                           std::size_t count, std::size_t rows,
-                           std::size_t cols, float* y) noexcept {
-    static const OuterAccumulateRows kernel =
-        lane_exact_or(detail::lane_exact_outer_accumulate_rows(),
-                      outer_accumulate_rows_portable);
-    kernel(d, xs, count, rows, cols, y);
+void outer_rows_l2(const float* d, const float* const* xs, std::size_t count,
+                   std::size_t rows, std::size_t cols, float l2,
+                   const float* w, float* g, double* w_norm2) noexcept {
+    static const OuterRowsL2 kernel = lane_exact_or(
+        detail::lane_exact_outer_rows_l2(), outer_rows_l2_portable);
+    kernel(d, xs, count, rows, cols, l2, w, g, w_norm2);
 }
 
 void dot_and_norm(const float* x, const float* y, std::size_t n,
@@ -266,9 +270,9 @@ void dot_and_norm_rows(const float* const* xs, std::size_t count,
     kernel(xs, count, y, n, dot, norm2);
 }
 
-bool cpu_supports_avx2() noexcept {
+bool cpu_supports_avx2_fma() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
-    return __builtin_cpu_supports("avx2");
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
     return false;
 #endif
@@ -295,8 +299,8 @@ SquaredDistance3x4 portable_squared_distance_blocked_3x4() noexcept {
     return squared_distance_blocked_3x4_portable;
 }
 GemvRows portable_gemv_rows() noexcept { return gemv_rows_portable; }
-OuterAccumulateRows portable_outer_accumulate_rows() noexcept {
-    return outer_accumulate_rows_portable;
+OuterRowsL2 portable_outer_rows_l2() noexcept {
+    return outer_rows_l2_portable;
 }
 DotAndNormRows portable_dot_and_norm_rows() noexcept {
     return dot_and_norm_rows_portable;

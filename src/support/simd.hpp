@@ -8,11 +8,16 @@
 // order.  There is one kernel set and nothing that selects another.
 //
 // Five kernels have a *lane-exact* AVX2 encoding in simd_avx2.cpp, the one
-// TU built with -mavx2: axpy, squared_distance_blocked_3x4, gemv_rows,
-// outer_accumulate_rows and dot_and_norm_rows.  Each lane performs the
-// portable loop's IEEE operations in its order -- separate multiply and
-// add, never FMA -- so the results are the portable bits.  Each encoding
-// is chosen once per process, on first use, when cpu_supports_avx2()
+// TU built with -mavx2 -mfma: axpy, squared_distance_blocked_3x4,
+// gemv_rows, outer_rows_l2 and dot_and_norm_rows.  Each lane performs the
+// portable loop's IEEE operations in its order, so the results are the
+// portable bits.  gemv_rows and dot_and_norm_rows fuse each multiply-add:
+// every product there is a float times a float widened to double, which
+// is exact, so the one rounding of the fused operation is the one
+// rounding of the separate add.  The other three round their products,
+// so they keep a separate multiply and add, and the project-wide
+// -ffp-contract=off stops the compiler from fusing them.  Each encoding is
+// chosen once per process, on first use, when cpu_supports_avx2_fma()
 // holds and the TU was built with its ISA; test_kernel_parity pins each
 // one bitwise to its portable body.
 //
@@ -46,12 +51,14 @@ using GemvRows = void (*)(const float* a, std::size_t rows, std::size_t cols,
                           const float* const* xs, std::size_t count,
                           const float* bias, float* out);
 
-/// Batched backward: `count` outer-product accumulates into one rows x
-/// cols matrix y, sample s contributing d[s * rows + r] * xs[s] to row r.
-/// The signature of outer_accumulate_rows.
-using OuterAccumulateRows = void (*)(const float* d, const float* const* xs,
-                                     std::size_t count, std::size_t rows,
-                                     std::size_t cols, float* y);
+/// Batched backward of a linear layer with an L2 term, in one sweep: the
+/// rows x cols gradient g is written from d (count x rows), the `count`
+/// samples xs, l2 and the weights w (rows x cols), and w_norm2, when not
+/// null, receives w's squared norm.  The signature of outer_rows_l2.
+using OuterRowsL2 = void (*)(const float* d, const float* const* xs,
+                             std::size_t count, std::size_t rows,
+                             std::size_t cols, float l2, const float* w,
+                             float* g, double* w_norm2);
 
 /// Fused dot and norm of `count` rows against one vector: dot[r] and
 /// norm2[r] are dot_and_norm(xs[r], y, n).  The signature of
@@ -105,11 +112,15 @@ void gemv_rows(const float* a, std::size_t rows, std::size_t cols,
 void gemv_transpose_accumulate(const float* a, std::size_t rows,
                                std::size_t cols, const float* d,
                                float* out) noexcept;
-/// Bitwise axpy(d[s * rows + r], xs[s], y + r * cols, cols) for every row
-/// r, samples s in order.  Lane-exact encoding when available.
-void outer_accumulate_rows(const float* d, const float* const* xs,
-                           std::size_t count, std::size_t rows,
-                           std::size_t cols, float* y) noexcept;
+/// Writes g, rows x cols, bitwise as: every element +0.0f; then
+/// axpy(d[s * rows + r], xs[s], g + r * cols, cols) for every row r,
+/// samples s in order; then axpy(l2, w, g, rows * cols).  When w_norm2 is
+/// not null, *w_norm2 = dot(w, w, rows * cols), the strict chain in w's
+/// flat order.  Lane-exact encoding when available: one sweep over g that
+/// carries the norm chain beside the vector work.
+void outer_rows_l2(const float* d, const float* const* xs, std::size_t count,
+                   std::size_t rows, std::size_t cols, float l2,
+                   const float* w, float* g, double* w_norm2) noexcept;
 /// *dot_out = dot(x, y) and *x_norm2_out = dot(x, x), both strict chains
 /// carried through one traversal of x.
 void dot_and_norm(const float* x, const float* y, std::size_t n,
@@ -123,9 +134,9 @@ void dot_and_norm_rows(const float* const* xs, std::size_t count,
                        const float* y, std::size_t n, double* dot,
                        double* norm2) noexcept;
 
-/// True when this CPU runs AVX2, which the lane-exact encodings need
-/// (always false off x86).
-[[nodiscard]] bool cpu_supports_avx2() noexcept;
+/// True when this CPU runs AVX2 and FMA, which the lane-exact encodings
+/// need (always false off x86).
+[[nodiscard]] bool cpu_supports_avx2_fma() noexcept;
 
 /// True when this CPU has the SHA extensions and SSE4.1 that the SHA-NI
 /// compressor needs (always false off x86).
@@ -138,28 +149,31 @@ void dot_and_norm_rows(const float* const* xs, std::size_t count,
 namespace detail {
 /// The portable bodies of the five kernels with a lane-exact encoding:
 /// what runs without it, and the reference it is pinned to.  The batched
-/// ones are per-sample portable gemv calls, per-row portable axpy calls,
-/// samples in order, and per-row dot_and_norm calls.
+/// ones are per-sample portable gemv calls; a zero fill, per-row portable
+/// axpy calls with samples in order, one portable axpy of the L2 term and
+/// a dot; and per-row dot_and_norm calls.
 [[nodiscard]] Axpy portable_axpy() noexcept;
 [[nodiscard]] SquaredDistance3x4
 portable_squared_distance_blocked_3x4() noexcept;
 [[nodiscard]] GemvRows portable_gemv_rows() noexcept;
-[[nodiscard]] OuterAccumulateRows portable_outer_accumulate_rows() noexcept;
+[[nodiscard]] OuterRowsL2 portable_outer_rows_l2() noexcept;
 [[nodiscard]] DotAndNormRows portable_dot_and_norm_rows() noexcept;
 /// The lane-exact AVX2 encodings (defined in simd_avx2.cpp), or nullptr
 /// when the build lacks that TU's ISA.  In axpy, each float lane of an
 /// 8-wide span is one element's multiply then add.  In the 3x4 distance
 /// tile, lane k of pair (r, c)'s accumulator is the portable kernel's
 /// accumulator a_k.  The forward keeps row r0 + k's strict double chain in
-/// lane k, columns in order; the backward adds each sample's float product
-/// to an 8-float span in order of s.  The theta rows keep row r0 + k's two
-/// strict chains (x·y and x·x) in lane k of two accumulators, columns in
-/// order.  Callers must also check cpu_supports_avx2().
+/// lane k, columns in order, one fused multiply-add per exact product; the
+/// backward starts an 8-float span of g at +0.0f, adds each sample's float
+/// product in order of s and then the L2 product.  The theta rows keep row
+/// r0 + k's two strict chains (x·y and x·x) in lane k of two accumulators,
+/// columns in order, fused like the forward.  Callers must also check
+/// cpu_supports_avx2_fma().
 [[nodiscard]] Axpy lane_exact_axpy() noexcept;
 [[nodiscard]] SquaredDistance3x4
 lane_exact_squared_distance_blocked_3x4() noexcept;
 [[nodiscard]] GemvRows lane_exact_gemv_rows() noexcept;
-[[nodiscard]] OuterAccumulateRows lane_exact_outer_accumulate_rows() noexcept;
+[[nodiscard]] OuterRowsL2 lane_exact_outer_rows_l2() noexcept;
 [[nodiscard]] DotAndNormRows lane_exact_dot_and_norm_rows() noexcept;
 /// The SHA-NI SHA-256 compressor (defined in simd_sha.cpp), or nullptr
 /// when the build lacks that TU's -msha -msse4.1.  Its digests equal the

@@ -1,6 +1,6 @@
 // The lane-exact AVX2 encodings of five pinned kernels -- the only TU in
-// the tree compiled with -mavx2 (CMake sets the flag on exactly this
-// file), and one of the src/support/simd* files the simd-isolation
+// the tree compiled with -mavx2 -mfma (CMake sets the flags on exactly
+// this file), and one of the src/support/simd* files the simd-isolation
 // analyzer rule lets spell intrinsics.
 //
 // Every kernel here is bit-pinned: each lane performs the portable loop's
@@ -10,23 +10,32 @@
 // the twelve pairs' accumulators is the portable kernel's accumulator a_k
 // (separate _mm256_sub_pd, _mm256_mul_pd, _mm256_add_pd).  In the batched
 // forward, lane k of a sample's accumulator is row r0 + k's strict double
-// chain (separate _mm256_mul_pd, _mm256_add_pd, columns in order).  In the
-// batched backward, each float of an 8-wide span of the gradient receives
-// every sample's product in sample order (separate _mm256_mul_ps,
-// _mm256_add_ps).  In the theta rows, lane k of two accumulator pairs
-// carries row r0 + k's x·y and x·x strict chains (separate
-// _mm256_mul_pd, _mm256_add_pd, columns in order).  The TU is built
-// without -mfma, so no fused multiply-add exists to be chosen, and the
-// project-wide -ffp-contract=off would forbid the fusion anyway.
-// test_kernel_parity demands bitwise equality with the portable loops.
+// chain (_mm256_fmadd_pd, columns in order).  In the one-sweep backward,
+// each float of an 8-wide span of the gradient starts at +0.0f, receives
+// every sample's product in sample order and then the L2 product
+// (separate _mm256_mul_ps, _mm256_add_ps), and a scalar double chain
+// carries the weights' squared norm in their flat order.  In the theta
+// rows, lane k of two accumulator pairs carries row r0 + k's x·y and x·x
+// strict chains (_mm256_fmadd_pd, columns in order).
 //
-// When the build cannot enable AVX2 (non-x86 target, flag rejected), the
-// guard below compiles this TU down to null accessors and the kernels stay
-// on their portable bodies.
+// Fused multiply-add appears exactly where every product is exact.  In
+// the forward and the theta rows each product is a float times a float
+// widened to double: at most 48 significant bits, so the separate
+// multiply does not round, and fma(a, b, acc) rounds once exactly where
+// the separate add does -- the same bits, signed zeros, denormals and
+// infinities included.  axpy, the tile and the backward round their
+// products, so a fusion there would move bits; with -mfma on, the
+// project-wide -ffp-contract=off is what keeps the compiler from fusing
+// their separate multiply and add.  test_kernel_parity demands bitwise
+// equality with the portable loops.
+//
+// When the build cannot enable AVX2 and FMA (non-x86 target, flags
+// rejected), the guard below compiles this TU down to null accessors and
+// the kernels stay on their portable bodies.
 
 #include "support/simd.hpp"
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
 
@@ -124,7 +133,9 @@ constexpr std::size_t kColBlock = 128;
 /// widened, so column vector t_i carries a[r0 + k][j + i] in lane k.
 /// Every sample then adds t_i * x_s[j + i] for i in order: lane k of its
 /// accumulator is row r0 + k's chain s += a * x, the portable kernel's
-/// products in its order.  Tail columns go one at a time.
+/// products in its order.  Each product of two widened floats is exact,
+/// so one fused multiply-add rounds as the separate add does.  Tail
+/// columns go one at a time.
 void gemv_block_lane_exact(const float* const* row, std::size_t width,
                            const double* xd, std::size_t group,
                            __m256d* acc) {
@@ -142,13 +153,10 @@ void gemv_block_lane_exact(const float* const* row, std::size_t width,
         for (std::size_t s = 0; s < group; ++s) {
             const double* x = xd + s * kColBlock + j;
             __m256d v = acc[s];
-            v = _mm256_add_pd(v, _mm256_mul_pd(t0, _mm256_broadcast_sd(x)));
-            v = _mm256_add_pd(v,
-                              _mm256_mul_pd(t1, _mm256_broadcast_sd(x + 1)));
-            v = _mm256_add_pd(v,
-                              _mm256_mul_pd(t2, _mm256_broadcast_sd(x + 2)));
-            v = _mm256_add_pd(v,
-                              _mm256_mul_pd(t3, _mm256_broadcast_sd(x + 3)));
+            v = _mm256_fmadd_pd(t0, _mm256_broadcast_sd(x), v);
+            v = _mm256_fmadd_pd(t1, _mm256_broadcast_sd(x + 1), v);
+            v = _mm256_fmadd_pd(t2, _mm256_broadcast_sd(x + 2), v);
+            v = _mm256_fmadd_pd(t3, _mm256_broadcast_sd(x + 3), v);
             acc[s] = v;
         }
     }
@@ -156,9 +164,8 @@ void gemv_block_lane_exact(const float* const* row, std::size_t width,
         const __m256d t = _mm256_cvtps_pd(
             _mm_setr_ps(row[0][j], row[1][j], row[2][j], row[3][j]));
         for (std::size_t s = 0; s < group; ++s)
-            acc[s] = _mm256_add_pd(
-                acc[s], _mm256_mul_pd(t, _mm256_broadcast_sd(
-                                             xd + s * kColBlock + j)));
+            acc[s] = _mm256_fmadd_pd(
+                t, _mm256_broadcast_sd(xd + s * kColBlock + j), acc[s]);
     }
 }
 
@@ -227,53 +234,86 @@ void gemv_rows_lane_exact(const float* a, std::size_t rows, std::size_t cols,
     }
 }
 
-/// Lane-exact encoding of the portable per-row axpy calls, samples in
-/// order: each 8-float span of a row of y is loaded once, receives
-/// d[s * rows + r] * x_s for s in order -- the float multiply and add the
-/// portable axpy performs per element, in its order -- and is stored once.
-/// Four spans run side by side so four add chains hide the latency.
-void outer_accumulate_rows_lane_exact(const float* d, const float* const* xs,
-                                      std::size_t count, std::size_t rows,
-                                      std::size_t cols, float* y) {
+/// The portable dot(w, w)'s chain over w[0..n): `acc` gains each element's
+/// square in order, one double multiply and one add per element.
+inline double add_squares(double acc, const float* w, std::size_t n) noexcept {
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto v = static_cast<double>(w[i]);
+        acc += v * v;
+    }
+    return acc;
+}
+
+/// Lane-exact encoding of the portable backward.  Row by row, each 8-float
+/// span of g starts at +0.0f in a register, receives d[s * rows + r] * x_s
+/// for s in order and then l2 * w -- per element the float multiply and
+/// add of the portable fill, axpy calls and L2 axpy, in their order -- and
+/// is stored once.  Four spans run side by side so four add chains hide
+/// the latency.  With w_norm2 set, each span's weights then join the
+/// strict double chain, so the chain walks w in its flat order and its
+/// latency overlaps the next span's vector work.  Tail columns go one at a
+/// time.
+void outer_rows_l2_lane_exact(const float* d, const float* const* xs,
+                              std::size_t count, std::size_t rows,
+                              std::size_t cols, float l2, const float* w,
+                              float* g, double* w_norm2) {
+    const __m256 l2v = _mm256_set1_ps(l2);
+    const bool want_norm = w_norm2 != nullptr;
+    double norm = 0.0;
     for (std::size_t r = 0; r < rows; ++r) {
-        float* yr = y + r * cols;
+        const float* wr = w + r * cols;
+        float* gr = g + r * cols;
         std::size_t j = 0;
         for (; j + 32 <= cols; j += 32) {
-            __m256 y0 = _mm256_loadu_ps(yr + j);
-            __m256 y1 = _mm256_loadu_ps(yr + j + 8);
-            __m256 y2 = _mm256_loadu_ps(yr + j + 16);
-            __m256 y3 = _mm256_loadu_ps(yr + j + 24);
+            __m256 y0 = _mm256_setzero_ps();
+            __m256 y1 = _mm256_setzero_ps();
+            __m256 y2 = _mm256_setzero_ps();
+            __m256 y3 = _mm256_setzero_ps();
             for (std::size_t s = 0; s < count; ++s) {
-                const __m256 g = _mm256_set1_ps(d[s * rows + r]);
+                const __m256 a = _mm256_set1_ps(d[s * rows + r]);
                 const float* x = xs[s] + j;
-                y0 = _mm256_add_ps(y0, _mm256_mul_ps(g, _mm256_loadu_ps(x)));
+                y0 = _mm256_add_ps(y0, _mm256_mul_ps(a, _mm256_loadu_ps(x)));
                 y1 = _mm256_add_ps(y1,
-                                   _mm256_mul_ps(g, _mm256_loadu_ps(x + 8)));
+                                   _mm256_mul_ps(a, _mm256_loadu_ps(x + 8)));
                 y2 = _mm256_add_ps(y2,
-                                   _mm256_mul_ps(g, _mm256_loadu_ps(x + 16)));
+                                   _mm256_mul_ps(a, _mm256_loadu_ps(x + 16)));
                 y3 = _mm256_add_ps(y3,
-                                   _mm256_mul_ps(g, _mm256_loadu_ps(x + 24)));
+                                   _mm256_mul_ps(a, _mm256_loadu_ps(x + 24)));
             }
-            _mm256_storeu_ps(yr + j, y0);
-            _mm256_storeu_ps(yr + j + 8, y1);
-            _mm256_storeu_ps(yr + j + 16, y2);
-            _mm256_storeu_ps(yr + j + 24, y3);
+            const float* wj = wr + j;
+            y0 = _mm256_add_ps(y0, _mm256_mul_ps(l2v, _mm256_loadu_ps(wj)));
+            y1 = _mm256_add_ps(y1, _mm256_mul_ps(l2v, _mm256_loadu_ps(wj + 8)));
+            y2 = _mm256_add_ps(y2,
+                               _mm256_mul_ps(l2v, _mm256_loadu_ps(wj + 16)));
+            y3 = _mm256_add_ps(y3,
+                               _mm256_mul_ps(l2v, _mm256_loadu_ps(wj + 24)));
+            _mm256_storeu_ps(gr + j, y0);
+            _mm256_storeu_ps(gr + j + 8, y1);
+            _mm256_storeu_ps(gr + j + 16, y2);
+            _mm256_storeu_ps(gr + j + 24, y3);
+            if (want_norm) norm = add_squares(norm, wj, 32);
         }
         for (; j + 8 <= cols; j += 8) {
-            __m256 v = _mm256_loadu_ps(yr + j);
+            __m256 v = _mm256_setzero_ps();
             for (std::size_t s = 0; s < count; ++s)
                 v = _mm256_add_ps(
                     v, _mm256_mul_ps(_mm256_set1_ps(d[s * rows + r]),
                                      _mm256_loadu_ps(xs[s] + j)));
-            _mm256_storeu_ps(yr + j, v);
+            v = _mm256_add_ps(v, _mm256_mul_ps(l2v, _mm256_loadu_ps(wr + j)));
+            _mm256_storeu_ps(gr + j, v);
+            if (want_norm) norm = add_squares(norm, wr + j, 8);
         }
+        const std::size_t tail = j;
         for (; j < cols; ++j) {
-            float v = yr[j];
+            float v = 0.0F;
             for (std::size_t s = 0; s < count; ++s)
                 v += d[s * rows + r] * xs[s][j];
-            yr[j] = v;
+            v += l2 * wr[j];
+            gr[j] = v;
         }
+        if (want_norm) norm = add_squares(norm, wr + tail, cols - tail);
     }
+    if (want_norm) *w_norm2 = norm;
 }
 
 /// Lane-exact encoding of the portable axpy: each float lane of an 8-wide
@@ -296,12 +336,13 @@ constexpr std::size_t kThetaRows = kDotAndNormGroup;
 static_assert(kThetaRows == 8, "two pairs of four-lane accumulators");
 
 /// One column of four rows: lane k of xy gains t_k * y and lane k of xx
-/// gains t_k * t_k, a separate multiply and add each -- the portable
-/// kernel's two chains for row k, one product each.
+/// gains t_k * t_k -- the portable kernel's two chains for row k, one
+/// product each.  Both products are of widened floats, so exact, and one
+/// fused multiply-add rounds as the portable add does.
 inline void theta_step(__m256d t, __m256d y, __m256d& xy,
                        __m256d& xx) noexcept {
-    xy = _mm256_add_pd(xy, _mm256_mul_pd(t, y));
-    xx = _mm256_add_pd(xx, _mm256_mul_pd(t, t));
+    xy = _mm256_fmadd_pd(t, y, xy);
+    xx = _mm256_fmadd_pd(t, t, xx);
 }
 
 /// Lane-exact encoding of the portable per-row dot_and_norm calls.  Rows
@@ -379,8 +420,8 @@ SquaredDistance3x4 lane_exact_squared_distance_blocked_3x4() noexcept {
     return lane_exact_3x4;
 }
 GemvRows lane_exact_gemv_rows() noexcept { return gemv_rows_lane_exact; }
-OuterAccumulateRows lane_exact_outer_accumulate_rows() noexcept {
-    return outer_accumulate_rows_lane_exact;
+OuterRowsL2 lane_exact_outer_rows_l2() noexcept {
+    return outer_rows_l2_lane_exact;
 }
 DotAndNormRows lane_exact_dot_and_norm_rows() noexcept {
     return dot_and_norm_rows_lane_exact;
@@ -389,7 +430,7 @@ DotAndNormRows lane_exact_dot_and_norm_rows() noexcept {
 
 }  // namespace fairbfl::support::simd
 
-#else  // !__AVX2__
+#else  // !(__AVX2__ && __FMA__)
 
 namespace fairbfl::support::simd::detail {
 Axpy lane_exact_axpy() noexcept { return nullptr; }
@@ -397,9 +438,7 @@ SquaredDistance3x4 lane_exact_squared_distance_blocked_3x4() noexcept {
     return nullptr;
 }
 GemvRows lane_exact_gemv_rows() noexcept { return nullptr; }
-OuterAccumulateRows lane_exact_outer_accumulate_rows() noexcept {
-    return nullptr;
-}
+OuterRowsL2 lane_exact_outer_rows_l2() noexcept { return nullptr; }
 DotAndNormRows lane_exact_dot_and_norm_rows() noexcept { return nullptr; }
 }  // namespace fairbfl::support::simd::detail
 

@@ -130,14 +130,18 @@ void gemv_transpose_accumulate(std::span<const float> a, std::size_t rows,
                                     out.data());
 }
 
-void outer_accumulate_rows(std::span<const float> d,
-                           std::span<const float* const> xs,
-                           std::size_t rows, std::size_t cols,
-                           std::span<float> y) noexcept {
-    assert(d.size() >= xs.size() * rows);
-    assert(y.size() == rows * cols);
-    simd::outer_accumulate_rows(d.data(), xs.data(), xs.size(), rows, cols,
-                                y.data());
+void outer_rows_l2(std::span<const float> d, std::span<const float* const> xs,
+                   std::size_t rows, std::size_t cols, float l2,
+                   std::span<const float> w, std::span<float> g,
+                   double* w_norm2) {
+    if (w.size() != rows * cols || g.size() != rows * cols)
+        throw std::invalid_argument(
+            "outer_rows_l2: weights or gradient is not rows x cols");
+    if (d.size() < xs.size() * rows)
+        throw std::invalid_argument(
+            "outer_rows_l2: coefficients shorter than samples x rows");
+    simd::outer_rows_l2(d.data(), xs.data(), xs.size(), rows, cols, l2,
+                        w.data(), g.data(), w_norm2);
 }
 
 void add_scaled_diff(float alpha, std::span<const float> x,

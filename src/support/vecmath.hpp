@@ -95,18 +95,21 @@ void gemv_transpose_accumulate(std::span<const float> a, std::size_t rows,
                                std::size_t cols, std::span<const float> d,
                                std::span<float> out) noexcept;
 
-/// Batched rank-1 outer-product accumulate, the backward dlogitsᵀ·X
-/// building block: for each sample s in order and each r in [0, rows),
-/// row r of y += d[s * rows + r] * xs[s], where d is xs.size() x rows, y
-/// is rows x cols and xs[s] points at cols floats.  Per sample and row it
-/// is exactly `axpy(d[s * rows + r], xs[s], row)`, so every element of y
-/// receives its per-sample adds in sample order; the lane-exact encoding
-/// just loads and stores each span of y once per batch instead of once
-/// per sample.
-void outer_accumulate_rows(std::span<const float> d,
-                           std::span<const float* const> xs,
-                           std::size_t rows, std::size_t cols,
-                           std::span<float> y) noexcept;
+/// One-sweep backward of a linear layer with an L2 term, the logistic
+/// model's dW = dlogitsᵀ·X + l2·W: *writes* g, rows x cols, where d is
+/// xs.size() x rows, w is rows x cols and xs[s] points at cols floats.
+/// Per element of row r it is exactly a zero fill, then
+/// `axpy(d[s * rows + r], xs[s], row)` for each sample s in order, then
+/// `axpy(l2, w, g)`: every element starts at +0.0f and receives its
+/// per-sample adds in sample order and its L2 add last.  When w_norm2 is
+/// not null, *w_norm2 = dot(w, w), the strict chain in w's flat order --
+/// the L2 loss term's sum, carried through the same sweep so its latency
+/// hides behind the vector work.  Throws std::invalid_argument when w or
+/// g is not rows x cols, or when d is shorter than xs.size() x rows.
+void outer_rows_l2(std::span<const float> d, std::span<const float* const> xs,
+                   std::size_t rows, std::size_t cols, float l2,
+                   std::span<const float> w, std::span<float> g,
+                   double* w_norm2);
 
 /// y[i] += alpha * (x[i] - z[i]): the FedProx proximal pull
 /// grad += mu_prox (w - anchor), fused to one pass.  Elementwise and

@@ -4,12 +4,15 @@
 // accumulation orders that produced every committed fixed-seed series, so
 // the first test re-states those loops locally and demands exact
 // equality.  The 3x4 tile entry must equal twelve single calls, the batched
-// gemv_rows / outer_accumulate_rows entries must equal per-sample gemv
-// calls / per-row axpy calls in sample order, the theta rows must equal
+// gemv_rows entry must equal per-sample gemv calls, the one-sweep backward
+// outer_rows_l2 must equal its portable body (a zero fill, per-row axpy
+// calls in sample order, the L2 axpy and a dot), the theta rows must equal
 // per-row dot_and_norm calls, and axpy must equal the one-multiply-one-add
-// loop, bit for bit -- including the lane-exact AVX2 encodings that serve
-// those five kernels on capable CPUs, over salted inputs (signed zeros,
-// denormals, overflowing magnitudes, infinities and NaNs).
+// loop, bit for bit -- including the lane-exact AVX2 + FMA encodings that
+// serve those five kernels on capable CPUs, over salted inputs (signed
+// zeros, denormals, overflowing magnitudes, infinities and NaNs).  A guard
+// fails when such a CPU runs a GCC/Clang x86-64 build whose lane-exact
+// accessors are null, so a dropped ISA flag cannot pass as a skip.
 
 #include <gtest/gtest.h>
 
@@ -315,7 +318,7 @@ TEST(ScalarTable, TileEntryBitIdenticalToTwelveSingleCalls) {
 TEST(ScalarTable, LaneExactTileBitIdenticalToTwelveSingleCalls) {
     const simd::SquaredDistance3x4 lane_exact =
         simd::detail::lane_exact_squared_distance_blocked_3x4();
-    if (lane_exact == nullptr || !simd::cpu_supports_avx2())
+    if (lane_exact == nullptr || !simd::cpu_supports_avx2_fma())
         GTEST_SKIP() << "lane-exact AVX encoding unavailable on this "
                         "build/CPU";
     expect_tile_contract(lane_exact, "lane-exact");
@@ -323,12 +326,12 @@ TEST(ScalarTable, LaneExactTileBitIdenticalToTwelveSingleCalls) {
 
 // --- Batched forward / backward entries -------------------------------------
 
-/// One batch for gemv_rows / outer_accumulate_rows: a rows x cols matrix
-/// (the weights for the forward, the gradient for the backward), `count`
-/// samples of cols features, a bias and count x rows backward
-/// coefficients.  Salted cases add the tile cases' salts -- signed zeros,
-/// float denormals, magnitudes whose float square overflows and one
-/// infinity -- to the matrix, the samples and the coefficients.
+/// One batch for gemv_rows / outer_rows_l2: a rows x cols matrix (the
+/// weights of the forward and of the backward's L2 term), `count` samples
+/// of cols features, a bias and count x rows backward coefficients.
+/// Salted cases add the tile cases' salts -- signed zeros, float
+/// denormals, magnitudes whose float square overflows and one infinity --
+/// to the matrix, the samples and the coefficients.
 struct BatchCase {
     std::size_t rows;
     std::size_t cols;
@@ -378,28 +381,6 @@ std::vector<float> per_sample_gemv(const BatchCase& c, bool with_bias) {
     return out;
 }
 
-/// Runs a batched backward body over the case, accumulating into a copy
-/// of the case's matrix.
-std::vector<float> run_outer_rows(simd::OuterAccumulateRows kernel,
-                                  const BatchCase& c) {
-    const auto xs = c.pointers();
-    std::vector<float> y = c.a;
-    kernel(c.d.data(), xs.data(), xs.size(), c.rows, c.cols, y.data());
-    return y;
-}
-
-/// Per-row portable axpy calls, samples in order: the
-/// outer_accumulate_rows contract.
-std::vector<float> sequential_outer(const BatchCase& c) {
-    const simd::Axpy axpy = simd::detail::portable_axpy();
-    std::vector<float> y = c.a;
-    for (std::size_t s = 0; s < c.xs.size(); ++s)
-        for (std::size_t r = 0; r < c.rows; ++r)
-            axpy(c.d[s * c.rows + r], c.xs[s].data(), y.data() + r * c.cols,
-                 c.cols);
-    return y;
-}
-
 ::testing::AssertionResult same_bits(const std::vector<float>& got,
                                      const std::vector<float>& want) {
     if (got.size() == want.size() &&
@@ -423,14 +404,10 @@ const std::size_t kBatchCols[] = {1, 3, 4, 5, 39, 783, 784, 785};
 const std::size_t kBatchCounts[] = {1, 2, 9, 10, 12, 13, 25};
 
 /// Every shape of the grid, plain and salted, with and without bias:
-/// `forward` must equal per-sample gemv, and `backward` must equal
-/// per-row portable axpy in sample order, bit for bit.  Then NaN in
-/// one sample's features must reach only that sample's logits, and in the
-/// backward only the gradient columns that sample feeds, with every other
-/// value unchanged.
-void expect_batch_contracts(simd::GemvRows forward,
-                            simd::OuterAccumulateRows backward,
-                            const char* body) {
+/// `forward` must equal per-sample gemv bit for bit.  Then NaN in one
+/// sample's features must reach only that sample's logits, with every
+/// other value unchanged.
+void expect_forward_contract(simd::GemvRows forward, const char* body) {
     Rng rng(26);
     const float nan = std::numeric_limits<float>::quiet_NaN();
     for (const std::size_t rows : kBatchRows) {
@@ -447,20 +424,13 @@ void expect_batch_contracts(simd::GemvRows forward,
                             << " count=" << count << " salted=" << salted
                             << " bias=" << with_bias;
                     }
-                    EXPECT_TRUE(same_bits(run_outer_rows(backward, c),
-                                          sequential_outer(c)))
-                        << body << " outer_accumulate_rows " << rows << "x"
-                        << cols << " count=" << count
-                        << " salted=" << salted;
                 }
                 // NaN in one sample, plain draws elsewhere: compare with
                 // the same case before the NaN went in.
                 BatchCase c = batch_case(rows, cols, count, rng, false);
                 const auto clean = run_gemv_rows(forward, c, true);
-                const auto clean_y = sequential_outer(c);
                 const std::size_t bad = count / 2;
-                const std::size_t col = cols - 1;
-                c.xs[bad][col] = nan;
+                c.xs[bad][cols - 1] = nan;
                 const auto got = run_gemv_rows(forward, c, true);
                 for (std::size_t s = 0; s < count; ++s) {
                     for (std::size_t r = 0; r < rows; ++r) {
@@ -477,21 +447,172 @@ void expect_batch_contracts(simd::GemvRows forward,
                         }
                     }
                 }
-                const auto y = run_outer_rows(backward, c);
-                for (std::size_t r = 0; r < rows; ++r) {
-                    for (std::size_t j = 0; j < cols; ++j) {
-                        const std::size_t i = r * cols + j;
-                        if (j == col) {
-                            EXPECT_TRUE(std::isnan(y[i]))
-                                << body << " outer_accumulate_rows NaN "
-                                << rows << "x" << cols << " count=" << count;
-                        } else {
-                            EXPECT_EQ(std::memcmp(&y[i], &clean_y[i],
-                                                  sizeof(float)),
-                                      0)
-                                << body << " outer_accumulate_rows clean "
-                                << "column " << j;
+            }
+        }
+    }
+}
+
+TEST(ScalarTable, GemvRowsEntryBitIdenticalToPerSampleGemv) {
+    expect_forward_contract(simd::gemv_rows, "table entry");
+    expect_forward_contract(simd::detail::portable_gemv_rows(), "portable");
+}
+
+TEST(ScalarTable, LaneExactGemvRowsBitIdenticalToPerSampleGemv) {
+    const simd::GemvRows forward = simd::detail::lane_exact_gemv_rows();
+    if (forward == nullptr || !simd::cpu_supports_avx2_fma())
+        GTEST_SKIP() << "lane-exact AVX encoding unavailable on this "
+                        "build/CPU";
+    expect_forward_contract(forward, "lane-exact");
+}
+
+/// One backward body's output: the written gradient, rows x cols, and the
+/// weights' squared norm when asked for (else the sentinel it started at).
+struct Backward {
+    std::vector<float> g;
+    double w_norm2;
+};
+
+/// The sentinel a norm slot holds when no norm was asked for.
+constexpr double kNoNorm = -1.0;
+
+/// Runs a backward body over the case, into a gradient pre-filled with
+/// NaN: the body must write every element.
+Backward run_backward(simd::OuterRowsL2 kernel, const BatchCase& c, float l2,
+                      bool want_norm) {
+    const auto xs = c.pointers();
+    Backward out{std::vector<float>(c.rows * c.cols,
+                                    std::numeric_limits<float>::quiet_NaN()),
+                 kNoNorm};
+    kernel(c.d.data(), xs.data(), xs.size(), c.rows, c.cols, l2, c.a.data(),
+           out.g.data(), want_norm ? &out.w_norm2 : nullptr);
+    return out;
+}
+
+/// The portable body restated: every element +0.0f, per-row portable axpy
+/// calls with samples in order, the L2 axpy over the whole matrix, then
+/// the strict dot(w, w).
+Backward reference_backward(const BatchCase& c, float l2, bool want_norm) {
+    const simd::Axpy axpy = simd::detail::portable_axpy();
+    const std::size_t n = c.rows * c.cols;
+    Backward out{std::vector<float>(n, 0.0F), kNoNorm};
+    for (std::size_t s = 0; s < c.xs.size(); ++s)
+        for (std::size_t r = 0; r < c.rows; ++r)
+            axpy(c.d[s * c.rows + r], c.xs[s].data(),
+                 out.g.data() + r * c.cols, c.cols);
+    axpy(l2, c.a.data(), out.g.data(), n);
+    if (want_norm) out.w_norm2 = simd::dot(c.a.data(), c.a.data(), n);
+    return out;
+}
+
+::testing::AssertionResult same_backward(const Backward& got,
+                                         const Backward& want) {
+    const auto g = same_bits(got.g, want.g);
+    if (!g) return g;
+    if (std::memcmp(&got.w_norm2, &want.w_norm2, sizeof(double)) != 0)
+        return ::testing::AssertionFailure()
+               << "norm " << got.w_norm2 << " vs " << want.w_norm2;
+    return ::testing::AssertionSuccess();
+}
+
+// Counts reach one sample, a partial and a full mini-batch, 16 and 17
+// samples; widths reach a lone tail column, a short span, one 8-float
+// span, one short of, exactly and one past a 32-float block, and the
+// logistic model's 784 features.  Ten rows are its ten classes.
+const std::size_t kBackwardRows[] = {1, 3, 10};
+const std::size_t kBackwardCols[] = {1, 7, 8, 31, 32, 33, 784};
+const std::size_t kBackwardCounts[] = {1, 2, 5, 10, 16, 17};
+const float kBackwardL2[] = {0.0F, 1e-4F};
+
+/// The batch cases' salts plus the backward's extremes: -3e38 and -inf in
+/// the weights, +inf in the first row's last weight, and +-inf and -3e38
+/// among the coefficients.
+void salt_backward(BatchCase& c) {
+    const float inf = std::numeric_limits<float>::infinity();
+    c.a[c.a.size() / 3] = -3e38F;
+    c.a[c.a.size() / 2] = -inf;
+    c.a[c.cols - 1] = inf;
+    c.d[0] = -inf;
+    c.d[c.d.size() - 1] = inf;
+    c.d[c.d.size() / 2] = -3e38F;
+}
+
+/// Where a backward NaN case puts its NaN.
+enum class Site { kFeature, kWeight, kCoefficient };
+
+/// Every shape of the backward grid, plain and salted, at both L2
+/// coefficients, with and without the norm: `kernel` must equal the
+/// restated portable body bit for bit.  Then a NaN must reach only what it
+/// feeds: in one sample's feature, that column of every row; in one
+/// weight, that element and the norm; in one coefficient, that row.
+void expect_backward_contract(simd::OuterRowsL2 kernel, const char* body) {
+    Rng rng(29);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const std::size_t rows : kBackwardRows) {
+        for (const std::size_t cols : kBackwardCols) {
+            for (const std::size_t count : kBackwardCounts) {
+                for (const bool salted : {false, true}) {
+                    BatchCase c = batch_case(rows, cols, count, rng, salted);
+                    if (salted) salt_backward(c);
+                    for (const float l2 : kBackwardL2) {
+                        for (const bool want_norm : {false, true}) {
+                            EXPECT_TRUE(same_backward(
+                                run_backward(kernel, c, l2, want_norm),
+                                reference_backward(c, l2, want_norm)))
+                                << body << " outer_rows_l2 " << rows << "x"
+                                << cols << " count=" << count
+                                << " salted=" << salted << " l2=" << l2
+                                << " norm=" << want_norm;
                         }
+                    }
+                }
+                const BatchCase clean_case =
+                    batch_case(rows, cols, count, rng, false);
+                const Backward clean =
+                    reference_backward(clean_case, 1e-4F, true);
+                const std::size_t bad_row = rows / 2;
+                const std::size_t bad_col = cols / 2;
+                for (const Site site :
+                     {Site::kFeature, Site::kWeight, Site::kCoefficient}) {
+                    BatchCase c = clean_case;
+                    if (site == Site::kFeature)
+                        c.xs[count / 2][bad_col] = nan;
+                    if (site == Site::kWeight)
+                        c.a[bad_row * cols + bad_col] = nan;
+                    if (site == Site::kCoefficient)
+                        c.d[(count - 1) * rows + bad_row] = nan;
+                    const Backward got = run_backward(kernel, c, 1e-4F, true);
+                    for (std::size_t r = 0; r < rows; ++r) {
+                        for (std::size_t j = 0; j < cols; ++j) {
+                            const std::size_t i = r * cols + j;
+                            const bool fed =
+                                (site == Site::kFeature && j == bad_col) ||
+                                (site == Site::kWeight && r == bad_row &&
+                                 j == bad_col) ||
+                                (site == Site::kCoefficient && r == bad_row);
+                            if (fed) {
+                                EXPECT_TRUE(std::isnan(got.g[i]))
+                                    << body << " NaN site "
+                                    << static_cast<int>(site) << " " << rows
+                                    << "x" << cols << " count=" << count;
+                            } else {
+                                EXPECT_EQ(std::memcmp(&got.g[i], &clean.g[i],
+                                                      sizeof(float)),
+                                          0)
+                                    << body << " clean element " << i
+                                    << " NaN site " << static_cast<int>(site)
+                                    << " " << rows << "x" << cols
+                                    << " count=" << count;
+                            }
+                        }
+                    }
+                    if (site == Site::kWeight) {
+                        EXPECT_TRUE(std::isnan(got.w_norm2)) << body;
+                    } else {
+                        EXPECT_EQ(std::memcmp(&got.w_norm2, &clean.w_norm2,
+                                              sizeof(double)),
+                                  0)
+                            << body << " norm, NaN site "
+                            << static_cast<int>(site);
                     }
                 }
             }
@@ -499,23 +620,53 @@ void expect_batch_contracts(simd::GemvRows forward,
     }
 }
 
-TEST(ScalarTable, BatchEntriesBitIdenticalToPerSampleCalls) {
-    expect_batch_contracts(simd::gemv_rows, simd::outer_accumulate_rows,
-                           "table entry");
-    expect_batch_contracts(simd::detail::portable_gemv_rows(),
-                           simd::detail::portable_outer_accumulate_rows(),
-                           "portable");
+/// A row whose every product is -0.0f (coefficients -0, features
+/// positive) and whose weights are -0.0f, so its L2 products are -0.0f as
+/// well: only the +0.0f start the portable fill gives makes its sum +0.0f.
+/// A body that started from the first product would store -0.0f there.
+void expect_positive_zero_start(simd::OuterRowsL2 kernel, const char* body) {
+    Rng rng(30);
+    const std::size_t rows = 3;
+    const std::size_t zero_row = 1;
+    for (const std::size_t cols : kBackwardCols) {
+        BatchCase c = batch_case(rows, cols, 5, rng, false);
+        for (auto& x : c.xs)
+            for (float& v : x) v = 1.0F + std::fabs(v);
+        for (std::size_t s = 0; s < c.xs.size(); ++s)
+            c.d[s * rows + zero_row] = -0.0F;
+        for (std::size_t j = 0; j < cols; ++j)
+            c.a[zero_row * cols + j] = -0.0F;
+        for (const float l2 : kBackwardL2) {
+            const Backward got = run_backward(kernel, c, l2, true);
+            EXPECT_TRUE(same_backward(got, reference_backward(c, l2, true)))
+                << body << " cols=" << cols << " l2=" << l2;
+            const float positive_zero = 0.0F;
+            for (std::size_t j = 0; j < cols; ++j)
+                EXPECT_EQ(std::memcmp(&got.g[zero_row * cols + j],
+                                      &positive_zero, sizeof(float)),
+                          0)
+                    << body << " cols=" << cols << " l2=" << l2 << " j=" << j
+                    << ": " << got.g[zero_row * cols + j];
+        }
+    }
 }
 
-TEST(ScalarTable, LaneExactBatchEncodingsBitIdenticalToPerSampleCalls) {
-    const simd::GemvRows forward = simd::detail::lane_exact_gemv_rows();
-    const simd::OuterAccumulateRows backward =
-        simd::detail::lane_exact_outer_accumulate_rows();
-    if (forward == nullptr || backward == nullptr ||
-        !simd::cpu_supports_avx2())
-        GTEST_SKIP() << "lane-exact AVX encodings unavailable on this "
+TEST(ScalarTable, OuterRowsL2EntryBitIdenticalToPortableBody) {
+    expect_backward_contract(simd::outer_rows_l2, "table entry");
+    expect_backward_contract(simd::detail::portable_outer_rows_l2(),
+                             "portable");
+    expect_positive_zero_start(simd::outer_rows_l2, "table entry");
+    expect_positive_zero_start(simd::detail::portable_outer_rows_l2(),
+                               "portable");
+}
+
+TEST(ScalarTable, LaneExactOuterRowsL2BitIdenticalToPortableBody) {
+    const simd::OuterRowsL2 backward = simd::detail::lane_exact_outer_rows_l2();
+    if (backward == nullptr || !simd::cpu_supports_avx2_fma())
+        GTEST_SKIP() << "lane-exact AVX encoding unavailable on this "
                         "build/CPU";
-    expect_batch_contracts(forward, backward, "lane-exact");
+    expect_backward_contract(backward, "lane-exact");
+    expect_positive_zero_start(backward, "lane-exact");
 }
 
 // --- Theta rows -------------------------------------------------------------
@@ -632,7 +783,7 @@ TEST(ScalarTable, ThetaRowsEntryBitIdenticalToPerRowDotAndNorm) {
 TEST(ScalarTable, LaneExactThetaRowsBitIdenticalToPerRowDotAndNorm) {
     const simd::DotAndNormRows lane_exact =
         simd::detail::lane_exact_dot_and_norm_rows();
-    if (lane_exact == nullptr || !simd::cpu_supports_avx2())
+    if (lane_exact == nullptr || !simd::cpu_supports_avx2_fma())
         GTEST_SKIP() << "lane-exact AVX encoding unavailable on this "
                         "build/CPU";
     expect_theta_contract(lane_exact, "lane-exact");
@@ -698,10 +849,27 @@ TEST(ScalarTable, AxpyEntryBitIdenticalToReferenceLoop) {
 
 TEST(ScalarTable, LaneExactAxpyBitIdenticalToReferenceLoop) {
     const simd::Axpy lane_exact = simd::detail::lane_exact_axpy();
-    if (lane_exact == nullptr || !simd::cpu_supports_avx2())
+    if (lane_exact == nullptr || !simd::cpu_supports_avx2_fma())
         GTEST_SKIP() << "lane-exact AVX encoding unavailable on this "
                         "build/CPU";
     expect_axpy_contract(lane_exact, "lane-exact");
+}
+
+TEST(ScalarTable, LaneExactEncodingsBuiltWhereCpuReportsAvx2Fma) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    if (!simd::cpu_supports_avx2_fma()) GTEST_SKIP() << "CPU lacks AVX2/FMA";
+    // A null accessor here means the -mavx2 -mfma flags were dropped from
+    // simd_avx2.cpp: every lane-exact case above would only skip, while
+    // Procedure I, Algorithm 2 and the sketch ran the portable loops.
+    EXPECT_NE(simd::detail::lane_exact_axpy(), nullptr);
+    EXPECT_NE(simd::detail::lane_exact_squared_distance_blocked_3x4(),
+              nullptr);
+    EXPECT_NE(simd::detail::lane_exact_gemv_rows(), nullptr);
+    EXPECT_NE(simd::detail::lane_exact_outer_rows_l2(), nullptr);
+    EXPECT_NE(simd::detail::lane_exact_dot_and_norm_rows(), nullptr);
+#else
+    GTEST_SKIP() << "not an x86-64 GCC/Clang build";
+#endif
 }
 
 }  // namespace

@@ -2,14 +2,15 @@
 // reference path, across batch sizes, thread counts, models, and whole
 // fixed-seed rounds.
 //
-// The refactor's contract is exact: packed-batch kernels (support::gemv /
-// outer_accumulate and friends) preserve per-sample accumulation order, so
+// The refactor's contract is exact: packed-batch kernels (support::gemv_rows
+// / outer_rows_l2 and friends) preserve per-sample accumulation order, so
 // every loss, gradient, weight vector and series point must equal the
 // reference path bit for bit -- EXPECT_EQ on floats/doubles, no tolerances.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -77,8 +78,12 @@ TEST_P(TrainEngineTest, BatchedLossAndGradientBitEqualsReference) {
     for (const std::size_t batch_size :
          {std::size_t{1}, std::size_t{7}, std::size_t{32}, view.size()}) {
         const auto batch = view.take(batch_size);
+        // The reference accumulates into a zeroed gradient; the batched
+        // kernel writes its gradient, so NaN left in the buffer must not
+        // survive.
         std::vector<float> grad_ref(model->param_count(), 0.0F);
-        std::vector<float> grad_bat(model->param_count(), 0.0F);
+        std::vector<float> grad_bat(model->param_count(),
+                                    std::numeric_limits<float>::quiet_NaN());
         const double loss_ref =
             model->loss_and_gradient(params, batch, ws_ref, grad_ref);
 
@@ -93,6 +98,23 @@ TEST_P(TrainEngineTest, BatchedLossAndGradientBitEqualsReference) {
                                  grad_ref.size() * sizeof(float)))
             << GetParam().label << " B=" << batch_size;
     }
+}
+
+TEST_P(TrainEngineTest, BatchedEmptyRowsWritesZeroGradient) {
+    const auto data = make_data();
+    auto model = GetParam().make(data.feature_dim(), data.num_classes());
+    const auto params = init_params(*model, 5);
+    ml::PackedBatch pack;
+    pack.pack(ml::DatasetView::all(data));
+    ml::TrainWorkspace ws;
+    std::vector<float> grad(model->param_count(),
+                            std::numeric_limits<float>::quiet_NaN());
+    EXPECT_EQ(model->loss_and_gradient_batch(params, pack, {}, ws, grad), 0.0)
+        << GetParam().label;
+    const std::vector<float> zeros(model->param_count(), 0.0F);
+    EXPECT_EQ(0, std::memcmp(grad.data(), zeros.data(),
+                             grad.size() * sizeof(float)))
+        << GetParam().label;
 }
 
 TEST_P(TrainEngineTest, BatchedSgdTrainBitEqualsReference) {

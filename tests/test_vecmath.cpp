@@ -288,24 +288,60 @@ TEST(VecMath, GemvTransposeAccumulateBitIdenticalToScalarLoop) {
     EXPECT_EQ(got, expect);
 }
 
-TEST(VecMath, OuterAccumulateRowsBitIdenticalToPerRowAxpy) {
+TEST(VecMath, OuterRowsL2BitIdenticalToFillAxpyAndDot) {
     std::uint32_t state = 13;
     const std::size_t rows = 7, cols = 19, count = 3;
+    const float l2 = 1e-3F;
     const auto d = random_vec(count * rows, state);
     std::vector<std::vector<float>> xs;
     for (std::size_t s = 0; s < count; ++s)
         xs.push_back(random_vec(cols, state));
     std::vector<const float*> samples;
     for (const auto& x : xs) samples.push_back(x.data());
-    auto expect = random_vec(rows * cols, state);
-    auto got = expect;
+    const auto w = random_vec(rows * cols, state);
 
+    // The gradient is written, so whatever the buffer held is overwritten.
+    std::vector<float> expect(rows * cols, 0.0F);
     for (std::size_t s = 0; s < count; ++s)
         for (std::size_t r = 0; r < rows; ++r)
             vm::axpy(d[s * rows + r], xs[s],
                      std::span<float>(expect).subspan(r * cols, cols));
-    vm::outer_accumulate_rows(d, samples, rows, cols, got);
+    vm::axpy(l2, w, expect);
+    std::vector<float> got = random_vec(rows * cols, state);
+    double w_norm2 = -1.0;
+    vm::outer_rows_l2(d, samples, rows, cols, l2, w, got, &w_norm2);
     EXPECT_EQ(got, expect);
+    EXPECT_EQ(w_norm2, vm::dot(w, w));
+
+    std::vector<float> without_norm(rows * cols, 5.0F);
+    vm::outer_rows_l2(d, samples, rows, cols, l2, w, without_norm, nullptr);
+    EXPECT_EQ(without_norm, expect);
+}
+
+TEST(VecMath, OuterRowsL2RejectsMisshapenOperands) {
+    std::uint32_t state = 15;
+    const std::size_t rows = 3, cols = 5, count = 2;
+    const auto d = random_vec(count * rows, state);
+    const auto x0 = random_vec(cols, state);
+    const auto x1 = random_vec(cols, state);
+    const std::vector<const float*> samples{x0.data(), x1.data()};
+    const auto w = random_vec(rows * cols, state);
+    std::vector<float> g(rows * cols);
+    const std::vector<float> short_w(w.begin(), w.end() - 1);
+    std::vector<float> short_g(rows * cols - 1);
+    const std::vector<float> short_d(d.begin(), d.end() - 1);
+    double w_norm2 = 0.0;
+    EXPECT_THROW(vm::outer_rows_l2(d, samples, rows, cols, 0.0F, short_w, g,
+                                   &w_norm2),
+                 std::invalid_argument);
+    EXPECT_THROW(vm::outer_rows_l2(d, samples, rows, cols, 0.0F, w, short_g,
+                                   &w_norm2),
+                 std::invalid_argument);
+    EXPECT_THROW(vm::outer_rows_l2(short_d, samples, rows, cols, 0.0F, w, g,
+                                   &w_norm2),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(
+        vm::outer_rows_l2(d, samples, rows, cols, 0.0F, w, g, &w_norm2));
 }
 
 TEST(VecMath, AddScaledDiffBitIdenticalToScalarLoop) {
