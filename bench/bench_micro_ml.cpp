@@ -186,10 +186,11 @@ void BM_LogisticGradient(benchmark::State& state) {
                            .take(static_cast<std::size_t>(state.range(0)));
     std::vector<float> params(model->param_count(), 0.01F);
     std::vector<float> grad(params.size());
+    ml::TrainWorkspace ws;
     for (auto _ : state) {
         support::fill(grad, 0.0F);
         benchmark::DoNotOptimize(
-            model->loss_and_gradient(params, batch, grad));
+            model->loss_and_gradient(params, batch, ws, grad));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             state.range(0));
@@ -204,10 +205,11 @@ void BM_MlpGradient(benchmark::State& state) {
     support::Rng rng(2);
     model->init_params(params, rng);
     std::vector<float> grad(params.size());
+    ml::TrainWorkspace ws;
     for (auto _ : state) {
         support::fill(grad, 0.0F);
         benchmark::DoNotOptimize(
-            model->loss_and_gradient(params, batch, grad));
+            model->loss_and_gradient(params, batch, ws, grad));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             state.range(0));

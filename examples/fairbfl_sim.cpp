@@ -61,23 +61,22 @@ int run(int argc, char** argv) {
         std::puts(
             "fairbfl_sim: run one BFL/FL system and print the round series\n"
             "  --system=fair|vanilla|fedavg|fedprox|blockchain (default\n"
-            "           fair); any name in SystemRegistry::global() works\n"
+            "           fair); any name --list prints under systems\n"
             "  --clients=N --miners=N --rounds=N --seed=N\n"
             "  --eta=F --ratio=F --epochs=N --batch=N\n"
             "  --samples=N --dim=N --partition=iid|shards|dirichlet\n"
             "  --model=logistic|mlp --hidden=N\n"
             "  --discard            discard low-contribution clients\n"
             "  --clustering=NAME    Algorithm 2 clustering backend (dbscan|\n"
-            "                       kmeans; any ClusteringRegistry key)\n"
+            "                       kmeans)\n"
             "  --index=NAME         neighborhood index backend (auto|\n"
-            "                       exact|lazy|random_projection; any\n"
-            "                       IndexRegistry key; auto defers to the\n"
-            "                       clustering algorithm)\n"
+            "                       exact|lazy|random_projection; auto\n"
+            "                       defers to the clustering algorithm)\n"
             "  --shards=N           hierarchical shard-tree fan-out for\n"
             "                       Algorithm 2 (1 = flat single pass)\n"
             "  --aggregator=NAME    combine rule (simple|sample_weighted|\n"
             "                       fair|trimmed_mean|median)\n"
-            "  --list               print every registered backend and exit\n"
+            "  --list               print every backend's names and exit\n"
             "  --quorum=F           aggregate once this fraction of the\n"
             "                       round's uploads arrived (1.0 = wait\n"
             "                       for all, the lockstep default)\n"
@@ -213,9 +212,9 @@ int run(int argc, char** argv) {
 
     const core::Environment env = core::build_environment(env_config);
 
-    // One spec covers every system: the CLI name is a registry key, so any
-    // scenario registered with SystemRegistry::global() is reachable from
-    // this tool without code changes.
+    // One spec covers every system: the CLI name is a registry key, so
+    // every row of SystemRegistry::global() is reachable from this tool
+    // by name.
     core::SystemSpec spec;
     spec.system = registry_key(system);
     spec.rounds = rounds;

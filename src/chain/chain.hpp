@@ -71,8 +71,11 @@ public:
     /// Block at height `index` on the best chain.
     [[nodiscard]] const Block& at(std::size_t index) const;
 
-    /// Latest block carrying a kGlobalUpdate transaction, if any --
-    /// Procedure I reads the global gradient from here.
+    /// The global gradient of the latest best-chain block carrying a
+    /// kGlobalUpdate transaction, if any.  The round loop keeps the global
+    /// model in memory and never reads it back; this is the ledger-side
+    /// audit of that model (tests compare it with the live weights and
+    /// across replicas).
     [[nodiscard]] std::optional<std::vector<float>> latest_global_gradient() const;
 
     /// Total blocks known including side branches.

@@ -1,7 +1,7 @@
 #pragma once
 // Common clustering interface.  The paper's Algorithm 2 is parameterized on
-// "any suitable clustering algorithm"; this interface is the seam where
-// adopters plug theirs in (DBSCAN and k-means ship in-tree).
+// "any suitable clustering algorithm"; DBSCAN and k-means implement this
+// interface and ClusteringRegistry (cluster/registry.hpp) selects one by key.
 
 #include <memory>
 #include <span>
@@ -43,7 +43,7 @@ public:
     /// points (the round pipeline builds the index once -- exact matrix,
     /// lazy per-query distances, or random-projection sketch -- and
     /// shares it across every stage).  Implementations use `index` only
-    /// when its metric matches their own; the default ignores it.
+    /// when its metric matches their own.
     ///
     /// `pool` is the pass's pool: an implementation may fan its per-point
     /// index queries out on it (the index promises thread-safe queries),
@@ -52,17 +52,11 @@ public:
     /// static type of the call.
     [[nodiscard]] virtual ClusterResult cluster_with(
         const GradientIndex& index, std::span<const std::vector<float>> points,
-        support::ThreadPool& pool) const {
-        (void)index;
-        (void)pool;
-        return cluster(points);
-    }
+        support::ThreadPool& pool) const = 0;
 
     /// The metric this algorithm's configuration clusters under -- the
     /// geometry Algorithm 2 builds the shared index in.
-    [[nodiscard]] virtual Metric preferred_metric() const noexcept {
-        return Metric::kCosine;
-    }
+    [[nodiscard]] virtual Metric preferred_metric() const noexcept = 0;
 
     /// The IndexRegistry key that matches this algorithm's access pattern
     /// -- what Algorithm 2 builds when the index selection is "auto".

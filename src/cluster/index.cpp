@@ -288,29 +288,24 @@ std::size_t RandomProjectionIndex::storage_bytes() const noexcept {
 
 namespace {
 
-void register_builtin_indexes(IndexRegistry& registry) {
-    registry.add("exact",
-                 [](std::span<const std::vector<float>> points,
-                    const IndexParams& params, support::ThreadPool& pool)
-                     -> std::unique_ptr<GradientIndex> {
-                     return std::make_unique<ExactIndex>(params.metric,
-                                                         points, pool);
-                 });
-    registry.add("lazy",
-                 [](std::span<const std::vector<float>> points,
-                    const IndexParams& params, support::ThreadPool&)
-                     -> std::unique_ptr<GradientIndex> {
-                     return std::make_unique<LazyIndex>(params.metric,
-                                                        points);
-                 });
-    registry.add("random_projection",
-                 [](std::span<const std::vector<float>> points,
-                    const IndexParams& params, support::ThreadPool& pool)
-                     -> std::unique_ptr<GradientIndex> {
-                     return std::make_unique<RandomProjectionIndex>(
-                         points, params, pool);
-                 });
-}
+/// Sorted by name: names() lists the backends in this order.
+constexpr IndexRegistry::Entry kIndexes[] = {
+    {"exact",
+     [](std::span<const std::vector<float>> points, const IndexParams& params,
+        support::ThreadPool& pool) -> std::unique_ptr<GradientIndex> {
+         return std::make_unique<ExactIndex>(params.metric, points, pool);
+     }},
+    {"lazy",
+     [](std::span<const std::vector<float>> points, const IndexParams& params,
+        support::ThreadPool&) -> std::unique_ptr<GradientIndex> {
+         return std::make_unique<LazyIndex>(params.metric, points);
+     }},
+    {"random_projection",
+     [](std::span<const std::vector<float>> points, const IndexParams& params,
+        support::ThreadPool& pool) -> std::unique_ptr<GradientIndex> {
+         return std::make_unique<RandomProjectionIndex>(points, params, pool);
+     }},
+};
 
 }  // namespace
 
@@ -325,13 +320,9 @@ std::unique_ptr<GradientIndex> IndexRegistry::build(
     return index;
 }
 
-IndexRegistry& IndexRegistry::global() {
-    static IndexRegistry* registry = [] {
-        auto* r = new IndexRegistry;
-        register_builtin_indexes(*r);
-        return r;
-    }();
-    return *registry;
+const IndexRegistry& IndexRegistry::global() {
+    static constexpr IndexRegistry registry(kIndexes);
+    return registry;
 }
 
 }  // namespace fairbfl::cluster

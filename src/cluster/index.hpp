@@ -27,12 +27,11 @@
 // argmins).  Anything that feeds rewards or training -- e.g. the theta
 // scores -- uses the exact kernels directly and never reads an index.
 //
-// Backends register in the string-keyed IndexRegistry (the SystemRegistry
-// pattern), so a bench or adopter plugs a new neighborhood structure in at
-// startup and selects it by key (`fairbfl_sim --index=...`).
+// Backends are rows of the name-keyed IndexRegistry table (the
+// SystemRegistry pattern) and are selected by key (`fairbfl_sim
+// --index=...`); a new neighborhood structure is its class plus one row.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -306,21 +305,17 @@ private:
     std::optional<ExactIndex> dense_;
 };
 
-/// String-keyed backend table, mirroring core::SystemRegistry.  `global()`
-/// comes pre-loaded with "exact", "lazy" and "random_projection";
-/// registrations are additive and thread-safe.
+/// Name-keyed backend table, mirroring core::SystemRegistry: "exact",
+/// "lazy" and "random_projection", fixed at compile time in index.cpp.
 class IndexRegistry
-    : public support::FactoryRegistry<
-          std::function<std::unique_ptr<GradientIndex>(
-              std::span<const std::vector<float>>, const IndexParams&,
-              support::ThreadPool&)>> {
+    : public support::FactoryRegistry<std::unique_ptr<GradientIndex>(
+          std::span<const std::vector<float>>, const IndexParams&,
+          support::ThreadPool&)> {
 public:
-    IndexRegistry() : FactoryRegistry("index backend") {}
-
     /// Builds the backend `name` over `points`.  Throws std::out_of_range
-    /// listing the known names when it is not registered.  The backend may
-    /// borrow `points` (see GradientIndex); keep them alive.  Every build
-    /// is instrumented: a "cluster.index_build" telemetry span plus a
+    /// listing the known names when there is no such backend.  The backend
+    /// may borrow `points` (see GradientIndex); keep them alive.  Every
+    /// build is instrumented: a "cluster.index_build" telemetry span plus a
     /// "cluster.index_bytes" max-counter of the result's storage_bytes()
     /// (the source of perf JSON `seconds.index_build` / `index_peak_bytes`).
     /// \param name   registry key of the backend to build.
@@ -332,8 +327,12 @@ public:
         const IndexParams& params,
         support::ThreadPool& pool = support::ThreadPool::global()) const;
 
-    /// The process-wide registry, built-ins pre-registered.
-    static IndexRegistry& global();
+    /// The process-wide table of the built-in backends.
+    static const IndexRegistry& global();
+
+private:
+    constexpr explicit IndexRegistry(std::span<const Entry> entries)
+        : FactoryRegistry("index backend", entries) {}
 };
 
 }  // namespace fairbfl::cluster

@@ -4,26 +4,25 @@ namespace fairbfl::cluster {
 
 namespace {
 
-void register_builtin_algorithms(ClusteringRegistry& registry) {
-    registry.add("dbscan", [](const ClusteringConfig& config)
-                     -> std::unique_ptr<ClusteringAlgorithm> {
-        return std::make_unique<Dbscan>(config.dbscan);
-    });
-    registry.add("kmeans", [](const ClusteringConfig& config)
-                     -> std::unique_ptr<ClusteringAlgorithm> {
-        return std::make_unique<KMeans>(config.kmeans);
-    });
-}
+/// Sorted by name: names() lists the algorithms in this order.
+constexpr ClusteringRegistry::Entry kAlgorithms[] = {
+    {"dbscan",
+     [](const ClusteringConfig& config)
+         -> std::unique_ptr<ClusteringAlgorithm> {
+         return std::make_unique<Dbscan>(config.dbscan);
+     }},
+    {"kmeans",
+     [](const ClusteringConfig& config)
+         -> std::unique_ptr<ClusteringAlgorithm> {
+         return std::make_unique<KMeans>(config.kmeans);
+     }},
+};
 
 }  // namespace
 
-ClusteringRegistry& ClusteringRegistry::global() {
-    static ClusteringRegistry* registry = [] {
-        auto* r = new ClusteringRegistry;
-        register_builtin_algorithms(*r);
-        return r;
-    }();
-    return *registry;
+const ClusteringRegistry& ClusteringRegistry::global() {
+    static constexpr ClusteringRegistry registry(kAlgorithms);
+    return registry;
 }
 
 }  // namespace fairbfl::cluster

@@ -1,12 +1,11 @@
 #pragma once
-// String-keyed clustering-algorithm factory -- the registry that replaced
+// Name-keyed clustering-algorithm factory -- the registry that replaced
 // the old incentive::ClusteringChoice enum.  Mirrors core::SystemRegistry:
 // Algorithm 2's "any suitable clustering algorithm" resolves by key
-// ("dbscan", "kmeans", or anything an adopter registers at startup), so
-// `fairbfl_sim --clustering=<key>` reaches new algorithms without enum or
-// switch edits anywhere in the pipeline.
+// ("dbscan" or "kmeans"), so `fairbfl_sim --clustering=<key>` reaches every
+// algorithm without enum or switch edits anywhere in the pipeline; a new
+// algorithm is its class plus one row of the table in registry.cpp.
 
-#include <functional>
 #include <memory>
 #include <string_view>
 
@@ -24,21 +23,22 @@ struct ClusteringConfig {
 };
 
 class ClusteringRegistry
-    : public support::FactoryRegistry<
-          std::function<std::unique_ptr<ClusteringAlgorithm>(
-              const ClusteringConfig&)>> {
+    : public support::FactoryRegistry<std::unique_ptr<ClusteringAlgorithm>(
+          const ClusteringConfig&)> {
 public:
-    ClusteringRegistry() : FactoryRegistry("clustering algorithm") {}
-
     /// Builds the algorithm `name` configures.  Throws std::out_of_range
-    /// listing the known names when it is not registered.
+    /// listing the known names when there is no such algorithm.
     [[nodiscard]] std::unique_ptr<ClusteringAlgorithm> make(
         std::string_view name, const ClusteringConfig& config) const {
         return find(name)(config);
     }
 
-    /// The process-wide registry, "dbscan" and "kmeans" pre-registered.
-    static ClusteringRegistry& global();
+    /// The process-wide table: "dbscan" and "kmeans".
+    static const ClusteringRegistry& global();
+
+private:
+    constexpr explicit ClusteringRegistry(std::span<const Entry> entries)
+        : FactoryRegistry("clustering algorithm", entries) {}
 };
 
 }  // namespace fairbfl::cluster

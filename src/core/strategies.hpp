@@ -4,8 +4,8 @@
 // The paper's flexibility claim (Figure 3, §4.6) is that FAIR-BFL is a
 // pipeline of swappable stages.  The one stage that is an object here is
 // how gradients are combined (Algorithm 1 line 24 / Eq. 1), so a new
-// aggregation rule drops into FairBfl -- and into the SystemRegistry of
-// core/system.hpp -- without editing the round loop.  The other stages are
+// aggregation rule is one row of make_aggregator's table and reaches
+// FairBfl without editing the round loop.  The other stages are
 // direct calls: contribution scoring and its settlement (Algorithm 2 + the
 // two low-contribution strategies) are FairBflConfig::incentive fields
 // that FairBfl hands to incentive/, and Procedure V (Assumption 1 on or

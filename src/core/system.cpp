@@ -157,53 +157,60 @@ std::string label_or(const SystemSpec& spec, const char* fallback) {
     return spec.label.empty() ? fallback : spec.label;
 }
 
-void register_builtins(SystemRegistry& registry) {
-    registry.add("fedavg", [](const Environment& env, const SystemSpec& spec) {
-        return std::make_unique<FedProxSystem>(
-            env,
-            fl::FedProxConfig{.base = spec.fl,
-                              .prox_mu = spec.fl.sgd.prox_mu,
-                              .drop_percent = 0.0},
-            spec.delay, label_or(spec, "FedAvg"));
-    });
-    registry.add("fedprox",
-                 [](const Environment& env, const SystemSpec& spec) {
-                     return std::make_unique<FedProxSystem>(
-                         env, spec.fedprox, spec.delay,
-                         label_or(spec, "FedProx"));
-                 });
-    registry.add("fairbfl",
-                 [](const Environment& env, const SystemSpec& spec) {
-                     return std::make_unique<FairBflSystem>(
-                         env, spec.fair, label_or(spec, "FAIR"));
-                 });
-    registry.add("fairbfl_discard",
-                 [](const Environment& env, const SystemSpec& spec) {
-                     FairBflConfig config = spec.fair;
-                     config.incentive.strategy =
-                         incentive::LowContributionStrategy::kDiscard;
-                     return std::make_unique<FairBflSystem>(
-                         env, config, label_or(spec, "FAIR-Discard"));
-                 });
-    registry.add("pure_fl",
-                 [](const Environment& env, const SystemSpec& spec) {
-                     FairBflConfig config = spec.fair;
-                     config.stage_exchange = false;  // Procedure III off
-                     config.stage_mining = false;    // Procedure V off
-                     return std::make_unique<FairBflSystem>(
-                         env, config, label_or(spec, "pure-FL"));
-                 });
-    registry.add("vanilla_bfl",
-                 [](const Environment& env, const SystemSpec& spec) {
-                     return std::make_unique<VanillaBflSystem>(
-                         env, spec.vanilla, label_or(spec, "vanilla-BFL"));
-                 });
-    registry.add("blockchain",
-                 [](const Environment&, const SystemSpec& spec) {
-                     return std::make_unique<BlockchainSystem>(
-                         spec.blockchain, label_or(spec, "Blockchain"));
-                 });
-}
+/// Sorted by name: names() lists the systems in this order.
+constexpr SystemRegistry::Entry kSystems[] = {
+    {"blockchain",
+     [](const Environment&, const SystemSpec& spec) -> std::unique_ptr<System> {
+         return std::make_unique<BlockchainSystem>(
+             spec.blockchain, label_or(spec, "Blockchain"));
+     }},
+    {"fairbfl",
+     [](const Environment& env,
+        const SystemSpec& spec) -> std::unique_ptr<System> {
+         return std::make_unique<FairBflSystem>(env, spec.fair,
+                                                label_or(spec, "FAIR"));
+     }},
+    {"fairbfl_discard",
+     [](const Environment& env,
+        const SystemSpec& spec) -> std::unique_ptr<System> {
+         FairBflConfig config = spec.fair;
+         config.incentive.strategy =
+             incentive::LowContributionStrategy::kDiscard;
+         return std::make_unique<FairBflSystem>(
+             env, config, label_or(spec, "FAIR-Discard"));
+     }},
+    {"fedavg",
+     [](const Environment& env,
+        const SystemSpec& spec) -> std::unique_ptr<System> {
+         return std::make_unique<FedProxSystem>(
+             env,
+             fl::FedProxConfig{.base = spec.fl,
+                               .prox_mu = spec.fl.sgd.prox_mu,
+                               .drop_percent = 0.0},
+             spec.delay, label_or(spec, "FedAvg"));
+     }},
+    {"fedprox",
+     [](const Environment& env,
+        const SystemSpec& spec) -> std::unique_ptr<System> {
+         return std::make_unique<FedProxSystem>(env, spec.fedprox, spec.delay,
+                                                label_or(spec, "FedProx"));
+     }},
+    {"pure_fl",
+     [](const Environment& env,
+        const SystemSpec& spec) -> std::unique_ptr<System> {
+         FairBflConfig config = spec.fair;
+         config.stage_exchange = false;  // Procedure III off
+         config.stage_mining = false;    // Procedure V off
+         return std::make_unique<FairBflSystem>(env, config,
+                                                label_or(spec, "pure-FL"));
+     }},
+    {"vanilla_bfl",
+     [](const Environment& env,
+        const SystemSpec& spec) -> std::unique_ptr<System> {
+         return std::make_unique<VanillaBflSystem>(
+             env, spec.vanilla, label_or(spec, "vanilla-BFL"));
+     }},
+};
 
 }  // namespace
 
@@ -255,34 +262,23 @@ std::unique_ptr<System> SystemRegistry::make(const Environment& env,
     return find(spec.system)(env, spec);
 }
 
-SystemRegistry& SystemRegistry::global() {
-    static SystemRegistry* registry = [] {
-        auto* r = new SystemRegistry;
-        register_builtins(*r);
-        return r;
-    }();
-    return *registry;
+const SystemRegistry& SystemRegistry::global() {
+    static constexpr SystemRegistry registry(kSystems);
+    return registry;
 }
 
-SystemRun run_system(const Environment& env, const SystemSpec& spec,
-                     const SystemRegistry& registry) {
-    const std::unique_ptr<System> system = registry.make(env, spec);
+SystemRun run_system(const Environment& env, const SystemSpec& spec) {
+    const std::unique_ptr<System> system =
+        SystemRegistry::global().make(env, spec);
     const std::size_t rounds =
         spec.rounds != 0 ? spec.rounds : system->default_rounds();
     for (std::size_t r = 0; r < rounds; ++r) (void)system->run_round();
-    SystemRun run = system->finalize();
-    // Defensive normalization applied by *both* entry points (so run_suite
-    // and run_system stay interchangeable): SystemRun::finalize() is
-    // idempotent, and re-running it keeps custom System implementations
-    // honest about the §5.2 aggregate protocol.
-    run.finalize();
-    return run;
+    return system->finalize();
 }
 
 std::vector<SystemRun> run_suite(const Environment& env,
                                  std::span<const SystemSpec> specs,
-                                 support::ThreadPool& pool,
-                                 const SystemRegistry& registry) {
+                                 support::ThreadPool& pool) {
     std::vector<SystemRun> results(specs.size());
     // A degenerate suite gains nothing from forking: run it serially.  A
     // real suite forks one task per worker; each system's inner
@@ -292,7 +288,7 @@ std::vector<SystemRun> run_suite(const Environment& env,
     // same pool.
     if (specs.size() <= 1 || pool.size() <= 1) {
         for (std::size_t i = 0; i < specs.size(); ++i)
-            results[i] = run_system(env, specs[i], registry);
+            results[i] = run_system(env, specs[i]);
         return results;
     }
 
@@ -303,7 +299,7 @@ std::vector<SystemRun> run_suite(const Environment& env,
             const std::size_t i = next.fetch_add(1);
             if (i >= specs.size()) return;
             try {
-                results[i] = run_system(env, specs[i], registry);
+                results[i] = run_system(env, specs[i]);
             } catch (...) {
                 errors[i] = std::current_exception();
             }

@@ -8,17 +8,14 @@
 //     SystemRun fair = run_system(env, fairbfl_spec(config, "FAIR"));
 //     std::vector<SystemRun> all = run_suite(env, specs);  // concurrent
 //
-// New scenarios register a factory instead of editing the round loop or
-// the bench binaries:
-//
-//     SystemRegistry::global().add("my_system",
-//         [](const Environment& env, const SystemSpec& spec) { ...; });
+// The registry is a table fixed at compile time in system.cpp: a new
+// scenario is its System class plus one row, and every bench and example
+// reaches it by name without edits to the round loop.
 //
 // The built-in factories reproduce the hand-driven FedAvg, FedProx,
 // FAIR-BFL and pure-blockchain round loops bit-for-bit on the same seed
 // (pinned in tests/test_system.cpp).
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -35,7 +32,7 @@
 
 namespace fairbfl::core {
 
-/// Declarative description of one run: which registered system, under
+/// Declarative description of one run: which system of the registry, under
 /// which label, with which per-family configuration.  Each built-in
 /// factory reads exactly the fields its legacy entry point took; the
 /// unused families stay at their defaults.
@@ -121,51 +118,47 @@ public:
     }
 };
 
-/// String-keyed factory table.  `global()` comes pre-loaded with the
-/// built-ins ("fedavg", "fedprox", "fairbfl", "fairbfl_discard",
-/// "pure_fl", "vanilla_bfl", "blockchain"); registrations (`add`,
-/// `contains`, `names` from support::FactoryRegistry) are additive and
-/// thread-safe, so a bench or adopter can plug a scenario in at startup.
+/// Name-keyed factory table of the built-in systems ("blockchain",
+/// "fairbfl", "fairbfl_discard", "fedavg", "fedprox", "pure_fl",
+/// "vanilla_bfl"), fixed at compile time in system.cpp.
 class SystemRegistry
-    : public support::FactoryRegistry<std::function<std::unique_ptr<System>(
-          const Environment&, const SystemSpec&)>> {
+    : public support::FactoryRegistry<std::unique_ptr<System>(
+          const Environment&, const SystemSpec&)> {
 public:
-    SystemRegistry() : FactoryRegistry("system") {}
-
     /// Builds the system `spec.system` names.  Throws std::out_of_range
-    /// listing the known names when it is not registered.
+    /// listing the known names when there is no such system.
     /// \param env  the shared world (dataset, partition, model).
     /// \param spec which system to build, with its configuration.
     [[nodiscard]] std::unique_ptr<System> make(const Environment& env,
                                                const SystemSpec& spec) const;
 
-    /// The process-wide registry, built-ins pre-registered.
-    static SystemRegistry& global();
+    /// The process-wide table of the built-in systems.
+    static const SystemRegistry& global();
+
+private:
+    constexpr explicit SystemRegistry(std::span<const Entry> entries)
+        : FactoryRegistry("system", entries) {}
 };
 
 /// Builds the spec's system, runs its rounds, and returns the finalized
 /// SystemRun -- the single entry point every bench and example goes
 /// through.
-/// \param env      the shared world (dataset, partition, model).
-/// \param spec     which system to run, with its configuration.
-/// \param registry factory table to resolve `spec.system` in.
-[[nodiscard]] SystemRun run_system(
-    const Environment& env, const SystemSpec& spec,
-    const SystemRegistry& registry = SystemRegistry::global());
+/// \param env  the shared world (dataset, partition, model).
+/// \param spec which system to run, with its configuration.
+[[nodiscard]] SystemRun run_system(const Environment& env,
+                                   const SystemSpec& spec);
 
 /// Runs every spec against the shared environment, concurrently on the
 /// given pool, and returns the SystemRuns in spec order.  Deterministic:
 /// each system draws only from its own (seed, stream, round) Rng forks, so
 /// results are identical to running the specs serially.  The first
 /// exception (in spec order) is rethrown after all workers finish.
-/// \param env      the shared world every spec runs against.
-/// \param specs    the sweep, one spec per run.
-/// \param pool     carries the per-spec fan-out; results are identical
-///                 for any pool size.
-/// \param registry factory table to resolve each spec's system in.
+/// \param env   the shared world every spec runs against.
+/// \param specs the sweep, one spec per run.
+/// \param pool  carries the per-spec fan-out; results are identical for
+///              any pool size.
 [[nodiscard]] std::vector<SystemRun> run_suite(
     const Environment& env, std::span<const SystemSpec> specs,
-    support::ThreadPool& pool = support::ThreadPool::global(),
-    const SystemRegistry& registry = SystemRegistry::global());
+    support::ThreadPool& pool = support::ThreadPool::global());
 
 }  // namespace fairbfl::core

@@ -39,8 +39,8 @@ enum class LowContributionStrategy : std::uint8_t {
 
 struct ContributionConfig {
     /// Clustering backend, resolved by key in
-    /// cluster::ClusteringRegistry::global() ("dbscan" -- the paper's
-    /// default -- or "kmeans", or anything registered at startup).
+    /// cluster::ClusteringRegistry::global(): "dbscan" (the paper's
+    /// default) or "kmeans".
     std::string clustering = "dbscan";
     /// Neighborhood/distance backend, resolved by key in
     /// cluster::IndexRegistry::global(): "exact" (dense matrix,

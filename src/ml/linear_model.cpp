@@ -37,13 +37,6 @@ public:
             params[classes_ * dim_ + c] = 0.0F;
     }
 
-    double loss_and_gradient(std::span<const float> params,
-                             const DatasetView& batch,
-                             std::span<float> grad) const override {
-        TrainWorkspace ws;
-        return loss_and_gradient(params, batch, ws, grad);
-    }
-
     /// Reference per-sample path, scratch from the workspace.  This is the
     /// oracle the batched kernel is pinned against.
     double loss_and_gradient(std::span<const float> params,

@@ -3,32 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <vector>
 
 namespace fairbfl::ml {
-
-double Model::loss_and_gradient(std::span<const float> params,
-                                const DatasetView& batch, TrainWorkspace&,
-                                std::span<float> grad) const {
-    return loss_and_gradient(params, batch, grad);
-}
-
-double Model::loss_and_gradient_batch(std::span<const float> params,
-                                      const PackedBatch& data,
-                                      std::span<const std::size_t> rows,
-                                      TrainWorkspace& ws,
-                                      std::span<float> grad) const {
-    // Reference fallback: reconstruct the mini-batch as a DatasetView over
-    // the pack's parent and accumulate into a zeroed gradient.  Allocates
-    // per call -- models that care override.
-    std::fill(grad.begin(), grad.end(), 0.0F);
-    std::vector<std::size_t> parent_indices;
-    parent_indices.reserve(rows.size());
-    for (const std::size_t r : rows)
-        parent_indices.push_back(data.indices()[r]);
-    const DatasetView batch(*data.parent(), std::move(parent_indices));
-    return loss_and_gradient(params, batch, ws, grad);
-}
 
 double Model::accuracy(std::span<const float> params,
                        const DatasetView& view,

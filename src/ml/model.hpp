@@ -31,21 +31,14 @@ public:
                              support::Rng& rng) const = 0;
 
     /// Mean loss over `batch` and *accumulated* gradient d(mean loss)/d(params)
-    /// added into `grad` (callers zero it first).  Sizes must equal
-    /// param_count().
-    virtual double loss_and_gradient(std::span<const float> params,
-                                     const DatasetView& batch,
-                                     std::span<float> grad) const = 0;
-
-    /// Workspace-reusing variant of loss_and_gradient: identical math and
-    /// accumulation order, but per-call scratch (logits, activations)
-    /// comes from `ws` instead of fresh heap allocations.  The base
-    /// implementation forwards to the allocating overload so external
-    /// models keep working; the built-in models override it.
+    /// added into `grad` (callers zero it first), with per-call scratch
+    /// (logits, activations) from `ws`.  Sizes must equal param_count().
+    /// This per-sample loop is the reference the batched kernel is pinned
+    /// against.
     virtual double loss_and_gradient(std::span<const float> params,
                                      const DatasetView& batch,
                                      TrainWorkspace& ws,
-                                     std::span<float> grad) const;
+                                     std::span<float> grad) const = 0;
 
     /// Batched kernel: mean loss over the samples at packed positions
     /// `rows` of `data` (in that order), and their gradient *written* into
@@ -54,14 +47,12 @@ public:
     /// calling the per-sample loss_and_gradient on the same samples in the
     /// same order with `grad` zeroed first -- batched implementations must
     /// preserve per-sample accumulation order inside their kernels (see
-    /// support::gemv_rows / outer_rows_l2).  The base implementation zeroes
-    /// `grad`, gathers the rows back into a DatasetView and runs the
-    /// reference path; built-in models override with blocked kernels.
+    /// support::gemv_rows / outer_rows_l2).
     virtual double loss_and_gradient_batch(std::span<const float> params,
                                            const PackedBatch& data,
                                            std::span<const std::size_t> rows,
                                            TrainWorkspace& ws,
-                                           std::span<float> grad) const;
+                                           std::span<float> grad) const = 0;
 
     /// Mean loss only (no gradient).
     [[nodiscard]] virtual double loss(std::span<const float> params,

@@ -1,81 +1,79 @@
 #pragma once
-// Shared string-keyed factory-table machinery for every registry
+// Shared name-keyed factory-table machinery for every registry
 // (core::SystemRegistry, cluster::IndexRegistry,
-// cluster::ClusteringRegistry), written once: thread-safe additive
-// registration, sorted name listing, and unknown-key errors that
-// enumerate the known names.
+// cluster::ClusteringRegistry), written once: a read-only view of a table
+// fixed at compile time next to its implementations, sorted name listing,
+// and unknown-key errors that enumerate the known names.
 
-#include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "support/cli.hpp"
-#include "support/sync.hpp"
 
 namespace fairbfl::support {
 
-/// CRTP-free registry base: derived classes add their typed build/make
-/// entry point on top of find().  `kind` names the registry in error
-/// messages ("system", "index backend", "clustering algorithm").
-template <typename FactoryT>
+/// CRTP-free registry base over a constant table of `Signature` factories:
+/// derived classes add their typed build/make entry point on top of
+/// find().  `kind` names the registry in error messages ("system",
+/// "index backend", "clustering algorithm").
+template <typename Signature>
 class FactoryRegistry {
 public:
-    using Factory = FactoryT;
+    using Factory = Signature*;
 
-    explicit FactoryRegistry(const char* kind) noexcept : kind_(kind) {}
+    struct Entry {
+        std::string_view name;
+        Factory factory;
+    };
 
-    /// Registers a factory.  Throws std::invalid_argument when `name` is
-    /// already taken, unless `replace` is set.
-    void add(std::string name, Factory factory, bool replace = false)
-        EXCLUDES(mutex_) {
-        MutexLock lock(mutex_);
-        if (!replace && factories_.contains(name)) {
-            throw std::invalid_argument(std::string(kind_) + " '" + name +
-                                        "' is already registered");
-        }
-        factories_[std::move(name)] = std::move(factory);
+    FactoryRegistry(const FactoryRegistry&) = delete;
+    FactoryRegistry& operator=(const FactoryRegistry&) = delete;
+
+    [[nodiscard]] bool contains(std::string_view name) const noexcept {
+        return lookup(name) != nullptr;
     }
 
-    [[nodiscard]] bool contains(std::string_view name) const
-        EXCLUDES(mutex_) {
-        MutexLock lock(mutex_);
-        return factories_.find(name) != factories_.end();
-    }
-
-    /// Registered names, sorted.
-    [[nodiscard]] std::vector<std::string> names() const EXCLUDES(mutex_) {
-        MutexLock lock(mutex_);
+    /// Table names, sorted.
+    [[nodiscard]] std::vector<std::string> names() const {
         std::vector<std::string> out;
-        out.reserve(factories_.size());
-        for (const auto& [name, _] : factories_) out.push_back(name);
+        out.reserve(entries_.size());
+        for (const Entry& entry : entries_) out.emplace_back(entry.name);
         return out;
     }
 
 protected:
-    /// The factory registered under `name`.  Throws std::out_of_range
-    /// listing the known names when it is not registered.
-    [[nodiscard]] Factory find(std::string_view name) const
-        EXCLUDES(mutex_) {
-        MutexLock lock(mutex_);
-        const auto it = factories_.find(name);
-        if (it == factories_.end()) {
-            std::vector<std::string> known;
-            known.reserve(factories_.size());
-            for (const auto& [key, _] : factories_) known.push_back(key);
-            throw std::out_of_range("unknown " + std::string(kind_) + " '" +
-                                    std::string(name) + "' (known: " +
-                                    join_names(known) + ")");
+    /// `entries` must be sorted by name without duplicates, because
+    /// names() lists them in table order.  Every table is a constant, so
+    /// a misordered row fails the build here.
+    constexpr FactoryRegistry(const char* kind, std::span<const Entry> entries)
+        : kind_(kind), entries_(entries) {
+        for (std::size_t i = 1; i < entries.size(); ++i) {
+            if (!(entries[i - 1].name < entries[i].name))
+                throw std::logic_error("registry table not sorted by name");
         }
-        return it->second;
+    }
+
+    /// The factory filed under `name`.  Throws std::out_of_range listing
+    /// the known names when there is none.
+    [[nodiscard]] Factory find(std::string_view name) const {
+        if (const Factory factory = lookup(name)) return factory;
+        throw std::out_of_range("unknown " + std::string(kind_) + " '" +
+                                std::string(name) + "' (known: " +
+                                join_names(names()) + ")");
     }
 
 private:
+    [[nodiscard]] Factory lookup(std::string_view name) const noexcept {
+        for (const Entry& entry : entries_)
+            if (entry.name == name) return entry.factory;
+        return nullptr;
+    }
+
     const char* kind_;
-    mutable Mutex mutex_;
-    std::map<std::string, Factory, std::less<>> factories_
-        GUARDED_BY(mutex_);
+    std::span<const Entry> entries_;
 };
 
 }  // namespace fairbfl::support

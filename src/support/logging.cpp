@@ -1,6 +1,5 @@
 #include "support/logging.hpp"
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdlib>
 #include <cstring>
@@ -17,44 +16,27 @@ namespace {
 /// resource, so the capability lives here rather than on a field.
 Mutex g_stderr_mutex;
 
-LogLevel initial_level() noexcept {
-    const char* env = std::getenv("FAIRBFL_LOG");
-    if (env == nullptr) return LogLevel::kWarn;
-    if (std::strcmp(env, "debug") == 0) return LogLevel::kDebug;
-    if (std::strcmp(env, "info") == 0) return LogLevel::kInfo;
-    if (std::strcmp(env, "warn") == 0) return LogLevel::kWarn;
-    if (std::strcmp(env, "error") == 0) return LogLevel::kError;
-    if (std::strcmp(env, "off") == 0) return LogLevel::kOff;
-    return LogLevel::kWarn;
-}
-
-std::atomic<LogLevel>& level_slot() noexcept {
-    static std::atomic<LogLevel> level{initial_level()};
+/// The process's level, read from FAIRBFL_LOG on first use.
+LogLevel log_level() noexcept {
+    static const LogLevel level = [] {
+        const char* env = std::getenv("FAIRBFL_LOG");
+        if (env == nullptr) return LogLevel::kWarn;
+        if (std::strcmp(env, "error") == 0) return LogLevel::kError;
+        if (std::strcmp(env, "off") == 0) return LogLevel::kOff;
+        return LogLevel::kWarn;
+    }();
     return level;
 }
 
-const char* level_tag(LogLevel level) noexcept {
-    switch (level) {
-        case LogLevel::kDebug: return "DEBUG";
-        case LogLevel::kInfo: return "INFO";
-        case LogLevel::kWarn: return "WARN";
-        case LogLevel::kError: return "ERROR";
-        case LogLevel::kOff: return "OFF";
-    }
-    return "?";
-}
-
 }  // namespace
-
-LogLevel log_level() noexcept { return level_slot().load(); }
-void set_log_level(LogLevel level) noexcept { level_slot().store(level); }
 
 namespace detail {
 
 void vlog(LogLevel level, const char* fmt, ...) {
     if (level < log_level()) return;
     MutexLock lock(g_stderr_mutex);
-    std::fprintf(stderr, "[fairbfl %s] ", level_tag(level));
+    std::fprintf(stderr, "[fairbfl %s] ",
+                 level == LogLevel::kError ? "ERROR" : "WARN");
     va_list args;
     va_start(args, fmt);
     std::vfprintf(stderr, fmt, args);

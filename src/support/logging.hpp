@@ -1,18 +1,14 @@
 #pragma once
-// Leveled stderr logger.  The simulator is mostly silent by default; raise
-// the level (FAIRBFL_LOG=debug environment variable or set_level) to trace
-// round-by-round behaviour.
+// Leveled stderr logger for the warnings and errors the simulator raises.
+// Warnings and errors print by default; FAIRBFL_LOG=error keeps errors
+// only and FAIRBFL_LOG=off silences both (any other value prints both).
 
 #include <cstdio>
 #include <string_view>
 
 namespace fairbfl::support {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Process-wide log level (defaults to kWarn; FAIRBFL_LOG overrides).
-LogLevel log_level() noexcept;
-void set_log_level(LogLevel level) noexcept;
+enum class LogLevel { kWarn = 0, kError = 1, kOff = 2 };
 
 namespace detail {
 void vlog(LogLevel level, const char* fmt, ...)
@@ -22,10 +18,6 @@ void vlog(LogLevel level, const char* fmt, ...)
     ;
 }  // namespace detail
 
-#define FAIRBFL_LOG_DEBUG(...) \
-    ::fairbfl::support::detail::vlog(::fairbfl::support::LogLevel::kDebug, __VA_ARGS__)
-#define FAIRBFL_LOG_INFO(...) \
-    ::fairbfl::support::detail::vlog(::fairbfl::support::LogLevel::kInfo, __VA_ARGS__)
 #define FAIRBFL_LOG_WARN(...) \
     ::fairbfl::support::detail::vlog(::fairbfl::support::LogLevel::kWarn, __VA_ARGS__)
 #define FAIRBFL_LOG_ERROR(...) \

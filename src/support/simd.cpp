@@ -79,21 +79,6 @@ double dot(const float* x, const float* y, std::size_t n) noexcept {
     return acc;
 }
 
-double dot_blocked(const float* x, const float* y, std::size_t n) noexcept {
-    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        a0 += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-        a1 += static_cast<double>(x[i + 1]) * static_cast<double>(y[i + 1]);
-        a2 += static_cast<double>(x[i + 2]) * static_cast<double>(y[i + 2]);
-        a3 += static_cast<double>(x[i + 3]) * static_cast<double>(y[i + 3]);
-    }
-    double acc = (a0 + a1) + (a2 + a3);
-    for (; i < n; ++i)
-        acc += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-    return acc;
-}
-
 double squared_distance(const float* x, const float* y,
                         std::size_t n) noexcept {
     double acc = 0.0;

@@ -80,14 +80,12 @@ using Sha256Blocks = void (*)(std::uint32_t* state, const std::uint8_t* data,
 /// Strict left-to-right double-chain dot (training/theta discipline).
 [[nodiscard]] double dot(const float* x, const float* y,
                          std::size_t n) noexcept;
-/// Four partial chains combined (a0 + a1) + (a2 + a3), then the tail in
-/// order (comparison-only consumers).
-[[nodiscard]] double dot_blocked(const float* x, const float* y,
-                                 std::size_t n) noexcept;
 /// Strict squared Euclidean distance.
 [[nodiscard]] double squared_distance(const float* x, const float* y,
                                       std::size_t n) noexcept;
-/// Blocked squared distance, same block structure as dot_blocked.
+/// Blocked squared distance: four partial chains combined
+/// (a0 + a1) + (a2 + a3), then the tail in order (comparison-only
+/// consumers).
 [[nodiscard]] double squared_distance_blocked(const float* x, const float* y,
                                               std::size_t n) noexcept;
 /// out[r * 4 + c] is bitwise squared_distance_blocked(xs[r], ys[c], n) for

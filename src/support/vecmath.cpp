@@ -73,12 +73,6 @@ double squared_distance(std::span<const float> x,
     return simd::squared_distance(x.data(), y.data(), x.size());
 }
 
-double dot_blocked(std::span<const float> x,
-                   std::span<const float> y) noexcept {
-    assert(x.size() == y.size());
-    return simd::dot_blocked(x.data(), y.data(), x.size());
-}
-
 double squared_distance_blocked(std::span<const float> x,
                                 std::span<const float> y) noexcept {
     assert(x.size() == y.size());

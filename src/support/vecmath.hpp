@@ -12,12 +12,13 @@
 //    strictly left-to-right.  Their exact bit patterns feed model training
 //    and reward arithmetic, so fixed-seed series depend on them -- never
 //    reassociate these.
-//  * `dot_blocked` / `squared_distance_blocked` split the chain across
-//    independent partial accumulators (removing the add-latency bottleneck,
-//    ~2-4x faster) and therefore round differently in the last ulps.  They
-//    are reserved for consumers that only *compare* the results -- e.g. the
-//    clustering distance matrix, where labels come from `d <= eps`
-//    thresholds -- and must not leak into training or rewards.
+//  * `squared_distance_blocked` (and its 3x4 register tile) splits the
+//    chain across four independent partial accumulators (removing the
+//    add-latency bottleneck, ~2-4x faster) and therefore rounds differently
+//    in the last ulps.  It is reserved for consumers that only *compare*
+//    the results -- the Euclidean distance matrix and the sketch index,
+//    where labels come from `d <= eps` thresholds -- and must not leak into
+//    training or rewards.
 
 #include <cstddef>
 #include <span>
@@ -47,12 +48,9 @@ void fill(std::span<float> x, float value) noexcept;
 [[nodiscard]] double squared_distance(std::span<const float> x,
                                       std::span<const float> y) noexcept;
 
-/// Blocked dot product: four independent partial sums, combined at the
-/// end.  Faster than `dot` but reassociated -- comparison-only consumers.
-[[nodiscard]] double dot_blocked(std::span<const float> x,
-                                 std::span<const float> y) noexcept;
-
-/// Blocked squared Euclidean distance (same contract as dot_blocked).
+/// Blocked squared Euclidean distance: four independent partial sums,
+/// combined at the end.  Faster than `squared_distance` but reassociated
+/// -- comparison-only consumers.
 [[nodiscard]] double squared_distance_blocked(
     std::span<const float> x, std::span<const float> y) noexcept;
 
@@ -71,7 +69,7 @@ void squared_distance_blocked_3x4(std::span<const std::vector<float>, 3> xs,
 /// row's accumulation is a strict left-to-right double chain -- exactly
 /// `dot` -- and rows are independent, so processing four rows at once only
 /// adds instruction-level parallelism: the result is bit-identical to
-/// calling `dot` per row (training-safe, unlike dot_blocked).  When `bias`
+/// calling `dot` per row, so it is training-safe.  When `bias`
 /// is empty the cast double sum is written without the float add, matching
 /// a biasless caller bit-for-bit (including the sign of zero).
 void gemv(std::span<const float> a, std::size_t rows, std::size_t cols,

@@ -1,5 +1,5 @@
-// Clustering: distances, DBSCAN separation/noise behaviour, k-means, and
-// the adaptive-eps heuristic.
+// Clustering: distances, DBSCAN separation/noise behaviour, k-means, the
+// adaptive-eps heuristic, and the clustering registry.
 
 #include <gtest/gtest.h>
 
@@ -7,10 +7,12 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "cluster/dbscan.hpp"
 #include "cluster/index.hpp"
 #include "cluster/kmeans.hpp"
+#include "cluster/registry.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/vecmath.hpp"
@@ -410,6 +412,27 @@ TEST(ClusterResult, MembersOfAndSameCluster) {
     EXPECT_FALSE(result.same_cluster(0, 1));
     // Noise never matches, not even itself.
     EXPECT_FALSE(result.same_cluster(3, 3));
+}
+
+TEST(ClusteringRegistry, BuiltinsBuildUnderTheirKeyUnknownThrows) {
+    const auto& registry = cl::ClusteringRegistry::global();
+    EXPECT_EQ(registry.names(),
+              (std::vector<std::string>{"dbscan", "kmeans"}));
+    for (const auto& name : registry.names()) {
+        EXPECT_TRUE(registry.contains(name));
+        const auto algorithm = registry.make(name, cl::ClusteringConfig{});
+        ASSERT_NE(algorithm, nullptr);
+        EXPECT_EQ(std::string(algorithm->name()), name);
+    }
+    EXPECT_FALSE(registry.contains("optics"));
+    try {
+        (void)registry.make("optics", cl::ClusteringConfig{});
+        FAIL() << "expected std::out_of_range";
+    } catch (const std::out_of_range& error) {
+        EXPECT_STREQ(error.what(),
+                     "unknown clustering algorithm 'optics' (known: dbscan, "
+                     "kmeans)");
+    }
 }
 
 }  // namespace

@@ -37,9 +37,10 @@ struct ConvexWorld {
     double optimum() const {
         std::vector<float> params(model->param_count(), 0.0F);
         std::vector<float> grad(params.size());
+        ml::TrainWorkspace ws;
         for (int step = 0; step < 3000; ++step) {
             fairbfl::support::fill(grad, 0.0F);
-            (void)model->loss_and_gradient(params, all, grad);
+            (void)model->loss_and_gradient(params, all, ws, grad);
             fairbfl::support::axpy(-0.5F, grad, params);
         }
         return model->loss(params, all);

@@ -97,7 +97,7 @@ TEST(SystemRun, FinalizeIsIdempotent) {
         run.series.push_back({r, 2.0, 0.0, r < 3 ? 0.1 * double(r) : 0.8});
     run.finalize();
     const core::SystemRun first = run;
-    run.finalize();  // run_suite calls finalize defensively
+    run.finalize();  // a second call must not move any aggregate
     EXPECT_EQ(run.average_delay, first.average_delay);
     EXPECT_EQ(run.average_accuracy, first.average_accuracy);
     EXPECT_EQ(run.final_accuracy, first.final_accuracy);

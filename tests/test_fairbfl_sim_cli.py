@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """fairbfl_sim fails loudly on bad input, and its trace carries what CI reads.
 
-Every unknown name exits 1 and lists the known ones; a non-finite or
-out-of-range number exits 1 like a malformed one; a setting the library
-rejects with an exception (zero clients) exits 1 with one line naming the
-reason instead of aborting.  A valid small run is the control.
+Every unknown name exits 1 and lists the known ones, and --list prints
+every registry's names in table order; a non-finite or out-of-range
+number exits 1 like a malformed one; a setting the library rejects with
+an exception (zero clients) exits 1 with one line naming the reason
+instead of aborting.  A valid small run is the control.
 
 CI's perf steps run fairbfl_sim with --trace-format=json and read per-round
 `seconds.*` keys and `index_peak_bytes` from the trace, and `wall_s=` from
@@ -60,6 +61,17 @@ class BadInput(unittest.TestCase):
                              "--index: unknown backend 'sampled'",
                              "known: exact, lazy, random_projection)")
 
+    def test_unknown_clustering(self):
+        self.assert_rejected(["--clients=4", "--clustering=bogus"],
+                             "--clustering: unknown backend 'bogus'",
+                             "known: dbscan, kmeans)")
+
+    def test_unknown_system(self):
+        self.assert_rejected(["--clients=4", "--system=bogus"],
+                             "unknown system 'bogus' (known: blockchain, "
+                             "fairbfl, fairbfl_discard, fedavg, fedprox, "
+                             "pure_fl, vanilla_bfl)")
+
     def test_non_finite_number(self):
         self.assert_rejected(["--clients=4", "--eta=nan"],
                              "--eta: 'nan' is not a finite number")
@@ -78,6 +90,22 @@ class BadInput(unittest.TestCase):
                          "--partition=iid", "--model=mlp")
         self.assertEqual(result.returncode, 0, result.stderr)
         self.assertIn("# FAIR:", result.stdout)
+
+
+class Listing(unittest.TestCase):
+    def test_list_prints_every_table_in_order(self):
+        result = subprocess.run([SIM, "--list"], capture_output=True,
+                                text=True, timeout=60, check=False)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        self.assertEqual(result.stdout.splitlines(), [
+            "systems: blockchain fairbfl fairbfl_discard fedavg fedprox "
+            "pure_fl vanilla_bfl",
+            "clustering: dbscan kmeans",
+            "index: exact lazy random_projection",
+            "aggregators: simple sample_weighted fair trimmed_mean median",
+            "trace formats: binary text json (--trace=PATH "
+            "--trace-format=...)",
+        ])
 
 
 class TracedRun(unittest.TestCase):

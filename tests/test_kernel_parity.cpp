@@ -57,22 +57,8 @@ double reference_squared_distance(const std::vector<float>& x,
 }
 
 /// Four partial chains over blocks of four, combined (a0 + a1) + (a2 + a3),
-/// then the tail added in order -- the pinned reference for dot_blocked.
-double reference_dot_blocked(const std::vector<float>& x,
-                             const std::vector<float>& y) {
-    double a[4] = {0.0, 0.0, 0.0, 0.0};
-    std::size_t i = 0;
-    for (; i + 4 <= x.size(); i += 4)
-        for (std::size_t k = 0; k < 4; ++k)
-            a[k] += static_cast<double>(x[i + k]) *
-                    static_cast<double>(y[i + k]);
-    double acc = (a[0] + a[1]) + (a[2] + a[3]);
-    for (; i < x.size(); ++i)
-        acc += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-    return acc;
-}
-
-/// Same block structure for the squared distance.
+/// then the tail added in order -- the pinned reference for
+/// squared_distance_blocked.
 double reference_squared_distance_blocked(const std::vector<float>& x,
                                           const std::vector<float>& y) {
     double a[4] = {0.0, 0.0, 0.0, 0.0};
@@ -103,8 +89,6 @@ TEST(ScalarTable, MatchesPinnedReferenceLoopsBitForBit) {
         EXPECT_EQ(simd::dot(x.data(), y.data(), n), reference_dot(x, y));
         EXPECT_EQ(simd::squared_distance(x.data(), y.data(), n),
                   reference_squared_distance(x, y));
-        EXPECT_EQ(simd::dot_blocked(x.data(), y.data(), n),
-                  reference_dot_blocked(x, y));
         EXPECT_EQ(simd::squared_distance_blocked(x.data(), y.data(), n),
                   reference_squared_distance_blocked(x, y));
         // axpy is elementwise: any unroll must stay bit-identical.

@@ -55,7 +55,8 @@ TEST_P(ModelTest, GradientMatchesFiniteDifferences) {
     for (auto& p : params) p += 0.05F;
 
     std::vector<float> grad(params.size(), 0.0F);
-    (void)model->loss_and_gradient(params, batch, grad);
+    ml::TrainWorkspace ws;
+    (void)model->loss_and_gradient(params, batch, ws, grad);
 
     // Spot-check a spread of coordinates.
     const double eps = 1e-3;
@@ -81,7 +82,9 @@ TEST_P(ModelTest, LossAndGradientAgreeOnLossValue) {
     Rng rng(4);
     model->init_params(params, rng);
     std::vector<float> grad(params.size(), 0.0F);
-    const double from_grad_call = model->loss_and_gradient(params, batch, grad);
+    ml::TrainWorkspace ws;
+    const double from_grad_call =
+        model->loss_and_gradient(params, batch, ws, grad);
     EXPECT_NEAR(from_grad_call, model->loss(params, batch), 1e-9);
 }
 
@@ -105,9 +108,10 @@ TEST_P(ModelTest, GradientDescentReducesLossAndFits) {
 
     const double initial_loss = model->loss(params, view);
     std::vector<float> grad(params.size());
+    ml::TrainWorkspace ws;
     for (int step = 0; step < 150; ++step) {
         fairbfl::support::fill(grad, 0.0F);
-        (void)model->loss_and_gradient(params, view, grad);
+        (void)model->loss_and_gradient(params, view, ws, grad);
         fairbfl::support::axpy(-0.5F, grad, params);
     }
     EXPECT_LT(model->loss(params, view), initial_loss * 0.5);
@@ -165,7 +169,8 @@ TEST_P(ModelTest, EmptyBatchContributesNothing) {
     std::vector<float> params(model->param_count(), 0.1F);
     const ml::DatasetView empty(data, {});
     std::vector<float> grad(params.size(), 0.0F);
-    EXPECT_DOUBLE_EQ(model->loss_and_gradient(params, empty, grad), 0.0);
+    ml::TrainWorkspace ws;
+    EXPECT_DOUBLE_EQ(model->loss_and_gradient(params, empty, ws, grad), 0.0);
     for (const float g : grad) EXPECT_FLOAT_EQ(g, 0.0F);
     EXPECT_DOUBLE_EQ(model->accuracy(params, empty), 0.0);
 }

@@ -121,19 +121,6 @@ TEST(VecMath, AxpyUnrollMatchesReferenceOnOddSizes) {
     }
 }
 
-TEST(VecMath, BlockedDotCloseToExactDot) {
-    std::uint32_t state = 2;
-    for (const std::size_t n : {1UL, 4UL, 7UL, 1000UL, 4099UL}) {
-        const auto x = random_vec(n, state);
-        const auto y = random_vec(n, state);
-        const double exact = vm::dot(x, y);
-        // Reassociated, so not bit-equal in general -- but tight.
-        EXPECT_NEAR(vm::dot_blocked(x, y), exact,
-                    1e-9 * (1.0 + std::abs(exact)))
-            << "n=" << n;
-    }
-}
-
 TEST(VecMath, BlockedSquaredDistanceCloseToExact) {
     std::uint32_t state = 3;
     for (const std::size_t n : {1UL, 5UL, 64UL, 4097UL}) {
