@@ -1,5 +1,6 @@
 // Engineering micro-benchmarks: DBSCAN / k-means over gradient-like point
-// sets (this is the T_gl cost of Procedure IV).
+// sets (this is the T_gl cost of Procedure IV).  Every algorithm clusters a
+// prebuilt index, as Algorithm 2 does.
 
 #include <benchmark/benchmark.h>
 
@@ -31,27 +32,43 @@ std::vector<std::vector<float>> gradient_like_points(std::size_t n,
     return points;
 }
 
+/// The exact index build plus the scan, both timed: DBSCAN's preferred
+/// index is the dense matrix, built in its configured metric.
 void BM_Dbscan(benchmark::State& state) {
     const auto points =
         gradient_like_points(static_cast<std::size_t>(state.range(0)), 650);
     const cluster::Dbscan dbscan({.eps = 0.05, .min_pts = 3});
-    for (auto _ : state) benchmark::DoNotOptimize(dbscan.cluster(points));
+    for (auto _ : state) {
+        const cluster::ExactIndex index(dbscan.preferred_metric(), points);
+        benchmark::DoNotOptimize(dbscan.cluster_with(
+            index, points, support::ThreadPool::global()));
+    }
 }
 BENCHMARK(BM_Dbscan)->Arg(10)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond);
 
+/// k-means over its preferred lazy index, built inside the timed loop
+/// (it precomputes nothing): seeding's O(n k) distances plus Lloyd.
 void BM_KMeans(benchmark::State& state) {
     const auto points =
         gradient_like_points(static_cast<std::size_t>(state.range(0)), 650);
     const cluster::KMeans kmeans({.k = 2});
-    for (auto _ : state) benchmark::DoNotOptimize(kmeans.cluster(points));
+    for (auto _ : state) {
+        const cluster::LazyIndex index(kmeans.preferred_metric(), points);
+        benchmark::DoNotOptimize(kmeans.cluster_with(
+            index, points, support::ThreadPool::global()));
+    }
 }
 BENCHMARK(BM_KMeans)->Arg(10)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond);
 
+/// The adaptive-eps heuristic with its cosine exact index: the build and
+/// the k-distance queries, both timed.
 void BM_SuggestEps(benchmark::State& state) {
     const auto points =
         gradient_like_points(static_cast<std::size_t>(state.range(0)), 650);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(cluster::suggest_eps(points, 3));
+    for (auto _ : state) {
+        const cluster::ExactIndex index(cluster::Metric::kCosine, points);
+        benchmark::DoNotOptimize(cluster::suggest_eps(index, 3));
+    }
 }
 BENCHMARK(BM_SuggestEps)->Arg(50)->Arg(100)->Unit(benchmark::kMillisecond);
 
@@ -98,7 +115,7 @@ void BM_DbscanScan(benchmark::State& state) {
     const auto points =
         gradient_like_points(static_cast<std::size_t>(state.range(0)), 7850);
     const cluster::Dbscan dbscan(incentive::ContributionConfig{}.dbscan);
-    const cluster::ExactIndex index(dbscan.params().metric, points);
+    const cluster::ExactIndex index(dbscan.preferred_metric(), points);
     for (auto _ : state) {
         benchmark::DoNotOptimize(dbscan.cluster_with(
             index, points, support::ThreadPool::global()));

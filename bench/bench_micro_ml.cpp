@@ -280,7 +280,7 @@ void BM_Aggregation(benchmark::State& state) {
     std::vector<double> theta(updates.size(), 0.5);
     for (auto _ : state) {
         benchmark::DoNotOptimize(fl::simple_average(updates));
-        benchmark::DoNotOptimize(fl::fair_aggregate(updates, theta));
+        benchmark::DoNotOptimize(fl::weighted_aggregate(updates, theta));
     }
 }
 BENCHMARK(BM_Aggregation)

@@ -2,9 +2,12 @@
 // Common clustering interface.  The paper's Algorithm 2 is parameterized on
 // "any suitable clustering algorithm"; DBSCAN and k-means implement this
 // interface and ClusteringRegistry (cluster/registry.hpp) selects one by key.
+// An algorithm clusters a prebuilt GradientIndex (cluster/index.hpp), in
+// that index's metric: the index owns the round's geometry.
 
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "cluster/distance.hpp"
@@ -36,14 +39,14 @@ struct ClusterResult {
 class ClusteringAlgorithm {
 public:
     virtual ~ClusteringAlgorithm() = default;
-    [[nodiscard]] virtual ClusterResult cluster(
-        std::span<const std::vector<float>> points) const = 0;
 
-    /// Clusters `points` querying a prebuilt GradientIndex over the same
-    /// points (the round pipeline builds the index once -- exact matrix,
-    /// lazy per-query distances, or random-projection sketch -- and
-    /// shares it across every stage).  Implementations use `index` only
-    /// when its metric matches their own.
+    /// The one clustering entry: clusters `points` in index.metric(),
+    /// querying a prebuilt GradientIndex built over exactly those points
+    /// (Algorithm 2 builds it once per pass -- exact matrix, lazy
+    /// per-query distances, or random-projection sketch -- and shares it
+    /// across every stage).  Point i of `points` is ordinal i of `index`.
+    /// Throws std::invalid_argument when the index covers a different
+    /// point count (check_index_covers).
     ///
     /// `pool` is the pass's pool: an implementation may fan its per-point
     /// index queries out on it (the index promises thread-safe queries),
@@ -54,8 +57,9 @@ public:
         const GradientIndex& index, std::span<const std::vector<float>> points,
         support::ThreadPool& pool) const = 0;
 
-    /// The metric this algorithm's configuration clusters under -- the
-    /// geometry Algorithm 2 builds the shared index in.
+    /// The metric this algorithm's configuration names -- the geometry
+    /// Algorithm 2 builds the shared index in.  cluster_with never reads
+    /// it: it clusters in whatever metric the index answers.
     [[nodiscard]] virtual Metric preferred_metric() const noexcept = 0;
 
     /// The IndexRegistry key that matches this algorithm's access pattern
@@ -70,5 +74,14 @@ public:
 
     [[nodiscard]] virtual const char* name() const = 0;
 };
+
+/// cluster_with's shared precondition: `index` covers exactly `points`, one
+/// ordinal per point.  Throws std::invalid_argument otherwise.
+inline void check_index_covers(const GradientIndex& index,
+                               std::span<const std::vector<float>> points) {
+    if (index.size() != points.size())
+        throw std::invalid_argument(
+            "cluster_with: the index covers a different point count");
+}
 
 }  // namespace fairbfl::cluster

@@ -16,24 +16,10 @@ constexpr std::size_t kQueryGrain = 16;
 
 }  // namespace
 
-ClusterResult Dbscan::cluster(
-    std::span<const std::vector<float>> points) const {
-    if (points.empty()) return {};
-    return cluster_index(ExactIndex(params_.metric, points),
-                         support::ThreadPool::global());
-}
-
 ClusterResult Dbscan::cluster_with(const GradientIndex& index,
                                    std::span<const std::vector<float>> points,
                                    support::ThreadPool& pool) const {
-    if (points.empty()) return {};
-    if (index.metric() != params_.metric || index.size() != points.size())
-        return cluster_index(ExactIndex(params_.metric, points, pool), pool);
-    return cluster_index(index, pool);
-}
-
-ClusterResult Dbscan::cluster_index(const GradientIndex& index,
-                                    support::ThreadPool& pool) const {
+    check_index_covers(index, points);
     ClusterResult result;
     const std::size_t n = index.size();
     result.labels.assign(n, ClusterResult::kNoise);
@@ -84,13 +70,6 @@ ClusterResult Dbscan::cluster_index(const GradientIndex& index,
     result.labels.assign(label.begin(), label.end());
     result.num_clusters = next_cluster;
     return result;
-}
-
-double suggest_eps(std::span<const std::vector<float>> points,
-                   std::size_t min_pts, Metric metric) {
-    const std::size_t n = points.size();
-    if (n <= min_pts) return 0.0;
-    return suggest_eps(ExactIndex(metric, points), min_pts);
 }
 
 double suggest_eps(const GradientIndex& index, std::size_t min_pts,

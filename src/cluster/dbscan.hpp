@@ -9,7 +9,8 @@
 // cosine distance) from the honest majority.
 //
 // The scan is written against the GradientIndex neighborhood API, so it
-// runs unchanged over the exact matrix or any approximate backend.
+// runs unchanged over the exact matrix or any approximate backend, in the
+// index's metric: DBSCAN itself never reads a metric.
 
 #include <memory>
 
@@ -20,6 +21,7 @@ namespace fairbfl::cluster {
 struct DbscanParams {
     double eps = 0.05;         ///< neighbourhood radius (metric units)
     std::size_t min_pts = 3;   ///< neighbours (incl. self) to be a core
+    /// preferred_metric(): the geometry Algorithm 2 builds the index in.
     Metric metric = Metric::kCosine;
     /// When true, `eps` is re-estimated per scan from the k-distance
     /// sample of the index being scanned (suggest_eps), scaled by
@@ -36,12 +38,9 @@ class Dbscan final : public ClusteringAlgorithm {
 public:
     explicit Dbscan(DbscanParams params = {}) noexcept : params_(params) {}
 
-    [[nodiscard]] ClusterResult cluster(
-        std::span<const std::vector<float>> points) const override;
-    /// Reuses a prebuilt index when its metric matches params().metric
-    /// (else rebuilds an exact one under the configured metric --
-    /// correctness over reuse).  The k-distance and neighbourhood queries
-    /// fan out over `pool`; the cluster expansion stays serial.
+    /// Scans the index alone (`points` only sets the expected count).
+    /// The k-distance and neighbourhood queries fan out over `pool`; the
+    /// cluster expansion stays serial.
     [[nodiscard]] ClusterResult cluster_with(
         const GradientIndex& index, std::span<const std::vector<float>> points,
         support::ThreadPool& pool) const override;
@@ -50,15 +49,7 @@ public:
     }
     [[nodiscard]] const char* name() const override { return "dbscan"; }
 
-    [[nodiscard]] const DbscanParams& params() const noexcept {
-        return params_;
-    }
-
 private:
-    /// The scan itself; `index` must cover exactly the point set.
-    [[nodiscard]] ClusterResult cluster_index(
-        const GradientIndex& index, support::ThreadPool& pool) const;
-
     DbscanParams params_;
 };
 
@@ -66,19 +57,16 @@ private:
 /// (k = min_pts).  Lets Algorithm 2 adapt eps per round as gradients shrink
 /// with convergence.
 ///
-/// When n <= min_pts there is no k-th-neighbour sample to estimate from;
-/// all overloads return 0.0, under which DBSCAN (min_pts > 1) labels
-/// everything noise and Algorithm 2 degrades to plain fair aggregation --
-/// instead of clustering tiny rounds on an arbitrary made-up radius.
-[[nodiscard]] double suggest_eps(std::span<const std::vector<float>> points,
-                                 std::size_t min_pts,
-                                 Metric metric = Metric::kCosine);
-
-/// Same heuristic reading a prebuilt index: the k-distance sample lives in
-/// the index's own geometry, so the suggested eps is always consistent
+/// The k-distance sample is read from a prebuilt index, so it lives in
+/// the index's own geometry and the suggested eps is always consistent
 /// with the distances the scan will threshold against.  The per-point
 /// queries fan out over `pool`, each into its own slot, so the result is
 /// bit-identical for any pool size.
+///
+/// When n <= min_pts there is no k-th-neighbour sample to estimate from;
+/// the heuristic returns 0.0, under which DBSCAN (min_pts > 1) labels
+/// everything noise and Algorithm 2 degrades to plain fair aggregation --
+/// instead of clustering tiny rounds on an arbitrary made-up radius.
 [[nodiscard]] double suggest_eps(
     const GradientIndex& index, std::size_t min_pts,
     support::ThreadPool& pool = support::ThreadPool::global());

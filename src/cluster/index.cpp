@@ -1,18 +1,46 @@
 #include "cluster/index.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "support/vecmath.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fairbfl::cluster {
 
+namespace {
+
+/// Every backend reads both points of a pair at the first point's width,
+/// so a ragged set would be read past a point's end or silently truncated:
+/// reject it before any build work.
+void check_widths(std::string_view backend,
+                  std::span<const std::vector<float>> points) {
+    for (const auto& point : points) {
+        if (point.size() != points[0].size())
+            throw std::invalid_argument(
+                std::string(backend) +
+                ": point widths differ from the first's");
+    }
+}
+
+/// The k-th smallest entry of `row` (0-based).  An order statistic is a
+/// value, so every backend handing in the same multiset gets the same
+/// double, whatever order it filled the row in.
+double kth_smallest(std::vector<double> row, std::size_t k) {
+    std::nth_element(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(k),
+                     row.end());
+    return row[k];
+}
+
+}  // namespace
+
 // --- GradientIndex defaults ------------------------------------------------
-// Generic fallbacks in terms of distance(); ExactIndex overrides them with
-// row scans over its matrix.
+// Generic queries in terms of distance(); ExactIndex overrides the row
+// scans with reads of its stored rows.
 
 std::vector<std::size_t> GradientIndex::neighbors_within(std::size_t i,
                                                          double eps) const {
@@ -38,49 +66,92 @@ std::size_t GradientIndex::nearest_of(
     return nearest;
 }
 
-void GradientIndex::distances_from(std::size_t i,
-                                   std::span<double> out) const {
-    const std::size_t n = size();
-    for (std::size_t j = 0; j < n; ++j) out[j] = distance(i, j);
-}
-
 double GradientIndex::kth_distance(std::size_t i, std::size_t k) const {
     std::vector<double> row(size());
-    distances_from(i, row);
-    std::nth_element(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(k),
-                     row.end());
-    return row[k];
+    for (std::size_t j = 0; j < row.size(); ++j) row[j] = distance(i, j);
+    return kth_smallest(std::move(row), k);
 }
 
 // --- ExactIndex ------------------------------------------------------------
 
+ExactIndex::ExactIndex(Metric metric,
+                       std::span<const std::vector<float>> points,
+                       support::ThreadPool& pool)
+    : metric_(metric), n_(points.size()) {
+    check_widths("ExactIndex", points);
+    values_.assign(n_ * n_, 0.0);
+    if (n_ < 2) return;
+    if (metric_ == Metric::kCosine) norms_ = support::norms_of(points, pool);
+
+    // Row-parallel upper triangle in row triples; task t owns rows
+    // 3t .. 3t + 2, every pair (i, j > i) of them and its mirror slot, so
+    // writes never overlap.
+    const auto store = [this](std::size_t i, std::size_t j, double d) {
+        values_[i * n_ + j] = d;
+        values_[j * n_ + i] = d;
+    };
+    const auto euclidean = [&](std::size_t i, std::size_t j) {
+        store(i, j,
+              std::sqrt(support::squared_distance_blocked(points[i],
+                                                          points[j])));
+    };
+    support::parallel_for(
+        0, (n_ + 1) / 3,
+        [&](std::size_t t) {
+            const std::size_t i0 = 3 * t;
+            const std::size_t end = std::min(i0 + 3, n_);
+            if (metric_ == Metric::kCosine) {
+                for (std::size_t i = i0; i < end; ++i)
+                    for (std::size_t j = i + 1; j < n_; ++j)
+                        store(i, j,
+                              support::cosine_distance_cached(
+                                  points[i], points[j], norms_[i],
+                                  norms_[j]));
+                return;
+            }
+            // A full triple walks the columns past it four at a time
+            // through the 3x4 tile (bitwise the single-pair kernel); the
+            // pairs inside the triple and the column tail go pair by pair.
+            std::size_t tiled_end = end;
+            if (end - i0 == 3) {
+                for (; tiled_end + 4 <= n_; tiled_end += 4) {
+                    std::array<double, 12> squared{};
+                    support::squared_distance_blocked_3x4(
+                        points.subspan(i0).first<3>(),
+                        points.subspan(tiled_end).first<4>(), squared);
+                    for (std::size_t k = 0; k < 12; ++k)
+                        store(i0 + k / 4, tiled_end + k % 4,
+                              std::sqrt(squared[k]));
+                }
+            }
+            for (std::size_t i = i0; i < end; ++i) {
+                for (std::size_t j = i + 1; j < end; ++j) euclidean(i, j);
+                for (std::size_t j = tiled_end; j < n_; ++j) euclidean(i, j);
+            }
+        },
+        pool);
+}
+
 std::vector<std::size_t> ExactIndex::neighbors_within(
     std::size_t i, double eps) const {
     std::vector<std::size_t> neighbors;
-    const auto row = matrix_.row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) {
-        if (row[j] <= eps) neighbors.push_back(j);
+    const auto distances = row(i);
+    for (std::size_t j = 0; j < distances.size(); ++j) {
+        if (distances[j] <= eps) neighbors.push_back(j);
     }
     return neighbors;
 }
 
-std::size_t ExactIndex::nearest_of(
-    std::size_t i, std::span<const std::size_t> candidates) const {
-    const auto row = matrix_.row(i);
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t nearest = candidates.front();
-    for (const std::size_t candidate : candidates) {
-        if (row[candidate] < best) {
-            best = row[candidate];
-            nearest = candidate;
-        }
-    }
-    return nearest;
+double ExactIndex::kth_distance(std::size_t i, std::size_t k) const {
+    const auto distances = row(i);
+    return kth_smallest({distances.begin(), distances.end()}, k);
 }
 
-void ExactIndex::distances_from(std::size_t i, std::span<double> out) const {
-    const auto row = matrix_.row(i);
-    std::copy(row.begin(), row.end(), out.begin());
+// --- LazyIndex -------------------------------------------------------------
+
+LazyIndex::LazyIndex(Metric metric, std::span<const std::vector<float>> points)
+    : metric_(metric), points_(points) {
+    check_widths("LazyIndex", points);
 }
 
 // --- RandomProjectionIndex -------------------------------------------------
@@ -114,11 +185,7 @@ RandomProjectionIndex::RandomProjectionIndex(
         dense_.emplace(params.metric, points, pool);
         return;
     }
-    for (const auto& point : points) {
-        if (point.size() != dim)
-            throw std::invalid_argument(
-                "RandomProjectionIndex: point widths differ from the first's");
-    }
+    check_widths("RandomProjectionIndex", points);
     sketch_dims_ = k;
     projection_ = support::gaussian_projection(dim, k, params.seed);
     std::vector<const float*> rows(n_);
@@ -162,8 +229,8 @@ std::pair<std::size_t, std::size_t> RandomProjectionIndex::norm_band(
 double RandomProjectionIndex::distance(std::size_t i, std::size_t j) const {
     if (dense_) return dense_->distance(i, j);
     if (i == j) return 0.0;
-    // Exactly the kernels DistanceMatrix applies per pair, so on-demand
-    // values are bit-identical to the dense sketch matrix this replaced.
+    // Exactly the kernels ExactIndex applies per pair, so on-demand values
+    // are bit-identical to a dense exact index over the sketches.
     if (metric_ == Metric::kCosine) {
         return support::cosine_distance_cached(sketch(i), sketch(j),
                                                norms_[i], norms_[j]);
@@ -194,25 +261,10 @@ std::vector<std::size_t> RandomProjectionIndex::neighbors_within(
     return neighbors;
 }
 
-std::size_t RandomProjectionIndex::nearest_of(
-    std::size_t i, std::span<const std::size_t> candidates) const {
-    if (dense_) return dense_->nearest_of(i, candidates);
-    return GradientIndex::nearest_of(i, candidates);
-}
-
-void RandomProjectionIndex::distances_from(std::size_t i,
-                                           std::span<double> out) const {
-    if (dense_) {
-        dense_->distances_from(i, out);
-        return;
-    }
-    GradientIndex::distances_from(i, out);
-}
-
 double RandomProjectionIndex::kth_distance(std::size_t i,
                                            std::size_t k) const {
-    if (dense_ || metric_ != Metric::kEuclidean)
-        return GradientIndex::kth_distance(i, k);
+    if (dense_) return dense_->kth_distance(i, k);
+    if (metric_ != Metric::kEuclidean) return GradientIndex::kth_distance(i, k);
     // Expand outward from i in norm order, keeping the k+1 smallest
     // distances seen in a max-heap.  Once the heap is full, a candidate
     // whose norm-difference lower bound exceeds the heap top (with FP

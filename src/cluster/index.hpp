@@ -3,15 +3,14 @@
 //
 // The paper parameterizes contribution identification on "any suitable
 // clustering algorithm"; this header parameterizes it on the *geometry
-// backend* as well.  Every consumer of pairwise gradient distances --
-// suggest_eps, the DBSCAN neighbourhood scan, k-means++ seeding, the
-// nearest-cluster fallback -- queries this interface instead of reading a
-// dense cluster::DistanceMatrix, so exact and approximate backends are
-// interchangeable per round:
+// backend* as well.  An index owns the round's geometry, its metric
+// included: every consumer of pairwise gradient distances -- suggest_eps,
+// the DBSCAN neighbourhood scan, k-means++ seeding, the nearest-cluster
+// fallback -- queries this interface, so exact and approximate backends
+// are interchangeable per round:
 //
-//   * "exact"              -- wraps DistanceMatrix; O(n^2 d) build,
-//                             O(n^2) doubles.  Bit-for-bit identical to the
-//                             dense-matrix pipeline it replaced.
+//   * "exact"              -- the dense pairwise matrix; O(n^2 d) build,
+//                             O(n^2) doubles.
 //   * "lazy"               -- no build at all; every query computes the
 //                             exact metric distance from the borrowed
 //                             points, O(d) each.  Right when the algorithm
@@ -97,21 +96,15 @@ public:
     /// \param i          query point ordinal.
     /// \param candidates point ordinals to rank, ascending for stable
     ///                   tie-breaks; must be non-empty.
-    [[nodiscard]] virtual std::size_t nearest_of(
+    [[nodiscard]] std::size_t nearest_of(
         std::size_t i, std::span<const std::size_t> candidates) const;
-
-    /// Fills out[j] = distance(i, j) for every j (out.size() == size()) --
-    /// the row query behind suggest_eps's k-distance sample.
-    /// \param i   query point ordinal.
-    /// \param out destination row; must hold exactly size() entries.
-    virtual void distances_from(std::size_t i, std::span<double> out) const;
 
     /// The k-th order statistic (0-based, self-distance included) of point
     /// i's full distance row -- suggest_eps's k-distance query.  The
-    /// default materializes the row and selects; backends with a cheaper
-    /// pruned search override it, and because an order statistic is a
-    /// *value* (independent of scan order), any override must return the
-    /// bit-identical double.
+    /// default fills the row through distance() and selects; backends with
+    /// a stored row or a cheaper pruned search override it, and because an
+    /// order statistic is a *value* (independent of scan order), any
+    /// override must return the bit-identical double.
     /// \param i query point ordinal.
     /// \param k order statistic, in [0, size()).
     [[nodiscard]] virtual double kth_distance(std::size_t i,
@@ -127,51 +120,67 @@ public:
     }
 };
 
-/// The dense exact backend: DistanceMatrix behind the index API.  Every
-/// query is a row scan in ascending-j order -- the exact access pattern of
-/// the pre-index DBSCAN scan / argmin fallback, so labels and tie-breaks
-/// are unchanged bit-for-bit given the same matrix.
+/// The dense exact backend: the symmetric n x n pairwise distance matrix
+/// (row-major, zero diagonal) behind the index API.  Every query is a scan
+/// of a stored row in ascending-j order.
+///
+/// Construction fans row triples out over the pool; every entry is
+/// computed independently and written exactly once, so the values are
+/// identical under any thread count.  Under the cosine metric the
+/// per-point L2 norms are computed once and cached (one dot per pair
+/// instead of three), bit-identical to pairwise cosine_distance.  Under
+/// the Euclidean metric the blocked kernel is used: entries may differ
+/// from the exact kernel in the last ulps, which is safe because every
+/// consumer compares distances (eps thresholds, nearest-neighbour argmins)
+/// rather than feeding them into reward or training arithmetic.  Each
+/// Euclidean task owns three rows and walks the columns past them four at
+/// a time through support::squared_distance_blocked_3x4 (a register tile
+/// of twelve independent accumulator chains, each point widened once per
+/// block); the pairs inside the triple, the column tail and a last short
+/// triple go pair by pair.  Every entry is still bitwise
+/// sqrt(squared_distance_blocked(p_i, p_j)) for i < j.
 class ExactIndex final : public GradientIndex {
 public:
     /// Builds the pairwise matrix over `points` (the O(n^2 d) job, row
-    /// fan-out on `pool`).  Throws std::invalid_argument when the point
-    /// widths differ.
+    /// fan-out on `pool`).  Throws std::invalid_argument, before any row
+    /// task, when a point's width differs from the first's.
     /// \param metric geometry of every stored distance.
     /// \param points the round's point set; not borrowed (values copied
     ///               into the matrix during the build).
     /// \param pool   carries the row fan-out; values are identical for
     ///               any pool size.
     ExactIndex(Metric metric, std::span<const std::vector<float>> points,
-               support::ThreadPool& pool = support::ThreadPool::global())
-        : matrix_(metric, points, pool) {}
+               support::ThreadPool& pool = support::ThreadPool::global());
 
     [[nodiscard]] std::string_view name() const noexcept override {
         return "exact";
     }
-    [[nodiscard]] std::size_t size() const noexcept override {
-        return matrix_.size();
-    }
-    [[nodiscard]] Metric metric() const noexcept override {
-        return matrix_.metric();
-    }
+    [[nodiscard]] std::size_t size() const noexcept override { return n_; }
+    [[nodiscard]] Metric metric() const noexcept override { return metric_; }
     [[nodiscard]] double distance(std::size_t i,
                                   std::size_t j) const override {
-        return matrix_.at(i, j);
+        return values_[i * n_ + j];
     }
     [[nodiscard]] std::vector<std::size_t> neighbors_within(
         std::size_t i, double eps) const override;
-    [[nodiscard]] std::size_t nearest_of(
-        std::size_t i,
-        std::span<const std::size_t> candidates) const override;
-    void distances_from(std::size_t i, std::span<double> out) const override;
+    /// Selects on a copy of the stored row.
+    [[nodiscard]] double kth_distance(std::size_t i,
+                                      std::size_t k) const override;
     /// The dense n x n value table plus the cached per-point norms.
     [[nodiscard]] std::size_t storage_bytes() const noexcept override {
-        return (matrix_.size() * matrix_.size() + matrix_.norms().size()) *
-               sizeof(double);
+        return (values_.size() + norms_.size()) * sizeof(double);
     }
 
 private:
-    DistanceMatrix matrix_;
+    /// Row i as a contiguous span of n distances.
+    [[nodiscard]] std::span<const double> row(std::size_t i) const noexcept {
+        return {values_.data() + i * n_, n_};
+    }
+
+    Metric metric_ = Metric::kCosine;
+    std::size_t n_ = 0;
+    std::vector<double> values_;  ///< n x n, row-major
+    std::vector<double> norms_;   ///< per-point L2 norms; cosine only
 };
 
 /// Zero-build exact backend: borrows the point storage and computes the
@@ -184,12 +193,11 @@ private:
 class LazyIndex final : public GradientIndex {
 public:
     /// Borrows `points`; the caller keeps them alive for the index's
-    /// lifetime.
+    /// lifetime.  Throws std::invalid_argument when a point's width
+    /// differs from the first's.
     /// \param metric geometry every query computes in.
     /// \param points the round's point set, borrowed.
-    LazyIndex(Metric metric,
-              std::span<const std::vector<float>> points) noexcept
-        : metric_(metric), points_(points) {}
+    LazyIndex(Metric metric, std::span<const std::vector<float>> points);
 
     [[nodiscard]] std::string_view name() const noexcept override {
         return "lazy";
@@ -255,20 +263,17 @@ public:
     [[nodiscard]] std::size_t size() const noexcept override { return n_; }
     [[nodiscard]] Metric metric() const noexcept override { return metric_; }
     /// Sketch-space distance, computed on demand with exactly the kernels
-    /// DistanceMatrix would apply to the sketches (exact matrix lookup in
+    /// an ExactIndex would apply to the sketches (exact matrix lookup in
     /// the break-even fallback).
     [[nodiscard]] double distance(std::size_t i,
                                   std::size_t j) const override;
     [[nodiscard]] std::vector<std::size_t> neighbors_within(
         std::size_t i, double eps) const override;
-    [[nodiscard]] std::size_t nearest_of(
-        std::size_t i,
-        std::span<const std::size_t> candidates) const override;
-    void distances_from(std::size_t i, std::span<double> out) const override;
     /// Pruned k-distance: expands a norm-ordered band around the query
     /// until the norm-difference lower bound proves the remaining points
     /// cannot enter the k smallest.  Bit-identical to the default's order
-    /// statistic (Euclidean sketch mode; delegates otherwise).
+    /// statistic (Euclidean sketch mode; the break-even fallback asks its
+    /// dense index, a cosine sketch the default).
     [[nodiscard]] double kth_distance(std::size_t i,
                                       std::size_t k) const override;
     /// Sketches, norms and norm order, plus the projection matrix: shared

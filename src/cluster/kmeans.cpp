@@ -8,31 +8,20 @@
 
 namespace fairbfl::cluster {
 
-ClusterResult KMeans::cluster(
-    std::span<const std::vector<float>> points) const {
-    return cluster_impl(points, nullptr);
-}
-
 ClusterResult KMeans::cluster_with(const GradientIndex& index,
                                    std::span<const std::vector<float>> points,
                                    support::ThreadPool& /*pool*/) const {
-    if (index.metric() != params_.metric || index.size() != points.size())
-        return cluster_impl(points, nullptr);
-    return cluster_impl(points, &index);
-}
-
-ClusterResult KMeans::cluster_impl(
-    std::span<const std::vector<float>> points,
-    const GradientIndex* index) const {
+    check_index_covers(index, points);
     ClusterResult result;
     const std::size_t n = points.size();
     if (n == 0) return result;
+    const Metric metric = index.metric();
     const std::size_t k = std::min(params_.k, n);
     const std::size_t dim = points[0].size();
 
     // Spherical variant for the cosine metric: normalize copies.
     std::vector<std::vector<float>> data(points.begin(), points.end());
-    if (params_.metric == Metric::kCosine) {
+    if (metric == Metric::kCosine) {
         for (auto& p : data) {
             const auto norm = static_cast<float>(support::norm2(p));
             if (norm > 0.0F) support::scale(p, 1.0F / norm);
@@ -54,9 +43,7 @@ ClusterResult KMeans::cluster_impl(
     while (centroids.size() < k) {
         double total = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
-            const double d =
-                index ? index->distance(i, last_seed)
-                      : distance(params_.metric, data[i], centroids.back());
+            const double d = index.distance(i, last_seed);
             min_dist2[i] = std::min(min_dist2[i], d * d);
             total += min_dist2[i];
         }
@@ -87,7 +74,7 @@ ClusterResult KMeans::cluster_impl(
             double best = std::numeric_limits<double>::infinity();
             int best_c = 0;
             for (std::size_t c = 0; c < centroids.size(); ++c) {
-                const double d = distance(params_.metric, data[i], centroids[c]);
+                const double d = distance(metric, data[i], centroids[c]);
                 if (d < best) {
                     best = d;
                     best_c = static_cast<int>(c);
@@ -112,7 +99,7 @@ ClusterResult KMeans::cluster_impl(
         for (std::size_t c = 0; c < centroids.size(); ++c) {
             if (counts[c] == 0) continue;
             support::scale(sums[c], 1.0F / static_cast<float>(counts[c]));
-            if (params_.metric == Metric::kCosine) {
+            if (metric == Metric::kCosine) {
                 const auto norm = static_cast<float>(support::norm2(sums[c]));
                 if (norm > 0.0F) support::scale(sums[c], 1.0F / norm);
             }

@@ -48,7 +48,7 @@ public:
     [[nodiscard]] std::vector<float> aggregate_weighted(
         std::span<const fl::GradientUpdate> updates,
         std::span<const double> theta) const override {
-        return fl::fair_aggregate(updates, theta);
+        return fl::weighted_aggregate(updates, theta);
     }
 };
 

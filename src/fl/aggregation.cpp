@@ -89,9 +89,4 @@ std::vector<float> sample_weighted_average(
     return weighted_aggregate(updates, weights);
 }
 
-std::vector<float> fair_aggregate(std::span<const GradientUpdate> updates,
-                                  std::span<const double> theta) {
-    return weighted_aggregate(updates, theta);
-}
-
 }  // namespace fairbfl::fl

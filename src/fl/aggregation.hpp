@@ -26,19 +26,14 @@ void check_updates(std::span<const GradientUpdate> updates);
 
 /// Weighted sum with the given per-update weights; weights are normalized
 /// internally (sum to 1).  Requires weights.size() == updates.size() and a
-/// positive weight sum.
+/// positive weight sum.  With the contribution scores theta_i as weights
+/// this is Eq. 1, the paper's p_i = theta_i / sum theta_k.
 [[nodiscard]] std::vector<float> weighted_aggregate(
     std::span<const GradientUpdate> updates, std::span<const double> weights);
 
 /// Classic FedAvg: weights proportional to self-reported sample counts.
 [[nodiscard]] std::vector<float> sample_weighted_average(
     std::span<const GradientUpdate> updates);
-
-/// Eq. 1 given precomputed contribution scores theta_i (one per update,
-/// larger = farther).  Scores are used directly as weights after
-/// normalization, matching the paper's p_i = theta_i / sum theta_k.
-[[nodiscard]] std::vector<float> fair_aggregate(
-    std::span<const GradientUpdate> updates, std::span<const double> theta);
 
 // --- Row-view entries --------------------------------------------------------
 // The same rules over borrowed weight rows, so a caller combining a subset

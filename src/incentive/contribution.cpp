@@ -249,7 +249,7 @@ std::vector<float> apply_strategy(std::span<const fl::GradientUpdate> updates,
         // global; Eq. 1 is undefined, use the simple average.
         return fl::simple_average(rows);
     }
-    // Eq. 1: p_i = theta_i / sum theta_k (fl::fair_aggregate's rule).
+    // Eq. 1: p_i = theta_i / sum theta_k (fl::weighted_aggregate's rule).
     return fl::weighted_aggregate(rows, selection.theta);
 }
 

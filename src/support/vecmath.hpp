@@ -131,7 +131,7 @@ void add_scaled_diff(float alpha, std::span<const float> x,
                                             double norm_y) noexcept;
 
 /// Per-row L2 norms: out[i] = norm2(rows[i]), rows fanned out over
-/// `pool` (the DistanceMatrix norm cache).
+/// `pool` (the ExactIndex norm cache).
 [[nodiscard]] std::vector<double> norms_of(
     std::span<const std::vector<float>> rows,
     ThreadPool& pool = ThreadPool::global());

@@ -1,12 +1,12 @@
-// Fixed-seed equivalence pins for the shared-distance-matrix refactor.
+// Fixed-seed equivalence pins for Algorithm 2's shared geometry.
 //
-// The expected labels / theta / rewards below were captured from the
-// pre-refactor implementation (each stage computing its own distances) on
-// a fixed-seed synthetic round.  The refactored pipeline -- one
-// DistanceMatrix shared by suggest_eps, the clustering scan, the
-// nearest-cluster fallback, and the theta scores -- must reproduce them:
-// labels exactly, scores to EXPECT_DOUBLE_EQ (theta arithmetic is
-// bit-preserved by construction; the tolerance only absorbs
+// The expected labels / theta / rewards below were captured from an
+// implementation in which each stage computed its own distances, on a
+// fixed-seed synthetic round.  The pipeline -- one GradientIndex per pass
+// shared by suggest_eps, the clustering scan and the nearest-cluster
+// fallback, with the theta scores from the exact fused cosine kernel --
+// must reproduce them: labels exactly, scores to EXPECT_DOUBLE_EQ (theta
+// arithmetic is bit-preserved by construction; the tolerance only absorbs
 // cross-compiler FP-contraction differences).
 
 #include <gtest/gtest.h>

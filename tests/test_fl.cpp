@@ -123,7 +123,7 @@ TEST(Aggregation, FairMatchesEquationOne) {
                                             update_of(1, {2.0F}),
                                             update_of(2, {3.0F})};
     const std::vector<double> theta{0.1, 0.2, 0.7};
-    const auto out = fl::fair_aggregate(updates, theta);
+    const auto out = fl::weighted_aggregate(updates, theta);
     EXPECT_NEAR(out[0], 0.1F * 1.0F + 0.2F * 2.0F + 0.7F * 3.0F, 1e-5);
 }
 

@@ -1,11 +1,11 @@
-// GradientIndex: exact-backend equivalence with the dense matrix, the
-// string-keyed registry, approximate-backend quality (recall, attack
-// detection within 2% of exact), the sketch's small-n break-even fallback,
-// the sketch path's bit pins (shared Gaussian matrix, chunked projection,
-// sketch contents against a per-point reference), the sketch index's
-// behaviour on non-finite points, DBSCAN's pooled queries under every
-// backend on 1- and 4-thread pools, and Algorithm 2's rejection of ragged
-// point sets before any index is built.
+// GradientIndex: the exact backend's row queries, nearest_of under every
+// backend, the string-keyed registry, approximate-backend quality (recall,
+// attack detection within 2% of exact), the sketch's small-n break-even
+// fallback, the sketch path's bit pins (shared Gaussian matrix, chunked
+// projection, sketch contents against a per-point reference), the sketch
+// index's behaviour on non-finite points, DBSCAN's pooled queries under
+// every backend on 1- and 4-thread pools, and Algorithm 2's rejection of
+// ragged point sets before any index is built.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 
 #include "cluster/dbscan.hpp"
 #include "cluster/index.hpp"
-#include "cluster/kmeans.hpp"
 #include "core/experiment.hpp"
 #include "core/fairbfl.hpp"
 #include "crypto/sha256.hpp"
@@ -64,22 +63,28 @@ std::vector<std::vector<float>> grouped_gradients(std::size_t groups,
     return points;
 }
 
-TEST(ExactIndex, MatchesDistanceMatrixBitForBit) {
+TEST(ExactIndex, KthDistanceIsTheSortedRowEntry) {
+    // ExactIndex selects on its stored row: every order statistic of every
+    // row must be that row's sorted entry, bit for bit, under both metrics.
     const auto points = grouped_gradients(3, 5, 24, 1);
-    const cl::DistanceMatrix matrix(cl::Metric::kEuclidean, points);
-    const cl::ExactIndex index(cl::Metric::kEuclidean, points);
-
-    ASSERT_EQ(index.size(), matrix.size());
-    EXPECT_EQ(index.metric(), matrix.metric());
-    EXPECT_EQ(index.name(), "exact");
-    for (std::size_t i = 0; i < matrix.size(); ++i)
-        for (std::size_t j = 0; j < matrix.size(); ++j)
-            EXPECT_EQ(index.distance(i, j), matrix.at(i, j)) << i << "," << j;
-
-    std::vector<double> row(matrix.size());
-    index.distances_from(2, row);
-    for (std::size_t j = 0; j < matrix.size(); ++j)
-        EXPECT_EQ(row[j], matrix.at(2, j));
+    for (const auto metric : {cl::Metric::kEuclidean, cl::Metric::kCosine}) {
+        const cl::ExactIndex index(metric, points);
+        ASSERT_EQ(index.size(), points.size());
+        EXPECT_EQ(index.metric(), metric);
+        EXPECT_EQ(index.name(), "exact");
+        for (std::size_t i = 0; i < index.size(); ++i) {
+            std::vector<double> row(index.size());
+            for (std::size_t j = 0; j < row.size(); ++j)
+                row[j] = index.distance(i, j);
+            std::sort(row.begin(), row.end());
+            for (std::size_t k = 0; k < row.size(); ++k) {
+                const double got = index.kth_distance(i, k);
+                EXPECT_EQ(std::memcmp(&got, &row[k], sizeof got), 0)
+                    << "metric " << static_cast<int>(metric) << " row " << i
+                    << " k " << k;
+            }
+        }
+    }
 }
 
 TEST(ExactIndex, NeighborsWithinMatchesRowScan) {
@@ -110,6 +115,57 @@ TEST(ExactIndex, NearestOfPicksArgminFirstTieWins) {
     EXPECT_EQ(index.nearest_of(0, tied), 2U);
 }
 
+TEST(GradientIndex, NearestOfIsTheFirstArgminUnderEveryBackend) {
+    // nearest_of is one query over distance(): under every backend, with
+    // the sketch both in its break-even fallback and engaged, it returns
+    // the first candidate of least distance.  In both point sets below,
+    // point 1 is nearest to point 0 and points 2 and 3 tie from it.
+    const auto check = [](const cl::GradientIndex& index) {
+        for (const std::size_t i :
+             {std::size_t{0}, index.size() / 2, index.size() - 1}) {
+            std::vector<std::size_t> others;
+            for (std::size_t j = 0; j < index.size(); ++j)
+                if (j != i) others.push_back(j);
+            std::size_t want = others.front();
+            for (const std::size_t j : others)
+                if (index.distance(i, j) < index.distance(i, want)) want = j;
+            EXPECT_EQ(index.nearest_of(i, others), want) << "query " << i;
+            if (i == 0) EXPECT_EQ(want, 1U);
+        }
+        const std::vector<std::size_t> tied{2, 3};
+        EXPECT_EQ(index.nearest_of(0, tied), 2U);
+        const std::vector<std::size_t> reversed{3, 2};
+        EXPECT_EQ(index.nearest_of(0, reversed), 3U);
+    };
+    // Collinear points, distances 1, 2, 2 from point 0; width 1 keeps the
+    // sketch in its fallback.
+    const std::vector<std::vector<float>> line{
+        {0.0F}, {1.0F}, {-2.0F}, {2.0F}};
+    // 100 points of width 64 engage the sketch (n > 2 x 48, 64 > 48).
+    // Points 1-3 are one point a hair from point 0, so from 0 they tie as
+    // the nearest in every geometry.
+    auto wide = grouped_gradients(4, 25, 64, 31);
+    std::vector<float> near = wide[0];
+    near[0] += 1e-3F;
+    for (const std::size_t copy : {1U, 2U, 3U}) wide[copy] = near;
+    const cl::IndexParams euclidean{.metric = cl::Metric::kEuclidean};
+    ASSERT_EQ(cl::RandomProjectionIndex(line, euclidean).sketch_dims(), 1U);
+    ASSERT_EQ(cl::RandomProjectionIndex(wide, euclidean).sketch_dims(), 48U);
+
+    const auto& registry = cl::IndexRegistry::global();
+    for (const auto& key : registry.names()) {
+        SCOPED_TRACE(key);
+        check(*registry.build(key, line, euclidean));
+        for (const auto metric :
+             {cl::Metric::kEuclidean, cl::Metric::kCosine}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "wide, metric " << static_cast<int>(metric));
+            check(*registry.build(key, wide,
+                                  cl::IndexParams{.metric = metric}));
+        }
+    }
+}
+
 TEST(LazyIndex, ComputesExactMetricWithZeroBuild) {
     const auto points = grouped_gradients(2, 5, 24, 11);
     for (const auto metric : {cl::Metric::kEuclidean, cl::Metric::kCosine}) {
@@ -126,22 +182,6 @@ TEST(LazyIndex, ComputesExactMetricWithZeroBuild) {
             }
         }
     }
-}
-
-TEST(LazyIndex, KMeansSeedingBitIdenticalToPointsPathUnderEuclidean) {
-    // Under "auto", k-means resolves to the lazy backend; with the
-    // Euclidean metric the seed distances are the same kernel calls on
-    // the same vectors as the points path, so the labels must be equal.
-    const auto points = grouped_gradients(3, 8, 64, 12);
-    const fairbfl::cluster::KMeans kmeans({.k = 3,
-                                           .max_iterations = 50,
-                                           .metric = cl::Metric::kEuclidean,
-                                           .seed = 5});
-    const cl::LazyIndex lazy(cl::Metric::kEuclidean, points);
-    EXPECT_EQ(
-        kmeans.cluster_with(lazy, points, support::ThreadPool::global())
-            .labels,
-        kmeans.cluster(points).labels);
 }
 
 TEST(AutoIndex, ResolvesPerClusteringAlgorithm) {
@@ -254,12 +294,9 @@ TEST(ApproximateIndexes, SmallRoundsFallBackToExactGeometry) {
         for (std::size_t j = 0; j < points.size(); ++j)
             EXPECT_EQ(projected.distance(i, j), exact.distance(i, j));
     }
-    // distances_from on the fallback serves the exact dense row.
-    std::vector<double> row(points.size());
-    std::vector<double> truth(points.size());
-    projected.distances_from(3, row);
-    exact.distances_from(3, truth);
-    EXPECT_EQ(row, truth);
+    // kth_distance on the fallback asks the dense index.
+    for (std::size_t k = 0; k < points.size(); ++k)
+        EXPECT_EQ(projected.kth_distance(3, k), exact.kth_distance(3, k));
 }
 
 TEST(Dbscan, PooledQueriesBitIdenticalOnOneAndFourThreadPools) {
@@ -487,11 +524,11 @@ TEST(RandomProjectionIndex, ConcurrentBuildsOverTwoKeysMatchSerialBuilds) {
         expect_same_index(*built[i], i % 2 == 0 ? want_a : want_b);
 }
 
-TEST(RandomProjectionIndex, DistancesEqualDistanceMatrixOverPerPointSketches) {
+TEST(RandomProjectionIndex, DistancesEqualExactIndexOverPerPointSketches) {
     // An independent reference for the sketch contents: every point is
     // projected on its own with the per-point gemv through the shared
-    // matrix, and the dense matrix over those sketches must hold every
-    // distance the index answers, byte for byte.  n = 97 and 113 are
+    // matrix, and the dense exact index over those sketches must hold
+    // every distance the index answers, byte for byte.  n = 97 and 113 are
     // above 2k = 96 (engaged) and not multiples of the projection chunk,
     // so a misplaced sketch row or a dropped chunk tail shows.
     constexpr std::size_t kDims = 48;
@@ -520,11 +557,11 @@ TEST(RandomProjectionIndex, DistancesEqualDistanceMatrixOverPerPointSketches) {
             params.seed = kSeed;
             const cl::RandomProjectionIndex index(points, params);
             ASSERT_EQ(index.sketch_dims(), kDims);
-            const cl::DistanceMatrix want(metric, sketches);
+            const cl::ExactIndex want(metric, sketches);
             for (std::size_t i = 0; i < n; ++i) {
                 for (std::size_t j = 0; j < n; ++j) {
                     const double got = index.distance(i, j);
-                    const double expected = want.at(i, j);
+                    const double expected = want.distance(i, j);
                     ASSERT_EQ(std::memcmp(&got, &expected, sizeof got), 0)
                         << "n " << n << " metric "
                         << static_cast<int>(metric) << " pair " << i << ","

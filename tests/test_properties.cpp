@@ -299,7 +299,7 @@ TEST_P(SeededProperty, AggregationPermutationInvariance) {
         theta.push_back(rng.uniform(0.1, 1.0));
     }
     const auto mean1 = fl::simple_average(updates);
-    const auto fair1 = fl::fair_aggregate(updates, theta);
+    const auto fair1 = fl::weighted_aggregate(updates, theta);
 
     // Shuffle both consistently.
     std::vector<std::size_t> order(updates.size());
@@ -312,7 +312,7 @@ TEST_P(SeededProperty, AggregationPermutationInvariance) {
         shuffled_theta.push_back(theta[i]);
     }
     const auto mean2 = fl::simple_average(shuffled);
-    const auto fair2 = fl::fair_aggregate(shuffled, shuffled_theta);
+    const auto fair2 = fl::weighted_aggregate(shuffled, shuffled_theta);
     for (std::size_t d = 0; d < mean1.size(); ++d) {
         EXPECT_NEAR(mean1[d], mean2[d], 1e-5);
         EXPECT_NEAR(fair1[d], fair2[d], 1e-5);
@@ -359,13 +359,14 @@ TEST_P(SeededProperty, DbscanClustersContainACorePoint) {
                                   .min_pts = 3,
                                   .metric = cl::Metric::kEuclidean};
     const cl::Dbscan dbscan(params);
-    const auto result = dbscan.cluster(points);
+    const cl::ExactIndex dist(params.metric, points);
+    const auto result = dbscan.cluster_with(
+        dist, points, fairbfl::support::ThreadPool::global());
 
-    const cl::DistanceMatrix dist(params.metric, points);
     auto neighbour_count = [&](std::size_t i) {
         std::size_t count = 0;
         for (std::size_t j = 0; j < n; ++j)
-            if (dist.at(i, j) <= params.eps) ++count;
+            if (dist.distance(i, j) <= params.eps) ++count;
         return count;
     };
 
@@ -380,7 +381,7 @@ TEST_P(SeededProperty, DbscanClustersContainACorePoint) {
         for (const auto m : members) {
             bool near_member = members.size() == 1;
             for (const auto other : members) {
-                if (other != m && dist.at(m, other) <= params.eps)
+                if (other != m && dist.distance(m, other) <= params.eps)
                     near_member = true;
             }
             EXPECT_TRUE(near_member);
